@@ -1,9 +1,8 @@
 """The campaign ledger: append-only, schema-versioned JSONL.
 
-One file accumulates every campaign a repo checkout has run, in the
-same spirit as ``BENCH_history.json``: the first line of each campaign
-is a header row (schema version, campaign seed, cell count), followed
-by one row per executed cell.  Rows are canonical JSON — sorted keys,
+One file accumulates every campaign a repo checkout has run: the first
+line of each campaign is a header row (schema version, campaign seed,
+cell count), followed by one row per executed cell.  Rows are canonical JSON — sorted keys,
 fixed separators, no timestamps — so *the same campaign seed produces
 a byte-identical ledger*, which is the property CI soaks and the
 acceptance tests diff against.

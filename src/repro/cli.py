@@ -1009,117 +1009,15 @@ def _cmd_waits(args: argparse.Namespace) -> int:
     return 0
 
 
-def _default_history_path() -> str:
-    import pathlib
+def _load_diff_profile(path: str):
+    """The :class:`~repro.obs.diffing.RunProfile` of a span JSONL export."""
+    from repro.obs.diffing import profile_from_jsonl
 
-    return str(pathlib.Path.cwd() / "BENCH_history.json")
-
-
-def _cmd_runs(args: argparse.Namespace) -> int:
-    """``repro runs``: the history ledger with provenance manifests."""
-    import json as json_module
-
-    from repro.obs.manifest import RunManifest
-
-    path = args.history or _default_history_path()
     try:
         with open(path) as handle:
-            rows = json_module.load(handle)["rows"]
-    except (OSError, ValueError, KeyError):
-        print(f"no readable history at {path}", file=sys.stderr)
-        return 2
-    if args.flavour != "all":
-        want_smoke = args.flavour == "smoke"
-        rows = [r for r in rows if bool(r.get("smoke")) == want_smoke]
-    if args.limit:
-        rows = rows[-args.limit:]
-    if getattr(args, "json", False):
-        # machine-readable: the filtered rows verbatim, plus the derived
-        # fingerprint per manifest-bearing row (the cross-run join key)
-        payload = []
-        for row in rows:
-            entry = dict(row)
-            if row.get("manifest"):
-                entry["fingerprint"] = (
-                    RunManifest.from_dict(row["manifest"]).fingerprint()
-                )
-            payload.append(entry)
-        print(json_module.dumps(payload, indent=2, sort_keys=True))
-        return 0
-    print(f"{len(rows)} run(s) in {path}")
-    for row in rows:
-        schema = row.get("schema", 1)
-        flavour = "smoke" if row.get("smoke") else "full"
-        keys = len(row.get("speedups", {}))
-        line = (f"  {row.get('timestamp', '?'):<26} v{schema} {flavour:<5} "
-                f"{keys:>3} keys")
-        if row.get("manifest"):
-            manifest = RunManifest.from_dict(row["manifest"])
-            line += f"  {manifest.summary()}"
-        else:
-            line += "  (no manifest: legacy v1 row)"
-        print(line)
-    return 0
-
-
-def _load_diff_profiles(path: str):
-    """``{label: RunProfile}`` out of any artifact ``repro diff`` accepts.
-
-    Auto-detects the format: a span JSONL export (one profile, labelled
-    ``run``), a bench payload (``BENCH_core.json`` / smoke baseline —
-    one profile per profiled Coin-Gen configuration), or a history file
-    (the most recent row carrying a schema-2 profile).
-    """
-    import json as json_module
-
-    from repro.obs.diffing import (
-        profile_from_bench_phases, profile_from_jsonl,
-    )
-    from repro.obs.manifest import RunManifest
-
-    with open(path) as handle:
-        text = handle.read()
-    try:
-        doc = json_module.loads(text)
-    except ValueError:
-        return {"run": profile_from_jsonl(text, source=path)}
-    if not isinstance(doc, dict):
-        raise _usage_error(f"{path}: not a recognized recording")
-    if "flight" in doc:
-        raise _usage_error(f"{path}: flight logs diff with "
-                           "'repro replay LOG --diff OTHER'")
-    manifest = (RunManifest.from_dict(doc["manifest"])
-                if doc.get("manifest") else None)
-    if "rows" in doc:  # history ledger: latest profiled row wins
-        profiled = [r for r in doc["rows"] if r.get("profile")]
-        if not profiled:
-            raise _usage_error(f"{path}: no schema-2 history row carries a "
-                               "profile (all legacy v1 rows)")
-        row = profiled[-1]
-        row_manifest = (RunManifest.from_dict(row["manifest"])
-                        if row.get("manifest") else None)
-        return {
-            label: profile_from_bench_phases(
-                phases, manifest=row_manifest,
-                source=f"{path} @ {row.get('timestamp', '?')}",
-            )
-            for label, phases in row["profile"].items()
-        }
-    if "results" in doc:  # bench payload (BENCH_core / smoke baseline)
-        out = {}
-        for row in doc["results"]:
-            if row.get("bench") == "coin_gen" and "phases" in row:
-                label = (f"coin_gen_n{row['n']}_t{row['t']}"
-                         f"_M{row['M']}")
-                out.setdefault(label, profile_from_bench_phases(
-                    row["phases"], manifest=manifest, source=path,
-                ))
-        if not out:
-            raise _usage_error(f"{path}: bench payload has no profiled "
-                               "coin_gen rows")
-        return out
-    raise _usage_error(f"{path}: not a recognized recording (expected a "
-                       "span JSONL export, bench payload, or history file)")
+            return profile_from_jsonl(handle.read(), source=path)
+    except (OSError, ValueError) as exc:
+        raise _usage_error(f"{path}: not a span JSONL export ({exc})")
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
@@ -1127,31 +1025,17 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     from repro.obs.critical_path import CostModel
     from repro.obs.diffing import DEFAULT_PRICING, diff_profiles
 
-    profiles_a = _load_diff_profiles(args.a)
-    profiles_b = _load_diff_profiles(args.b)
-    common = sorted(set(profiles_a) & set(profiles_b))
-    if not common:
-        print(f"no common configurations: {sorted(profiles_a)} vs "
-              f"{sorted(profiles_b)}", file=sys.stderr)
-        return 2
+    diff = diff_profiles(_load_diff_profile(args.a),
+                         _load_diff_profile(args.b))
     costs = _parse_op_costs(args.op_cost)
     model = CostModel(**costs) if costs else DEFAULT_PRICING
-    sections = []
-    all_empty = True
-    for label in common:
-        diff = diff_profiles(profiles_a[label], profiles_b[label])
-        all_empty = all_empty and diff.is_empty()
-        sections.append(
-            f"== {label} ==\n"
-            + diff.report(model=model, label_a=args.a, label_b=args.b)
-        )
-    report = "\n\n".join(sections) + "\n"
+    report = diff.report(model=model, label_a=args.a, label_b=args.b) + "\n"
     print(report, end="")
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(report)
         print(f"wrote attribution report to {args.out}", file=sys.stderr)
-    if args.expect_empty and not all_empty:
+    if args.expect_empty and not diff.is_empty():
         print("DIFF NOT EMPTY: deterministic deltas found (see above)",
               file=sys.stderr)
         return 1
@@ -1546,29 +1430,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_export_arguments(waits)
     waits.set_defaults(func=_cmd_waits, runtime="async")
 
-    runs = sub.add_parser(
-        "runs",
-        help="list the bench history ledger with provenance manifests",
-    )
-    runs.add_argument("--history", default=None, metavar="PATH",
-                      help="history file (default ./BENCH_history.json)")
-    runs.add_argument("--flavour", choices=("smoke", "full", "all"),
-                      default="all", help="filter rows by bench flavour")
-    runs.add_argument("--limit", type=int, default=0,
-                      help="show only the most recent N rows (0 = all)")
-    runs.add_argument("--json", action="store_true",
-                      help="emit the filtered rows as JSON (with derived "
-                           "manifest fingerprints) instead of the table")
-    runs.set_defaults(func=_cmd_runs)
-
     diff_cmd = sub.add_parser(
         "diff",
         help="cross-run diff: per-phase x per-op deltas and CostModel-"
              "priced regression attribution between two recordings",
     )
-    diff_cmd.add_argument("a", help="span JSONL export, bench payload, "
-                                    "or history file (the 'before' run)")
-    diff_cmd.add_argument("b", help="the 'after' run (same formats)")
+    diff_cmd.add_argument("a", help="span JSONL export (the 'before' run)")
+    diff_cmd.add_argument("b", help="span JSONL export (the 'after' run)")
     diff_cmd.add_argument("--out", default=None, metavar="PATH",
                           help="also write the attribution report to PATH")
     diff_cmd.add_argument("--op-cost", default=None,

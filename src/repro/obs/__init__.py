@@ -44,7 +44,7 @@ Corollary 1).  This package makes those costs observable on live runs:
   stalls as crash-induced vs. unexplained withholding;
 * :mod:`repro.obs.manifest` — :class:`~repro.obs.manifest.RunManifest`,
   the provenance stamp (parameters, backend, runtime, environment) with
-  a stable semantic fingerprint, attached to bench rows and exports;
+  a stable semantic fingerprint, attached to exports;
 * :mod:`repro.obs.diffing` — cross-run analysis: reduce any recording
   to a per-phase metric table (:class:`~repro.obs.diffing.RunProfile`),
   diff two of them, and price the op deltas into a makespan attribution
@@ -116,7 +116,6 @@ from repro.obs.diffing import (
     RunProfile,
     diff_profiles,
     diff_recordings,
-    profile_from_bench_phases,
     profile_from_jsonl,
     profile_from_recorder,
 )
@@ -175,7 +174,6 @@ __all__ = [
     "diff_recordings",
     "profile_from_recorder",
     "profile_from_jsonl",
-    "profile_from_bench_phases",
     "SamplingProfiler",
     "Sample",
 ]

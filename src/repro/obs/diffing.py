@@ -2,9 +2,8 @@
 
 One recorded run tells you where time went; two runs tell you what
 *changed*.  This module reduces any recording this repo produces — a
-live :class:`~repro.obs.spans.SpanRecorder`, a JSONL span export, the
-``phases`` breakdown in a bench row, or a schema-2 history-row profile —
-to one canonical shape, a :class:`RunProfile`::
+live :class:`~repro.obs.spans.SpanRecorder` or a JSONL span export — to
+one canonical shape, a :class:`RunProfile`::
 
     {phase: {rounds, messages, bits, adds, muls, invs,
              interpolations, wall_s}}
@@ -152,22 +151,6 @@ def profile_from_jsonl(text: str, source: str = "jsonl") -> RunProfile:
             row = profile.phase(record.get("phase", "other"))
             for key in OP_KEYS:
                 row[key] += record.get(key, 0)
-    return profile
-
-
-def profile_from_bench_phases(phases: List[Dict[str, Any]],
-                              manifest: Optional[RunManifest] = None,
-                              source: str = "bench") -> RunProfile:
-    """Reduce a bench row's ``phases`` / history-row profile list.
-
-    Accepts the per-phase dict list ``coin_gen_conformance`` emits
-    (rounds / messages / bits / wall_s, plus op counts when present).
-    """
-    profile = RunProfile(manifest=manifest, source=source)
-    for entry in phases:
-        row = profile.phase(entry.get("phase", "other"))
-        for metric in METRICS:
-            row[metric] += entry.get(metric, 0)
     return profile
 
 
@@ -388,13 +371,11 @@ def diff_recordings(a, b) -> ProfileDiff:
 
 
 def as_profile(source) -> RunProfile:
-    """Coerce a recorder / JSONL text / phase list into a profile."""
+    """Coerce a recorder / JSONL text into a profile."""
     if isinstance(source, RunProfile):
         return source
     if isinstance(source, str):
         return profile_from_jsonl(source)
-    if isinstance(source, list):
-        return profile_from_bench_phases(source)
     if hasattr(source, "phase_spans"):
         return profile_from_recorder(source)
     raise TypeError(f"cannot profile {type(source).__name__}")

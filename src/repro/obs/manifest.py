@@ -1,10 +1,9 @@
-"""Run manifests: provenance stamps for benchmarks, exports, and logs.
+"""Run manifests: provenance stamps for exports and logs.
 
-Every performance artifact this repo emits — ``BENCH_history.json``
-rows, span exports (JSONL / Chrome), flight logs — describes *one
-execution of one configuration*, yet until now none of them recorded
-which configuration that was.  A :class:`RunManifest` is that record:
-the protocol parameters (field, n, t, M, seeds), the execution knobs
+Every recording this repo emits — span exports (JSONL / Chrome),
+flight logs — describes *one execution of one configuration*, yet
+until now none of them recorded which configuration that was.  A
+:class:`RunManifest` is that record: the protocol parameters (field, n, t, M, seeds), the execution knobs
 (backend, scheduler, runtime, interpolation mode), and the environment
 (python / numpy versions, git sha, package version) in one flat,
 JSON-serializable object.

@@ -25,7 +25,7 @@ therefore meter — no inversions.  The ``interpolations`` counter is bumped
 once per logical interpolation by the wrappers, exactly like the classic
 functions, so the Lemma 2/4/6 checks are unaffected.
 
-Four modes support the benchmark ablations (``interpolation_mode``):
+Three modes support the benchmark ablations (``interpolation_mode``):
 
 * ``"shared"`` (default) — one long-lived cache per field; repeated point
   sets hit.
@@ -33,11 +33,6 @@ Four modes support the benchmark ablations (``interpolation_mode``):
   nothing is reused across calls (isolates the batch-inversion speedup).
 * ``"off"`` — fall through to the classic O(n^2)-inversions code paths
   (the pre-optimization baseline, for before/after measurements).
-* ``"ntt"`` — like ``"shared"``, but interpolation and multipoint
-  evaluation switch to the O(n log^2 n) transform algorithms of
-  :mod:`repro.poly.fast_eval` whenever the field and job qualify
-  (GF(p), smooth ``p - 1``, enough points); otherwise identical to
-  ``"shared"``.
 """
 
 from __future__ import annotations
@@ -60,7 +55,7 @@ Point = Tuple[Element, Element]
 #: "shared" | "fresh" | "off" — see module docstring.
 _MODE = "shared"
 
-_MODES = ("shared", "fresh", "off", "ntt")
+_MODES = ("shared", "fresh", "off")
 
 
 def cache_mode() -> str:
@@ -282,13 +277,6 @@ def interpolate_cached(field: Field, points: Sequence[Point]) -> Polynomial:
     if _MODE == "off":
         return interpolate(field, points)
     field.counter.interpolations += 1
-    if _MODE == "ntt":
-        from repro.poly import fast_eval
-
-        if fast_eval.ntt_applicable(field, len(points)):
-            return Polynomial(
-                field, fast_eval.fast_interpolate_coeffs(field, points)
-            )
     return cache_for(field).polynomial(points)
 
 

@@ -87,13 +87,6 @@ def optimistic_candidate(field: Field, points: Sequence[Point]) -> Polynomial:
     candidates and verify them in one bulk evaluation sweep while paying
     exactly the ops :func:`berlekamp_welch` would.
     """
-    if barycentric.cache_mode() == "ntt":
-        from repro.poly import fast_eval
-
-        if fast_eval.ntt_applicable(field, len(points)):
-            return Polynomial(
-                field, fast_eval.fast_interpolate_coeffs(field, list(points))
-            )
     return barycentric.cache_for(field).polynomial(list(points))
 
 

@@ -72,19 +72,12 @@ class Polynomial:
         A single pass over the coefficients updates all accumulators via
         the field's vectorized ``axpy_many`` — the same mul/add totals as
         per-point Horner, but one batched step per coefficient instead of
-        ``len(xs)`` interleaved scalar calls.  Under the ``"ntt"``
-        interpolation mode, qualifying jobs (GF(p), wide enough) switch
-        to the O(n log^2 n) remainder-tree evaluation instead.
+        ``len(xs)`` interleaved scalar calls.
         """
         f = self.field
         xs = list(xs)
         if not xs:
             return []
-        if len(xs) >= 32 and len(self.coeffs) >= 2:
-            from repro.poly import fast_eval
-
-            if fast_eval.wants_fast_eval(f, len(xs)):
-                return fast_eval.fast_eval_many(f, list(self.coeffs), xs)
         acc = [f.zero] * len(xs)
         for c in reversed(self.coeffs):
             acc = f.axpy_many(acc, xs, c)

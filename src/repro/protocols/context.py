@@ -32,7 +32,7 @@ automatically::
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.fields.base import Field
@@ -69,7 +69,6 @@ class ProtocolContext:
     #: session.  None (the default) keeps runs byte-identical to a
     #: bus-less context.
     bus: Optional[EventBus] = None
-    extra_network_kwargs: dict = dataclass_field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -122,7 +121,6 @@ class ProtocolContext:
         accumulator with :meth:`absorb` when the run's tallies should
         count toward the context's lifetime totals.
         """
-        options = {**self.extra_network_kwargs, **kwargs}
         return SynchronousNetwork(
             self.n,
             field=self.field,
@@ -135,7 +133,7 @@ class ProtocolContext:
             recorder=self.recorder,
             bus=self.bus,
             enforce_codec=self.enforce_codec,
-            **options,
+            **kwargs,
         )
 
     def async_runtime(

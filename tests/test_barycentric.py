@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.fields import GF2k, GFp
+from repro.fields.backends import numpy_available
 from repro.poly import (
     InterpolationCache,
     Polynomial,
@@ -28,6 +29,11 @@ from repro.sharing.shamir import ShamirScheme
 
 F256 = GF2k(8)
 F101 = GFp(101)
+
+#: a prime below 2^32, so the numpy uint64 kernels serve the same field
+Q = 1073153
+MODES = ("off", "fresh", "shared")
+BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 
 
 def poly_points(field, coeffs, npoints=None):
@@ -122,6 +128,11 @@ class TestModes:
             with interpolation_mode("bogus"):
                 pass
 
+    def test_retired_ntt_mode_rejected(self):
+        with pytest.raises(ValueError):
+            with interpolation_mode("ntt"):
+                pass
+
     def test_interpolation_counter_bumped_once_in_every_mode(self):
         _, pts = poly_points(F256, [1, 2, 3])
         for mode in ("shared", "fresh", "off"):
@@ -130,6 +141,75 @@ class TestModes:
                 interpolate_cached(F256, pts)
                 interpolate_at_cached(F256, pts, 0)
                 assert F256.counter.delta(before).interpolations == 2
+
+
+def _bw_case(field, degree, n, bad_positions, seed):
+    rng = random.Random(seed)
+    poly = Polynomial(field, [rng.randrange(field.order)
+                              for _ in range(degree + 1)])
+    points = [(x, poly(x)) for x in range(1, n + 1)]
+    for pos in bad_positions:
+        x, y = points[pos]
+        points[pos] = (x, (y + 1 + pos) % field.order)
+    return poly, points
+
+
+class TestModeBackendMatrix:
+    """Seeded outputs are byte-identical across every mode x backend."""
+
+    def test_evaluate_many_identical_across_modes(self):
+        rng = random.Random(29)
+        field = GFp(Q, backend="python")
+        coeffs = [rng.randrange(Q) for _ in range(12)]
+        xs = rng.sample(range(1, 4096), 40)
+        outputs = {}
+        for mode in MODES:
+            with interpolation_mode(mode):
+                outputs[mode] = Polynomial(field, coeffs).evaluate_many(xs)
+        assert len({tuple(v) for v in outputs.values()}) == 1
+
+    @pytest.mark.parametrize("bad", [(), (60, 65, 69), (0, 3, 64)],
+                             ids=["clean", "tail-errors", "head-errors"])
+    def test_berlekamp_welch_identical_across_mode_matrix(self, bad):
+        """BW decoding (incl. error correction) is mode- and backend-invariant.
+
+        Head errors force the fall back to the full key-equation decoder
+        under every mode.
+        """
+        degree, n = 31, 70
+        reference = None
+        for backend in BACKENDS:
+            field = GFp(Q, backend=backend)
+            truth, points = _bw_case(field, degree, n, bad, seed=31)
+            for mode in MODES:
+                with interpolation_mode(mode):
+                    decoded, good = berlekamp_welch(field, points, degree)
+                assert decoded == Polynomial(field, list(truth.coeffs))
+                outcome = (tuple(decoded.coeffs), tuple(good))
+                if reference is None:
+                    reference = outcome
+                assert outcome == reference, (backend, mode)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_batch_vss_identical_across_modes(self, backend):
+        """Every mode agrees bit-for-bit on every player's verdict, the
+        exposed challenge, and the metered traffic."""
+        from repro.protocols.batch_vss import run_batch_vss
+
+        n, t, M = 33, 10, 4
+        outcomes = {}
+        for mode in MODES:
+            field = GFp(Q, backend=backend)
+            with interpolation_mode(mode):
+                results, metrics = run_batch_vss(field, n=n, t=t, M=M, seed=5)
+            assert all(res.accepted for res in results.values())
+            outcomes[mode] = (
+                {pid: (res.accepted, res.challenge)
+                 for pid, res in results.items()},
+                metrics.bits,
+                metrics.paper_messages,
+            )
+        assert len({repr(v) for v in outcomes.values()}) == 1
 
 
 class TestBatchInv:

@@ -137,108 +137,55 @@ class TestParser:
             main(["frobnicate"])
 
 
-def _bench_payload(tmp_path, name, muls=60, n=7):
-    payload = {
-        "manifest": {"protocol": "bench", "field": "gf2k:32", "n": n},
-        "results": [{
-            "bench": "coin_gen", "n": n, "t": 1, "M": 8,
-            "phases": [{"phase": "clique", "rounds": 3, "messages": 10,
-                        "bits": 80, "adds": 4, "muls": muls, "invs": 1,
-                        "interpolations": 2, "wall_s": 0.01}],
-        }],
-    }
+def _span_export(tmp_path, name, muls=60):
+    lines = [
+        {"kind": "manifest", "protocol": "coin_gen", "field": "gf2k:32",
+         "n": 7},
+        {"kind": "phase", "phase": "clique", "rounds": 3, "messages": 10,
+         "bits": 80, "duration_s": 0.01},
+        {"kind": "player", "phase": "clique", "adds": 4, "muls": muls,
+         "invs": 1, "interpolations": 2},
+    ]
     path = tmp_path / name
-    path.write_text(json.dumps(payload))
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
     return str(path)
-
-
-class TestRuns:
-    def test_lists_legacy_and_manifested_rows(self, tmp_path, capsys):
-        history = tmp_path / "history.json"
-        history.write_text(json.dumps({"rows": [
-            {"timestamp": "2026-01-01T00:00:00+00:00", "smoke": True,
-             "speedups": {"bench_x": 2.0}},
-            {"schema": 2, "timestamp": "2026-01-02T00:00:00+00:00",
-             "smoke": True, "speedups": {"bench_x": 2.1},
-             "manifest": {"protocol": "bench", "n": 7}},
-        ]}))
-        assert main(["runs", "--history", str(history)]) == 0
-        out = capsys.readouterr().out
-        assert "2 run(s)" in out
-        assert "legacy v1 row" in out
-        assert "protocol=bench" in out and "#" in out
-
-    def test_flavour_filter_and_limit(self, tmp_path, capsys):
-        history = tmp_path / "history.json"
-        history.write_text(json.dumps({"rows": [
-            {"timestamp": "t1", "smoke": False, "speedups": {}},
-            {"timestamp": "t2", "smoke": True, "speedups": {}},
-        ]}))
-        assert main(["runs", "--history", str(history),
-                     "--flavour", "smoke"]) == 0
-        out = capsys.readouterr().out
-        assert "1 run(s)" in out and "t2" in out
-
-    def test_missing_history_is_a_usage_error(self, tmp_path, capsys):
-        assert main(["runs", "--history",
-                     str(tmp_path / "absent.json")]) == 2
-        assert "no readable history" in capsys.readouterr().err
-
-    def test_json_output_with_derived_fingerprints(self, tmp_path, capsys):
-        history = tmp_path / "history.json"
-        history.write_text(json.dumps({"rows": [
-            {"timestamp": "t1", "smoke": True, "speedups": {"x": 1.0}},
-            {"schema": 2, "timestamp": "t2", "smoke": True, "speedups": {},
-             "manifest": {"protocol": "bench", "n": 7, "field": "gf2k:32"}},
-        ]}))
-        assert main(["runs", "--history", str(history), "--json"]) == 0
-        rows = json.loads(capsys.readouterr().out)
-        assert len(rows) == 2
-        assert "fingerprint" not in rows[0]  # legacy row: no manifest
-        fingerprint = rows[1]["fingerprint"]
-        assert len(fingerprint) == 12
-        # the fingerprint is the manifest's, derived not stored
-        from repro.obs.manifest import RunManifest
-
-        assert fingerprint == RunManifest.from_dict(
-            rows[1]["manifest"]).fingerprint()
 
 
 class TestDiff:
     def test_identical_payloads_diff_empty(self, tmp_path, capsys):
-        a = _bench_payload(tmp_path, "a.json")
-        b = _bench_payload(tmp_path, "b.json")
+        a = _span_export(tmp_path, "a.jsonl")
+        b = _span_export(tmp_path, "b.jsonl")
         assert main(["diff", a, b, "--expect-empty"]) == 0
-        out = capsys.readouterr().out
-        assert "== coin_gen_n7_t1_M8 ==" in out
-        assert "behaviourally identical" in out
+        assert "behaviourally identical" in capsys.readouterr().out
 
     def test_regression_produces_attribution(self, tmp_path, capsys):
-        a = _bench_payload(tmp_path, "a.json", muls=60)
-        b = _bench_payload(tmp_path, "b.json", muls=660)
+        a = _span_export(tmp_path, "a.jsonl", muls=60)
+        b = _span_export(tmp_path, "b.jsonl", muls=660)
         assert main(["diff", a, b]) == 0
         out = capsys.readouterr().out
         assert "muls" in out and "priced attribution" in out
         assert "clique" in out
 
     def test_expect_empty_gates_on_regression(self, tmp_path, capsys):
-        a = _bench_payload(tmp_path, "a.json", muls=60)
-        b = _bench_payload(tmp_path, "b.json", muls=660)
+        a = _span_export(tmp_path, "a.jsonl", muls=60)
+        b = _span_export(tmp_path, "b.jsonl", muls=660)
         assert main(["diff", a, b, "--expect-empty"]) == 1
         assert "DIFF NOT EMPTY" in capsys.readouterr().err
 
     def test_out_writes_report(self, tmp_path, capsys):
-        a = _bench_payload(tmp_path, "a.json", muls=60)
-        b = _bench_payload(tmp_path, "b.json", muls=660)
+        a = _span_export(tmp_path, "a.jsonl", muls=60)
+        b = _span_export(tmp_path, "b.jsonl", muls=660)
         report = tmp_path / "report.txt"
         assert main(["diff", a, b, "--out", str(report)]) == 0
         assert "priced attribution" in report.read_text()
 
-    def test_no_common_configuration_exits_2(self, tmp_path, capsys):
-        a = _bench_payload(tmp_path, "a.json", n=7)
-        b = _bench_payload(tmp_path, "b.json", n=13)
-        assert main(["diff", a, b]) == 2
-        assert "no common configurations" in capsys.readouterr().err
+    def test_non_jsonl_input_exits_2(self, tmp_path, capsys):
+        a = _span_export(tmp_path, "a.jsonl")
+        chrome = tmp_path / "trace.json"
+        chrome.write_text(json.dumps({"traceEvents": []}, indent=2))
+        assert main(["diff", a, str(chrome)]) == 2
+        assert main(["diff", a, str(tmp_path / "absent.jsonl")]) == 2
+        assert "not a span JSONL export" in capsys.readouterr().err
 
     def test_jsonl_export_diffs_against_itself(self, tmp_path, capsys):
         export = tmp_path / "spans.jsonl"

@@ -24,7 +24,6 @@ from repro.obs.diffing import (
     RunProfile,
     diff_profiles,
     diff_recordings,
-    profile_from_bench_phases,
     profile_from_jsonl,
     profile_from_recorder,
 )
@@ -138,17 +137,6 @@ class TestForcedRegression:
 
 
 class TestProfileShapes:
-    def test_bench_phases_round_trip(self):
-        recorder, manifest = lockstep_profile()
-        live = profile_from_recorder(recorder, manifest=manifest)
-        # the bench row shape: one dict per phase, ops flattened in
-        phases = [
-            {"phase": name, **metrics}
-            for name, metrics in live.phases.items()
-        ]
-        rebuilt = profile_from_bench_phases(phases, manifest=manifest)
-        assert diff_profiles(live, rebuilt).is_empty()
-
     def test_profile_dict_round_trip(self):
         recorder, manifest = lockstep_profile()
         live = profile_from_recorder(recorder, manifest=manifest)
@@ -171,12 +159,11 @@ class TestLegacyArtifacts:
     def test_one_sided_op_counts_withhold_op_rows(self):
         recorder, _ = lockstep_profile()
         enriched = profile_from_recorder(recorder)
-        legacy = profile_from_bench_phases([
-            {"phase": name, "rounds": m["rounds"],
-             "messages": m["messages"], "bits": m["bits"],
-             "wall_s": m["wall_s"]}
+        legacy = RunProfile.from_dict({"phases": {
+            name: {"rounds": m["rounds"], "messages": m["messages"],
+                   "bits": m["bits"], "wall_s": m["wall_s"]}
             for name, m in enriched.phases.items()
-        ])
+        }})
         diff = diff_profiles(legacy, enriched)
         assert not diff.ops_comparable
         assert all(row.metric not in OP_KEYS for row in diff.rows)
@@ -186,10 +173,10 @@ class TestLegacyArtifacts:
         assert "legacy artifact" in diff.report()
 
     def test_both_sides_without_ops_stay_comparable(self):
-        phases = [{"phase": "deal", "rounds": 2, "messages": 98,
-                   "bits": 100, "wall_s": 0.1}]
-        diff = diff_profiles(profile_from_bench_phases(phases),
-                             profile_from_bench_phases(phases))
+        phases = {"phases": {"deal": {"rounds": 2, "messages": 98,
+                                      "bits": 100, "wall_s": 0.1}}}
+        diff = diff_profiles(RunProfile.from_dict(phases),
+                             RunProfile.from_dict(phases))
         assert diff.ops_comparable
         assert diff.is_empty()
 

@@ -270,6 +270,21 @@ class TestLivenessAudit:
             assert record.fired
             assert len(record.senders) == record.quorum
 
+    def test_every_player_arms_one_guard_per_coin(self):
+        """A session of fault-free coins: coins x n waits, none stalled."""
+        coins, n = 4, 7
+        bus = EventBus()
+        latency = QuorumLatencyRecorder().attach(bus)
+        watchdog = StallWatchdog(n).attach(bus)
+        for index in range(coins):
+            outputs, secret, _ = run_async_coin(
+                FIELD, n, 2, seed=index, bus=bus,
+                scheduler=RandomOrderScheduler(100 + index))
+            assert set(outputs.values()) == {secret}
+        assert len(latency.waits()) == coins * n
+        assert all(record.fired for record in latency.waits())
+        assert not watchdog.stalls
+
     def test_audit_flags_unfired_guards(self):
         latency = QuorumLatencyRecorder()
         latency.run_count = 1

@@ -30,8 +30,7 @@ semantic_dicts = st.fixed_dictionaries({
     "backend": st.sampled_from(["python", "numpy", None]),
     "scheduler": st.sampled_from(["fifo", "random-order", None]),
     "runtime": st.sampled_from(["lockstep", "async", None]),
-    "interpolation": st.sampled_from(["off", "fresh", "shared", "ntt",
-                                      None]),
+    "interpolation": st.sampled_from(["off", "fresh", "shared", None]),
 })
 
 environment_dicts = st.fixed_dictionaries({
