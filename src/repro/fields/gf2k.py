@@ -129,6 +129,8 @@ class GF2k(Field):
             from repro.fields.irreducible import gf2_mod
 
             return gf2_mod(_kara_clmul(a, b), self.modulus)
+        if a < b:  # the loop runs once per bit of b: make it the shorter
+            a, b = b, a
         result = 0
         mod = self.modulus
         top = self.order

@@ -1,4 +1,4 @@
-"""Barycentric Lagrange interpolation with a cross-call weight cache.
+"""Cached interpolation: barycentric evaluation and Newton-form building.
 
 Every protocol in the paper is priced in interpolations — Batch-VSS is "2
 polynomial interpolations per player" (Lemma 4), Coin-Gen measures ~n+1
@@ -8,15 +8,22 @@ instance, M coins against one qualified set.  The classic Lagrange code in
 :mod:`repro.poly.lagrange` pays O(n^2) multiplications *and O(n) modular
 inversions* on every call.  This module splits that cost:
 
-* **once per point set** — barycentric weights
-  ``w_i = 1 / prod_{j != i}(x_i - x_j)`` are built with Montgomery batch
-  inversion (one ``field.inv`` plus ``3(n-1)`` multiplications for all n
-  inverses) and cached under the key ``frozenset(xs)``;
+* **once per point set** — whatever needs an inverse: the barycentric
+  weights ``w_i = 1 / prod_{j != i}(x_i - x_j)`` for evaluation, the
+  divided-difference divisors ``1 / (x_i - x_j)`` for building.  Each
+  table is built on first use with one Montgomery batch inversion (one
+  ``field.inv`` plus three multiplications per further element) and
+  cached under the key ``frozenset(xs)``;
 * **per query** — evaluating the interpolant at a fixed ``x0`` (the
   origin, for secret reconstruction) is a cached-coefficient dot product:
   n multiplications, n-1 additions, and **zero inversions**; building the
-  full coefficient vector (the Batch-VSS degree check) is a cached-basis
-  linear combination, again inversion-free.
+  full coefficient vector (the Batch-VSS degree check, every
+  Berlekamp-Welch head) is Newton's divided differences followed by the
+  expansion into monomial coefficients, again inversion-free.  Of its
+  ``m(m-1)`` multiplications for m points only the ``m(m-1)/2`` divided
+  differences multiply two arbitrary elements; the other half multiply by
+  an abscissa, which in every protocol call is a player index — a few
+  bits wide, and GF(2^k) multiplies by it in that many steps, not k.
 
 Metering contract (see docs/API.md "Performance architecture"): cache
 *construction* goes through the normal metered field operations, so the
@@ -78,9 +85,15 @@ def interpolation_mode(mode: str):
 
 
 class _NodeSet:
-    """Precomputed data for one set of interpolation abscissas."""
+    """Precomputed data for one set of interpolation abscissas.
 
-    __slots__ = ("field", "xs", "index", "weights", "_coeffs_at", "_basis")
+    Both tables are lazy: a set that only ever serves ``polynomial()``
+    (every Berlekamp-Welch head) never builds ``weights``, one that only
+    serves ``eval_at()`` never builds the divided-difference inverses.
+    """
+
+    __slots__ = ("field", "xs", "index", "_weights", "_coeffs_at",
+                 "_inv_diffs")
 
     def __init__(self, field: Field, xs_key: frozenset):
         self.field = field
@@ -89,13 +102,19 @@ class _NodeSet:
             sorted(xs_key, key=field.to_int)
         )
         self.index: Dict[Element, int] = {x: i for i, x in enumerate(self.xs)}
-        self.weights = self._build_weights()
+        self._weights: Optional[List[Element]] = None
         self._coeffs_at: Dict[Element, List[Element]] = {}
-        self._basis: Optional[List[List[Element]]] = None
+        self._inv_diffs: Optional[List[List[Element]]] = None
 
     # -- one-time construction --------------------------------------------
-    def _build_weights(self) -> List[Element]:
+    @property
+    def weights(self) -> List[Element]:
         """``w_i = 1 / prod_{j != i}(x_i - x_j)`` via one batch inversion."""
+        if self._weights is None:
+            self._weights = self._build_weights()
+        return self._weights
+
+    def _build_weights(self) -> List[Element]:
         f = self.field
         xs = self.xs
         if len(xs) == 1:
@@ -108,6 +127,25 @@ class _NodeSet:
                     d = f.mul(d, f.sub(xi, xj))
             dens.append(d)
         return f.batch_inv(dens)
+
+    def inverse_differences(self) -> List[List[Element]]:
+        """``rows[j-1][i-j] = 1 / (x_i - x_{i-j})`` for ``1 <= j <= i < m``.
+
+        Row ``j-1`` is the divisor row of divided-difference level ``j``;
+        all ``m(m-1)/2`` inverses come from one batch inversion.
+        """
+        if self._inv_diffs is None:
+            f = self.field
+            xs = self.xs
+            m = len(xs)
+            flat = iter(f.batch_inv([
+                f.sub(xs[i], xs[i - j])
+                for j in range(1, m) for i in range(j, m)
+            ]))
+            self._inv_diffs = [
+                [next(flat) for _ in range(j, m)] for j in range(1, m)
+            ]
+        return self._inv_diffs
 
     def coefficients_at(self, x0: Element) -> List[Element]:
         """Effective Lagrange coefficients ``L_i(x0)`` (cached per x0).
@@ -134,41 +172,6 @@ class _NodeSet:
         self._coeffs_at[x0] = coeffs
         return coeffs
 
-    def basis_rows(self) -> List[List[Element]]:
-        """Coefficient vectors of the Lagrange basis polynomials L_i(x).
-
-        Built lazily, once per point set: the master polynomial
-        ``N(x) = prod_j (x - x_j)`` costs O(n^2) multiplications, each
-        basis row is one synthetic division ``N / (x - x_i)`` scaled by
-        the barycentric weight — no inversions at all (the weights
-        already hold them).
-        """
-        if self._basis is not None:
-            return self._basis
-        f = self.field
-        xs = self.xs
-        n = len(xs)
-        # master: N(x) = prod (x - x_j), degree n, monic
-        master = [f.one]
-        for x in xs:
-            nx = f.neg(x)
-            nxt = [f.zero] * (len(master) + 1)
-            for i, c in enumerate(master):
-                nxt[i] = f.add(nxt[i], f.mul(c, nx))
-                nxt[i + 1] = f.add(nxt[i + 1], c)
-            master = nxt
-        rows: List[List[Element]] = []
-        for i, xi in enumerate(xs):
-            # synthetic division: q(x) = N(x) / (x - x_i), degree n-1
-            q = [f.zero] * n
-            carry = master[n]  # = one (monic)
-            for d in range(n - 1, -1, -1):
-                q[d] = carry
-                carry = f.add(master[d], f.mul(xi, carry))
-            rows.append(f.mul_many(q, [self.weights[i]] * n))
-        self._basis = rows
-        return rows
-
     # -- queries ------------------------------------------------------------
     def _aligned_ys(self, points: Sequence[Point]) -> List[Element]:
         ys: List[Element] = [self.field.zero] * len(self.xs)
@@ -181,22 +184,34 @@ class _NodeSet:
         return self.field.dot(self.coefficients_at(x0), self._aligned_ys(points))
 
     def polynomial(self, points: Sequence[Point]) -> Polynomial:
-        """The full interpolating polynomial (inversion-free on hit)."""
+        """The full interpolating polynomial (inversion-free on hit).
+
+        Newton form: divided differences against the cached inverses
+        (``m(m-1)/2`` products of two arbitrary elements), then the
+        expansion ``c_0 + (x - x_0)(c_1 + (x - x_1)(...))`` into monomial
+        coefficients, whose ``m(m-1)/2`` products are each by an abscissa
+        — a player index, a few bits wide, in every protocol call.
+        """
         f = self.field
-        rows = self.basis_rows()
-        ys = self._aligned_ys(points)
-        n = len(self.xs)
-        acc = [f.zero] * n
-        for i, y in enumerate(ys):
-            if y == f.zero:
-                continue
-            scaled = f.mul_many(rows[i], [y] * n)
-            acc = [f.add(a, s) for a, s in zip(acc, scaled)]
-        return Polynomial(f, acc)
+        sub, mul = f.sub, f.mul
+        xs = self.xs
+        m = len(xs)
+        newton = self._aligned_ys(points)
+        for j, inv_row in enumerate(self.inverse_differences(), start=1):
+            for i in range(m - 1, j - 1, -1):
+                newton[i] = mul(sub(newton[i], newton[i - 1]), inv_row[i - j])
+        coeffs = newton[m - 1:]
+        for k in range(m - 2, -1, -1):
+            xk = xs[k]
+            shifted = [newton[k]] + coeffs
+            for i, c in enumerate(coeffs):
+                shifted[i] = sub(shifted[i], mul(c, xk))
+            coeffs = shifted
+        return Polynomial(f, coeffs)
 
 
 class InterpolationCache:
-    """Per-field cache of barycentric interpolation data, keyed by point set.
+    """Per-field cache of interpolation data, keyed by point set.
 
     ``max_sets`` bounds memory: least-recently-used point sets are evicted
     (protocol runs touch a handful of sets — {1..n} and its stable

@@ -63,17 +63,21 @@ def berlekamp_welch(
     field.counter.interpolations += 1
 
     # Optimistic fast path: interpolate through the first degree+1 points
-    # (a cached, inversion-free barycentric build) and accept if enough of
-    # the remaining points agree.  Any degree-<=degree polynomial matching
-    # >= n - max_errors points is unique (two candidates would agree on
-    # >= n - 2*max_errors >= degree + 1 common points), so when this
-    # succeeds it returns exactly what the key-equation solve below would
-    # — without the O(n^3) linear system.  Corrupted head points simply
-    # fail the match count and fall through to the full decoder.
+    # (a cached, inversion-free Newton build) and accept if enough of the
+    # remaining points agree — the head lies on the candidate by
+    # construction, so only the tail is evaluated.  Any degree-<=degree
+    # polynomial matching >= n - max_errors points is unique (two
+    # candidates would agree on >= n - 2*max_errors >= degree + 1 common
+    # points), so when this succeeds it returns exactly what the
+    # key-equation solve below would — without the O(n^3) linear system.
+    # Corrupted head points simply fail the match count and fall through
+    # to the full decoder.
     if barycentric.cache_mode() != "off":
-        candidate = optimistic_candidate(field, points[: degree + 1])
-        values = candidate.evaluate_many(xs)
-        good = [i for i, (v, (_, y)) in enumerate(zip(values, points)) if v == y]
+        head = degree + 1
+        candidate = optimistic_candidate(field, points[:head])
+        values = candidate.evaluate_many(xs[head:])
+        good = list(range(head))
+        good += [i for i, v in enumerate(values, head) if v == points[i][1]]
         if len(good) >= n - max_errors:
             return candidate, good
 

@@ -8,8 +8,8 @@ satisfy f."  :func:`interpolate` builds the polynomial, and
 
 These are the *classic* textbook implementations: O(n^2) work and one
 inversion per basis polynomial.  The hot protocol paths route through
-:mod:`repro.poly.barycentric` instead, which precomputes barycentric
-weights per point set (Montgomery batch inversion) and answers repeated
+:mod:`repro.poly.barycentric` instead, which precomputes the inverses a
+point set needs (Montgomery batch inversion) and answers repeated
 queries with zero inversions; the classic versions stay as the reference
 the property tests compare against.
 """

@@ -6,6 +6,7 @@ coefficient list and degree -1.  Instances are immutable.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import List, Sequence
 
 from repro.fields.base import Element, Field
@@ -61,8 +62,11 @@ class Polynomial:
     def __call__(self, x: Element) -> Element:
         """Evaluate at ``x`` by Horner's rule (``degree`` mul/add pairs)."""
         f = self.field
-        result = f.zero
-        for c in reversed(self.coeffs):
+        coeffs = self.coeffs
+        if not coeffs:
+            return f.zero
+        result = coeffs[-1]
+        for c in coeffs[-2::-1]:
             result = f.add(f.mul(result, x), c)
         return result
 
@@ -76,10 +80,11 @@ class Polynomial:
         """
         f = self.field
         xs = list(xs)
-        if not xs:
-            return []
-        acc = [f.zero] * len(xs)
-        for c in reversed(self.coeffs):
+        coeffs = self.coeffs
+        if not xs or not coeffs:
+            return [f.zero] * len(xs)
+        acc = [coeffs[-1]] * len(xs)
+        for c in coeffs[-2::-1]:
             acc = f.axpy_many(acc, xs, c)
         return acc
 
@@ -188,11 +193,13 @@ def evaluate_polys(
             results[idxs[0]] = polys[idxs[0]].evaluate_many(xs)
             continue
         xs_tiled = xs * len(idxs)
-        acc = [field.zero] * (m * len(idxs))
-        for ci in range(ncoeff - 1, -1, -1):
-            cs: List[Element] = []
-            for i in idxs:
-                cs.extend([polys[i].coeffs[ci]] * m)
+        # row ci: coefficient ci of every polynomial, each repeated m times
+        tiled = [
+            list(chain.from_iterable([polys[i].coeffs[ci]] * m for i in idxs))
+            for ci in range(ncoeff)
+        ]
+        acc = tiled[-1]
+        for cs in tiled[-2::-1]:
             acc = field.fma_many(acc, xs_tiled, cs)
         for slot, i in enumerate(idxs):
             results[i] = acc[slot * m:(slot + 1) * m]

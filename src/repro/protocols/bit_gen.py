@@ -116,15 +116,14 @@ def decode_batched_many(field: Field, point_sets, t: int, n: int):
         by_xs.setdefault(tuple(x for x, _ in entry[1]), []).append(entry)
     for xs, entries in by_xs.items():
         rows = evaluate_polys(
-            field, [candidate for _, _, candidate in entries], list(xs)
+            field, [candidate for _, _, candidate in entries], xs[t + 1:]
         )
         for (idx, pts, candidate), values in zip(entries, rows):
             max_errors = min(
                 len(pts) - (n - t), max_correctable_errors(len(pts), t)
             )
-            good = [
-                i for i, (v, (_, y)) in enumerate(zip(values, pts)) if v == y
-            ]
+            good = list(range(t + 1))
+            good += [i for i, v in enumerate(values, t + 1) if v == pts[i][1]]
             if len(good) < len(pts) - max_errors:
                 # corrupted head: same fall-through as berlekamp_welch,
                 # without re-paying the optimistic attempt

@@ -105,11 +105,11 @@ def decode_exposed(field: Field, points, t: int) -> Optional[Element]:
     """Robustly decode the exposed shares; None when undecodable.
 
     The Berlekamp-Welch call below takes its optimistic fast path in the
-    common no-fault case: an inversion-free cached barycentric build
-    through the first t+1 shares, checked against the rest.  Because the
+    common no-fault case: an inversion-free cached Newton build through
+    the first t+1 shares, checked against the rest.  Because the
     bootstrap source exposes many coins against the *same* qualified set,
-    every exposure after the first reuses the cached weights — the
-    per-coin cost drops to one dot product plus the match check.
+    every exposure after the first reuses the cached inverse differences
+    — the per-coin cost drops to t(t+1) products plus the match check.
     """
     n_valid = len(points)
     threshold = max(2 * t + 1, n_valid - t) if t > 0 else n_valid
@@ -122,7 +122,7 @@ def decode_exposed(field: Field, points, t: int) -> Optional[Element]:
         return None
     if len(good) < threshold:
         return None
-    return poly(field.zero)
+    return poly.coefficient(0)
 
 
 def coin_to_index(field: Field, value: Element, n: int) -> int:

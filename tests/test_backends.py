@@ -15,6 +15,7 @@ Covers the PR's satellite contracts:
 """
 
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -136,6 +137,39 @@ def test_batch_inv_parity(py, np_, data):
     raw_a, _ = data
     vec = [v % (py.order - 1) + 1 for v in raw_a]  # nonzero
     assert py.batch_inv(vec) == np_.batch_inv(vec)
+
+
+# -- limb skipping -------------------------------------------------------------
+
+@needs_numpy
+@pytest.mark.parametrize("k", [20, 24, 32])
+@pytest.mark.parametrize("width", [31, 32, 33, 96])  # MIN_WIDTH is 32
+@pytest.mark.parametrize(
+    "a_bits,b_bits",
+    [(0, 0), (0, None), (None, 0), (4, None), (None, 4), (8, None),
+     (None, 8), (7, 3), (8, 8), (9, 13), (None, None)],
+)
+def test_clmul_limb_skipping_parity(k, width, a_bits, b_bits):
+    """The carry-less kernel drops byte limbs (and fold positions) that are
+    zero across a whole operand; every operand-width shape must still be
+    byte-identical to the python loops.  ``None`` bits = full width."""
+    py, np_ = GF2k(k, backend="python"), GF2k(k, backend="numpy")
+    rng = random.Random(k * 1000 + width)
+
+    def vec(bits):
+        top = 1 << (k if bits is None else bits)
+        out = [rng.randrange(top) for _ in range(width)]
+        out[0] = top - 1  # the operand really is that wide
+        return out
+
+    a, b, cs = vec(a_bits), vec(b_bits), vec(None)
+    assert np_.mul_many(a, b) == py.mul_many(a, b)
+    assert np_.dot(a, b) == py.dot(a, b)
+    assert np_.axpy_many(a, b, cs[0]) == py.axpy_many(a, b, cs[0])
+    assert np_.fma_many(a, b, cs) == py.fma_many(a, b, cs)
+    # the 2-D x 1-D broadcast: rows as wide as ``a``, vector as ``b``
+    rows = [vec(a_bits) for _ in range(3)]
+    assert np_.dot_rows(rows, b) == py.dot_rows(rows, b)
 
 
 # -- metering invariance -----------------------------------------------------

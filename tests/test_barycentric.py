@@ -11,7 +11,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.fields import GF2k, GFp
+from repro.fields import GF2k, GFp, build_special_field
 from repro.fields.backends import numpy_available
 from repro.poly import (
     InterpolationCache,
@@ -104,6 +104,88 @@ class TestMatchesClassic:
             interpolate_cached(F256, [(1, 5), (1, 6)])
         with pytest.raises(ValueError):
             interpolate_at_cached(F256, [(1, 5), (1, 6)], 0)
+
+
+#: every field kind ``polynomial()`` serves; all hold at least 14 elements
+NEWTON_FIELDS = {
+    "gf2k8": GF2k(8),
+    "gf2k16": GF2k(16),
+    "gf2k32": GF2k(32),
+    "gfp": GFp(10007),
+    "special": build_special_field(32),
+}
+
+
+class TestNewtonForm:
+    """``polynomial()`` builds the interpolant in Newton form from cached
+    inverse differences; the classic Lagrange code is the reference."""
+
+    @pytest.mark.parametrize("mode", ["shared", "fresh"])
+    @pytest.mark.parametrize("name", sorted(NEWTON_FIELDS))
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_classic_for_any_order(self, name, mode, data):
+        field = NEWTON_FIELDS[name]
+        xs = data.draw(st.lists(
+            st.integers(min_value=0, max_value=min(field.order, 4096) - 1),
+            min_size=1, max_size=13, unique=True,
+        ))
+        ys = data.draw(st.lists(
+            st.integers(min_value=0, max_value=field.order - 1),
+            min_size=len(xs), max_size=len(xs),
+        ))
+        points = [(field.from_int(x), field.from_int(y))
+                  for x, y in zip(xs, ys)]
+        with interpolation_mode(mode):
+            cached = interpolate_cached(field, points)
+        assert cached == interpolate(field, points)
+        # a second cache, built from another arrival order, agrees
+        assert InterpolationCache(field).polynomial(points[::-1]) == cached
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 7])
+    def test_hit_costs_m_times_m_minus_one_and_no_inversion(self, m):
+        field = GF2k(32)
+        rng = random.Random(m)
+        cache = InterpolationCache(field)
+        xs = [field.element_point(i) for i in range(1, m + 1)]
+        cache.polynomial([(x, field.random_nonzero(rng)) for x in xs])
+        before = field.counter.snapshot()
+        cache.polynomial([(x, field.random_nonzero(rng)) for x in xs])
+        delta = field.counter.delta(before)
+        assert delta.invs == 0
+        assert delta.muls == m * (m - 1)
+
+    def test_polynomial_only_node_set_never_builds_weights(self):
+        field = GF2k(32)
+        cache = InterpolationCache(field)
+        pts = [(field.element_point(i), 7 * i) for i in range(1, 5)]
+        cache.polynomial(pts)
+        node = cache.node_set([x for x, _ in pts])
+        assert node._weights is None
+        assert node._inv_diffs is not None
+        # and the other way round: eval_at leaves the Newton table unbuilt
+        other = InterpolationCache(field)
+        other.eval_at(pts, field.zero)
+        node = other.node_set([x for x, _ in pts])
+        assert node._weights is not None
+        assert node._inv_diffs is None
+
+    @pytest.mark.parametrize("m", [2, 3, 8])
+    def test_cold_interpolation_is_one_inversion(self, m):
+        """``poly.interpolate_cold_us`` times exactly this call."""
+        field = GF2k(32)
+        pts = [(field.element_point(i), i * i + 1) for i in range(1, m + 1)]
+        with interpolation_mode("fresh"):
+            before = field.counter.snapshot()
+            interpolate_cached(field, pts)
+            assert field.counter.delta(before).invs == 1
+
+    def test_single_point_needs_no_inversion(self):
+        field = GF2k(32)
+        with interpolation_mode("fresh"):
+            before = field.counter.snapshot()
+            assert interpolate_cached(field, [(5, 9)]) == Polynomial(field, [9])
+            assert field.counter.delta(before).invs == 0
 
 
 class TestModes:
@@ -355,7 +437,7 @@ class TestCacheMetering:
             pts_for.append(
                 [(scheme.point(s.player_id), s.value) for s in shares]
             )
-        berlekamp_welch(field, pts_for[0], 2)  # warm: builds weights + basis
+        berlekamp_welch(field, pts_for[0], 2)  # warm: builds the inverse differences
         before = field.counter.snapshot()
         decoded, good = berlekamp_welch(field, pts_for[1], 2)
         delta = field.counter.delta(before)

@@ -170,3 +170,55 @@ class TestCounter:
         counter = OpCounter(adds=10, muls=2)
         assert counter.total_additions(8, naive=True) == 10 + 2 * 64
         assert counter.total_additions(8, naive=False) == 10 + 2 * 24
+
+
+class _WideProductCounter(GF2k):
+    """GF(2^32) tallying the carry-less products neither of whose operands
+    fits a byte — the ones that cost a full-width loop whichever operand
+    the kernel iterates over."""
+
+    def __init__(self):
+        super().__init__(32, backend="python")
+        self.wide = 0
+
+    def _raw_mul(self, a, b):
+        if a > 0xFF and b > 0xFF:
+            self.wide += 1
+        return super()._raw_mul(a, b)
+
+
+class TestOperandWidth:
+    @pytest.mark.parametrize("k,karatsuba", [(32, False), (20, False),
+                                             (64, False), (64, True)])
+    def test_raw_mul_commutes(self, k, karatsuba):
+        field = GF2k(k, tables=False, karatsuba=karatsuba)
+        rng = random.Random(k)
+        for _ in range(200):
+            # one operand full width, the other anything from a bit up
+            a = field.random(rng)
+            b = rng.randrange(1 << rng.randrange(1, k + 1))
+            assert field._raw_mul(a, b) == field._raw_mul(b, a)
+
+    @pytest.mark.parametrize("n,t", [(7, 1), (13, 2), (10, 3)])
+    def test_clean_decode_wide_products(self, n, t):
+        """A warm clean decode multiplies two wide elements only in the
+        divided differences: t(t+1)/2 times (the basis-row sum it
+        replaced made up to (t+1)^2: 4, 6 and 14 here)."""
+        from repro.protocols.coin_expose import decode_exposed
+        from repro.sharing.shamir import ShamirScheme
+
+        field = _WideProductCounter()
+        scheme = ShamirScheme(field, n, t)
+        rng = random.Random(n * 100 + t)
+
+        def dealt_points():
+            secret = field.random(rng)
+            _, shares = scheme.deal(secret, rng)
+            return secret, [(scheme.point(s.player_id), s.value)
+                            for s in shares]
+
+        decode_exposed(field, dealt_points()[1], t)  # warm the node set
+        secret, points = dealt_points()
+        field.wide = 0
+        assert decode_exposed(field, points, t) == secret
+        assert field.wide <= t * (t + 1) // 2
