@@ -34,13 +34,27 @@ and critical-path analysis work unchanged on async runs — one
 happens-before edge per delivered message, and live and offline
 (flight-log) causal graphs are canonically equal.
 
+One delivery costs constant work, whatever the run's history and pool
+depth.  The pool is one ordered list and pool order *is* the schedule;
+an entry is immature only after a ``delay`` rule fired on it, and while
+none is the scheduler's pick indexes the list directly (the eligible
+scan runs only on ticks that still hold a delayed message).  Every
+cumulative inbox is an :class:`~repro.net.guards.IndexedInbox`, so the
+woken player's guard re-check is a set lookup per tag, not a pass over
+every payload it ever received; the run ends on a count of unfinished
+waited players, and the per-tick crash sweep looks only at scheduled
+crashes not yet in effect.  What remains per step, not per delivery, is
+the copy of the cumulative inbox handed to the program.
+
 Liveness telemetry (see :mod:`repro.obs.liveness`) is published on the
 ``GUARD_ARMED`` / ``GUARD_PROGRESS`` / ``GUARD_FIRED`` / ``POOL``
 topics with logical-time stamps — armed/fired when guarded programs
 park and step, per-relevant-delivery quorum progress, and per-tick
-in-flight pool depth with a per-channel backlog.  Every one of these is
-gated on the topic having subscribers, so unmonitored runs stay
-byte-identical (asserted by flight-log equality in the tests).
+in-flight pool depth with a per-channel backlog (counted as entries
+enter and leave the pool, progress read from the guard index: observing
+a run is not quadratic either).  Every one of these is gated on the
+topic having subscribers, so unmonitored runs stay byte-identical
+(asserted by flight-log equality in the tests).
 """
 
 from __future__ import annotations
@@ -49,8 +63,9 @@ from typing import Any, Dict, Iterable, List, Optional
 
 from repro.fields.base import Field
 from repro.net.faults import DELAY, DROP, DUPLICATE, FaultPlane
+from repro.net.guards import IndexedInbox
 from repro.net.metrics import NetworkMetrics
-from repro.net.runtime import Inbox, Program, RuntimeBase
+from repro.net.runtime import Program, RuntimeBase
 from repro.net.scheduler import RandomOrderScheduler, Scheduler
 from repro.net.trace import payload_tag
 from repro.net.transport import (
@@ -70,10 +85,6 @@ from repro.obs.bus import (
     EventBus,
 )
 from repro.obs.phases import classify_tag
-
-
-def _inbox_size(inbox: Inbox) -> int:
-    return sum(len(payloads) for payloads in inbox.values())
 
 
 class AsyncRuntime(RuntimeBase):
@@ -167,22 +178,36 @@ class AsyncRuntime(RuntimeBase):
             prime_span = recorder.begin("t=0", "round", round=0)
         waited = set(programs) if wait_for is None else set(wait_for) & set(programs)
         faults = self.faults
-        if faults is not None:
-            waited -= faults.crashed_players()
+        crashing = faults.crashed_players() if faults is not None else set()
+        waited -= crashing
+        #: scheduled crashes not yet in effect, in ``programs`` order —
+        #: the only players a tick's crash sweep ever has to look at
+        crash_pending = [pid for pid in programs if pid in crashing]
+        #: waited players still running; the run ends when it hits zero
+        unfinished = len(waited)
         self.bus.publish(RUN, self.n)
         self._reset_guard_state()
         self._step_spans = []
         outputs: Dict[int, Any] = {}
         done: Dict[int, bool] = {pid: False for pid in programs}
-        cum: Dict[int, Inbox] = {pid: {} for pid in programs}
+        cum: Dict[int, IndexedInbox] = {
+            pid: IndexedInbox() for pid in programs
+        }
         self._cum = cum
         #: payload count a player had last time it stepped — drives the
         #: "wake on anything new" semantics of unguarded yields
         seen: Dict[int, int] = {pid: 0 for pid in programs}
-        crash_noted: set = set()
         #: in-flight messages: [dst, src, payload, channel, ready_at,
-        #: fault_processed] — ready_at gates delay-rule maturation
+        #: fault_processed] — ready_at gates delay-rule maturation.  Pool
+        #: order is the schedule: the scheduler's pick indexes the
+        #: eligible entries in this order.
         pending: List[list] = []
+        #: entries with ready_at > clock at the last look.  Only a fired
+        #: delay rule makes one, so while it is zero every entry is
+        #: eligible and the pick indexes ``pending`` directly.
+        immature = 0
+        #: per-channel pool depth, kept only while POOL has subscribers
+        backlog: Dict[str, int] = {}
         clock = 0
         steps = 0
         # one program may step several times per delivery (cascading
@@ -190,6 +215,7 @@ class AsyncRuntime(RuntimeBase):
         # making progress cannot spin forever
         step_budget = 4 * self.max_deliveries + 16 * self.n
         bus = self.bus
+        choose = self.scheduler.choose
         capturing = bus.has_subscribers(SENT)
         # liveness telemetry is strictly opt-in, like the "sent" topic:
         # the flags are sampled once per run and every publish (and the
@@ -203,18 +229,27 @@ class AsyncRuntime(RuntimeBase):
         self.logical_time = 0
 
         def pool_gauge(time: int) -> None:
-            backlog: Dict[str, int] = {}
-            for item in pending:
-                backlog[item[3]] = backlog.get(item[3], 0) + 1
-            bus.publish(POOL, time, len(pending), backlog)
+            bus.publish(
+                POOL, time, len(pending),
+                {channel: depth for channel, depth in backlog.items() if depth},
+            )
 
         def crashed(pid: int, tick: int) -> bool:
-            if faults is None or not faults.is_crashed(pid, max(tick, 1)):
+            if pid not in crashing or not faults.is_crashed(pid, max(tick, 1)):
                 return False
-            if pid not in crash_noted:
+            if pid in crash_pending:
                 faults.note_player_fault(max(tick, 1), "crash", pid)
-                crash_noted.add(pid)
+                crash_pending.remove(pid)
             return True
+
+        def step(pid: int, inbox, round_no: int):
+            nonlocal unfinished
+            sends = self._advance(
+                pid, programs[pid], inbox, outputs, done, round_no=round_no
+            )
+            if done[pid] and pid in waited:
+                unfinished -= 1
+            return sends
 
         def emit(pid: int, sends, tick: int) -> None:
             if faults is not None and faults.is_silenced(pid, max(tick, 1)):
@@ -226,24 +261,25 @@ class AsyncRuntime(RuntimeBase):
                 channels = ["?"] * len(expanded)
             for (dst, payload), channel in zip(expanded, channels):
                 pending.append([dst, pid, payload, channel, tick, False])
+                if lv_pool:
+                    backlog[channel] = backlog.get(channel, 0) + 1
 
         def wake(pid: int, tick: int) -> None:
             nonlocal steps
-            program = programs[pid]
+            inbox_now = cum[pid]
             while not done[pid]:
                 if crashed(pid, tick):
                     return
-                inbox_now = cum.get(pid, {})
                 guard = self._guards.get(pid)
                 if guard is None:
-                    if _inbox_size(inbox_now) <= seen[pid]:
+                    if inbox_now.size <= seen[pid]:
                         return
                 elif not guard.satisfied(inbox_now):
                     return
                 if lv_fired and guard is not None:
                     bus.publish(GUARD_FIRED, tick, pid, guard,
                                 guard.matched_senders(inbox_now))
-                seen[pid] = _inbox_size(inbox_now)
+                seen[pid] = inbox_now.size
                 steps += 1
                 if steps > step_budget:
                     raise self._exhausted(
@@ -255,9 +291,7 @@ class AsyncRuntime(RuntimeBase):
                 # the step consuming the delivery settled at time `tick`
                 # is critical-path node (tick + 1, pid) — record its op
                 # delta there so async spans price like lockstep rounds
-                sends = self._advance(
-                    pid, program, inbox, outputs, done, round_no=tick + 1
-                )
+                sends = step(pid, inbox, tick + 1)
                 if sends:
                     emit(pid, sends, tick)
                 if lv_armed and not done[pid]:
@@ -274,8 +308,7 @@ class AsyncRuntime(RuntimeBase):
         for pid in sorted(programs):
             if crashed(pid, 1):
                 continue
-            sends = self._advance(pid, programs[pid], None, outputs, done,
-                                  round_no=1)
+            sends = step(pid, None, 1)
             if sends:
                 emit(pid, sends, 0)
             if lv_armed and not done[pid]:
@@ -306,7 +339,7 @@ class AsyncRuntime(RuntimeBase):
             )
             self._step_spans = []
 
-        while not all(done[pid] for pid in waited):
+        while unfinished:
             if not pending:
                 raise self._exhausted(
                     waited, done,
@@ -318,9 +351,13 @@ class AsyncRuntime(RuntimeBase):
                     waited, done,
                     f"exceeded max_deliveries={self.max_deliveries}",
                 )
-            eligible = [
-                i for i, entry in enumerate(pending) if entry[4] <= clock
-            ]
+            if immature:
+                eligible = [
+                    i for i, entry in enumerate(pending) if entry[4] <= clock
+                ]
+                immature = len(pending) - len(eligible)
+            else:
+                eligible = pending
             if not eligible:
                 clock += 1  # idle tick: only delayed traffic remains
                 if lv_pool:
@@ -333,18 +370,19 @@ class AsyncRuntime(RuntimeBase):
                     self._step_spans = []
                 continue
             tick = clock + 1  # 1-based time of the delivery being decided
-            if faults is not None:
+            if crash_pending:
                 # note crashes taking effect by this tick *before* the
                 # tick's SENT/ROUND publish — flight recorders expect
                 # faults for time r ahead of r's round event
-                for pid in programs:
-                    if pid not in crash_noted and faults.is_crashed(pid, tick):
-                        faults.note_player_fault(tick, "crash", pid)
-                        crash_noted.add(pid)
-            pick = self.scheduler.choose(clock, len(eligible))
-            entry = pending.pop(eligible[pick % len(eligible)])
+                for pid in list(crash_pending):
+                    crashed(pid, tick)
+            pick = choose(clock, len(eligible)) % len(eligible)
+            # ``eligible`` is the pool itself or a list of indices into it
+            entry = pending.pop(pick if eligible is pending else eligible[pick])
             dst, src, payload, channel, _ready, processed = entry
-            if faults is not None and not processed:
+            if lv_pool:
+                backlog[channel] -= 1
+            if not processed and faults is not None and faults.rules:
                 rule = next(
                     (r for r in faults.rules if r.matches(tick, src, dst)),
                     None,
@@ -372,6 +410,9 @@ class AsyncRuntime(RuntimeBase):
                         entry[4] = tick + rule.delay
                         entry[5] = True
                         pending.append(entry)
+                        immature += 1
+                        if lv_pool:
+                            backlog[channel] += 1
                         if recording:
                             recorder.end(
                                 round_span, messages=0,
@@ -386,6 +427,8 @@ class AsyncRuntime(RuntimeBase):
                         pending.append(
                             [dst, src, payload, channel, clock, True]
                         )
+                        if lv_pool:
+                            backlog[channel] += 1
             clock += 1
             self.metrics.rounds += 1
             self.delivery_count += 1
@@ -393,10 +436,10 @@ class AsyncRuntime(RuntimeBase):
                 bus.publish(SENT, clock, [(dst, src, payload, channel)])
             bus.publish(ROUND, clock, [(dst, src, payload)])
             if dst in cum:
-                cum[dst].setdefault(src, []).append(payload)
+                tag = cum[dst].deliver(src, payload)
                 if lv_progress and not done[dst]:
                     guard = self._guards.get(dst)
-                    if guard is not None and payload_tag(payload) in guard.tags:
+                    if guard is not None and tag in guard.tags:
                         count, quorum = guard.progress(cum[dst])
                         bus.publish(
                             GUARD_PROGRESS, clock, dst, src, count, quorum

@@ -27,17 +27,74 @@ Semantics shared by both runtimes
   the round after the quorum's messages were sent.  The async runtime
   re-checks the guard after every single delivery.  One body, two
   schedules, identical outputs (see ``tests/test_async_runtime.py``).
+
+What a re-check costs
+---------------------
+Both runtimes keep a guarded player's cumulative inbox as an
+:class:`IndexedInbox`: the same ``{src: [payloads]}`` dict, plus a
+``tag -> {int senders}`` index and a payload count, both updated by
+:meth:`IndexedInbox.deliver` at the moment a payload is appended (one
+:func:`~repro.net.trace.payload_tag` call per delivery, ever).  Every
+guard predicate reads that index, so a re-check costs O(|tags|) set
+lookups however long the run's history is.  A plain dict — what unit
+tests and offline tools pass — is indexed on the fly by
+:func:`indexed`, through the same ``deliver``; there is one
+implementation of each predicate.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.net.trace import payload_tag
 from repro.net.transport import Send
 
 Inbox = Dict[Any, List[Any]]
+
+
+class IndexedInbox(dict):
+    """A cumulative ``{src: [payloads]}`` inbox that indexes as it grows.
+
+    Append through :meth:`deliver` only; ``senders_by_tag`` then maps
+    every tag seen to the players that sent it and ``size`` is the total
+    payload count.  An entry assigned directly (the lockstep
+    ``rush_peek`` key) is not indexed, so it never counts as a sender.
+    """
+
+    __slots__ = ("senders_by_tag", "size")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.senders_by_tag: Dict[str, Set[int]] = defaultdict(set)
+        self.size = 0
+
+    def deliver(self, src: int, payload: Any) -> str:
+        """Append ``payload`` from player ``src``; returns its tag."""
+        payloads = self.get(src)
+        if payloads is None:
+            payloads = self[src] = []
+        payloads.append(payload)
+        self.size += 1
+        tag = payload_tag(payload)
+        self.senders_by_tag[tag].add(src)
+        return tag
+
+
+def indexed(inbox: Inbox) -> IndexedInbox:
+    """``inbox`` itself when a runtime built it, else an indexed copy."""
+    if isinstance(inbox, IndexedInbox):
+        return inbox
+    index = IndexedInbox()
+    for src, payloads in inbox.items():
+        if isinstance(src, int):
+            for payload in payloads:
+                index.deliver(src, payload)
+    return index
+
+
+_NO_SENDERS: frozenset = frozenset()
 
 
 @dataclass(frozen=True)
@@ -60,36 +117,28 @@ class Wait:
         if self.quorum < 0:
             raise ValueError("quorum must be non-negative")
 
+    def _matched(self, inbox: Inbox) -> Set[int]:
+        senders_by_tag = indexed(inbox).senders_by_tag
+        if len(self.tags) == 1:
+            return senders_by_tag.get(self.tags[0], _NO_SENDERS)
+        return set().union(
+            *(senders_by_tag.get(tag, _NO_SENDERS) for tag in self.tags)
+        )
+
     def satisfied(self, inbox: Inbox) -> bool:
-        if self.quorum == 0:
-            return True
-        senders = 0
-        for src, payloads in inbox.items():
-            if not isinstance(src, int):
-                continue  # e.g. the lockstep simulator's rush_peek entry
-            if any(payload_tag(payload) in self.tags for payload in payloads):
-                senders += 1
-                if senders >= self.quorum:
-                    return True
-        return False
+        return self.quorum == 0 or len(self._matched(inbox)) >= self.quorum
 
     def matched_senders(self, inbox: Inbox) -> Tuple[int, ...]:
         """Sorted distinct int senders with at least one matching payload."""
-        senders = []
-        for src, payloads in inbox.items():
-            if not isinstance(src, int):
-                continue
-            if any(payload_tag(payload) in self.tags for payload in payloads):
-                senders.append(src)
-        return tuple(sorted(senders))
+        return tuple(sorted(self._matched(inbox)))
 
     def progress(self, inbox: Inbox) -> Tuple[int, int]:
         """``(count, quorum)``: distinct matching senders so far vs. needed."""
-        return len(self.matched_senders(inbox)), self.quorum
+        return len(self._matched(inbox)), self.quorum
 
     def missing_senders(self, inbox: Inbox, n: int) -> Tuple[int, ...]:
         """Players ``1..n`` that have not yet sent a matching payload."""
-        matched = set(self.matched_senders(inbox))
+        matched = self._matched(inbox)
         return tuple(pid for pid in range(1, n + 1) if pid not in matched)
 
 

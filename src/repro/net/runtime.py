@@ -25,11 +25,12 @@ player just a different generator.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Any, Dict, Generator, Iterable, List, Optional, Tuple
 
 from repro.fields.base import Field, OpCounter
 from repro.net.faults import FaultPlane
-from repro.net.guards import Guard, Guarded
+from repro.net.guards import Guard, Guarded, IndexedInbox
 from repro.net.metrics import NetworkMetrics
 from repro.net.scheduler import LockstepScheduler, Scheduler
 from repro.net.trace import payload_tag
@@ -173,10 +174,11 @@ class RuntimeBase:
         #: records the yield style fixed at a program's first yield (True
         #: = guarded / cumulative inboxes, False = plain round batches);
         #: ``_guards`` holds the guard of each guarded player's pending
-        #: yield; ``_cum`` its cumulative inbox.
+        #: yield; ``_cum`` its cumulative inbox, tag-indexed as it grows
+        #: so guard re-checks never rescan history.
         self._guards: Dict[int, Optional[Guard]] = {}
         self._guard_mode: Dict[int, bool] = {}
-        self._cum: Dict[int, Inbox] = {}
+        self._cum: Dict[int, IndexedInbox] = defaultdict(IndexedInbox)
 
     # -- compatibility properties -------------------------------------------
     @property
@@ -195,7 +197,7 @@ class RuntimeBase:
     def _reset_guard_state(self) -> None:
         self._guards = {}
         self._guard_mode = {}
-        self._cum = {}
+        self._cum = defaultdict(IndexedInbox)
 
     def _expand(self, src: int, sends: List[Send]) -> List[tuple]:
         """Validate and expand a program's sends into (dst, payload).
@@ -412,7 +414,7 @@ class ProtocolRuntime(RuntimeBase):
                     if done[pid]:
                         continue
                     guard = self._guards.get(pid)
-                    cum = self._cum.get(pid, {})
+                    cum = self._cum[pid]
                     if guard is not None and not guard.satisfied(cum):
                         continue  # still asleep this round
                     if lv_fired and guard is not None:
@@ -514,18 +516,12 @@ class ProtocolRuntime(RuntimeBase):
                 if dst in inboxes:
                     inboxes[dst].setdefault(src, []).append(payload)
                     if self._guard_mode.get(dst):
-                        self._cum.setdefault(dst, {}).setdefault(
-                            src, []
-                        ).append(payload)
+                        cum = self._cum[dst]
+                        tag = cum.deliver(src, payload)
                         if lv_progress and not done.get(dst, True):
                             guard = self._guards.get(dst)
-                            if (
-                                guard is not None
-                                and payload_tag(payload) in guard.tags
-                            ):
-                                count, quorum = guard.progress(
-                                    self._cum[dst]
-                                )
+                            if guard is not None and tag in guard.tags:
+                                count, quorum = guard.progress(cum)
                                 bus.publish(GUARD_PROGRESS, round_no,
                                             dst, src, count, quorum)
         else:

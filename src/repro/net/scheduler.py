@@ -128,11 +128,13 @@ class RandomOrderScheduler(Scheduler):
     def __init__(self, seed: int = 0, rushing: Iterable[int] = ()):
         super().__init__(rushing)
         self.seed = seed
+        #: the one generator, reseeded before every use — never read
+        #: across calls, so copies of a scheduler may share it
+        self._random = random.Random()
 
     def _rng(self, time: int) -> random.Random:
-        return random.Random(
-            (self.seed * 2_000_003 + time * 7_919) & 0x7FFFFFFF
-        )
+        self._random.seed((self.seed * 2_000_003 + time * 7_919) & 0x7FFFFFFF)
+        return self._random
 
     def choose(self, time: int, count: int) -> int:
         return self._rng(time).randrange(count) if count > 1 else 0

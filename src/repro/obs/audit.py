@@ -344,12 +344,13 @@ def audit_liveness(latency, watchdog=None) -> ConformanceReport:
       expected; a positive count means a run ended with parked guards);
     * ``quorum_overshoot_fires`` — every fired guard had exactly its
       quorum of distinct matching senders at fire time (0 expected).
-      This is an async-runtime invariant: guards are re-checked after
-      every single delivery, so the firing delivery is precisely the
-      quorum-completing one.  Lockstep recordings legitimately overshoot
-      (a round delivers many matching payloads at once) — audit async
-      recordings only.  Quorum-0 guards fire without senders and are
-      excluded;
+      This is an async-runtime invariant: the destination's guard is
+      re-checked after every single delivery (a lookup in its inbox's
+      tag index, never batched), so the firing delivery is precisely
+      the quorum-completing one.  Lockstep recordings legitimately
+      overshoot (a round delivers many matching payloads at once) —
+      audit async recordings only.  Quorum-0 guards fire without
+      senders and are excluded;
     * ``stalls`` — when a :class:`~repro.obs.liveness.StallWatchdog`
       is passed, zero guards waited past its threshold.
 

@@ -3,7 +3,9 @@
 Covers the async half of the runtime stack (DESIGN.md §11):
 
 * :mod:`repro.net.guards` — Wait/AnyWait satisfaction, the Guarded
-  yield wrapper, and yield-style fixing;
+  yield wrapper, yield-style fixing, and the property that every guard
+  predicate answers from the inbox's tag index exactly as a full scan
+  would;
 * :class:`repro.net.async_runtime.AsyncRuntime` — seeded adversarial
   message-at-a-time delivery, logical time = delivery count, fault
   semantics, :class:`~repro.net.runtime.RuntimeExhausted` reporting;
@@ -15,7 +17,10 @@ Covers the async half of the runtime stack (DESIGN.md §11):
   causal graphs equal the live capture, replay/diff clean.
 """
 
+import dataclasses
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.fields import GF2k
 from repro.net import (
@@ -28,6 +33,7 @@ from repro.net import (
     guarded,
     wait_any,
 )
+from repro.net.guards import IndexedInbox
 from repro.net.simulator import SynchronousNetwork
 from repro.net.transport import ProtocolViolation, multicast, unicast
 from repro.obs.bus import SENT, EventBus
@@ -90,6 +96,109 @@ class TestGuards:
         net = SynchronousNetwork(3)
         with pytest.raises(ProtocolViolation, match="yield style"):
             net.run({1: bad(3)})
+
+
+@dataclasses.dataclass(frozen=True)
+class Probe:
+    """A dataclass payload: tagged by its class name."""
+
+    body: int
+
+
+GUARD_TAGS = ("a", "b/echo", "Probe", "?")
+
+_payloads = st.one_of(
+    st.tuples(st.sampled_from(GUARD_TAGS[:2] + ("other",)), st.integers(0, 9)),
+    st.builds(Probe, st.integers(0, 9)),
+    st.integers(0, 9), st.none(), st.just(()), st.just((3, "a")),
+)
+_inboxes = st.dictionaries(
+    st.integers(1, 12), st.lists(_payloads, max_size=6),
+    min_size=1, max_size=12,
+)
+_tag_sets = st.lists(st.sampled_from(GUARD_TAGS), min_size=1, max_size=4,
+                     unique=True).map(tuple)
+_waits = st.builds(Wait, _tag_sets, st.integers(0, 13))
+
+
+def _reference_tag(payload):
+    if isinstance(payload, tuple) and payload and isinstance(payload[0], str):
+        return payload[0]
+    return "Probe" if isinstance(payload, Probe) else "?"
+
+
+def _reference_matched(wait, inbox):
+    """The scan the guards used to run: every source, every payload."""
+    return tuple(sorted(
+        src for src, payloads in inbox.items()
+        if isinstance(src, int)
+        and any(_reference_tag(payload) in wait.tags for payload in payloads)
+    ))
+
+
+def _reference_answers(guard, inbox, n):
+    if isinstance(guard, Wait):
+        branch = guard
+        fired = guard.quorum == 0 or (
+            len(_reference_matched(guard, inbox)) >= guard.quorum
+        )
+    else:
+        fired = any(
+            _reference_answers(wait, inbox, n)[0] for wait in guard.waits
+        )
+        # nearest to firing; the first such branch on a tie
+        branch = max(guard.waits, key=lambda wait: (
+            len(_reference_matched(wait, inbox)) - wait.quorum
+        ))
+    matched = _reference_matched(branch, inbox)
+    return (
+        fired, (len(matched), branch.quorum), matched,
+        tuple(pid for pid in range(1, n + 1) if pid not in matched),
+    )
+
+
+class TestGuardsAnswerFromTheIndex:
+    """Every predicate equals a written-out scan, however the inbox came.
+
+    Plain ``{src: [payloads]}`` dicts (with a lockstep ``rush_peek``
+    entry the guards must skip) are indexed on the fly; the runtimes'
+    :class:`IndexedInbox` is built one :meth:`deliver` at a time, in an
+    arbitrary interleaving of the sources.
+    """
+
+    @given(
+        inbox=_inboxes,
+        guard=st.one_of(
+            _waits,
+            st.builds(Wait, _tag_sets, st.just(0)),
+            st.lists(_waits, min_size=1, max_size=3).map(
+                lambda waits: wait_any(*waits)
+            ),
+        ),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_predicates_equal_the_reference_scan(self, inbox, guard, order):
+        n = 12
+        expected = _reference_answers(guard, inbox, n)
+
+        plain = dict(inbox)
+        plain["rush_peek"] = {1: [("a", 0)], 2: [Probe(1)]}
+
+        arrivals = [src for src, payloads in inbox.items() for _ in payloads]
+        order.shuffle(arrivals)
+        cursor = {src: iter(payloads) for src, payloads in inbox.items()}
+        delivered = IndexedInbox()
+        for src in arrivals:
+            delivered.deliver(src, next(cursor[src]))
+        assert delivered == {s: p for s, p in inbox.items() if p}
+        assert delivered.size == len(arrivals)
+        delivered["rush_peek"] = plain["rush_peek"]
+
+        for view in (plain, delivered):
+            assert (
+                guard.satisfied(view), guard.progress(view),
+                guard.matched_senders(view), guard.missing_senders(view, n),
+            ) == expected
 
 
 # -- async runtime basics ----------------------------------------------------
