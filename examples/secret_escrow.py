@@ -11,7 +11,8 @@ Run:  python examples/secret_escrow.py
 """
 
 from repro.apps import LeaderElection
-from repro.core import BootstrapCoinSource, VerifiedSecretStore
+from repro.core import BootstrapCoinSource
+from repro.core.secret_store import DepositRejected, VerifiedSecretStore
 from repro.fields import GF2k
 
 
@@ -27,8 +28,6 @@ def main() -> None:
           f"{store.amortized_verification_cost():.3f} interpolations/secret")
 
     print("\n== a cheating depositor is caught (all-or-nothing) ==")
-    from repro.core import DepositRejected
-
     try:
         store.deposit([1, 2, 3], cheat_offsets={1: {4: 0xBAD}})
     except DepositRejected as exc:

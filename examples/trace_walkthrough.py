@@ -1,19 +1,21 @@
 #!/usr/bin/env python
 """Watch one Coin-Gen execution round by round.
 
-Attaches a tracer to the simulated network and prints the protocol's
-timeline — the concrete shape behind Fig. 5's step list — together with
-per-phase message totals and the per-player cost meter that backs the
-benchmark harness.
+Subscribes to the network's event bus (the ``"round"`` topic carries
+every settled delivery) and prints the protocol's timeline — the
+concrete shape behind Fig. 5's step list — together with per-tag message
+totals and the per-player cost meter that backs the claims table.
 
 Run:  python examples/trace_walkthrough.py
 """
 
 import random
+from collections import Counter
 
 from repro.fields import GF2k
+from repro.net.metrics import payload_tag
 from repro.net.simulator import SynchronousNetwork
-from repro.net.trace import Tracer
+from repro.obs.bus import ROUND
 from repro.protocols.coin_gen import coin_gen_program, make_seed_coins
 
 
@@ -21,12 +23,14 @@ def main() -> None:
     field = GF2k(32)
     n, t, M = 7, 1, 4
 
-    tracer = Tracer()
     seeds = make_seed_coins(field, n, t, 4, random.Random(1))
     network = SynchronousNetwork(
-        n, field=field, allow_broadcast=False,
-        observer=tracer.observe, enforce_codec=True,
+        n, field=field, allow_broadcast=False, enforce_codec=True,
     )
+    rounds = []  # one Counter({tag: deliveries}) per settled round
+    network.bus.subscribe(ROUND, lambda _number, deliveries: rounds.append(
+        Counter(payload_tag(payload) for _dst, _src, payload in deliveries)
+    ))
     programs = {
         pid: coin_gen_program(
             field, n, t, pid, M, seeds[pid], random.Random(pid)
@@ -37,10 +41,14 @@ def main() -> None:
     assert all(o.success for o in outputs.values())
 
     print(f"Coin-Gen: n={n}, t={t}, M={M}, field GF(2^32)\n")
-    print(tracer.timeline())
+    print("round | msgs | tags")
+    print("------+------+-----")
+    for number, tally in enumerate(rounds, start=1):
+        print(f"{number:5d} | {sum(tally.values()):4d} | "
+              f"{', '.join(sorted(tally)) or '-'}")
 
-    print("\nmessage totals by protocol phase:")
-    for tag, count in sorted(tracer.messages_by_tag().items()):
+    print("\nmessage totals by tag:")
+    for tag, count in sorted(sum(rounds, Counter()).items()):
         print(f"  {tag:24s} {count:5d}")
 
     print("\ncost meter:")

@@ -1,4 +1,8 @@
-"""``python -m repro`` entry point."""
+"""``python -m repro`` entry point.
+
+Off the coin path (docs/CENSUS.md, class ii); run by every CI smoke step
+(`python -m repro ...`).
+"""
 
 from repro.cli import main
 

@@ -8,6 +8,10 @@ these functions; EXPERIMENTS.md records the outcomes.
 The paper counts one multiplication in the special field as ``k log k``
 additions (Section 2); helpers below expose both that conversion and the
 naive ``k^2`` one.
+
+Off the coin path (docs/CENSUS.md, class ii); run by claims rows E1-E8
+and E12 (`benchmarks/claims.py`), and the conformance auditor behind
+CI's `repro trace --audit`.
 """
 
 from __future__ import annotations

@@ -4,6 +4,9 @@ The synchronous model's other cost axis: how many lock-step rounds each
 protocol occupies.  These formulas are checked against live traces in
 ``tests/test_rounds.py`` — they are what makes the protocols' honest
 code data-independent (see docs/MODEL.md "Determinism and termination").
+
+Off the coin path (docs/CENSUS.md, class ii); run by claims row E7, CI's
+`repro trace --audit` and `repro critpath --assert-depth`.
 """
 
 from __future__ import annotations

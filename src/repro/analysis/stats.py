@@ -4,6 +4,9 @@ The paper's coins must be "random binary output, not known to any of them
 beforehand" (Section 1.1); these tests give the empirical side of that
 claim for experiment E12.  All tests return a z-score or p-value style
 statistic together with a boolean verdict at a configurable significance.
+
+Off the coin path (docs/CENSUS.md, class ii); run by claims rows E12 and
+E14, CI's `repro health`, `examples/proactive_refresh.py`.
 """
 
 from __future__ import annotations

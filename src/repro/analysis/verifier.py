@@ -5,6 +5,9 @@ measured counts against the executable formulas in
 :mod:`repro.analysis.complexity`.  This is the programmatic form of
 EXPERIMENTS.md — usable from tests, the CLI (``python -m repro verify``),
 or a notebook.
+
+Off the coin path (docs/CENSUS.md, class ii); run by `python -m repro
+verify` in CI's "Paper claims" step.
 """
 
 from __future__ import annotations

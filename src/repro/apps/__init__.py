@@ -5,6 +5,9 @@
 coin-driven randomized BA that consumes coins from a
 :class:`~repro.core.bootstrap.BootstrapCoinSource`, demonstrating the
 bulk-consumption pattern the D-PRBG was designed for.
+
+Off the coin path (docs/CENSUS.md, class ii); run by
+`examples/randomized_agreement.py` and `examples/secret_escrow.py`.
 """
 
 from repro.apps.randomized_ba import CommonCoinBA, run_randomized_ba

@@ -11,6 +11,9 @@ Fairness caveat handled here: ``coin mod n`` is biased when ``2^k mod n
 :class:`LeaderElection` also offers rejection sampling for exact
 uniformity at an expected ``2^k / (2^k - (2^k mod n))`` coins per
 election (< 2 always).
+
+Off the coin path (docs/CENSUS.md, class ii); run by
+`examples/secret_escrow.py`.
 """
 
 from __future__ import annotations
@@ -46,22 +49,6 @@ class LeaderElection:
             raise ValueError("need at least one candidate")
         self.exact_uniform = exact_uniform
         self.history: List[ElectionResult] = []
-
-    @classmethod
-    def from_context(
-        cls,
-        context,
-        candidates: Optional[Sequence[int]] = None,
-        exact_uniform: bool = False,
-        **source_kwargs,
-    ) -> "LeaderElection":
-        """Build an election over a fresh coin source for ``context``.
-
-        The source inherits the context's scheduler, fault plane, and
-        tracer — elections run identically under any delivery policy.
-        """
-        source = BootstrapCoinSource(context=context, **source_kwargs)
-        return cls(source, candidates=candidates, exact_uniform=exact_uniform)
 
     def elect(self) -> int:
         """Elect one leader; returns the candidate id."""

@@ -22,6 +22,9 @@ player falls through to the coin — which is *common* — so the very next
 round is unanimous; when some players adopt b and the rest flip the coin,
 the coin matches b with probability 1/2.  Expected O(1) rounds and O(1)
 coins per agreement: this is what makes a cheap coin supply matter.
+
+Off the coin path (docs/CENSUS.md, class ii); run by
+`examples/randomized_agreement.py`.
 """
 
 from __future__ import annotations
@@ -60,17 +63,6 @@ class CommonCoinBA:
     def __init__(self, source: BootstrapCoinSource, max_rounds: int = 64):
         self.source = source
         self.max_rounds = max_rounds
-
-    @classmethod
-    def from_context(cls, context, max_rounds: int = 64,
-                     **source_kwargs) -> "CommonCoinBA":
-        """Build a BA over a fresh coin source wired to ``context``.
-
-        The source inherits the context's scheduler, fault plane, and
-        tracer, so the coin supply runs under the chosen delivery policy.
-        """
-        source = BootstrapCoinSource(context=context, **source_kwargs)
-        return cls(source, max_rounds=max_rounds)
 
     def agree(
         self,

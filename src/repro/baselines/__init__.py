@@ -12,6 +12,9 @@
   must "continuously provide" pre-generated coins.
 * :mod:`repro.baselines.beaver_so` — the Beaver-So [2] factoring-based
   generator shape: pre-set bit budget, big-modulus multiplications.
+
+Off the coin path (docs/CENSUS.md, class ii); run by claims rows E5, E9,
+E10 and E15.
 """
 
 from repro.baselines.from_scratch import run_from_scratch_coin

@@ -23,6 +23,8 @@ against are made measurable:
 This is a *shape* baseline, not a full MPC re-implementation of [2]:
 the distributed-squaring subprotocol is collapsed into its per-bit
 modular multiplication cost, which is the quantity Section 1.4 compares.
+
+Off the coin path (docs/CENSUS.md, class ii); run by claims row E15.
 """
 
 from __future__ import annotations

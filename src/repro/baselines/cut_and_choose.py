@@ -13,6 +13,8 @@ at most one of ``g_j`` and ``f + g_j`` can have degree <= t, so each
 challenge bit catches the dealer with probability 1/2 and the total error
 is 2^-k_challenges.  Computation: k interpolations per player (vs 2 for
 Protocol VSS); communication: k broadcast values per player (vs 1).
+
+Off the coin path (docs/CENSUS.md, class ii); run by claims row E5.
 """
 
 from __future__ import annotations

@@ -16,6 +16,8 @@ are metered, not estimated.
 
 The protocol is non-interactive (no challenge coin) and its soundness is
 *computational* rather than the paper's unconditional 1/p.
+
+Off the coin path (docs/CENSUS.md, class ii); run by claims row E5.
 """
 
 from __future__ import annotations

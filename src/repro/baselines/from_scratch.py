@@ -15,6 +15,9 @@ dealing verification, which any real from-scratch protocol (e.g.
 Feldman-Micali [14]: O(n^4 log^2 n) computation, O(n^5) messages) must
 add on top.  Even so, the D-PRBG's single interpolation per coin wins —
 that is experiment E10.
+
+Off the coin path (docs/CENSUS.md, class ii); run by claims rows E10 and
+E15.
 """
 
 from __future__ import annotations

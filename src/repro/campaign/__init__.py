@@ -8,6 +8,10 @@ seed × fault chain × field × n,t × runtime) space, judges every cell
 with the composed auditors, and accounts for which cells have ever been
 exercised.  See DESIGN.md §14 for the architecture and the determinism
 contract.
+
+Off the coin path (docs/CENSUS.md, class ii); run by CI's campaign-soak
+job (`repro campaign run|report|replay`, including the known-bad
+negative control); that covers every module of this package.
 """
 
 from repro.campaign.adversaries import KINDS, AdversaryKind, kind_for

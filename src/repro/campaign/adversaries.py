@@ -19,6 +19,9 @@ Two kinds exist purely to arm the oracle's negative controls:
 decoding radius at ≤ t corruptions, undecodable beyond it) and
 ``lurker`` (declared corrupt, behaves honestly — a forced forensics
 false negative; see :func:`repro.campaign.space.known_bad_scenarios`).
+
+Off the coin path (docs/CENSUS.md, class ii); run by CI's campaign-soak
+job.
 """
 
 from __future__ import annotations

@@ -14,6 +14,9 @@ to run — that has at least one execution.
 All three output formats (table, JSON, Prometheus exposition) iterate
 the grid in sorted key order with no timestamps, so the same campaign
 produces byte-identical reports: the contract CI diffs against.
+
+Off the coin path (docs/CENSUS.md, class ii); run by CI's campaign-soak
+job.
 """
 
 from __future__ import annotations

@@ -13,6 +13,9 @@ and nothing reads the clock.
 Async cells are executed **twice** and the two flight logs diffed — the
 cheapest possible whole-stack determinism oracle, and the reason the
 driver (not the caller) owns re-running.
+
+Off the coin path (docs/CENSUS.md, class ii); run by CI's campaign-soak
+job.
 """
 
 from __future__ import annotations

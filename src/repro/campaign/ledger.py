@@ -9,6 +9,9 @@ acceptance tests diff against.
 
 Appending never rewrites: re-running a campaign adds a new
 header + rows block, and readers see every historical block in order.
+
+Off the coin path (docs/CENSUS.md, class ii); run by CI's campaign-soak
+job.
 """
 
 from __future__ import annotations

@@ -27,6 +27,9 @@ into a single verdict:
 Violation *signatures* are seed-free by construction (kind and axis
 names only, never player ids or values), so the triage report clusters
 the same root cause across cells.
+
+Off the coin path (docs/CENSUS.md, class ii); run by CI's campaign-soak
+job.
 """
 
 from __future__ import annotations

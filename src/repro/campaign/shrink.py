@@ -19,6 +19,9 @@ verifies (a) the same oracle still trips and (b) the fresh flight log
 diffs clean against the embedded one — so an artifact is a proof
 object anyone can replay (``repro campaign replay``, or ``repro replay
 --diff`` against the extracted log).
+
+Off the coin path (docs/CENSUS.md, class ii); run by CI's campaign-soak
+job.
 """
 
 from __future__ import annotations

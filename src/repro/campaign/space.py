@@ -15,6 +15,9 @@ is deterministic, and :meth:`ScenarioSpace.sample` draws a seeded random
 slice for bounded CI soaks.  Adversary axis entries use the compact
 ``"kind:pid+pid"`` spelling so the whole space definition stays
 hashable and JSON-trivial, like fault-op specs.
+
+Off the coin path (docs/CENSUS.md, class ii); run by CI's campaign-soak
+job.
 """
 
 from __future__ import annotations

@@ -8,6 +8,9 @@ collapses the fan-out: each :class:`TriageCluster` carries the count,
 the affected cell ids, and one concrete example, ranked most-frequent
 first.  The report is deterministic (sorted keys, no timestamps) like
 every other campaign artifact.
+
+Off the coin path (docs/CENSUS.md, class ii); run by CI's campaign-soak
+job.
 """
 
 from __future__ import annotations

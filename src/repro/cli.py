@@ -72,6 +72,9 @@ subcommand name (``toss.json``, ``trace.jsonl``, ``metrics.prom``, ...),
 so concurrent exports from different commands never collide.  ``toss``
 and ``trace`` also accept ``--flight-log PATH`` to record the delivered
 message stream for later ``replay``/``forensics``.
+
+Off the coin path (docs/CENSUS.md, class ii); run by every CI smoke step
+(`.github/workflows/ci.yml`).
 """
 
 from __future__ import annotations
@@ -179,22 +182,6 @@ def _run_manifest(args: argparse.Namespace, ctx: ProtocolContext,
         scheduler=getattr(args, "scheduler", None),
         runtime=getattr(args, "runtime", None),
     )
-
-
-def _attach_profiler(args: argparse.Namespace, ctx: ProtocolContext):
-    """A round-sampled profiler when ``--profile`` was given.
-
-    Ensures a live :class:`SpanRecorder` (the profiler samples its open
-    stack) and subscribes to the unconditionally-published ``round``
-    topic, so profiled runs stay byte-identical to unprofiled ones.
-    """
-    if not getattr(args, "profile", False):
-        return None
-    from repro.obs.profile import SamplingProfiler
-
-    if not ctx.recorder.enabled:
-        ctx.recorder = SpanRecorder()
-    return SamplingProfiler(ctx.recorder).attach_rounds(ctx.ensure_bus())
 
 
 def _make_context(args: argparse.Namespace) -> ProtocolContext:
@@ -313,7 +300,6 @@ def _cmd_toss_async(args: argparse.Namespace) -> int:
 
     ctx = _make_context(args)
     flight = _attach_flight_recorder(args, ctx)
-    profiler = _attach_profiler(args, ctx)
     watchdog = None
     if getattr(args, "watchdog", None) is not None:
         from repro.obs import StallWatchdog
@@ -352,9 +338,6 @@ def _cmd_toss_async(args: argparse.Namespace) -> int:
         print(f"{'logical-time makespan (sum)':42s} {makespan:,}")
         print(f"{'mean logical time per coin':42s} "
               f"{makespan / max(len(values), 1):,.1f}")
-    if profiler is not None:
-        print()
-        print(profiler.table())
     _write_export(args, ctx)
     _write_flight_log(args, flight)
     if watchdog is not None and watchdog.stalls:
@@ -372,7 +355,6 @@ def _cmd_toss(args: argparse.Namespace) -> int:
         return _cmd_toss_async(args)
     ctx = _make_context(args)
     flight = _attach_flight_recorder(args, ctx)
-    profiler = _attach_profiler(args, ctx)
     root = ctx.recorder.begin("toss", "root")
     source = BootstrapCoinSource(context=ctx, batch_size=args.batch)
     if args.elements:
@@ -395,9 +377,6 @@ def _cmd_toss(args: argparse.Namespace) -> int:
         for key, value in source.amortized_cost_summary().items():
             print(f"{key:42s} {value:,.2f}" if isinstance(value, float)
                   else f"{key:42s} {value}")
-    if profiler is not None:
-        print()
-        print(profiler.table())
     _write_export(args, ctx)
     _write_flight_log(args, flight)
     return 0
@@ -1042,56 +1021,6 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
-    """``repro profile``: sample one instrumented Coin-Gen session."""
-    from repro.obs.profile import SamplingProfiler
-
-    ctx = _make_context(args)
-    if not ctx.recorder.enabled:
-        ctx.recorder = SpanRecorder()
-    profiler = SamplingProfiler(ctx.recorder, interval=args.interval)
-    if args.sampler == "rounds":
-        profiler.attach_rounds(ctx.ensure_bus())
-    if args.runtime == "async":
-        with profiler if args.sampler == "timer" else _null_context():
-            values, runtimes, breaks = _run_async_coins(args, ctx, args.M)
-        for index, distinct in breaks:
-            print(f"UNANIMITY BREAK: coin {index} exposed {distinct}",
-                  file=sys.stderr)
-    else:
-        from repro.protocols.coin_gen import expose_coin, run_coin_gen
-
-        with profiler if args.sampler == "timer" else _null_context():
-            outputs, _ = run_coin_gen(ctx, M=args.M, seed=args.seed)
-            if all(o.success for o in outputs.values()):
-                expose_coin(ctx, outputs=outputs, h=0)
-    print(f"profile: n={ctx.n}, t={ctx.t}, k={args.k}, M={args.M}, "
-          f"runtime={args.runtime}, sampler={args.sampler}")
-    print()
-    print(profiler.table(limit=args.top))
-    manifest = _run_manifest(args, ctx, protocol="profile")
-    if args.folded:
-        with open(args.folded, "w") as handle:
-            handle.write(profiler.folded())
-        print(f"wrote folded stacks to {args.folded}", file=sys.stderr)
-    if args.flame:
-        with open(args.flame, "w") as handle:
-            handle.write(profiler.to_flame_json())
-        print(f"wrote flame JSON to {args.flame}", file=sys.stderr)
-    if args.chrome:
-        with open(args.chrome, "w") as handle:
-            handle.write(profiler.to_chrome(manifest=manifest))
-        print(f"wrote Chrome sample trace to {args.chrome}",
-              file=sys.stderr)
-    return 0
-
-
-def _null_context():
-    import contextlib
-
-    return contextlib.nullcontext()
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.analysis.verifier import report, verify_all
 
@@ -1306,11 +1235,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="flag guards waiting past TICKS logical ticks "
                            "and exit non-zero on any stall "
                            "(--runtime async only)")
-    toss.add_argument("--profile", action="store_true",
-                      help="sample the open span stack once per settled "
-                           "round and print the top frames (behaviour "
-                           "is unchanged: the sampler subscribes to the "
-                           "always-published round topic)")
     _add_export_arguments(toss)
     _add_flight_argument(toss)
     toss.set_defaults(func=_cmd_toss)
@@ -1447,30 +1371,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="exit non-zero if any deterministic metric "
                                "differs (identical-seed conformance gate)")
     diff_cmd.set_defaults(func=_cmd_diff)
-
-    profile = sub.add_parser(
-        "profile",
-        help="sampling profiler over one instrumented Coin-Gen session "
-             "(samples land on protocol/phase/round span frames)",
-    )
-    _add_system_arguments(profile)
-    profile.add_argument("--M", type=int, default=8, help="coins per batch")
-    profile.add_argument("--sampler", choices=("rounds", "timer"),
-                         default="rounds",
-                         help="rounds = one deterministic sample per "
-                              "settled round; timer = wall-clock daemon "
-                              "sampling every --interval seconds")
-    profile.add_argument("--interval", type=float, default=0.001,
-                         help="timer sampling period in seconds")
-    profile.add_argument("--top", type=int, default=15,
-                         help="frames shown in the table")
-    profile.add_argument("--folded", default=None, metavar="PATH",
-                         help="write collapsed stacks (flamegraph.pl input)")
-    profile.add_argument("--flame", default=None, metavar="PATH",
-                         help="write hierarchical flame-graph JSON")
-    profile.add_argument("--chrome", default=None, metavar="PATH",
-                         help="write sample instants as a Chrome trace")
-    profile.set_defaults(func=_cmd_profile)
 
     forensics = sub.add_parser(
         "forensics",

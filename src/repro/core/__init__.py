@@ -11,24 +11,23 @@
   of new coins", Section 1.2).
 * :class:`~repro.core.seed.TrustedDealer` — the one-time initial seed
   (Rabin [17]'s trusted party, used exactly once).
+
+Off the coin path, imported from their own modules:
+:mod:`repro.core.sequence` (random access to sealed coins, Section 1.4)
+and :mod:`repro.core.secret_store` (Batch-VSS as a deposit service).
 """
 
 from repro.core.coin import SharedCoin, UnanimityError
-from repro.core.sequence import CoinSequence
 from repro.core.seed import TrustedDealer
 from repro.core.dprbg import DPRBG, SharedCoinSystem, StretchResult
 from repro.core.bootstrap import BootstrapCoinSource
-from repro.core.secret_store import DepositRejected, VerifiedSecretStore
 
 __all__ = [
     "SharedCoin",
     "UnanimityError",
-    "CoinSequence",
     "TrustedDealer",
     "DPRBG",
     "SharedCoinSystem",
     "StretchResult",
     "BootstrapCoinSource",
-    "VerifiedSecretStore",
-    "DepositRejected",
 ]

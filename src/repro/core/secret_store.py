@@ -9,6 +9,9 @@ Coin-Expose.
 
 The batch is always blinded (one extra random dealing) so the public
 verification value constrains none of the deposited secrets.
+
+Off the coin path (docs/CENSUS.md, class ii); run by
+`examples/secret_escrow.py`.
 """
 
 from __future__ import annotations

@@ -5,6 +5,9 @@ bits."  A Coin-Gen batch seals M independent k-ary coins; nothing forces
 them to be revealed in order.  :class:`CoinSequence` exposes a batch as
 an indexable sequence of coins/bits, exposing each coin lazily on first
 access and caching the (unanimous) result.
+
+Off the coin path (docs/CENSUS.md, class ii); run by claims row E15
+(Section 1.4's random access).
 """
 
 from __future__ import annotations

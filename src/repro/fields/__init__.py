@@ -1,7 +1,8 @@
 """Finite-field arithmetic substrates (paper Section 2).
 
 The paper's protocols work over a finite field of size ``p``.  Three
-implementations are provided:
+implementations are provided; the coin path runs over the first, which
+is the one re-exported here:
 
 * :class:`~repro.fields.gf2k.GF2k` — the binary extension field GF(2^k) that
   the paper's algorithm descriptions assume, with naive carry-less
@@ -21,14 +22,9 @@ cost accounting.
 
 from repro.fields.base import Field, OpCounter
 from repro.fields.gf2k import GF2k
-from repro.fields.gfp import GFp
-from repro.fields.extension import SpecialField, build_special_field
 
 __all__ = [
     "Field",
     "OpCounter",
     "GF2k",
-    "GFp",
-    "SpecialField",
-    "build_special_field",
 ]

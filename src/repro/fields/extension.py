@@ -15,6 +15,8 @@ The operation counter tallies *scalar Z_q operations*: an element addition
 counts ``l`` adds, an element multiplication counts one ``mul`` (convert
 with ``OpCounter.total_additions(k, naive=False)`` which charges
 ``k log k`` additions per multiplication, per the paper's cost model).
+
+Off the coin path (docs/CENSUS.md, class ii); run by claims row E11.
 """
 
 from __future__ import annotations

@@ -7,6 +7,9 @@ core protocols run over GF(2^k), but a prime field is needed by
   coefficients as ``g^a mod p`` and therefore needs a multiplicative group
   with a hard discrete log; and
 * the NTT underlying the paper's special O(k log k) field.
+
+Off the coin path (docs/CENSUS.md, class ii); run by claims row E5
+(Feldman's group arithmetic) and the flight-log field registry.
 """
 
 from __future__ import annotations

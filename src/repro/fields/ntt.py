@@ -5,6 +5,9 @@ discrete Fourier transforms to do the multiplication, modulo some
 irreducible polynomial, in O(l log l) operations over Z_q".  This module
 supplies that transform: an iterative radix-2 Cooley-Tukey NTT over a
 prime ``q`` with ``q ≡ 1 (mod 2^m)``.
+
+Off the coin path (docs/CENSUS.md, class ii); run by claims row E11 (the
+special field's multiplication).
 """
 
 from __future__ import annotations

@@ -11,6 +11,11 @@ over private point-to-point channels plus an optional ideal broadcast
 channel (assumed by the Section 3 protocols, dropped in Section 4).
 Message, bit, and per-player field-operation metering reproduce the
 quantities the paper's lemmas count.
+:class:`~repro.net.async_runtime.AsyncRuntime` runs the same generator
+programs under adversarial message-at-a-time delivery.  Both publish
+every settled delivery on their :class:`~repro.obs.bus.EventBus`
+(``runtime.bus.subscribe(ROUND, handler)``); that stream is the one way
+to watch a run.
 """
 
 from repro.net.simulator import (
@@ -38,8 +43,7 @@ from repro.net.faults import FaultPlane
 from repro.net.guards import AnyWait, Guarded, Wait, guarded, wait_any
 from repro.net.runtime import ProtocolRuntime, RuntimeBase, RuntimeExhausted
 from repro.net.async_runtime import AsyncRuntime
-from repro.net.trace import Tracer
-from repro.net.metrics import NetworkMetrics, payload_field_elements
+from repro.net.metrics import NetworkMetrics, payload_field_elements, payload_tag
 from repro.net.adversary import (
     Adversary,
     crash_program,
@@ -73,9 +77,9 @@ __all__ = [
     "ProtocolRuntime",
     "AsyncRuntime",
     "RuntimeExhausted",
-    "Tracer",
     "NetworkMetrics",
     "payload_field_elements",
+    "payload_tag",
     "Adversary",
     "silent_program",
     "crash_program",

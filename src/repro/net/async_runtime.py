@@ -64,15 +64,13 @@ from typing import Any, Dict, Iterable, List, Optional
 from repro.fields.base import Field
 from repro.net.faults import DELAY, DROP, DUPLICATE, FaultPlane
 from repro.net.guards import IndexedInbox
-from repro.net.metrics import NetworkMetrics
+from repro.net.metrics import NetworkMetrics, payload_tag
 from repro.net.runtime import Program, RuntimeBase
 from repro.net.scheduler import RandomOrderScheduler, Scheduler
-from repro.net.trace import payload_tag
 from repro.net.transport import (
     ProtocolViolation,
     Transport,
     expansion_channels,
-    make_transport,
 )
 from repro.obs.bus import (
     GUARD_ARMED,
@@ -115,21 +113,11 @@ class AsyncRuntime(RuntimeBase):
         scheduler: Optional[Scheduler] = None,
         faults: Optional[FaultPlane] = None,
         max_deliveries: int = 100_000,
-        observer=None,
-        tracer=None,
         recorder=None,
         bus: Optional[EventBus] = None,
         allow_broadcast: bool = True,
         enforce_codec: bool = False,
     ):
-        metrics = metrics or NetworkMetrics(
-            element_bits=field.bit_length if field is not None else 1
-        )
-        transport = transport or make_transport(
-            n, metrics,
-            allow_broadcast=allow_broadcast,
-            enforce_codec=enforce_codec,
-        )
         super().__init__(
             n,
             field=field,
@@ -138,10 +126,10 @@ class AsyncRuntime(RuntimeBase):
             scheduler=scheduler or RandomOrderScheduler(),
             faults=faults,
             max_rounds=max_deliveries,
-            observer=observer,
-            tracer=tracer,
             recorder=recorder,
             bus=bus,
+            allow_broadcast=allow_broadcast,
+            enforce_codec=enforce_codec,
         )
         self.max_deliveries = max_deliveries
         #: final logical clock of the last run (deliveries + idle ticks)

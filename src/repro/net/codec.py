@@ -21,6 +21,10 @@ type byte  encoding
 =========  ==============================================
 
 Varints are LEB128 (7 bits per byte, high bit = continuation).
+
+Off the coin path (docs/CENSUS.md, class ii); run by CI's `--flight-log`
+/ `repro replay` steps, `examples/trace_walkthrough.py` and
+`examples/forensics_demo.py`.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ Both runtimes keep a guarded player's cumulative inbox as an
 :class:`IndexedInbox`: the same ``{src: [payloads]}`` dict, plus a
 ``tag -> {int senders}`` index and a payload count, both updated by
 :meth:`IndexedInbox.deliver` at the moment a payload is appended (one
-:func:`~repro.net.trace.payload_tag` call per delivery, ever).  Every
+:func:`~repro.net.metrics.payload_tag` call per delivery, ever).  Every
 guard predicate reads that index, so a re-check costs O(|tags|) set
 lookups however long the run's history is.  A plain dict — what unit
 tests and offline tools pass — is indexed on the fly by
@@ -48,7 +48,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, Union
 
-from repro.net.trace import payload_tag
+from repro.net.metrics import payload_tag
 from repro.net.transport import Send
 
 Inbox = Dict[Any, List[Any]]
@@ -102,7 +102,7 @@ class Wait:
     """Sleep until ``quorum`` distinct senders have sent a matching tag.
 
     A sender counts once when at least one of its pending payloads has a
-    :func:`~repro.net.trace.payload_tag` in ``tags`` — matching the
+    :func:`~repro.net.metrics.payload_tag` in ``tags`` — matching the
     ``filter_tag`` convention protocol bodies use to read the inbox, so
     "the guard fired" implies "the body will see the quorum".
     """

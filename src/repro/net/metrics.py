@@ -28,6 +28,20 @@ from typing import Any, Dict
 from repro.fields.base import OpCounter
 
 
+def payload_tag(payload: Any) -> str:
+    """A payload's tag, as every tally, guard and recorder names it.
+
+    Conventional ``(tag, body)`` payloads are tagged by their string
+    tag; dataclass payloads (e.g. structured adversary probes) by their
+    class name; anything else by ``"?"``.
+    """
+    if isinstance(payload, tuple) and payload and isinstance(payload[0], str):
+        return payload[0]
+    if dataclasses.is_dataclass(payload) and not isinstance(payload, type):
+        return type(payload).__name__
+    return "?"
+
+
 def payload_field_elements(payload: Any) -> int:
     """Number of field elements (ints) carried by a payload.
 

@@ -31,9 +31,8 @@ from typing import Any, Dict, Generator, Iterable, List, Optional, Tuple
 from repro.fields.base import Field, OpCounter
 from repro.net.faults import FaultPlane
 from repro.net.guards import Guard, Guarded, IndexedInbox
-from repro.net.metrics import NetworkMetrics
+from repro.net.metrics import NetworkMetrics, payload_tag
 from repro.net.scheduler import LockstepScheduler, Scheduler
-from repro.net.trace import payload_tag
 from repro.net.transport import (
     ProtocolViolation,
     Send,
@@ -104,31 +103,28 @@ class RuntimeBase:
     metrics:
         Optional pre-existing metrics object to accumulate into.
     transport:
-        The channel layer; defaults to a broadcast-capable transport
-        over ``metrics``.
+        The channel layer; when omitted one is built over ``metrics``
+        from ``allow_broadcast`` (whether the ideal broadcast channel
+        exists — the Section 4 protocols set it to False, enforcing the
+        paper's point-to-point-only model) and ``enforce_codec`` (round-
+        trip every payload through :mod:`repro.net.codec`: unencodable
+        payloads raise, and ``metrics.wire_bytes`` accumulates the exact
+        wire byte count).
     scheduler:
         Stepping/delivery policy; defaults to :class:`LockstepScheduler`
         (the historical semantics, byte for byte).
     faults:
         Optional :class:`~repro.net.faults.FaultPlane` applied to every
         delivery and to the stepping loop.
-    observer:
-        Optional callable ``observer(round_number, deliveries)`` where
-        deliveries is a list of (dst, src, payload).
-    tracer:
-        Optional :class:`~repro.net.trace.Tracer`; its ``observe`` hook
-        is chained after ``observer``.  Attaching here (rather than
-        wrapping the network) makes traces identical under every
-        scheduler.
     recorder:
         Optional span recorder (:class:`repro.obs.spans.SpanRecorder`).
         Defaults to the no-op :data:`repro.obs.spans.NULL_RECORDER`, in
         which case all instrumentation is skipped (zero cost).
     bus:
         Optional :class:`repro.obs.bus.EventBus`.  One is created per
-        runtime if not given.  ``observer`` and ``tracer`` are wired as
-        subscribers of its ``"round"`` topic; the fault plane publishes
-        ``"fault"`` events into it.
+        runtime if not given; subscribe to its ``"round"`` topic to
+        watch settled deliveries ``(round_number, [(dst, src, payload)])``.
+        The fault plane publishes ``"fault"`` events into it.
     """
 
     def __init__(
@@ -140,10 +136,10 @@ class RuntimeBase:
         scheduler: Optional[Scheduler] = None,
         faults: Optional[FaultPlane] = None,
         max_rounds: int = 100_000,
-        observer=None,
-        tracer=None,
         recorder=None,
         bus: Optional[EventBus] = None,
+        allow_broadcast: bool = True,
+        enforce_codec: bool = False,
     ):
         if n < 1:
             raise ValueError("need at least one player")
@@ -152,18 +148,16 @@ class RuntimeBase:
         self.metrics = metrics or NetworkMetrics(
             element_bits=field.bit_length if field is not None else 1
         )
-        self.transport = transport or make_transport(n, self.metrics)
+        self.transport = transport or make_transport(
+            n, self.metrics,
+            allow_broadcast=allow_broadcast,
+            enforce_codec=enforce_codec,
+        )
         self.scheduler = scheduler or LockstepScheduler()
         self.faults = faults
         self.max_rounds = max_rounds
-        self.observer = observer
-        self.tracer = tracer
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self.bus = bus if bus is not None else EventBus()
-        if observer is not None:
-            self.bus.subscribe(ROUND, observer)
-        if tracer is not None:
-            self.bus.subscribe(ROUND, tracer.observe)
         if self.recorder.enabled:
             self.bus.subscribe(FAULT, self.recorder.on_fault)
         if self.faults is not None:
@@ -188,10 +182,6 @@ class RuntimeBase:
     @property
     def allow_broadcast(self) -> bool:
         return self.transport.broadcast_available
-
-    @property
-    def enforce_codec(self) -> bool:
-        return self.transport.enforce_codec
 
     # -- helpers -------------------------------------------------------------
     def _reset_guard_state(self) -> None:

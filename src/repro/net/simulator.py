@@ -14,8 +14,8 @@ thin facade over the layered runtime:
 :class:`SynchronousNetwork` keeps its historical constructor and
 behaviour byte for byte (its default scheduler is the
 :class:`~repro.net.scheduler.LockstepScheduler`), while accepting the
-new ``scheduler``, ``faults``, and ``tracer`` layers as keyword
-arguments.  See DESIGN.md, "Runtime architecture".
+``scheduler`` and ``faults`` layers as keyword arguments.  See
+DESIGN.md, "Runtime architecture".
 
 Fault model (paper Section 2):
 
@@ -36,7 +36,7 @@ Fault model (paper Section 2):
 from __future__ import annotations
 
 import copy
-from typing import Any, Callable, Dict, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.fields.base import Field
 from repro.net.faults import FaultPlane
@@ -48,7 +48,6 @@ from repro.net.transport import (  # noqa: F401  (re-exported wire primitives)
     ProtocolViolation,
     Send,
     broadcast,
-    make_transport,
     multicast,
     unicast,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "Inbox",
     "Program",
     "SynchronousNetwork",
-    "run_protocol",
 ]
 
 
@@ -93,8 +91,6 @@ class SynchronousNetwork(ProtocolRuntime):
         reproduces the historical semantics exactly.
     faults:
         Optional :class:`~repro.net.faults.FaultPlane`.
-    observer, tracer:
-        Per-round delivery callbacks (see :class:`ProtocolRuntime`).
     enforce_codec:
         When set, every payload is round-tripped through the binary wire
         codec (net.codec): unencodable payloads raise, and the metrics
@@ -109,17 +105,12 @@ class SynchronousNetwork(ProtocolRuntime):
         rushing: Iterable[int] = (),
         allow_broadcast: bool = True,
         max_rounds: int = 100_000,
-        observer=None,
         enforce_codec: bool = False,
         scheduler: Optional[Scheduler] = None,
         faults: Optional[FaultPlane] = None,
-        tracer=None,
         recorder=None,
         bus=None,
     ):
-        metrics = metrics or NetworkMetrics(
-            element_bits=field.bit_length if field is not None else 1
-        )
         if scheduler is None:
             scheduler = LockstepScheduler(rushing=rushing)
         elif rushing:
@@ -131,40 +122,12 @@ class SynchronousNetwork(ProtocolRuntime):
             n,
             field=field,
             metrics=metrics,
-            transport=make_transport(
-                n, metrics,
-                allow_broadcast=allow_broadcast,
-                enforce_codec=enforce_codec,
-            ),
             scheduler=scheduler,
             faults=faults,
             max_rounds=max_rounds,
-            observer=observer,
-            tracer=tracer,
             recorder=recorder,
             bus=bus,
+            allow_broadcast=allow_broadcast,
+            enforce_codec=enforce_codec,
         )
 
-
-def run_protocol(
-    n: int,
-    honest_factory: Callable[[int], Program],
-    faulty: Optional[Dict[int, Program]] = None,
-    **network_kwargs: Any,
-) -> tuple:
-    """Convenience: honest programs everywhere except ``faulty`` overrides.
-
-    Returns ``(outputs, metrics)``.  ``faulty`` may map a player id to
-    ``None`` for a crashed-from-the-start player.
-    """
-    faulty = faulty or {}
-    network = SynchronousNetwork(n, **network_kwargs)
-    programs: Dict[int, Program] = {}
-    for pid in range(1, n + 1):
-        if pid in faulty:
-            if faulty[pid] is not None:
-                programs[pid] = faulty[pid]
-        else:
-            programs[pid] = honest_factory(pid)
-    outputs = network.run(programs)
-    return outputs, network.metrics

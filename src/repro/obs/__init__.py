@@ -2,12 +2,14 @@
 
 The paper's contribution is a *cost* claim — ``O(n^2 log k)`` additions,
 ``O(n)`` messages, one interpolation per batch (Lemmas 2/4/6,
-Corollary 1).  This package makes those costs observable on live runs:
+Corollary 1).  This package makes those costs observable on live runs.
 
-* :mod:`repro.obs.bus` — a small synchronous event bus the runtime
-  publishes round/fault events through; the existing
-  :class:`~repro.net.trace.Tracer` and legacy ``observer=`` hooks are
-  subscribers, and the :class:`~repro.net.faults.FaultPlane` is a
+Three modules are on the coin path — the runtimes import them, so they
+load with ``import repro.core`` and are imported here eagerly:
+
+* :mod:`repro.obs.bus` — a small synchronous event bus the runtimes
+  publish round/fault/guard events through; every recorder below is a
+  subscriber, and the :class:`~repro.net.faults.FaultPlane` is a
   publisher;
 * :mod:`repro.obs.spans` — nested spans (protocol -> phase -> round ->
   per-player step) carrying wall-clock time, an
@@ -16,7 +18,15 @@ Corollary 1).  This package makes those costs observable on live runs:
   default :data:`NULL_RECORDER` is a no-op, so instrumentation is free
   unless a :class:`SpanRecorder` is attached;
 * :mod:`repro.obs.phases` — the tag -> protocol-phase registry (deal /
-  clique / gradecast / ba / expose) that protocol modules populate;
+  clique / gradecast / ba / expose) that protocol modules populate.
+
+Everything else loads on first use: ``from repro.obs import
+FlightRecorder`` (or any other name in ``__all__``) imports the one
+submodule that defines it, so a dark run never pays for a recorder it
+does not attach.  Each of these names its evidence — the ladder
+workload, CI step or example that runs it — in its module docstring
+(see ``docs/CENSUS.md``):
+
 * :mod:`repro.obs.export` — JSONL, Chrome trace-event (Perfetto), and
   Prometheus text exporters;
 * :mod:`repro.obs.audit` — the lemma-conformance auditor comparing live
@@ -48,11 +58,10 @@ Corollary 1).  This package makes those costs observable on live runs:
 * :mod:`repro.obs.diffing` — cross-run analysis: reduce any recording
   to a per-phase metric table (:class:`~repro.obs.diffing.RunProfile`),
   diff two of them, and price the op deltas into a makespan attribution
-  ("clique-phase interpolations account for 78% of the slowdown");
-* :mod:`repro.obs.profile` — an opt-in sampling profiler aligned to
-  the open span stack (protocol → phase → round frames), with folded
-  stacks, flame JSON and Chrome export; byte-identical runs when off.
+  ("clique-phase interpolations account for 78% of the slowdown").
 """
+
+from importlib import import_module
 
 from repro.obs.bus import EventBus
 from repro.obs.spans import (
@@ -62,64 +71,35 @@ from repro.obs.spans import (
     SpanRecorder,
 )
 from repro.obs.phases import classify_tag, classify_tags, register_tag_phase
-from repro.obs.export import (
-    to_chrome_trace,
-    to_jsonl,
-    to_prometheus,
-    waits_to_chrome,
-    waits_to_jsonl,
-)
-from repro.obs.audit import (
-    ConformanceReport,
-    PhaseCheck,
-    RoundsCheck,
-    audit_coin_gen,
-    audit_liveness,
-    audit_recorder,
-    audit_rounds,
-)
-from repro.obs.liveness import (
-    QuorumLatencyRecorder,
-    Stall,
-    StallWatchdog,
-    WaitRecord,
-    default_threshold,
-)
-from repro.obs.causality import (
-    CausalGraph,
-    CausalRecorder,
-    MessageEdge,
-    graph_from_log,
-)
-from repro.obs.critical_path import (
-    CostModel,
-    CriticalPathResult,
-    WhatIf,
-    critical_path,
-    ops_from_recorder,
-    what_if,
-)
-from repro.obs.flight import (
-    Divergence,
-    FlightLog,
-    FlightRecorder,
-    diff,
-    replay,
-)
-from repro.obs.forensics import AccusationReport, analyze_log
-from repro.obs.health import HealthMonitor
-from repro.obs.manifest import RunManifest
-from repro.obs.diffing import (
-    Attribution,
-    DiffRow,
-    ProfileDiff,
-    RunProfile,
-    diff_profiles,
-    diff_recordings,
-    profile_from_jsonl,
-    profile_from_recorder,
-)
-from repro.obs.profile import Sample, SamplingProfiler
+
+#: public name -> the submodule that defines it, imported on first access
+_LAZY = {
+    name: module
+    for module, names in {
+        "export": ("to_chrome_trace", "to_jsonl", "to_prometheus",
+                   "waits_to_chrome", "waits_to_jsonl"),
+        "audit": ("ConformanceReport", "PhaseCheck", "RoundsCheck",
+                  "audit_coin_gen", "audit_liveness", "audit_recorder",
+                  "audit_rounds"),
+        "liveness": ("QuorumLatencyRecorder", "Stall", "StallWatchdog",
+                     "WaitRecord", "default_threshold"),
+        "causality": ("CausalGraph", "CausalRecorder", "MessageEdge",
+                      "graph_from_log"),
+        # critical_path() itself is not re-exported: the package attribute
+        # of that name is the submodule
+        "critical_path": ("CostModel", "CriticalPathResult", "WhatIf",
+                          "ops_from_recorder", "what_if"),
+        "flight": ("Divergence", "FlightLog", "FlightRecorder", "diff",
+                   "replay"),
+        "forensics": ("AccusationReport", "analyze_log"),
+        "health": ("HealthMonitor",),
+        "manifest": ("RunManifest",),
+        "diffing": ("Attribution", "DiffRow", "ProfileDiff", "RunProfile",
+                    "diff_profiles", "diff_recordings", "profile_from_jsonl",
+                    "profile_from_recorder"),
+    }.items()
+    for name in names
+}
 
 __all__ = [
     "EventBus",
@@ -130,50 +110,15 @@ __all__ = [
     "classify_tag",
     "classify_tags",
     "register_tag_phase",
-    "to_chrome_trace",
-    "to_jsonl",
-    "to_prometheus",
-    "waits_to_chrome",
-    "waits_to_jsonl",
-    "ConformanceReport",
-    "PhaseCheck",
-    "RoundsCheck",
-    "audit_coin_gen",
-    "audit_liveness",
-    "audit_recorder",
-    "audit_rounds",
-    "QuorumLatencyRecorder",
-    "StallWatchdog",
-    "WaitRecord",
-    "Stall",
-    "default_threshold",
-    "CausalGraph",
-    "CausalRecorder",
-    "MessageEdge",
-    "graph_from_log",
-    "CostModel",
-    "CriticalPathResult",
-    "WhatIf",
-    "critical_path",
-    "ops_from_recorder",
-    "what_if",
-    "FlightRecorder",
-    "FlightLog",
-    "Divergence",
-    "replay",
-    "diff",
-    "AccusationReport",
-    "analyze_log",
-    "HealthMonitor",
-    "RunManifest",
-    "RunProfile",
-    "ProfileDiff",
-    "DiffRow",
-    "Attribution",
-    "diff_profiles",
-    "diff_recordings",
-    "profile_from_recorder",
-    "profile_from_jsonl",
-    "SamplingProfiler",
-    "Sample",
+    *_LAZY,
 ]
+
+
+def __getattr__(name: str):
+    try:
+        module = _LAZY[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    return getattr(import_module(f"{__name__}.{module}"), name)

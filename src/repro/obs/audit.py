@@ -23,6 +23,9 @@ Two protocols are auditable exactly:
 On a fault-free run every check must match *exactly*; any deviation is
 either injected faults (expected — the report says so, it does not
 guess) or a cost regression in the implementation.
+
+Off the coin path (docs/CENSUS.md, class ii); run by CI's `repro trace
+--audit` (both backends, both runtimes) and `repro waits --audit`.
 """
 
 from __future__ import annotations
@@ -54,16 +57,6 @@ class PhaseCheck:
     def ok(self) -> bool:
         return self.measured == self.expected
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "phase": self.phase,
-            "metric": self.metric,
-            "expected": self.expected,
-            "measured": self.measured,
-            "deviation": self.deviation,
-            "ok": self.ok,
-        }
-
 
 @dataclass
 class ConformanceReport:
@@ -83,16 +76,6 @@ class ConformanceReport:
     @property
     def max_abs_deviation(self) -> int:
         return max((abs(c.deviation) for c in self.checks), default=0)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "protocol": self.protocol,
-            "params": dict(self.params),
-            "ok": self.ok,
-            "max_abs_deviation": self.max_abs_deviation,
-            "faults_observed": self.faults,
-            "checks": [c.to_dict() for c in self.checks],
-        }
 
     def table(self) -> str:
         """Human-readable fixed-width table for the CLI."""

@@ -8,8 +8,8 @@ bus when one is attached) and publishes:
   flight recorders use it to delimit protocol runs sharing one bus;
 * ``"round"``   — ``(round_number, deliveries)`` once per settled round,
   after the fault plane and scheduler have decided what actually arrives
-  (this is the stream the :class:`~repro.net.trace.Tracer`, the legacy
-  ``observer=`` callback, and the flight recorder subscribe to);
+  (deliveries is a list of ``(dst, src, payload)``; this is the stream
+  the flight recorder and ``examples/trace_walkthrough.py`` subscribe to);
 * ``"fault"``   — ``(round_number, kind, src, dst)`` from the
   :class:`~repro.net.faults.FaultPlane`, once per rewritten delivery
   (kind is ``"drop"``, ``"duplicate"``, or ``"delay"``) and once per
@@ -55,8 +55,8 @@ Delivery contract (decided and relied upon by the observability layer):
 * **ordering** — handlers run synchronously, in first-subscription order;
 * **idempotent subscription** — subscribing the same handler to the same
   topic twice is a no-op, so components re-wired on every network
-  construction (tracers, recorders sharing a context bus across runs)
-  are invoked exactly once per event;
+  construction (recorders sharing a context bus across runs) are
+  invoked exactly once per event;
 * **mutation-safe publish** — ``publish`` iterates over a snapshot of the
   subscriber list, so a handler may subscribe or unsubscribe (itself or
   others) mid-publish; newly subscribed handlers first see the *next*

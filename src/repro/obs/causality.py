@@ -37,6 +37,9 @@ The structural **depth** of a run — the longest chain of message edges —
 is the number of message-carrying rounds, which fault-free equals the
 :func:`repro.analysis.rounds.predicted_rounds` formula for the protocol
 (the trailing drain round is empty and adds no depth).
+
+Off the coin path (docs/CENSUS.md, class ii); run by CI's `repro
+critpath` and `repro replay --causal`.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.net import codec
 from repro.net.metrics import payload_field_elements
-from repro.net.trace import payload_tag
+from repro.net.metrics import payload_tag
 from repro.obs.bus import ROUND, RUN, SENT, EventBus
 from repro.obs.phases import classify_tag
 
@@ -266,11 +269,6 @@ class CausalRecorder:
         bus.subscribe(SENT, self.on_sent)
         bus.subscribe(ROUND, self.on_round)
         return self
-
-    def detach(self, bus: EventBus) -> None:
-        bus.unsubscribe(RUN, self.on_run)
-        bus.unsubscribe(SENT, self.on_sent)
-        bus.unsubscribe(ROUND, self.on_round)
 
     # -- run delimiting (same contract as FlightRecorder) --------------------
     def on_run(self, n: int) -> None:

@@ -31,6 +31,9 @@ exposure latencies move, and by how much — no re-execution needed.
 into the per-step op table: protocol spans in start order map onto run
 numbers 1..K (each runner wraps exactly one ``network.run``), and each
 player-step span's op delta lands on its ``(run, round, player)`` node.
+
+Off the coin path (docs/CENSUS.md, class ii); run by CI's `repro
+critpath --what-if ... --op-profile --assert-depth`.
 """
 
 from __future__ import annotations
@@ -184,12 +187,6 @@ class CriticalPathResult:
     @property
     def makespan(self) -> float:
         return max((run.makespan for run in self.runs), default=0.0)
-
-    def run_path(self, run: int) -> Optional[RunPath]:
-        for candidate in self.runs:
-            if candidate.run == run:
-                return candidate
-        return None
 
     def phase_attribution(self) -> Dict[str, float]:
         """Critical-path seconds per phase, aggregated over runs."""

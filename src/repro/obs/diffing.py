@@ -29,6 +29,9 @@ priced delta — the "clique-phase interpolations account for 78% of the
 slowdown" line.  When the two runs' manifests differ in a semantic
 field, the report says so up front: that diff is a configuration
 change, not a regression.
+
+Off the coin path (docs/CENSUS.md, class ii); run by CI's `repro diff
+... --expect-empty` (observability smoke).
 """
 
 from __future__ import annotations
@@ -211,9 +214,6 @@ class ProfileDiff:
     before: RunProfile
     after: RunProfile
     rows: List[DiffRow] = dataclass_field(default_factory=list)
-    #: False when exactly one side recorded op counts (a legacy artifact)
-    #: — op rows are then withheld rather than reported as huge fake deltas
-    ops_comparable: bool = True
 
     @property
     def manifest_changes(self) -> Dict[str, tuple]:
@@ -295,10 +295,6 @@ class ProfileDiff:
             )
             lines.append(f"configuration change (not a regression): "
                          f"{changed}")
-        if not self.ops_comparable:
-            lines.append("note: op counts recorded on one side only "
-                         "(legacy artifact) — comparing structural "
-                         "metrics, not field ops")
         if self.is_empty():
             lines.append("no deterministic deltas: the runs are "
                          "behaviourally identical")
@@ -328,32 +324,14 @@ class ProfileDiff:
         return "\n".join(lines)
 
 
-def _has_ops(profile: RunProfile) -> bool:
-    return any(
-        metrics.get(key, 0) for metrics in profile.phases.values()
-        for key in OP_KEYS
-    )
-
-
 def diff_profiles(before: RunProfile, after: RunProfile) -> ProfileDiff:
-    """Per-(phase, metric) delta table between two profiles.
-
-    When exactly one side carries op counts (a legacy artifact recorded
-    before op-enriched profiles existed), op rows are withheld and
-    :attr:`ProfileDiff.ops_comparable` is False — the alternative would
-    report every op as a giant fake delta.
-    """
-    ops_comparable = _has_ops(before) == _has_ops(after)
-    result = ProfileDiff(before=before, after=after,
-                         ops_comparable=ops_comparable)
-    metrics = METRICS if ops_comparable else tuple(
-        m for m in METRICS if m not in OP_KEYS
-    )
+    """Per-(phase, metric) delta table between two profiles."""
+    result = ProfileDiff(before=before, after=after)
     phases = sorted(set(before.phases) | set(after.phases))
     for phase in phases:
         a = before.phases.get(phase, {})
         b = after.phases.get(phase, {})
-        for metric in metrics:
+        for metric in METRICS:
             result.rows.append(DiffRow(
                 phase=phase, metric=metric,
                 before=a.get(metric, 0), after=b.get(metric, 0),

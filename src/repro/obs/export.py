@@ -21,6 +21,9 @@
   on a *logical-time* axis (one lane per player, 1 tick = 1 ms, stalls
   as instant events, pool depth as a counter track) and the line-delimited
   archival form of the same records.
+
+Off the coin path (docs/CENSUS.md, class ii); run by CI's `repro toss
+--export chrome` and `repro waits --export prom`.
 """
 
 from __future__ import annotations

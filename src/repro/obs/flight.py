@@ -41,10 +41,10 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.net import codec
-from repro.net.trace import payload_tag
+from repro.net.metrics import payload_tag
 from repro.obs.bus import FAULT, ROUND, RUN, EventBus
 
 #: current flight-log schema version; bumped on any incompatible change
@@ -239,12 +239,6 @@ class FlightLog:
                 seen.append(event.run)
         return seen
 
-    def events(self) -> Iterator:
-        """Rounds and faults interleaved in recorded (index) order."""
-        merged: List = list(self.rounds) + list(self.faults)
-        merged.sort(key=lambda event: event.index)
-        return iter(merged)
-
 
 def _run_marker_indices(rounds, faults, event_count) -> List[int]:
     """Reconstruct where run-boundary markers sat in the event stream.
@@ -294,11 +288,6 @@ class FlightRecorder:
         bus.subscribe(ROUND, self.on_round)
         bus.subscribe(FAULT, self.on_fault)
         return self
-
-    def detach(self, bus: EventBus) -> None:
-        bus.unsubscribe(RUN, self.on_run)
-        bus.unsubscribe(ROUND, self.on_round)
-        bus.unsubscribe(FAULT, self.on_fault)
 
     # -- topic handlers -----------------------------------------------------
     def on_run(self, n: int) -> None:

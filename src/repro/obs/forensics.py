@@ -44,6 +44,9 @@ Validated against every adversary program in
 :mod:`repro.net.adversary` plus :class:`~repro.net.faults.FaultPlane`
 scenarios: each corrupt player is flagged, no honest player ever is
 (see ``tests/test_forensics.py``).
+
+Off the coin path (docs/CENSUS.md, class ii); run by CI's `repro
+forensics` and `examples/forensics_demo.py`.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.net.trace import payload_tag
+from repro.net.metrics import payload_tag
 from repro.obs.flight import FlightLog
 from repro.obs.phases import (
     UNICAST_PHASES,

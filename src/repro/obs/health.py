@@ -70,12 +70,6 @@ class HealthMonitor:
         bus.subscribe(RETRY, self.on_retry)
         return self
 
-    def detach(self, bus: EventBus) -> None:
-        bus.unsubscribe(COIN, self.on_coin)
-        bus.unsubscribe(BATCH, self.on_batch)
-        bus.unsubscribe(FAILURE, self.on_failure)
-        bus.unsubscribe(RETRY, self.on_retry)
-
     # -- topic handlers -----------------------------------------------------
     def on_coin(self, coin_id: str, element) -> None:
         self.coins_emitted += 1

@@ -32,6 +32,9 @@ lockstep runtime.  Both restart per run; the ``RUN`` topic delimits.
 The conformance side lives in :func:`repro.obs.audit.audit_liveness`:
 fault-free random-order runs must show zero stalls and every guard
 firing at exactly its quorum count of distinct senders.
+
+Off the coin path (docs/CENSUS.md, class ii); run by CI's `repro waits`
+steps and `repro toss --watchdog`.
 """
 
 from __future__ import annotations
@@ -134,7 +137,6 @@ class QuorumLatencyRecorder:
         self.pool_peak = 0
         self.run_count = 0
         self._open: Dict[int, WaitRecord] = {}
-        self._bus: Optional[EventBus] = None
 
     # -- wiring --------------------------------------------------------------
     def attach(self, bus: EventBus) -> "QuorumLatencyRecorder":
@@ -143,17 +145,6 @@ class QuorumLatencyRecorder:
         bus.subscribe(GUARD_PROGRESS, self._on_progress)
         bus.subscribe(GUARD_FIRED, self._on_fired)
         bus.subscribe(POOL, self._on_pool)
-        self._bus = bus
-        return self
-
-    def detach(self) -> "QuorumLatencyRecorder":
-        if self._bus is not None:
-            self._bus.unsubscribe(RUN, self._on_run)
-            self._bus.unsubscribe(GUARD_ARMED, self._on_armed)
-            self._bus.unsubscribe(GUARD_PROGRESS, self._on_progress)
-            self._bus.unsubscribe(GUARD_FIRED, self._on_fired)
-            self._bus.unsubscribe(POOL, self._on_pool)
-            self._bus = None
         return self
 
     # -- topic handlers ------------------------------------------------------
@@ -360,7 +351,6 @@ class StallWatchdog:
         self.run_count = 0
         self._open: Dict[int, _Arm] = {}
         self._now = 0
-        self._bus: Optional[EventBus] = None
 
     # -- wiring --------------------------------------------------------------
     def attach(self, bus: EventBus) -> "StallWatchdog":
@@ -370,18 +360,6 @@ class StallWatchdog:
         bus.subscribe(GUARD_PROGRESS, self._on_progress)
         bus.subscribe(GUARD_FIRED, self._on_fired)
         bus.subscribe(POOL, self._on_pool)
-        self._bus = bus
-        return self
-
-    def detach(self) -> "StallWatchdog":
-        if self._bus is not None:
-            self._bus.unsubscribe(RUN, self._on_run)
-            self._bus.unsubscribe(FAULT, self._on_fault)
-            self._bus.unsubscribe(GUARD_ARMED, self._on_armed)
-            self._bus.unsubscribe(GUARD_PROGRESS, self._on_progress)
-            self._bus.unsubscribe(GUARD_FIRED, self._on_fired)
-            self._bus.unsubscribe(POOL, self._on_pool)
-            self._bus = None
         return self
 
     # -- topic handlers ------------------------------------------------------
@@ -446,19 +424,11 @@ class StallWatchdog:
             self.stalls.append(stall)
 
     # -- derived views -------------------------------------------------------
-    @property
-    def ok(self) -> bool:
-        return not self.stalls
-
     def crash_induced(self) -> List[Stall]:
         return [s for s in self.stalls if s.classification == "crash"]
 
     def unexplained(self) -> List[Stall]:
         return [s for s in self.stalls if s.classification == "unexplained"]
-
-    def unresolved(self) -> List[Stall]:
-        """Stalls whose guard never fired (hard liveness failures)."""
-        return [s for s in self.stalls if s.resolved_at is None]
 
     def table(self) -> str:
         """Human-readable fixed-width stall table for the CLI."""

@@ -30,6 +30,9 @@ Capture is cheap and dependency-free: the git sha comes from one
 ``git rev-parse`` (cached per process, ``None`` outside a checkout),
 numpy's version from an import probe, and everything else from values
 the caller already has.
+
+Off the coin path (docs/CENSUS.md, class ii); run by CI's `--flight-log`
+steps and the campaign-soak job.
 """
 
 from __future__ import annotations

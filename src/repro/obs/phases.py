@@ -1,7 +1,7 @@
 """Tag -> protocol-phase registry.
 
 Every message a protocol sends carries a string tag (see
-:func:`repro.net.trace.payload_tag`).  Protocol modules register which
+:func:`repro.net.metrics.payload_tag`).  Protocol modules register which
 phase of the Fig. 5 pipeline their tags belong to — ``deal`` (share
 distribution), ``clique`` (the combination-vector announcements that
 feed the consistency graph), ``gradecast``, ``ba`` (leader
@@ -17,7 +17,7 @@ Unknown tags classify as ``"other"``; a round with no messages is
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 #: canonical phase names, in pipeline order (used for stable reporting)
 PHASES = ("deal", "clique", "gradecast", "ba", "expose", "other", "idle")
@@ -124,8 +124,3 @@ def messages_by_phase(tag_counts: Dict[str, int]) -> Dict[str, int]:
         phase = classify_tag(tag)
         out[phase] = out.get(phase, 0) + count
     return out
-
-
-def known_phases(include_other: bool = False) -> Iterable[str]:
-    """The canonical protocol phases, in pipeline order."""
-    return PHASES[:5] if not include_other else PHASES

@@ -83,7 +83,7 @@ def run_phase_king(n, t, inputs: Dict[int, int], field=None, faulty=None,
     """Standalone runner for tests/benches; returns (decisions, metrics).
 
     Pass ``context=`` (a :class:`~repro.protocols.context.ProtocolContext`)
-    to run under its scheduler/fault plane/tracer.
+    to run under its scheduler/fault plane/recorder.
     """
     from repro.net.simulator import SynchronousNetwork
 

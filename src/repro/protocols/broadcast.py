@@ -19,6 +19,8 @@ reuses phase-king BA):
 Guarantees: an honest sender's value is delivered identically to all
 honest players (validity); for any sender, all honest players output the
 same value (agreement).
+
+Off the coin path (docs/CENSUS.md, class ii); run by claims row E17.
 """
 
 from __future__ import annotations

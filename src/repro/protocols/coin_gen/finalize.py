@@ -142,7 +142,7 @@ def run_coin_gen(
 
     Accepts either the legacy ``(field, n, t, ...)`` convention or a
     ready :class:`ProtocolContext` (as ``field`` or via ``context=``),
-    whose scheduler, fault plane, and tracer are wired through.  Returns
+    whose scheduler, fault plane, and recorder are wired through.  Returns
     per-player outputs and network metrics.  Faulty players are supplied
     as complete replacement programs, as None for crashed-from-the-start,
     or as a *factory* — a callable receiving the player's honest program

@@ -1,9 +1,9 @@
 """ProtocolContext: the execution context every protocol runs under.
 
-Protocols used to thread ``field, n, t, rng, metrics, tracer`` by hand
-through every runner and player factory.  A :class:`ProtocolContext`
-carries them (plus the runtime layers — scheduler and fault plane) as
-one object:
+Protocols used to thread ``field, n, t, rng, metrics`` by hand through
+every runner and player factory.  A :class:`ProtocolContext` carries
+them (plus the runtime layers — scheduler and fault plane) as one
+object:
 
 * **field, n, t** — the system parameters;
 * **rng** — the *single* seeded :class:`random.Random` a run's
@@ -14,8 +14,6 @@ one object:
 * **metrics** — the accumulating :class:`NetworkMetrics` for the
   context's lifetime (individual runs get fresh per-run metrics that
   are merged in);
-* **tracer** — an optional :class:`~repro.net.trace.Tracer` attached
-  through the runtime, so traces work identically under every scheduler;
 * **scheduler / faults** — the delivery policy and fault plane every
   network built from this context uses.
 
@@ -40,7 +38,6 @@ from repro.net.faults import FaultPlane
 from repro.net.metrics import NetworkMetrics
 from repro.net.scheduler import Scheduler
 from repro.net.simulator import SynchronousNetwork
-from repro.net.trace import Tracer
 from repro.obs.bus import EventBus
 from repro.obs.spans import NULL_RECORDER, NullRecorder
 
@@ -55,7 +52,6 @@ class ProtocolContext:
     seed: int = 0
     rng: random.Random = None  # type: ignore[assignment]  # derived from seed
     metrics: NetworkMetrics = None  # type: ignore[assignment]
-    tracer: Optional[Tracer] = None
     scheduler: Optional[Scheduler] = None
     faults: Optional[FaultPlane] = None
     enforce_codec: bool = False
@@ -129,7 +125,6 @@ class ProtocolContext:
             allow_broadcast=allow_broadcast,
             scheduler=self.scheduler,
             faults=self.faults,
-            tracer=self.tracer,
             recorder=self.recorder,
             bus=self.bus,
             enforce_codec=self.enforce_codec,
@@ -165,7 +160,6 @@ class ProtocolContext:
             metrics=metrics,
             scheduler=scheduler,
             faults=faults if faults is not None else self.faults,
-            tracer=self.tracer,
             recorder=self.recorder,
             bus=self.bus,
             enforce_codec=self.enforce_codec,

@@ -13,6 +13,8 @@ ids).  In round ``r`` it relays every depth-``r-1`` entry it holds; an
 entry ``tree[pi + (j,)]`` records "j said that tree_j[pi] was v".  After
 ``t+1`` rounds the tree is resolved bottom-up by majority (with a
 default), and all honest players provably resolve the root identically.
+
+Off the coin path (docs/CENSUS.md, class ii); run by claims row E17.
 """
 
 from __future__ import annotations

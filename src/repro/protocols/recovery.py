@@ -22,6 +22,9 @@ verified-dealing machinery as Coin-Gen):
    while learning nothing about ``f_h(0)``.
 
 Like refresh, recovery targets coins whose sender set is all n players.
+
+Off the coin path (docs/CENSUS.md, class ii); run by claims row E16 and
+`examples/proactive_maintenance.py`.
 """
 
 from __future__ import annotations

@@ -26,6 +26,9 @@ Scope: refresh targets coins whose qualified sender set is *all players*
 coin held by a 4t+1 clique, the intersection of old holders with a fresh
 clique can drop below the 2t+1 good senders reconstruction needs, so the
 protocol refuses such inputs rather than silently weakening them.
+
+Off the coin path (docs/CENSUS.md, class ii); run by claims row E16 and
+`examples/proactive_maintenance.py`.
 """
 
 from __future__ import annotations

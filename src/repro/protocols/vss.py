@@ -25,6 +25,9 @@ Two acceptance modes are provided:
 * ``robust=True`` — accept iff a degree-t polynomial matches at least
   ``n - t`` broadcast values (Berlekamp-Welch), the criterion Fig. 4
   adopts; an honest dealer is then always accepted.
+
+Off the coin path (docs/CENSUS.md, class ii); run by claims rows E1, E2
+and E5, and `examples/batch_vss_audit.py`.
 """
 
 from __future__ import annotations

@@ -5,7 +5,9 @@ import random
 import pytest
 from hypothesis import HealthCheck, settings
 
-from repro.fields import GF2k, GFp, build_special_field
+from repro.fields import GF2k
+from repro.fields.extension import build_special_field
+from repro.fields.gfp import GFp
 
 # Keep property-based tests fast and deterministic across the suite.
 settings.register_profile(

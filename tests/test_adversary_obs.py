@@ -1,4 +1,4 @@
-"""Tracer and SpanRecorder tallies under adversary programs.
+"""ROUND-stream and SpanRecorder tallies under adversary programs.
 
 Expectations here are hand-computed from the protocol's round shape at
 n=7, t=1, M=1: an all-to-all round carries n^2 = 49 deliveries (every
@@ -16,10 +16,11 @@ import pytest
 
 from repro.fields import GF2k
 from repro.net.adversary import crash_program, equivocator_program
-from repro.net.trace import Tracer
+from repro.obs.bus import EventBus
 from repro.obs.spans import SpanRecorder
 from repro.protocols.coin_gen import run_coin_gen
 from repro.protocols.context import ProtocolContext
+from tests.test_trace import round_tallies
 
 N, T, SEED = 7, 1, 3
 FULL_ROUND = N * N          # all-to-all: 49
@@ -28,11 +29,21 @@ CRASH_ROUND = 3
 CORRUPT = 4
 
 
+def total(tally):
+    return sum(tally.values())
+
+
+def senders(tally):
+    return sorted({src for src, _tag in tally})
+
+
 def traced_coin_gen(faulty_programs=None, seed=SEED):
-    tracer = Tracer()
+    """(per-round {(src, tag): deliveries} tallies, recorder, outputs)."""
+    bus = EventBus()
+    tracer = round_tallies(bus)
     recorder = SpanRecorder()
     ctx = ProtocolContext.create(GF2k(16), n=N, t=T, seed=seed,
-                                 tracer=tracer, recorder=recorder)
+                                 bus=bus, recorder=recorder)
     outputs, _ = run_coin_gen(GF2k(16), context=ctx, M=1, tag="cg",
                               faulty_programs=faulty_programs)
     return tracer, recorder, outputs
@@ -65,25 +76,25 @@ def equivocated():
 class TestHonestBaseline:
     def test_deal_round_is_n_squared_shares(self, honest):
         tracer, _, _ = honest
-        first = tracer.rounds[0]
-        assert first.total_messages == FULL_ROUND
-        assert first.tags() == ["cg/sh"]
-        assert first.senders() == list(range(1, N + 1))
-        assert all(count == N for count in first.messages.values())
+        first = tracer[0]
+        assert total(first) == FULL_ROUND
+        assert {tag for _src, tag in first} == {"cg/sh"}
+        assert senders(first) == list(range(1, N + 1))
+        assert all(count == N for count in first.values())
 
     def test_round_totals_match_protocol_shape(self, honest):
         # every round is all-to-all, a king round, or a final no-send
         tracer, _, _ = honest
-        assert {r.total_messages for r in tracer.rounds} <= {
+        assert {total(r) for r in tracer} <= {
             FULL_ROUND, KING_ROUND, 0,
         }
 
     def test_king_rounds_have_one_sender(self, honest):
         tracer, _, _ = honest
-        kings = [r for r in tracer.rounds if r.total_messages == KING_ROUND]
+        kings = [r for r in tracer if total(r) == KING_ROUND]
         assert kings, "BA phase includes king rounds"
         for r in kings:
-            assert len(r.senders()) == 1
+            assert len(senders(r)) == 1
 
 
 class TestCrashTallies:
@@ -91,21 +102,20 @@ class TestCrashTallies:
         honest_tracer = honest[0]
         crash_tracer = crashed[0]
         for index in range(CRASH_ROUND - 1):
-            assert (crash_tracer.rounds[index].messages
-                    == honest_tracer.rounds[index].messages)
+            assert crash_tracer[index] == honest_tracer[index]
 
     def test_no_messages_from_crashed_player_after_crash(self, crashed):
         tracer, _, _ = crashed
-        for r in tracer.rounds[CRASH_ROUND - 1:]:
-            assert CORRUPT not in r.senders()
+        for r in tracer[CRASH_ROUND - 1:]:
+            assert CORRUPT not in senders(r)
 
     def test_crashed_player_total_is_two_full_rounds(self, crashed):
         # sends n deals in round 1, n expose shares in round 2, nothing after
         tracer, _, _ = crashed
         from_corrupt = sum(
             count
-            for r in tracer.rounds
-            for (src, _tag), count in r.messages.items()
+            for r in tracer
+            for (src, _tag), count in r.items()
             if src == CORRUPT
         )
         assert from_corrupt == (CRASH_ROUND - 1) * N
@@ -113,33 +123,32 @@ class TestCrashTallies:
     def test_crash_round_loses_exactly_n_messages(self, crashed):
         # round 3 is all-to-all for the n-1 live players: (n-1) * n
         tracer, _, _ = crashed
-        crash_round = tracer.rounds[CRASH_ROUND - 1]
-        assert crash_round.total_messages == (N - 1) * N
-        assert len(crash_round.senders()) == N - 1
+        crash_round = tracer[CRASH_ROUND - 1]
+        assert total(crash_round) == (N - 1) * N
+        assert len(senders(crash_round)) == N - 1
 
 
 class TestEquivocatorTallies:
     def test_deal_round_untouched(self, honest, equivocated):
         # round-1 deals are per-receiver unicasts, which the equivocator
         # passes through: the tally is byte-for-byte the honest one
-        assert (equivocated[0].rounds[0].messages
-                == honest[0].rounds[0].messages)
+        assert equivocated[0][0] == honest[0][0]
 
     def test_twisted_multicasts_preserve_tag_tallies(self, honest,
                                                      equivocated):
         # round 2: the corrupt player's expose multicast became n
         # per-receiver sends with the same tag — (src, tag) counts are
         # indistinguishable from honest even though bodies differ
-        honest_r2 = honest[0].rounds[1]
-        equivocated_r2 = equivocated[0].rounds[1]
-        assert equivocated_r2.messages == honest_r2.messages
-        assert equivocated_r2.messages[(CORRUPT, "expose/cg-seed0")] == N
+        honest_r2 = honest[0][1]
+        equivocated_r2 = equivocated[0][1]
+        assert equivocated_r2 == honest_r2
+        assert equivocated_r2[(CORRUPT, "expose/cg-seed0")] == N
 
     def test_equivocator_never_goes_silent(self, equivocated):
         tracer, _, _ = equivocated
-        for r in tracer.rounds:
-            if r.total_messages == FULL_ROUND:
-                assert CORRUPT in r.senders()
+        for r in tracer:
+            if total(r) == FULL_ROUND:
+                assert CORRUPT in senders(r)
 
     def test_honest_players_still_succeed(self, equivocated):
         _, _, outputs = equivocated
@@ -152,16 +161,15 @@ class TestSpanTallies:
     def test_round_span_messages_match_tracer(self, scenario, request):
         tracer, recorder, _ = request.getfixturevalue(scenario)
         round_spans = sorted(recorder.by_kind("round"), key=lambda s: s.t0)
-        assert len(round_spans) == len(tracer.rounds)
-        for span, trace in zip(round_spans, tracer.rounds):
-            assert span.attrs.get("messages") == trace.total_messages
+        assert len(round_spans) == len(tracer)
+        for span, tally in zip(round_spans, tracer):
+            assert span.attrs.get("messages") == total(tally)
 
     @pytest.mark.parametrize("scenario", ["honest", "crashed", "equivocated"])
     def test_phase_spans_partition_the_message_total(self, scenario, request):
         tracer, recorder, _ = request.getfixturevalue(scenario)
-        total = sum(r.total_messages for r in tracer.rounds)
         assert sum(s.attrs["messages"] for s in recorder.phase_spans()) \
-            == total
+            == sum(total(r) for r in tracer)
 
     def test_crash_shrinks_the_span_totals(self, honest, crashed):
         honest_total = sum(

@@ -32,7 +32,7 @@ from repro.fields import GF2k
 from repro.fields.backends import numpy_available
 from repro.net import AsyncRuntime, FaultPlane, RandomOrderScheduler, guarded
 from repro.net import async_runtime, guards, runtime
-from repro.net.trace import payload_tag
+from repro.net.metrics import payload_tag
 from repro.net.transport import multicast
 from repro.obs.bus import ALL_TOPICS, EventBus
 from repro.obs.flight import FlightRecorder

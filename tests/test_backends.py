@@ -23,7 +23,8 @@ import textwrap
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.fields import GF2k, GFp
+from repro.fields import GF2k
+from repro.fields.gfp import GFp
 from repro.fields.backends import (
     BACKEND_ENV_VAR,
     available_backends,

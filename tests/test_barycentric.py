@@ -11,7 +11,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.fields import GF2k, GFp, build_special_field
+from repro.fields import GF2k
+from repro.fields.extension import build_special_field
+from repro.fields.gfp import GFp
 from repro.fields.backends import numpy_available
 from repro.poly import (
     InterpolationCache,

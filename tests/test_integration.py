@@ -4,7 +4,9 @@ import random
 
 import pytest
 
-from repro.fields import GF2k, GFp, build_special_field
+from repro.fields import GF2k
+from repro.fields.extension import build_special_field
+from repro.fields.gfp import GFp
 from repro.analysis import stats
 from repro.apps import CommonCoinBA
 from repro.core import BootstrapCoinSource
@@ -98,3 +100,27 @@ class TestApplicationLoop:
             decided = set(outcome.decisions.values()).pop()
             if len(set(inputs[pid] for pid in outcome.decisions)) == 1:
                 assert decided == inputs[next(iter(outcome.decisions))]
+
+
+class TestDeterminism:
+    """Reproducibility guarantee: equal seeds, equal everything."""
+
+    def test_bootstrap_streams_identical(self):
+        from repro.core import BootstrapCoinSource
+        from repro.fields import GF2k
+
+        a = BootstrapCoinSource(GF2k(32), 7, 1, batch_size=8, seed=99)
+        b = BootstrapCoinSource(GF2k(32), 7, 1, batch_size=8, seed=99)
+        assert a.tosses(96) == b.tosses(96)
+
+    def test_coin_gen_outputs_identical(self):
+        from repro.fields import GF2k
+        from repro.protocols.coin_gen import run_coin_gen
+
+        out1, m1 = run_coin_gen(GF2k(32), 7, 1, M=3, seed=123)
+        out2, m2 = run_coin_gen(GF2k(32), 7, 1, M=3, seed=123)
+        assert out1[1].clique == out2[1].clique
+        assert [c.my_value for c in out1[4].coins] == [
+            c.my_value for c in out2[4].coins
+        ]
+        assert m1.bits == m2.bits

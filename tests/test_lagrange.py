@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.fields import GF2k, GFp
+from repro.fields import GF2k
+from repro.fields.gfp import GFp
 from repro.poly import Polynomial, check_degree, interpolate, interpolate_at
 from repro.poly.lagrange import lagrange_coefficients_at_zero
 

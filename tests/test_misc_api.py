@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.fields import GF2k, GFp
+from repro.fields import GF2k
+from repro.fields.gfp import GFp
 from repro.fields.base import OpCounter
 from repro.poly import Polynomial
 from repro.protocols.coin_expose import CoinShare

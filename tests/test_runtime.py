@@ -20,16 +20,15 @@ from repro.net import (
     ProtocolViolation,
     Send,
     SynchronousNetwork,
-    Tracer,
     broadcast,
     make_transport,
     multicast,
     unicast,
 )
-from repro.net.metrics import NetworkMetrics
-from repro.net.trace import payload_tag
+from repro.net.metrics import NetworkMetrics, payload_tag
 from repro.protocols.context import ProtocolContext, as_context
 from repro.fields import GF2k
+from tests.test_trace import round_tallies
 
 
 def echo_program(n, me, rounds=1):
@@ -224,7 +223,7 @@ class TestRuntimeFaults:
 
 
 # ---------------------------------------------------------------------------
-# tracer through the runtime + payload tagging
+# ROUND-stream tallies through the runtime bus + payload tagging
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -235,27 +234,25 @@ class DemoPayload:
 class TestTracer:
     def test_tracer_attaches_via_runtime(self):
         n = 3
-        tracer = Tracer()
-        net = SynchronousNetwork(n, tracer=tracer)
+        net = SynchronousNetwork(n)
+        tracer = round_tallies(net.bus)
         net.run({pid: echo_program(n, pid, rounds=2) for pid in range(1, n + 1)})
-        assert len(tracer.rounds) == net.metrics.rounds
+        assert len(tracer) == net.metrics.rounds
         # every sending round is recorded (the final round is the empty
         # StopIteration step)
-        assert all(r.total_messages > 0 for r in tracer.rounds[:-1])
-        assert tracer.rounds[0].tags() == ["ping"]
+        assert all(tracer[:-1])
+        assert {tag for _src, tag in tracer[0]} == {"ping"}
 
     def test_tracer_identical_under_schedulers(self):
         n = 3
-        t_lock, t_perm = Tracer(), Tracer()
-        SynchronousNetwork(n, tracer=t_lock).run(
-            {pid: echo_program(n, pid) for pid in range(1, n + 1)}
+        lockstep = SynchronousNetwork(n)
+        permuted = SynchronousNetwork(
+            n, scheduler=PermutedDeliveryScheduler(seed=3)
         )
-        SynchronousNetwork(
-            n, tracer=t_perm, scheduler=PermutedDeliveryScheduler(seed=3)
-        ).run({pid: echo_program(n, pid) for pid in range(1, n + 1)})
-        assert [r.messages for r in t_lock.rounds] == [
-            r.messages for r in t_perm.rounds
-        ]
+        t_lock, t_perm = round_tallies(lockstep.bus), round_tallies(permuted.bus)
+        lockstep.run({pid: echo_program(n, pid) for pid in range(1, n + 1)})
+        permuted.run({pid: echo_program(n, pid) for pid in range(1, n + 1)})
+        assert t_lock == t_perm
 
     def test_payload_tag_tuple(self):
         assert payload_tag(("vss/share", 1, 2)) == "vss/share"

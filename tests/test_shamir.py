@@ -5,7 +5,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.fields import GF2k, GFp
+from repro.fields import GF2k
+from repro.fields.gfp import GFp
 from repro.poly import DecodingError, Polynomial, interpolate
 from repro.sharing import ShamirScheme, Share
 

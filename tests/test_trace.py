@@ -1,25 +1,45 @@
-"""Protocol tracing and wire-codec enforcement in the simulator."""
+"""The ROUND stream as a protocol trace, and wire-codec enforcement."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from repro.fields import GF2k
-from repro.net.simulator import ProtocolViolation, SynchronousNetwork, multicast
-from repro.net.trace import Tracer, payload_tag
+from repro.net.metrics import payload_tag
+from repro.net.simulator import SynchronousNetwork, multicast
+from repro.obs.bus import ROUND
 from repro.protocols.coin_gen import coin_gen_program, make_seed_coins
 
 F = GF2k(32)
 N, T = 7, 1
 
 
+def round_tallies(bus):
+    """Subscribe to ``bus``'s ROUND topic; returns the list it fills with
+    one ``Counter({(src, tag): deliveries})`` per settled round."""
+    rounds = []
+    bus.subscribe(ROUND, lambda _number, deliveries: rounds.append(Counter(
+        (src, payload_tag(payload)) for _dst, src, payload in deliveries
+    )))
+    return rounds
+
+
+def by_tag(rounds):
+    """Total deliveries per tag over every round."""
+    totals = Counter()
+    for tally in rounds:
+        for (_src, tag), count in tally.items():
+            totals[tag] += count
+    return totals
+
+
 def run_coin_gen_traced(enforce_codec=False):
-    tracer = Tracer()
     seeds = make_seed_coins(F, N, T, 4, random.Random(0))
     net = SynchronousNetwork(
-        N, field=F, allow_broadcast=False, observer=tracer.observe,
-        enforce_codec=enforce_codec,
+        N, field=F, allow_broadcast=False, enforce_codec=enforce_codec,
     )
+    tracer = round_tallies(net.bus)
     programs = {
         pid: coin_gen_program(F, N, T, pid, 2, seeds[pid], random.Random(pid))
         for pid in range(1, N + 1)
@@ -32,11 +52,11 @@ class TestTracer:
     def test_rounds_recorded(self):
         outputs, tracer, net = run_coin_gen_traced()
         assert all(o.success for o in outputs.values())
-        assert len(tracer.rounds) == net.metrics.rounds
+        assert len(tracer) == net.metrics.rounds
 
     def test_phase_structure_visible(self):
         _, tracer, _ = run_coin_gen_traced()
-        tags = tracer.messages_by_tag()
+        tags = by_tag(tracer)
         # the Coin-Gen phases all appear in the trace
         assert "cg/sh" in tags
         assert "cg/nu" in tags
@@ -47,15 +67,9 @@ class TestTracer:
     def test_dealing_round_message_count(self):
         """Round 1 carries exactly n^2 share messages (Theorem 2)."""
         _, tracer, _ = run_coin_gen_traced()
-        first = tracer.rounds[0]
-        assert first.messages[(1, "cg/sh")] == N
-        assert first.total_messages == N * N
-
-    def test_timeline_renders(self):
-        _, tracer, _ = run_coin_gen_traced()
-        text = tracer.timeline()
-        assert "round | msgs | phases" in text
-        assert "cg/sh" in text
+        first = tracer[0]
+        assert first[(1, "cg/sh")] == N
+        assert sum(first.values()) == N * N
 
     def test_payload_tag(self):
         assert payload_tag(("x/y", 1)) == "x/y"
@@ -64,7 +78,7 @@ class TestTracer:
 
 
 class TestTracerUnderFaults:
-    """The trace must reflect what the FaultPlane actually delivered."""
+    """The ROUND stream must reflect what the FaultPlane actually delivered."""
 
     @staticmethod
     def _ping(pid, n):
@@ -75,10 +89,10 @@ class TestTracerUnderFaults:
 
     def _run(self, plane):
         n = 3
-        tracer = Tracer()
         net = SynchronousNetwork(
-            n, field=F, allow_broadcast=False, faults=plane, tracer=tracer
+            n, field=F, allow_broadcast=False, faults=plane
         )
+        tracer = round_tallies(net.bus)
         net.run({pid: self._ping(pid, n) for pid in range(1, n + 1)})
         return tracer, net
 
@@ -86,21 +100,21 @@ class TestTracerUnderFaults:
         from repro.net.faults import FaultPlane
 
         tracer, _ = self._run(FaultPlane().drop(src=3))
-        first = tracer.rounds[0]
+        first = tracer[0]
         # players 1 and 2 each reach all 3; player 3's sends vanish
-        assert first.messages.get((1, "ping")) == 3
-        assert first.messages.get((2, "ping")) == 3
-        assert (3, "ping") not in first.messages
-        assert tracer.messages_by_tag()["ping"] == 6
+        assert first.get((1, "ping")) == 3
+        assert first.get((2, "ping")) == 3
+        assert (3, "ping") not in first
+        assert by_tag(tracer)["ping"] == 6
 
     def test_duplicated_messages_doubled_in_trace(self):
         from repro.net.faults import FaultPlane
 
         tracer, _ = self._run(FaultPlane().duplicate(src=2, dst=1))
-        first = tracer.rounds[0]
+        first = tracer[0]
         # the 2 -> 1 edge delivers twice; 2's other two sends once each
-        assert first.messages.get((2, "ping")) == 4
-        assert tracer.messages_by_tag()["ping"] == 10
+        assert first.get((2, "ping")) == 4
+        assert by_tag(tracer)["ping"] == 10
 
     def test_fault_events_published_to_recorder(self):
         from repro.net.faults import FaultPlane
@@ -122,8 +136,8 @@ class TestTracerUnderFaults:
         from repro.net.faults import FaultPlane
 
         tracer, net = self._run(FaultPlane().drop(src=3))
-        assert len(tracer.rounds) == net.metrics.rounds
-        assert "ping" in tracer.timeline()
+        assert len(tracer) == net.metrics.rounds
+        assert "ping" in by_tag(tracer)
 
 
 class TestCodecEnforcement:
