@@ -40,7 +40,7 @@ def main() -> int:
 
     adversary_rng = random.Random(seed + 100)
     outputs, _ = run_coin_gen(
-        field, context=ctx, M=M, tag="demo",
+        ctx, M=M, tag="demo",
         faulty_programs={
             corrupt: lambda honest: equivocator_program(
                 n, adversary_rng, honest

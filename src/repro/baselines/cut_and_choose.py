@@ -25,12 +25,13 @@ from typing import Dict, Generator, Optional, Tuple
 
 from repro.fields.base import Element, Field
 from repro.net.metrics import NetworkMetrics
-from repro.net.simulator import SynchronousNetwork, broadcast, unicast
+from repro.net.simulator import broadcast, unicast
 from repro.poly.lagrange import interpolate
 from repro.poly.polynomial import Polynomial
 from repro.sharing.shamir import ShamirScheme
 from repro.protocols.coin_expose import CoinShare, coin_expose, make_dealer_coin
 from repro.protocols.common import filter_tag, valid_element, valid_element_tuple
+from repro.protocols.context import ProtocolContext
 
 
 @dataclass(frozen=True)
@@ -155,20 +156,9 @@ def run_cut_and_choose_vss(
     }
     _, coin_shares = make_dealer_coin(field, n, t, "ccvss-challenge", rng)
 
-    network = SynchronousNetwork(n, field=field)
-    programs = {
-        pid: cut_and_choose_program(
-            field,
-            n,
-            t,
-            pid,
-            1,
-            alphas[pid],
-            coin_shares[pid],
-            challenges,
+    return ProtocolContext(field, n, t).run(
+        lambda pid: cut_and_choose_program(
+            field, n, t, pid, 1, alphas[pid], coin_shares[pid], challenges,
             companion_table=companion_table if pid == 1 else None,
         )
-        for pid in range(1, n + 1)
-    }
-    outputs = network.run(programs)
-    return outputs, network.metrics
+    )

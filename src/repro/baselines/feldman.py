@@ -29,8 +29,9 @@ from typing import Dict, Generator, Optional, Tuple
 from repro.fields.gfp import GFp
 from repro.fields.irreducible import is_prime
 from repro.net.metrics import NetworkMetrics
-from repro.net.simulator import SynchronousNetwork, broadcast
+from repro.net.simulator import broadcast
 from repro.protocols.common import filter_tag
+from repro.protocols.context import ProtocolContext
 
 
 @dataclass(frozen=True)
@@ -145,19 +146,9 @@ def run_feldman_vss(
     if cheat_shares:
         shares.update(cheat_shares)
 
-    network = SynchronousNetwork(n, field=group_field)
-    programs = {
-        pid: feldman_program(
-            group,
-            group_field,
-            n,
-            t,
-            pid,
-            1,
-            shares[pid],
+    return ProtocolContext(group_field, n, t).run(
+        lambda pid: feldman_program(
+            group, group_field, n, t, pid, 1, shares[pid],
             coefficients=coefficients if pid == 1 else None,
         )
-        for pid in range(1, n + 1)
-    }
-    outputs = network.run(programs)
-    return outputs, network.metrics
+    )

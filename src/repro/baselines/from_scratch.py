@@ -27,10 +27,11 @@ from typing import Dict, Generator, Optional, Tuple
 
 from repro.fields.base import Element, Field
 from repro.net.metrics import NetworkMetrics
-from repro.net.simulator import SynchronousNetwork, multicast, unicast
+from repro.net.simulator import multicast, unicast
 from repro.sharing.shamir import ShamirScheme
 from repro.poly.berlekamp_welch import DecodingError, berlekamp_welch
 from repro.protocols.common import filter_tag, valid_element, valid_element_tuple
+from repro.protocols.context import ProtocolContext
 
 
 def from_scratch_program(
@@ -98,17 +99,9 @@ def run_from_scratch_coin(
     faulty_programs: Optional[Dict[int, Generator]] = None,
 ) -> Tuple[Dict[int, Optional[Element]], NetworkMetrics]:
     """Generate and immediately expose one from-scratch coin."""
-    network = SynchronousNetwork(n, field=field, allow_broadcast=False)
-    programs = {}
-    faulty_programs = faulty_programs or {}
-    for pid in range(1, n + 1):
-        if pid in faulty_programs:
-            if faulty_programs[pid] is not None:
-                programs[pid] = faulty_programs[pid]
-            continue
-        programs[pid] = from_scratch_program(
+    return ProtocolContext(field, n, t).run(
+        lambda pid: from_scratch_program(
             field, n, t, pid, random.Random(seed * 65_537 + pid)
-        )
-    honest = [pid for pid in programs if pid not in faulty_programs]
-    outputs = network.run(programs, wait_for=honest)
-    return outputs, network.metrics
+        ),
+        faulty=faulty_programs, allow_broadcast=False,
+    )

@@ -76,7 +76,7 @@ def _run_lockstep(scenario: Scenario, artifacts: CellArtifacts) -> None:
     flight = _attach_flight(scenario, ctx)
     artifacts.recorder = ctx.recorder
     outputs, _ = run_coin_gen(
-        ctx.field, context=ctx, M=scenario.M, tag="cg",
+        ctx, M=scenario.M, tag="cg",
         faulty_programs=coin_gen_programs(
             scenario.adversary, scenario.corrupt, scenario.n, scenario.seed
         ),
@@ -84,7 +84,7 @@ def _run_lockstep(scenario: Scenario, artifacts: CellArtifacts) -> None:
     artifacts.coin_gen_outputs = outputs
     for h in range(scenario.M):
         results, _ = expose_coin(
-            ctx.field, context=ctx, outputs=outputs, h=h,
+            ctx, outputs=outputs, h=h,
             faulty_programs=expose_programs(
                 scenario.adversary, scenario.corrupt, artifacts.field,
                 scenario.n, outputs, h, scenario.seed,

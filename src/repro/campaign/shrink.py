@@ -131,14 +131,22 @@ def write_artifact(path: str, result: ShrinkResult) -> Dict:
 
 
 def load_artifact(path: str) -> Dict:
+    """Read an artifact; anything malformed in it is a ``ValueError``."""
+    from repro.obs.flight import FlightLog
+
     with open(path) as handle:
         data = json.load(handle)
-    schema = data.get("artifact_schema")
+    schema = data.get("artifact_schema") if isinstance(data, dict) else None
     if schema != ARTIFACT_SCHEMA:
         raise ValueError(
             f"{path}: unsupported artifact schema {schema!r} "
             f"(expected {ARTIFACT_SCHEMA})"
         )
+    if data.get("flight_log"):
+        try:
+            FlightLog.loads(data["flight_log"])
+        except ValueError as error:
+            raise ValueError(f"{path}: embedded flight log: {error}") from None
     return data
 
 

@@ -184,22 +184,21 @@ def _run_manifest(args: argparse.Namespace, ctx: ProtocolContext,
     )
 
 
-def _make_context(args: argparse.Namespace) -> ProtocolContext:
+def _make_context(args: argparse.Namespace,
+                  record: bool = False) -> ProtocolContext:
     """The ProtocolContext the chosen CLI flags describe.
 
     Attaches a live :class:`SpanRecorder` when the command was invoked
-    with ``--export`` (observability stays zero-cost otherwise).
+    with ``--export`` (observability stays zero-cost otherwise), or
+    when the command's own report is read off the spans (``record``).
     """
     scheduler = None
     if args.scheduler == "permuted":
         scheduler = PermutedDeliveryScheduler(seed=args.sched_seed)
     elif args.scheduler == "random":
         scheduler = RandomOrderScheduler(seed=args.sched_seed)
-    recorder = (
-        SpanRecorder() if getattr(args, "export", None) is not None
-        else None
-    )
-    kwargs = {"recorder": recorder} if recorder is not None else {}
+    record = record or getattr(args, "export", None) is not None
+    kwargs = {"recorder": SpanRecorder()} if record else {}
     field = GF2k(args.k, backend=getattr(args, "backend", "auto"))
     return ProtocolContext.create(
         field, args.n, args.t, seed=args.seed, scheduler=scheduler,
@@ -225,6 +224,11 @@ def _write_export(args: argparse.Namespace, ctx: ProtocolContext,
     else:
         content = to_prometheus(metrics=ctx.metrics, recorder=recorder,
                                 health=health)
+    _save_export(args, content)
+
+
+def _save_export(args: argparse.Namespace, content: str) -> None:
+    """``content`` to ``--export-out`` (default ``<command>.<ext>``)."""
     out = args.export_out or (
         f"{args.command}.{_EXPORT_EXTENSIONS[args.export]}"
     )
@@ -294,12 +298,24 @@ def _run_async_coins(args: argparse.Namespace, ctx, count: int):
     return values, runtimes, breaks
 
 
-def _cmd_toss_async(args: argparse.Namespace) -> int:
+def _print_coins(args: argparse.Namespace, field, coins) -> None:
+    """``coins`` as hex field elements (``--elements``) or rows of bits."""
+    if args.elements:
+        width = (args.k + 3) // 4
+        lines = [f"0x{field.to_int(v):0{width}x}" for v in coins]
+    else:
+        lines = [
+            "".join(map(str, coins[start : start + 64]))
+            for start in range(0, len(coins), 64)
+        ]
+    for line in lines:
+        print(line)
+
+
+def _cmd_toss_async(args: argparse.Namespace, ctx, flight) -> int:
     """``toss --runtime async``: one event-driven exposure per coin."""
     from repro.protocols.async_coin import async_coin_bit
 
-    ctx = _make_context(args)
-    flight = _attach_flight_recorder(args, ctx)
     watchdog = None
     if getattr(args, "watchdog", None) is not None:
         from repro.obs import StallWatchdog
@@ -315,17 +331,11 @@ def _cmd_toss_async(args: argparse.Namespace) -> int:
               f"distinct values {distinct}", file=sys.stderr)
     if breaks:
         return 1
-    if args.elements:
-        width = (args.k + 3) // 4
-        lines = [f"0x{ctx.field.to_int(v):0{width}x}" for v in values]
-    else:
-        bits = [async_coin_bit(v, ctx.field) for v in values]
-        lines = [
-            "".join(map(str, bits[start : start + 64]))
-            for start in range(0, len(bits), 64)
-        ]
-    for line in lines:
-        print(line)
+    _print_coins(
+        args, ctx.field,
+        values if args.elements
+        else [async_coin_bit(v, ctx.field) for v in values],
+    )
     if args.stats:
         crashed = _crashed_players(args)
         deliveries = sum(r.delivery_count for r in runtimes)
@@ -341,37 +351,32 @@ def _cmd_toss_async(args: argparse.Namespace) -> int:
     _write_export(args, ctx)
     _write_flight_log(args, flight)
     if watchdog is not None and watchdog.stalls:
-        print(f"STALL: {len(watchdog.stalls)} guard(s) waited past "
-              f"{watchdog.threshold} logical ticks "
-              f"({len(watchdog.crash_induced())} crash-induced, "
-              f"{len(watchdog.unexplained())} unexplained)", file=sys.stderr)
+        print(_stall_summary(watchdog), file=sys.stderr)
         print(watchdog.table(), file=sys.stderr)
         return 1
     return 0
 
 
+def _stall_summary(watchdog) -> str:
+    return (f"STALL: {len(watchdog.stalls)} guard(s) waited past "
+            f"{watchdog.threshold} logical ticks "
+            f"({len(watchdog.crash_induced())} crash-induced, "
+            f"{len(watchdog.unexplained())} unexplained)")
+
+
 def _cmd_toss(args: argparse.Namespace) -> int:
-    if args.runtime == "async":
-        return _cmd_toss_async(args)
     ctx = _make_context(args)
     flight = _attach_flight_recorder(args, ctx)
+    if args.runtime == "async":
+        return _cmd_toss_async(args, ctx, flight)
     root = ctx.recorder.begin("toss", "root")
     source = BootstrapCoinSource(context=ctx, batch_size=args.batch)
-    if args.elements:
-        width = (args.k + 3) // 4
-        lines = [
-            f"0x{source.system.field.to_int(source.toss_element()):0{width}x}"
-            for _ in range(args.count)
-        ]
-    else:
-        bits = source.tosses(args.count)
-        lines = [
-            "".join(map(str, bits[start : start + 64]))
-            for start in range(0, len(bits), 64)
-        ]
+    coins = (
+        [source.toss_element() for _ in range(args.count)] if args.elements
+        else source.tosses(args.count)
+    )
     ctx.recorder.end(root)
-    for line in lines:
-        print(line)
+    _print_coins(args, ctx.field, coins)
     if args.stats:
         print()
         for key, value in source.amortized_cost_summary().items():
@@ -449,11 +454,9 @@ def _run_instrumented_coin_gen(args: argparse.Namespace, causal: bool = False):
     """
     from repro.protocols.coin_gen import run_coin_gen, expose_coin
 
-    ctx = _make_context(args)
-    if not ctx.recorder.enabled:
-        # trace/metrics are pointless without a recorder: attach one even
-        # when no --export was requested (the terminal report needs it)
-        ctx.recorder = SpanRecorder()
+    # trace/metrics are pointless without a recorder: attach one even
+    # when no --export was requested (the terminal report needs it)
+    ctx = _make_context(args, record=True)
     causal_recorder = None
     if causal:
         from repro.obs.causality import CausalRecorder
@@ -478,9 +481,7 @@ def _cmd_trace_async(args: argparse.Namespace) -> int:
     from repro.obs.causality import CausalRecorder, graph_from_log
     from repro.obs.flight import FlightRecorder
 
-    ctx = _make_context(args)
-    if not ctx.recorder.enabled:
-        ctx.recorder = SpanRecorder()
+    ctx = _make_context(args, record=True)
     causal = CausalRecorder(n=ctx.n).attach(ctx.ensure_bus())
     # always keep an in-memory flight recorder: live-vs-offline causal
     # equality is part of the audit even without --flight-log
@@ -516,10 +517,13 @@ def _cmd_trace_async(args: argparse.Namespace) -> int:
 
     if args.flight_log is not None:
         _write_flight_log(args, flight)
+    return _finish_trace(args, ctx, unanimous and graphs_equal)
+
+
+def _finish_trace(args: argparse.Namespace, ctx, ok: bool) -> int:
+    """Write the span export; ``--audit`` gates the exit code on ``ok``."""
     _write_export(args, ctx)
-    if args.audit and not (unanimous and graphs_equal):
-        return 1
-    return 0
+    return 1 if args.audit and not ok else 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -566,10 +570,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                   f"measured {check.measured:>3} ({check.deviation:+d})  "
                   f"{status}")
 
-    _write_export(args, ctx)
-    if args.audit and not all_ok:
-        return 1
-    return 0
+    return _finish_trace(args, ctx, all_ok)
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
@@ -703,6 +704,64 @@ def _parse_op_costs(text: Optional[str]) -> dict:
     return out
 
 
+def _priced_critical_path(args: argparse.Namespace, ctx, graph):
+    """The critical path of ``graph`` under the cost flags.
+
+    Returns ``(model, step_ops, run_labels, result)``; per-step op
+    deltas come from the context's recorded player spans.
+    """
+    from repro.obs.critical_path import (
+        CostModel, critical_path, ops_from_recorder,
+    )
+
+    step_ops, run_labels = ops_from_recorder(ctx.recorder)
+    model = CostModel(
+        base_latency=args.base_latency,
+        per_element_latency=args.per_element_latency,
+        **_parse_op_costs(args.op_cost),
+    )
+    return model, step_ops, run_labels, critical_path(graph, model, step_ops)
+
+
+def _print_what_if(args: argparse.Namespace, graph, model, step_ops):
+    """The ``--what-if`` counterfactual, printed; None without the flag."""
+    from repro.obs.critical_path import what_if
+
+    if args.what_if is None:
+        return None
+    player, scale = _parse_what_if(args.what_if)
+    counterfactual = what_if(graph, model, player=player, scale=scale,
+                             step_ops=step_ops)
+    print()
+    print(counterfactual.table())
+    return counterfactual
+
+
+def _export_critpath(args: argparse.Namespace, ctx, graph, model, result,
+                     counterfactual, payload: dict) -> None:
+    """``--export`` (``payload`` plus path and what-if) and ``--chrome``."""
+    import json as json_module
+
+    if args.export is not None:
+        payload["depths"] = {
+            str(run): depth for run, depth in graph.depths().items()
+        }
+        payload["critical_path"] = result.to_dict()
+        if counterfactual is not None:
+            payload["what_if"] = counterfactual.to_dict()
+        with open(args.export, "w") as handle:
+            json_module.dump(payload, handle, indent=2, sort_keys=True)
+        print(f"wrote critical-path JSON to {args.export}", file=sys.stderr)
+
+    if args.chrome is not None:
+        content = to_chrome_trace(ctx.recorder, graph=graph,
+                                  flows=args.flows, model=model)
+        with open(args.chrome, "w") as handle:
+            handle.write(content)
+        print(f"wrote Chrome trace (with {args.flows} flow arrows) to "
+              f"{args.chrome}", file=sys.stderr)
+
+
 def _cmd_critpath_async(args: argparse.Namespace) -> int:
     """``critpath --runtime async``: latency attribution on async DAGs.
 
@@ -710,16 +769,9 @@ def _cmd_critpath_async(args: argparse.Namespace) -> int:
     machinery prices adversarial delivery schedules; depth conformance
     against the synchronous round model is (correctly) not asserted.
     """
-    import json as json_module
-
     from repro.obs.causality import CausalRecorder
-    from repro.obs.critical_path import (
-        CostModel, critical_path, ops_from_recorder, what_if,
-    )
 
-    ctx = _make_context(args)
-    if not ctx.recorder.enabled:
-        ctx.recorder = SpanRecorder()
+    ctx = _make_context(args, record=True)
     causal = CausalRecorder(n=ctx.n).attach(ctx.ensure_bus())
     flight = _attach_flight_recorder(args, ctx)
     values, runtimes, breaks = _run_async_coins(args, ctx, args.M)
@@ -730,13 +782,9 @@ def _cmd_critpath_async(args: argparse.Namespace) -> int:
     # async round spans carry per-step op deltas exactly like lockstep
     # ones (the step settling delivery c is node (c+1, pid)), so the
     # same recorder->DAG pricing applies under adversarial schedules
-    step_ops, run_labels = ops_from_recorder(ctx.recorder)
-    model = CostModel(
-        base_latency=args.base_latency,
-        per_element_latency=args.per_element_latency,
-        **_parse_op_costs(args.op_cost),
+    model, step_ops, run_labels, result = _priced_critical_path(
+        args, ctx, graph
     )
-    result = critical_path(graph, model, step_ops)
 
     print(f"async critical path: n={ctx.n}, t={ctx.t}, k={args.k}, "
           f"coins={args.M}, sched-seed={args.sched_seed} "
@@ -752,63 +800,29 @@ def _cmd_critpath_async(args: argparse.Namespace) -> int:
     print()
     print(result.table())
 
-    counterfactual = None
-    if args.what_if is not None:
-        player, scale = _parse_what_if(args.what_if)
-        counterfactual = what_if(graph, model, player=player, scale=scale,
-                                 step_ops=step_ops)
-        print()
-        print(counterfactual.table())
-
-    if args.export is not None:
-        payload = {
-            "params": {"n": ctx.n, "t": ctx.t, "k": args.k, "M": args.M,
-                       "seed": args.seed, "sched_seed": args.sched_seed,
-                       "runtime": "async"},
-            "deliveries": [r.delivery_count for r in runtimes],
-            "logical_times": [r.logical_time for r in runtimes],
-            "depths": {str(run): depth
-                       for run, depth in graph.depths().items()},
-            "critical_path": result.to_dict(),
-        }
-        if counterfactual is not None:
-            payload["what_if"] = counterfactual.to_dict()
-        with open(args.export, "w") as handle:
-            json_module.dump(payload, handle, indent=2, sort_keys=True)
-        print(f"wrote critical-path JSON to {args.export}", file=sys.stderr)
-
-    if args.chrome is not None:
-        content = to_chrome_trace(ctx.recorder, graph=graph,
-                                  flows=args.flows, model=model)
-        with open(args.chrome, "w") as handle:
-            handle.write(content)
-        print(f"wrote Chrome trace (with {args.flows} flow arrows) to "
-              f"{args.chrome}", file=sys.stderr)
-
+    counterfactual = _print_what_if(args, graph, model, step_ops)
+    _export_critpath(args, ctx, graph, model, result, counterfactual, {
+        "params": {"n": ctx.n, "t": ctx.t, "k": args.k, "M": args.M,
+                   "seed": args.seed, "sched_seed": args.sched_seed,
+                   "runtime": "async"},
+        "deliveries": [r.delivery_count for r in runtimes],
+        "logical_times": [r.logical_time for r in runtimes],
+    })
     _write_flight_log(args, flight)
     return 1 if breaks else 0
 
 
 def _cmd_critpath(args: argparse.Namespace) -> int:
-    import json as json_module
-
     from repro.analysis.rounds import predicted_rounds
-    from repro.obs.critical_path import (
-        CostModel, critical_path, op_profile, op_profile_table,
-        ops_from_recorder, what_if,
-    )
+    from repro.obs.critical_path import op_profile, op_profile_table
 
     if args.runtime == "async":
         return _cmd_critpath_async(args)
     ctx, _, causal = _run_instrumented_coin_gen(args, causal=True)
     graph = causal.graph()
-    step_ops, run_labels = ops_from_recorder(ctx.recorder)
-    model = CostModel(
-        base_latency=args.base_latency,
-        per_element_latency=args.per_element_latency,
-        **_parse_op_costs(args.op_cost),
+    model, step_ops, run_labels, result = _priced_critical_path(
+        args, ctx, graph
     )
-    result = critical_path(graph, model, step_ops)
 
     print(f"critical path: n={ctx.n}, t={ctx.t}, k={args.k}, M={args.M} "
           f"(base latency {args.base_latency:g}s/link)")
@@ -824,13 +838,7 @@ def _cmd_critpath(args: argparse.Namespace) -> int:
         print("op profile (critical-path contribution, heaviest first):")
         print(op_profile_table(profile_rows))
 
-    counterfactual = None
-    if args.what_if is not None:
-        player, scale = _parse_what_if(args.what_if)
-        counterfactual = what_if(graph, model, player=player, scale=scale,
-                                 step_ops=step_ops)
-        print()
-        print(counterfactual.table())
+    counterfactual = _print_what_if(args, graph, model, step_ops)
 
     # fault-free structural gate: DAG depth == analysis.rounds prediction
     depth_checks = []
@@ -857,32 +865,17 @@ def _cmd_critpath(args: argparse.Namespace) -> int:
                   f"measured {check['measured']:>3}  "
                   f"{'ok' if check['ok'] else 'DEVIATION'}")
 
-    if args.export is not None:
-        payload = {
-            "params": {"n": ctx.n, "t": ctx.t, "k": args.k, "M": args.M,
-                       "seed": args.seed},
-            "run_labels": {str(run): label
-                           for run, label in run_labels.items()},
-            "depths": {str(run): depth
-                       for run, depth in graph.depths().items()},
-            "depth_checks": depth_checks,
-            "critical_path": result.to_dict(),
-        }
-        if profile_rows is not None:
-            payload["op_profile"] = [row.to_dict() for row in profile_rows]
-        if counterfactual is not None:
-            payload["what_if"] = counterfactual.to_dict()
-        with open(args.export, "w") as handle:
-            json_module.dump(payload, handle, indent=2, sort_keys=True)
-        print(f"wrote critical-path JSON to {args.export}", file=sys.stderr)
-
-    if args.chrome is not None:
-        content = to_chrome_trace(ctx.recorder, graph=graph,
-                                  flows=args.flows, model=model)
-        with open(args.chrome, "w") as handle:
-            handle.write(content)
-        print(f"wrote Chrome trace (with {args.flows} flow arrows) to "
-              f"{args.chrome}", file=sys.stderr)
+    payload = {
+        "params": {"n": ctx.n, "t": ctx.t, "k": args.k, "M": args.M,
+                   "seed": args.seed},
+        "run_labels": {str(run): label
+                       for run, label in run_labels.items()},
+        "depth_checks": depth_checks,
+    }
+    if profile_rows is not None:
+        payload["op_profile"] = [row.to_dict() for row in profile_rows]
+    _export_critpath(args, ctx, graph, model, result, counterfactual,
+                     payload)
 
     if args.assert_depth and not all(c["ok"] for c in depth_checks):
         print("DEPTH MISMATCH: happens-before depth deviates from the "
@@ -967,20 +960,12 @@ def _cmd_waits(args: argparse.Namespace) -> int:
         else:
             content = to_prometheus(metrics=ctx.metrics, liveness=latency,
                                     watchdog=watchdog)
-        out = args.export_out or (
-            f"{args.command}.{_EXPORT_EXTENSIONS[args.export]}"
-        )
-        with open(out, "w") as handle:
-            handle.write(content)
-        print(f"wrote {args.export} export to {out}", file=sys.stderr)
+        _save_export(args, content)
 
     if breaks:
         return 1
     if args.watchdog is not None and watchdog.stalls:
-        print(f"STALL: {len(watchdog.stalls)} guard(s) waited past "
-              f"{watchdog.threshold} logical ticks "
-              f"({len(watchdog.crash_induced())} crash-induced, "
-              f"{len(watchdog.unexplained())} unexplained)", file=sys.stderr)
+        print(_stall_summary(watchdog), file=sys.stderr)
         return 1
     if args.audit and not report.ok:
         print("LIVENESS DEVIATION: see audit table above", file=sys.stderr)

@@ -22,9 +22,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.fields.base import Element, Field
 from repro.net.adversary import Adversary
 from repro.net.metrics import NetworkMetrics
-from repro.net.simulator import SynchronousNetwork
-from repro.protocols.coin_gen import CoinGenOutput, coin_gen_program
-from repro.protocols.context import ProtocolContext
+from repro.protocols.coin_gen import run_coin_gen_players
+from repro.protocols.context import ProtocolContext, as_context
 from repro.core.coin import SharedCoin, UnanimityError
 
 
@@ -77,14 +76,7 @@ class SharedCoinSystem:
         context: Optional[ProtocolContext] = None,
     ):
         if context is None:
-            if isinstance(field, ProtocolContext):
-                context = field
-            else:
-                if field is None or n is None or t is None:
-                    raise TypeError(
-                        "need (field, n, t) or a ProtocolContext"
-                    )
-                context = ProtocolContext.create(field, n, t, seed=seed)
+            context = as_context(field, n, t, seed=seed)
         if context.n < 6 * context.t + 1:
             raise ValueError(
                 f"the coin pipeline requires n >= 6t+1 "
@@ -109,18 +101,19 @@ class SharedCoinSystem:
         return self.adversary.corrupt if self.adversary else frozenset()
 
     def honest_players(self) -> List[int]:
-        return [pid for pid in range(1, self.n + 1) if pid not in self.corrupt]
+        corrupt = self.corrupt
+        return [pid for pid in range(1, self.n + 1) if pid not in corrupt]
 
     def _faulty_programs(self) -> Dict[int, object]:
         if not self.adversary:
             return {}
         return self.adversary.programs(self.n)
 
-    def _network(self) -> SynchronousNetwork:
-        return self.context.network(
-            allow_broadcast=False,
-            rushing=self.corrupt if self.adversary and self.adversary.rushing else (),
-        )
+    def _rushing(self) -> frozenset:
+        """The corrupt players, when the adversary rushes."""
+        if self.adversary and self.adversary.rushing:
+            return self.corrupt
+        return frozenset()
 
     # -- coin generation ------------------------------------------------------
     def generate(
@@ -135,45 +128,17 @@ class SharedCoinSystem:
         if tag is None:
             tag = f"gen{self.runs}"
         self.runs += 1
-        network = self._network()
-        faulty = self._faulty_programs()
-        programs = {}
-        for pid in range(1, self.n + 1):
-            if pid in faulty:
-                if faulty[pid] is not None:
-                    programs[pid] = faulty[pid]
-                continue
-            per_player_seed = [coin.share_for(pid) for coin in seed_coins]
-            programs[pid] = coin_gen_program(
-                self.field,
-                self.n,
-                self.t,
-                pid,
-                M,
-                per_player_seed,
-                self.context.child_rng(),
-                tag=tag,
-                blinding=blinding,
-                shared_challenge=shared_challenge,
-            )
-        honest = [pid for pid in programs if pid not in faulty]
-        recorder = self.context.recorder
-        with recorder.span("coin_gen", "protocol",
-                           n=self.n, t=self.t, M=M) as span:
-            outputs: Dict[int, CoinGenOutput] = network.run(
-                programs, wait_for=honest
-            )
-            if recorder.enabled:
-                sample = next(
-                    (outputs[pid] for pid in honest if outputs.get(pid)), None
-                )
-                span.set(
-                    iterations=sample.iterations if sample else 0,
-                    success=bool(sample and sample.success),
-                )
-        self.total_metrics.merged_from(network.metrics)
+        # one child generator per honest player, drawn in pid order:
+        # the draw order is part of the seeded run
+        outputs, metrics = run_coin_gen_players(
+            self.context, M,
+            lambda pid: [coin.share_for(pid) for coin in seed_coins],
+            lambda pid: self.context.child_rng(),
+            tag, blinding=blinding, shared_challenge=shared_challenge,
+            faulty=self._faulty_programs(), rushing=self._rushing(),
+        )
 
-        honest_outputs = {pid: outputs[pid] for pid in honest}
+        honest_outputs = {pid: outputs[pid] for pid in self.honest_players()}
         if not all(o.success for o in honest_outputs.values()):
             raise GenerationError(
                 f"Coin-Gen {tag} failed for some honest player "
@@ -202,7 +167,7 @@ class SharedCoinSystem:
             iterations=iters,
             seed_consumed=consumed,
             clique=clique,
-            metrics=network.metrics,
+            metrics=metrics,
         )
 
     # -- coin exposure -----------------------------------------------------------
@@ -227,21 +192,9 @@ class SharedCoinSystem:
         coins = list(coins)
         if not coins:
             return []
-        network = self._network()
-        faulty = self._faulty_programs()
-        programs = {}
-        for pid in range(1, self.n + 1):
-            if pid in faulty:
-                if faulty[pid] is not None:
-                    programs[pid] = faulty[pid]
-                continue
-            programs[pid] = coin_expose_many(
-                self.field, pid, [coin.share_for(pid) for coin in coins]
-            )
-        honest = [pid for pid in programs if pid not in faulty]
-        recorder = self.context.recorder
+        honest = self.honest_players()
         senders_total = 0
-        if recorder.enabled:
+        if self.context.recorder.enabled:
             senders_total = sum(
                 1
                 for coin in coins
@@ -249,10 +202,15 @@ class SharedCoinSystem:
                 if pid in coin.share_for(pid).senders
                 and coin.share_for(pid).my_value is not None
             )
-        with recorder.span("expose", "protocol", n=self.n, coins=len(coins),
-                           senders_total=senders_total):
-            outputs = network.run(programs, wait_for=honest)
-        self.total_metrics.merged_from(network.metrics)
+        outputs, _ = self.context.run(
+            lambda pid: coin_expose_many(
+                self.field, pid, [coin.share_for(pid) for coin in coins]
+            ),
+            faulty=self._faulty_programs(), allow_broadcast=False,
+            rushing=self._rushing(),
+            span="expose", n=self.n, coins=len(coins),
+            senders_total=senders_total,
+        )
 
         results = []
         for index, coin in enumerate(coins):

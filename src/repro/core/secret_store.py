@@ -16,15 +16,13 @@ Off the coin path (docs/CENSUS.md, class ii); run by
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.fields.base import Element, Field
-from repro.net.metrics import NetworkMetrics
-from repro.net.simulator import SynchronousNetwork
 from repro.protocols.batch_vss import batch_vss_program
 from repro.protocols.coin_expose import CoinShare, coin_expose, make_dealer_coin
+from repro.protocols.context import ProtocolContext
 from repro.sharing.shamir import ShamirScheme
 
 
@@ -55,11 +53,13 @@ class VerifiedSecretStore:
         self.field = field
         self.n = n
         self.t = t
-        self.rng = random.Random(seed)
+        self.context = ProtocolContext(field, n, t, seed=seed)
+        self.rng = self.context.rng
         self.scheme = ShamirScheme(field, n, t)
         self._stored: Dict[str, _StoredSecret] = {}
         self._deposits = 0
-        self.metrics = NetworkMetrics(element_bits=field.bit_length)
+        #: tallies over every deposit and opening
+        self.metrics = self.context.metrics
 
     # -- deposit ------------------------------------------------------------
     def deposit(
@@ -94,17 +94,13 @@ class VerifiedSecretStore:
             self.field, self.n, self.t, f"store-challenge-{batch_index}",
             self.rng,
         )
-        network = SynchronousNetwork(self.n, field=self.field)
-        programs = {
-            pid: batch_vss_program(
+        outputs, _ = self.context.run(
+            lambda pid: batch_vss_program(
                 self.field, self.n, self.t, pid,
                 share_table[pid], challenge_shares[pid],
                 tag=f"store{batch_index}",
             )
-            for pid in range(1, self.n + 1)
-        }
-        outputs = network.run(programs)
-        self.metrics.merged_from(network.metrics)
+        )
         if not all(r.accepted for r in outputs.values()):
             raise DepositRejected(
                 f"batch {batch_index}: committee rejected the dealing"
@@ -127,14 +123,10 @@ class VerifiedSecretStore:
     def open(self, secret_id: str) -> Element:
         """Robustly open one stored secret (committee-wide exposure)."""
         record = self._stored[secret_id]
-        network = SynchronousNetwork(self.n, field=self.field,
-                                     allow_broadcast=False)
-        programs = {
-            pid: coin_expose(self.field, pid, record.shares[pid])
-            for pid in range(1, self.n + 1)
-        }
-        outputs = network.run(programs)
-        self.metrics.merged_from(network.metrics)
+        outputs, _ = self.context.run(
+            lambda pid: coin_expose(self.field, pid, record.shares[pid]),
+            allow_broadcast=False,
+        )
         values = set(outputs.values())
         if len(values) != 1 or None in values:
             raise DepositRejected(f"{secret_id}: opening failed")

@@ -29,37 +29,6 @@ from repro.fields.irreducible import (
 )
 
 _TABLE_MAX_K = 16
-_KARA_BASE_BITS = 32
-
-
-def _base_clmul(a: int, b: int) -> int:
-    """Schoolbook carry-less multiply (no reduction)."""
-    result = 0
-    while b:
-        if b & 1:
-            result ^= a
-        a <<= 1
-        b >>= 1
-    return result
-
-
-def _kara_clmul(a: int, b: int) -> int:
-    """Recursive Karatsuba carry-less multiply (no reduction).
-
-    Over GF(2), Karatsuba's middle term is (a0+a1)(b0+b1) with XOR as
-    addition, giving the classic three-multiplication recursion.
-    """
-    bits = max(a.bit_length(), b.bit_length())
-    if bits <= _KARA_BASE_BITS:
-        return _base_clmul(a, b)
-    half = bits // 2
-    mask = (1 << half) - 1
-    a0, a1 = a & mask, a >> half
-    b0, b1 = b & mask, b >> half
-    low = _kara_clmul(a0, b0)
-    high = _kara_clmul(a1, b1)
-    mid = _kara_clmul(a0 ^ a1, b0 ^ b1) ^ low ^ high
-    return low ^ (mid << half) ^ (high << (2 * half))
 
 
 class GF2k(Field):
@@ -77,11 +46,6 @@ class GF2k(Field):
     tables:
         Force table-based multiplication on/off.  Defaults to on for
         ``k <= 16``.
-    karatsuba:
-        Use recursive Karatsuba carry-less multiplication (with final
-        reduction) instead of the interleaved shift-and-xor loop — an
-        O(k^1.585) strategy for large k (E11 ablation arm).  Mutually
-        exclusive with ``tables``.
     backend:
         Bulk-kernel backend: ``"python"``, ``"numpy"``, or ``"auto"``
         (numpy when installed; see :mod:`repro.fields.backends`).
@@ -90,7 +54,7 @@ class GF2k(Field):
     kind = "gf2k"
 
     def __init__(self, k: int, modulus: Optional[int] = None,
-                 tables: Optional[bool] = None, karatsuba: bool = False,
+                 tables: Optional[bool] = None,
                  backend: Optional[str] = "auto"):
         super().__init__()
         if k < 1:
@@ -108,12 +72,9 @@ class GF2k(Field):
         self.zero = 0
         self.one = 1
         self._mask = self.order - 1
-        self._karatsuba = karatsuba
 
         if tables is None:
-            tables = k <= _TABLE_MAX_K and not karatsuba
-        if tables and karatsuba:
-            raise ValueError("choose either tables or karatsuba, not both")
+            tables = k <= _TABLE_MAX_K
         self._exp: Optional[List[int]] = None
         self._log: Optional[List[int]] = None
         if tables:
@@ -125,10 +86,6 @@ class GF2k(Field):
     # -- internal ----------------------------------------------------------
     def _raw_mul(self, a: int, b: int) -> int:
         """Carry-less multiply with interleaved reduction (no metering)."""
-        if self._karatsuba:
-            from repro.fields.irreducible import gf2_mod
-
-            return gf2_mod(_kara_clmul(a, b), self.modulus)
         if a < b:  # the loop runs once per bit of b: make it the shorter
             a, b = b, a
         result = 0

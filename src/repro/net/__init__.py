@@ -12,7 +12,10 @@ channel (assumed by the Section 3 protocols, dropped in Section 4).
 Message, bit, and per-player field-operation metering reproduce the
 quantities the paper's lemmas count.
 :class:`~repro.net.async_runtime.AsyncRuntime` runs the same generator
-programs under adversarial message-at-a-time delivery.  Both publish
+programs under adversarial message-at-a-time delivery.  The two are the
+only runtimes: each is one ``run()`` loop — its scheduling policy —
+over the set-up, stepping, send-emission, fault-decision and span
+plumbing of :class:`~repro.net.runtime.RuntimeBase`.  Both publish
 every settled delivery on their :class:`~repro.obs.bus.EventBus`
 (``runtime.bus.subscribe(ROUND, handler)``); that stream is the one way
 to watch a run.
@@ -26,13 +29,7 @@ from repro.net.simulator import (
     multicast,
     unicast,
 )
-from repro.net.transport import (
-    BroadcastTransport,
-    PrivateChannelTransport,
-    ProtocolViolation,
-    Transport,
-    make_transport,
-)
+from repro.net.transport import ProtocolViolation, Transport
 from repro.net.scheduler import (
     LockstepScheduler,
     PermutedDeliveryScheduler,
@@ -41,7 +38,7 @@ from repro.net.scheduler import (
 )
 from repro.net.faults import FaultPlane
 from repro.net.guards import AnyWait, Guarded, Wait, guarded, wait_any
-from repro.net.runtime import ProtocolRuntime, RuntimeBase, RuntimeExhausted
+from repro.net.runtime import RuntimeBase, RuntimeExhausted
 from repro.net.async_runtime import AsyncRuntime
 from repro.net.metrics import NetworkMetrics, payload_field_elements, payload_tag
 from repro.net.adversary import (
@@ -59,9 +56,6 @@ __all__ = [
     "multicast",
     "unicast",
     "Transport",
-    "BroadcastTransport",
-    "PrivateChannelTransport",
-    "make_transport",
     "ProtocolViolation",
     "Scheduler",
     "LockstepScheduler",
@@ -74,7 +68,6 @@ __all__ = [
     "guarded",
     "wait_any",
     "RuntimeBase",
-    "ProtocolRuntime",
     "AsyncRuntime",
     "RuntimeExhausted",
     "NetworkMetrics",

@@ -1,7 +1,7 @@
 """Event-driven asynchronous runtime: one message delivered at a time.
 
-The async sibling of :class:`repro.net.runtime.ProtocolRuntime` (see
-DESIGN.md §11).  Instead of lock-step rounds, an :class:`AsyncRuntime`
+The async sibling of :class:`repro.net.simulator.SynchronousNetwork`
+(see DESIGN.md §11).  Instead of lock-step rounds, an :class:`AsyncRuntime`
 keeps a single pool of in-flight messages and repeatedly asks its
 scheduler to :meth:`~repro.net.scheduler.Scheduler.choose` the next one
 to deliver — the adversary picks the order, the runtime guarantees only
@@ -62,37 +62,25 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.fields.base import Field
-from repro.net.faults import DELAY, DROP, DUPLICATE, FaultPlane
+from repro.net.faults import DELAY, DUPLICATE
 from repro.net.guards import IndexedInbox
 from repro.net.metrics import NetworkMetrics, payload_tag
 from repro.net.runtime import Program, RuntimeBase
 from repro.net.scheduler import RandomOrderScheduler, Scheduler
-from repro.net.transport import (
-    ProtocolViolation,
-    Transport,
-    expansion_channels,
-)
-from repro.obs.bus import (
-    GUARD_ARMED,
-    GUARD_FIRED,
-    GUARD_PROGRESS,
-    POOL,
-    ROUND,
-    RUN,
-    SENT,
-    EventBus,
-)
+from repro.net.transport import ProtocolViolation
+from repro.obs.bus import POOL, ROUND, SENT
 from repro.obs.phases import classify_tag
 
 
 class AsyncRuntime(RuntimeBase):
     """Runs player programs under adversarial message-at-a-time delivery.
 
-    Construction mirrors :class:`~repro.net.simulator.SynchronousNetwork`
-    (a transport is built for you from ``allow_broadcast`` /
-    ``enforce_codec`` unless one is passed); the default scheduler is a
+    The default scheduler is a
     :class:`~repro.net.scheduler.RandomOrderScheduler` with seed 0 —
-    pass one with your own seed to sweep delivery schedules.
+    pass one with your own seed to sweep delivery schedules; the
+    remaining keywords (``faults``, ``recorder``, ``bus``,
+    ``allow_broadcast``, ``enforce_codec``) are
+    :class:`~repro.net.runtime.RuntimeBase`'s.
 
     ``max_deliveries`` bounds the logical clock; exhausting it (or
     draining the in-flight pool with waited players still asleep)
@@ -109,27 +97,14 @@ class AsyncRuntime(RuntimeBase):
         n: int,
         field: Optional[Field] = None,
         metrics: Optional[NetworkMetrics] = None,
-        transport: Optional[Transport] = None,
-        scheduler: Optional[Scheduler] = None,
-        faults: Optional[FaultPlane] = None,
+        *,
         max_deliveries: int = 100_000,
-        recorder=None,
-        bus: Optional[EventBus] = None,
-        allow_broadcast: bool = True,
-        enforce_codec: bool = False,
+        scheduler: Optional[Scheduler] = None,
+        **layers,
     ):
         super().__init__(
-            n,
-            field=field,
-            metrics=metrics,
-            transport=transport,
-            scheduler=scheduler or RandomOrderScheduler(),
-            faults=faults,
-            max_rounds=max_deliveries,
-            recorder=recorder,
-            bus=bus,
-            allow_broadcast=allow_broadcast,
-            enforce_codec=enforce_codec,
+            n, field, metrics,
+            scheduler=scheduler or RandomOrderScheduler(), **layers,
         )
         self.max_deliveries = max_deliveries
         #: final logical clock of the last run (deliveries + idle ticks)
@@ -146,13 +121,10 @@ class AsyncRuntime(RuntimeBase):
         """Run programs until every waited player finishes; {pid: output}.
 
         Same contract as the lockstep
-        :meth:`~repro.net.runtime.ProtocolRuntime.run`: ``wait_for``
+        :meth:`~repro.net.simulator.SynchronousNetwork.run`: ``wait_for``
         limits termination to the honest subset, scheduled crashes are
         never waited for, unfinished generators are closed at the end.
         """
-        for pid in programs:
-            if not 1 <= pid <= self.n:
-                raise ValueError(f"program for unknown player {pid}")
         if self.scheduler.rushing:
             raise ProtocolViolation(
                 "rushing is a synchronous-round notion; the async "
@@ -164,18 +136,13 @@ class AsyncRuntime(RuntimeBase):
             # the "t=0" span covers run() setup plus priming so that
             # coverage() sees the whole call attributed to round spans
             prime_span = recorder.begin("t=0", "round", round=0)
-        waited = set(programs) if wait_for is None else set(wait_for) & set(programs)
+        waited, crashing = self._begin_run(programs, wait_for)
         faults = self.faults
-        crashing = faults.crashed_players() if faults is not None else set()
-        waited -= crashing
         #: scheduled crashes not yet in effect, in ``programs`` order —
         #: the only players a tick's crash sweep ever has to look at
         crash_pending = [pid for pid in programs if pid in crashing]
         #: waited players still running; the run ends when it hits zero
         unfinished = len(waited)
-        self.bus.publish(RUN, self.n)
-        self._reset_guard_state()
-        self._step_spans = []
         outputs: Dict[int, Any] = {}
         done: Dict[int, bool] = {pid: False for pid in programs}
         cum: Dict[int, IndexedInbox] = {
@@ -205,13 +172,8 @@ class AsyncRuntime(RuntimeBase):
         bus = self.bus
         choose = self.scheduler.choose
         capturing = bus.has_subscribers(SENT)
-        # liveness telemetry is strictly opt-in, like the "sent" topic:
-        # the flags are sampled once per run and every publish (and the
-        # progress/backlog computation feeding it) is gated on them, so
-        # unmonitored runs stay byte-identical
-        lv_armed = bus.has_subscribers(GUARD_ARMED)
-        lv_progress = bus.has_subscribers(GUARD_PROGRESS)
-        lv_fired = bus.has_subscribers(GUARD_FIRED)
+        # opt-in like the guard telemetry: the gauge and the backlog
+        # bookkeeping feeding it exist only while POOL has subscribers
         lv_pool = bus.has_subscribers(POOL)
         self.delivery_count = 0
         self.logical_time = 0
@@ -240,13 +202,7 @@ class AsyncRuntime(RuntimeBase):
             return sends
 
         def emit(pid: int, sends, tick: int) -> None:
-            if faults is not None and faults.is_silenced(pid, max(tick, 1)):
-                faults.note_player_fault(max(tick, 1), "silence", pid)
-                return
-            expanded = self._expand(pid, sends)
-            channels = expansion_channels(self.n, sends)
-            if len(channels) != len(expanded):
-                channels = ["?"] * len(expanded)
+            expanded, channels = self._emit(pid, sends, max(tick, 1), True)
             for (dst, payload), channel in zip(expanded, channels):
                 pending.append([dst, pid, payload, channel, tick, False])
                 if lv_pool:
@@ -264,9 +220,7 @@ class AsyncRuntime(RuntimeBase):
                         return
                 elif not guard.satisfied(inbox_now):
                     return
-                if lv_fired and guard is not None:
-                    bus.publish(GUARD_FIRED, tick, pid, guard,
-                                guard.matched_senders(inbox_now))
+                inbox = self._wake_inbox(pid, tick)
                 seen[pid] = inbox_now.size
                 steps += 1
                 if steps > step_budget:
@@ -275,57 +229,46 @@ class AsyncRuntime(RuntimeBase):
                         f"exceeded {step_budget} program steps (a guard "
                         "keeps re-firing without the run finishing)",
                     )
-                inbox = {src: list(msgs) for src, msgs in inbox_now.items()}
                 # the step consuming the delivery settled at time `tick`
                 # is critical-path node (tick + 1, pid) — record its op
                 # delta there so async spans price like lockstep rounds
                 sends = step(pid, inbox, tick + 1)
                 if sends:
                     emit(pid, sends, tick)
-                if lv_armed and not done[pid]:
-                    armed = self._guards.get(pid)
-                    if armed is not None:
-                        bus.publish(GUARD_ARMED, tick, pid, armed)
+                if self._lv_armed:
+                    self._note_armed(pid, tick, done)
 
         # priming: step every (non-crashed) program once at logical time
         # 0 to collect its initial sends and park its first guard.  The
         # ops land on critical-path node (1, pid) — the node first sends
         # originate from — hence round_no=1.
-        if recording:
-            self._step_spans = []
         for pid in sorted(programs):
             if crashed(pid, 1):
                 continue
             sends = step(pid, None, 1)
             if sends:
                 emit(pid, sends, 0)
-            if lv_armed and not done[pid]:
-                armed = self._guards.get(pid)
-                if armed is not None:
-                    bus.publish(GUARD_ARMED, 0, pid, armed)
+            if self._lv_armed:
+                self._note_armed(pid, 0, done)
         for pid in sorted(programs):
             if not done[pid]:
                 wake(pid, 0)  # a quorum-0 guard may already be satisfied
         if lv_pool:
             pool_gauge(0)
         if recording:
-            phase = (
-                classify_tag(payload_tag(pending[0][2]))
-                if pending else "other"
+            # one "round" span per logical tick, each opened as the
+            # previous one ends (the final, unused one is discarded
+            # after the loop); the steps a delivery wakes are recorded
+            # inside it so ops_from_recorder prices async runs exactly
+            # like lockstep
+            round_span = self._next_round_span(
+                prime_span, clock + 1,
+                phase=(
+                    classify_tag(payload_tag(pending[0][2]))
+                    if pending else "other"
+                ),
+                messages=len(pending),
             )
-            for step_span in self._step_spans:
-                step_span.set(phase=phase)
-            recorder.end(prime_span, phase=phase, messages=len(pending))
-            # one "round" span per logical tick.  The next tick's span is
-            # opened the instant the previous one ends (the final, unused
-            # one is discarded after the loop) so no wall time falls
-            # between round spans and coverage() attributes the whole
-            # run; the steps a delivery wakes are recorded inside it so
-            # ops_from_recorder prices async runs exactly like lockstep
-            round_span = recorder.begin(
-                f"t={clock + 1}", "round", round=clock + 1
-            )
-            self._step_spans = []
 
         while unfinished:
             if not pending:
@@ -351,11 +294,9 @@ class AsyncRuntime(RuntimeBase):
                 if lv_pool:
                     pool_gauge(clock)
                 if recording:
-                    recorder.end(round_span, phase="other", messages=0)
-                    round_span = recorder.begin(
-                        f"t={clock + 1}", "round", round=clock + 1
+                    round_span = self._next_round_span(
+                        round_span, clock + 1, phase="other", messages=0
                     )
-                    self._step_spans = []
                 continue
             tick = clock + 1  # 1-based time of the delivery being decided
             if crash_pending:
@@ -370,53 +311,35 @@ class AsyncRuntime(RuntimeBase):
             dst, src, payload, channel, _ready, processed = entry
             if lv_pool:
                 backlog[channel] -= 1
-            if not processed and faults is not None and faults.rules:
-                rule = next(
-                    (r for r in faults.rules if r.matches(tick, src, dst)),
-                    None,
-                )
-                if rule is not None:
-                    faults._publish(tick, rule.kind, src, dst)
-                    if rule.kind == DROP:
-                        if capturing:
-                            # provenance without a matching delivery: the
-                            # causal recorder files it as a DroppedEmission
-                            self.bus.publish(
-                                SENT, tick, [(dst, src, payload, channel)]
-                            )
-                        if recording:
-                            recorder.end(
-                                round_span, messages=0,
-                                phase=classify_tag(payload_tag(payload)),
-                            )
-                            round_span = recorder.begin(
-                                f"t={clock + 1}", "round", round=clock + 1
-                            )
-                            self._step_spans = []
-                        continue
-                    if rule.kind == DELAY:
-                        entry[4] = tick + rule.delay
-                        entry[5] = True
-                        pending.append(entry)
-                        immature += 1
-                        if lv_pool:
-                            backlog[channel] += 1
-                        if recording:
-                            recorder.end(
-                                round_span, messages=0,
-                                phase=classify_tag(payload_tag(payload)),
-                            )
-                            round_span = recorder.begin(
-                                f"t={clock + 1}", "round", round=clock + 1
-                            )
-                            self._step_spans = []
-                        continue
-                    if rule.kind == DUPLICATE:
-                        pending.append(
-                            [dst, src, payload, channel, clock, True]
-                        )
-                        if lv_pool:
-                            backlog[channel] += 1
+            rule = (
+                faults.decide(tick, src, dst)
+                if faults is not None and not processed else None
+            )
+            if rule is None:
+                pass
+            elif rule.kind == DUPLICATE:
+                pending.append([dst, src, payload, channel, clock, True])
+                if lv_pool:
+                    backlog[channel] += 1
+            else:
+                # dropped or delayed: the tick is spent without a delivery
+                if rule.kind == DELAY:
+                    entry[4] = tick + rule.delay
+                    entry[5] = True
+                    pending.append(entry)
+                    immature += 1
+                    if lv_pool:
+                        backlog[channel] += 1
+                elif capturing:
+                    # provenance without a matching delivery: the causal
+                    # recorder files it as a DroppedEmission
+                    bus.publish(SENT, tick, [(dst, src, payload, channel)])
+                if recording:
+                    round_span = self._next_round_span(
+                        round_span, clock + 1, messages=0,
+                        phase=classify_tag(payload_tag(payload)),
+                    )
+                continue
             clock += 1
             self.metrics.rounds += 1
             self.delivery_count += 1
@@ -424,35 +347,20 @@ class AsyncRuntime(RuntimeBase):
                 bus.publish(SENT, clock, [(dst, src, payload, channel)])
             bus.publish(ROUND, clock, [(dst, src, payload)])
             if dst in cum:
-                tag = cum[dst].deliver(src, payload)
-                if lv_progress and not done[dst]:
-                    guard = self._guards.get(dst)
-                    if guard is not None and tag in guard.tags:
-                        count, quorum = guard.progress(cum[dst])
-                        bus.publish(
-                            GUARD_PROGRESS, clock, dst, src, count, quorum
-                        )
+                self._deliver(dst, src, payload, clock, done)
                 if not done[dst]:
                     wake(dst, clock)
             if lv_pool:
                 pool_gauge(clock)
             if recording:
-                phase = classify_tag(payload_tag(payload))
-                for step_span in self._step_spans:
-                    step_span.set(phase=phase)
-                recorder.end(
-                    round_span, phase=phase, messages=1, src=src, dst=dst,
-                    tags={payload_tag(payload): 1},
+                tag = payload_tag(payload)
+                round_span = self._next_round_span(
+                    round_span, clock + 1, phase=classify_tag(tag),
+                    messages=1, src=src, dst=dst, tags={tag: 1},
                 )
-                round_span = recorder.begin(
-                    f"t={clock + 1}", "round", round=clock + 1
-                )
-                self._step_spans = []
 
         if recording:
             recorder.discard(round_span)
         self.logical_time = clock
-        for pid, program in programs.items():
-            if not done.get(pid):
-                program.close()
+        self._end_run(programs, done)
         return outputs

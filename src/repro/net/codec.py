@@ -29,7 +29,7 @@ Off the coin path (docs/CENSUS.md, class ii); run by CI's `--flight-log`
 
 from __future__ import annotations
 
-from typing import Any, Tuple
+from typing import Any, Callable, Tuple
 
 
 class CodecError(Exception):
@@ -145,6 +145,20 @@ def decode(data: bytes) -> Any:
     if offset != len(data):
         raise CodecError(f"{len(data) - offset} trailing bytes")
     return payload
+
+
+def wire_key(payload: Any, opaque: Callable[[str], Any] = str) -> Any:
+    """A payload's identity: its wire bytes in hex.
+
+    Outside the codec vocabulary there is no wire form and ``repr``
+    stands in, passed through ``opaque`` so a caller that stores keys
+    (the flight log) can mark them apart from hex.  Flight logs, log
+    diffs, causal pairing and forensics all name payloads this way.
+    """
+    try:
+        return encode(payload).hex()
+    except CodecError:
+        return opaque(repr(payload))
 
 
 def encoded_size(payload: Any) -> int:

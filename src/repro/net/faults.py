@@ -12,6 +12,10 @@ fault scenarios over any scheduler without touching protocol code:
 
 Faults apply *after* transport metering: the tallies count what honest
 code paid to transmit, and the plane decides what actually arrives.
+Both runtimes ask :meth:`FaultPlane.decide` once per message; what a
+delay means is the runtime's — :meth:`FaultPlane.apply` holds a round's
+delayed deliveries until due (:meth:`FaultPlane.begin_run` empties them,
+so a plane can serve run after run), the async loop re-pools them.
 
 Soundness scope: the paper's synchronous model lets the adversary
 interfere only with faulty players' traffic.  Injecting faults on edges
@@ -148,7 +152,7 @@ class FaultPlane:
         self.crashes: Dict[int, int] = {}
         #: player id -> rounds in which its sends are suppressed
         self.silences: Dict[int, frozenset] = {}
-        # pending delayed deliveries: due round -> deliveries
+        # delayed deliveries of the run in flight: due round -> deliveries
         self._delayed: Dict[int, List[RoutedDelivery]] = {}
         #: event bus to publish "fault" events into; set by the runtime
         self.bus = None
@@ -159,10 +163,11 @@ class FaultPlane:
 
         Registration order follows the chain order, so first-match-wins
         semantics are exactly the chain's left-to-right order.  A plane
-        is stateful (pending delayed deliveries, bus binding), so
-        callers that re-run a scenario must build a fresh plane from the
-        same spec rather than reuse one — this constructor is that
-        guarantee.
+        is bound to the bus of the last runtime built over it, so
+        callers that re-run a scenario under a different bus build a
+        fresh plane from the same spec — this constructor is that
+        guarantee.  (Delayed traffic is per-run state and does not
+        outlive a run: see :meth:`begin_run`.)
         """
         plane = cls()
         for op in ops:
@@ -268,32 +273,45 @@ class FaultPlane:
         """
         self._publish(round_no, kind, pid, 0)
 
+    def begin_run(self) -> None:
+        """Forget delayed traffic a previous run left pending.
+
+        Called by the runtime where it publishes ``RUN``: deliveries are
+        keyed by due round and round numbers restart, so on a plane
+        shared between runs (a ``ProtocolContext`` hands one to every
+        network) anything kept would land in the next run's inboxes.
+        """
+        self._delayed.clear()
+
+    def decide(self, round_no: int, src: int, dst: int) -> Optional[EdgeRule]:
+        """The rule deciding one message's fate, or None to deliver it.
+
+        The first matching rule in registration order wins and is
+        published as a ``"fault"`` event, so subscribers see exactly
+        which deliveries the plane touched.  Both runtimes ask this once
+        per message; what a rule then *means* is theirs (:meth:`apply`
+        for rounds, the in-flight pool for the async loop).
+        """
+        for rule in self.rules:
+            if rule.matches(round_no, src, dst):
+                self._publish(round_no, rule.kind, src, dst)
+                return rule
+        return None
+
     def apply(
         self, round_no: int, deliveries: List[RoutedDelivery]
     ) -> List[RoutedDelivery]:
-        """Rewrite one round's deliveries; releases matured delayed traffic.
-
-        Every rewrite is published as a ``"fault"`` event on the
-        runtime's bus (when attached), so trace/span subscribers can
-        record exactly which deliveries the plane touched.
-        """
+        """Rewrite one round's deliveries; releases matured delayed traffic."""
         out: List[RoutedDelivery] = []
         for delivery in deliveries:
             dst, src, _payload = delivery
-            rule = next(
-                (r for r in self.rules if r.matches(round_no, src, dst)), None
-            )
+            rule = self.decide(round_no, src, dst)
             if rule is None:
                 out.append(delivery)
-            elif rule.kind == DROP:
-                self._publish(round_no, DROP, src, dst)
-                continue
             elif rule.kind == DUPLICATE:
-                self._publish(round_no, DUPLICATE, src, dst)
                 out.append(delivery)
                 out.append(delivery)
             elif rule.kind == DELAY:
-                self._publish(round_no, DELAY, src, dst)
                 self._delayed.setdefault(round_no + rule.delay, []).append(
                     delivery
                 )

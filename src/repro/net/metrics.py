@@ -105,6 +105,9 @@ class NetworkMetrics:
     bits: int = 0
     #: per-player field-operation counters (player id -> OpCounter)
     player_ops: Dict[int, OpCounter] = dataclass_field(default_factory=dict)
+    #: exact bytes of the binary wire codec, one transmission per
+    #: receiver; tallied only by an ``enforce_codec`` transport
+    wire_bytes: int = 0
 
     def record_unicast(self, payload: Any) -> None:
         self.unicast_messages += 1
@@ -168,6 +171,7 @@ class NetworkMetrics:
         self.unicast_messages += other.unicast_messages
         self.broadcast_messages += other.broadcast_messages
         self.bits += other.bits
+        self.wire_bytes += other.wire_bytes
         for pid, counter in other.player_ops.items():
             self.add_player_ops(pid, counter)
 

@@ -1,21 +1,11 @@
-"""Lock-step synchronous network simulator (compatibility facade).
+"""Lock-step synchronous network: the paper's model (Section 2).
 
-Historically this module held the whole execution engine; it is now a
-thin facade over the layered runtime:
-
-* :mod:`repro.net.transport` — channel primitives (:class:`Send`,
-  :func:`unicast`, :func:`multicast`, :func:`broadcast`) and metered
-  message expansion;
-* :mod:`repro.net.scheduler` — stepping/delivery policy (lock-step,
-  permuted delivery, rushing);
-* :mod:`repro.net.faults` — optional fault injection;
-* :mod:`repro.net.runtime` — the synchronous round loop.
-
-:class:`SynchronousNetwork` keeps its historical constructor and
-behaviour byte for byte (its default scheduler is the
-:class:`~repro.net.scheduler.LockstepScheduler`), while accepting the
-``scheduler`` and ``faults`` layers as keyword arguments.  See
-DESIGN.md, "Runtime architecture".
+:class:`SynchronousNetwork` is the lockstep runtime — the round loop
+over the machinery :class:`repro.net.runtime.RuntimeBase` shares with
+the async loop (that module's docstring lists the stack; see DESIGN.md,
+"Runtime architecture").  The wire primitives (:class:`Send`,
+:func:`unicast`, :func:`multicast`, :func:`broadcast`) are re-exported
+here.
 
 Fault model (paper Section 2):
 
@@ -36,12 +26,11 @@ Fault model (paper Section 2):
 from __future__ import annotations
 
 import copy
-from typing import Iterable, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.fields.base import Field
-from repro.net.faults import FaultPlane
-from repro.net.metrics import NetworkMetrics
-from repro.net.runtime import Inbox, Payload, Program, ProtocolRuntime
+from repro.net.metrics import NetworkMetrics, payload_tag
+from repro.net.runtime import Inbox, Payload, Program, RuntimeBase
 from repro.net.scheduler import LockstepScheduler, Scheduler
 from repro.net.transport import (  # noqa: F401  (re-exported wire primitives)
     ALL,
@@ -51,6 +40,8 @@ from repro.net.transport import (  # noqa: F401  (re-exported wire primitives)
     multicast,
     unicast,
 )
+from repro.obs.bus import ROUND, SENT
+from repro.obs.phases import classify_tags
 
 __all__ = [
     "ALL",
@@ -66,35 +57,23 @@ __all__ = [
 ]
 
 
-class SynchronousNetwork(ProtocolRuntime):
+class SynchronousNetwork(RuntimeBase):
     """Runs ``n`` player programs in lock-step rounds.
 
-    Parameters
-    ----------
-    n:
-        Number of players, with ids ``1..n``.
-    field:
-        Optional field whose operation counter is attributed per player
-        (snapshots around each program step).
-    metrics:
-        Optional pre-existing metrics object to accumulate into.
-    rushing:
-        Player ids that receive the current round's traffic addressed to
-        them before emitting their own messages (merged into the
-        scheduler's rushing set).
-    allow_broadcast:
-        Whether the ideal broadcast channel exists.  The Section 4 coin
-        generation protocols set this to False, enforcing the paper's
-        point-to-point-only model.
-    scheduler:
-        Delivery/stepping policy; default :class:`LockstepScheduler`
-        reproduces the historical semantics exactly.
-    faults:
-        Optional :class:`~repro.net.faults.FaultPlane`.
-    enforce_codec:
-        When set, every payload is round-tripped through the binary wire
-        codec (net.codec): unencodable payloads raise, and the metrics
-        object accumulates the exact wire byte count in ``wire_bytes``.
+    Every program steps once per round and round ``r``'s deliveries
+    become round ``r+1``'s inboxes.  Guarded programs (see
+    :mod:`repro.net.guards`) receive cumulative inboxes and are stepped
+    in the first round whose traffic satisfies their guard — trivially
+    "at the round boundary", which is what lets one protocol body drive
+    both this runtime and the async one.  Guards are ignored for rushing
+    players (rushing is already the strongest synchronous scheduling).
+
+    ``rushing`` lists player ids that receive the current round's
+    traffic addressed to them before emitting their own messages
+    (merged into the scheduler's rushing set); the default scheduler is
+    :class:`LockstepScheduler`; ``max_rounds`` bounds the run.  The
+    remaining keywords (``faults``, ``recorder``, ``bus``,
+    ``allow_broadcast``, ``enforce_codec``) are :class:`RuntimeBase`'s.
     """
 
     def __init__(
@@ -102,14 +81,11 @@ class SynchronousNetwork(ProtocolRuntime):
         n: int,
         field: Optional[Field] = None,
         metrics: Optional[NetworkMetrics] = None,
+        *,
         rushing: Iterable[int] = (),
-        allow_broadcast: bool = True,
         max_rounds: int = 100_000,
-        enforce_codec: bool = False,
         scheduler: Optional[Scheduler] = None,
-        faults: Optional[FaultPlane] = None,
-        recorder=None,
-        bus=None,
+        **layers,
     ):
         if scheduler is None:
             scheduler = LockstepScheduler(rushing=rushing)
@@ -118,16 +94,198 @@ class SynchronousNetwork(ProtocolRuntime):
             # shared across runs (e.g. via ProtocolContext) is not mutated
             scheduler = copy.copy(scheduler)
             scheduler.rushing = scheduler.rushing | frozenset(rushing)
-        super().__init__(
-            n,
-            field=field,
-            metrics=metrics,
-            scheduler=scheduler,
-            faults=faults,
-            max_rounds=max_rounds,
-            recorder=recorder,
-            bus=bus,
-            allow_broadcast=allow_broadcast,
-            enforce_codec=enforce_codec,
-        )
+        super().__init__(n, field, metrics, scheduler=scheduler, **layers)
+        self.max_rounds = max_rounds
 
+    def _collect(self, pid: int, program: Program, inbox, round_no: int,
+                 outputs, done, deliveries: List[tuple],
+                 emissions: Optional[List[tuple]]) -> int:
+        """Step one player and append its (dst, src, payload) deliveries.
+
+        Returns 1 when the program was actually advanced (not crashed),
+        0 otherwise — the no-progress detection counts these.  When
+        ``emissions`` is a list (a causality recorder subscribed to the
+        ``"sent"`` topic), each delivery is also appended there as
+        ``(dst, src, payload, channel)`` — pre-fault, pre-scheduler
+        provenance in exact expansion order.
+        """
+        faults = self.faults
+        if faults is not None and faults.is_crashed(pid, round_no):
+            faults.note_player_fault(round_no, "crash", pid)
+            return 0
+        sends = self._advance(pid, program, inbox, outputs, done, round_no)
+        if sends:
+            expanded, channels = self._emit(
+                pid, sends, round_no, emissions is not None
+            )
+            deliveries.extend(
+                (dst, pid, payload) for dst, payload in expanded
+            )
+            if channels:
+                emissions.extend(
+                    (dst, pid, payload, channel)
+                    for (dst, payload), channel in zip(expanded, channels)
+                )
+        return 1
+
+    def run(
+        self,
+        programs: Dict[int, Program],
+        wait_for: Optional[Iterable[int]] = None,
+    ) -> Dict[int, Any]:
+        """Run programs to completion; returns {player_id: output}.
+
+        ``programs`` maps player ids to generators.  Missing ids are
+        treated as crashed-from-the-start players (they send nothing).
+        ``wait_for`` limits termination to a subset of players (the honest
+        ones) so that never-terminating adversary generators cannot stall
+        the simulation; the others are closed when the run ends.  Players
+        with a scheduled fault-plane crash are never waited for.
+        """
+        waited, _ = self._begin_run(programs, wait_for)
+        outputs: Dict[int, Any] = {}
+        done: Dict[int, bool] = {pid: False for pid in programs}
+        inboxes: Dict[int, Inbox] = {pid: {} for pid in programs}
+        started = False
+        round_no = 0
+
+        # Rushing programs are primed at registration: their first yield is
+        # a registration step whose sends are discarded, so that every real
+        # round — including the first — can hand them a peek at the
+        # in-flight honest traffic before they commit to their messages.
+        rushers = [p for p in programs if p in self.scheduler.rushing]
+        ordinary = [p for p in programs if p not in self.scheduler.rushing]
+        for pid in rushers:
+            self._advance(pid, programs[pid], None, outputs, done)
+
+        recorder = self.recorder
+        recording = recorder.enabled
+        # phase of the deliveries currently sitting in the inboxes — the
+        # work a round does is attributed to the phase it is *consuming*
+        inbox_phase: Optional[str] = None
+
+        for _ in range(self.max_rounds):
+            if all(done[pid] for pid in waited):
+                break
+            self.metrics.rounds += 1
+            round_no += 1
+            if recording:
+                round_span = recorder.begin(
+                    f"round {round_no}", "round", round=round_no
+                )
+                snap_unicast = self.metrics.unicast_messages
+                snap_broadcast = self.metrics.broadcast_messages
+                snap_bits = self.metrics.bits
+            deliveries: List[tuple] = []  # (dst, src, payload)
+            # provenance capture is strictly opt-in: the list exists only
+            # while a causality recorder subscribes to the "sent" topic
+            capturing = self.bus.has_subscribers(SENT)
+            emissions: Optional[List[tuple]] = [] if capturing else None
+            stepped = 0
+
+            for pid in ordinary:
+                if started and self._guard_mode.get(pid):
+                    if done[pid]:
+                        continue
+                    guard = self._guards.get(pid)
+                    if guard is not None and not guard.satisfied(
+                        self._cum[pid]
+                    ):
+                        continue  # still asleep this round
+                    # guard telemetry is stamped with the round number
+                    inbox: Optional[Inbox] = self._wake_inbox(pid, round_no)
+                else:
+                    inbox = None if not started else inboxes[pid]
+                advanced = self._collect(
+                    pid, programs[pid], inbox,
+                    round_no, outputs, done, deliveries, emissions,
+                )
+                stepped += advanced
+                if advanced and self._lv_armed:
+                    self._note_armed(pid, round_no, done)
+
+            # rushing players peek at this round's traffic addressed to them
+            for pid in rushers:
+                if self.faults is not None and self.faults.is_crashed(
+                    pid, round_no
+                ):
+                    continue
+                peek: Inbox = {}
+                for dst, src, payload in deliveries:
+                    if dst == pid:
+                        peek.setdefault(src, []).append(payload)
+                inbox = dict(inboxes[pid])
+                inbox["rush_peek"] = peek  # type: ignore[index]
+                stepped += self._collect(
+                    pid, programs[pid], inbox, round_no, outputs, done,
+                    deliveries, emissions,
+                )
+
+            if capturing:
+                # pre-fault emissions: the causality layer needs the true
+                # origin round even when the fault plane delays delivery
+                self.bus.publish(SENT, self.metrics.rounds, emissions)
+
+            if recording:
+                # tag tallies are taken pre-fault: they count what honest
+                # code paid to send, matching the metrics accounting
+                tag_counts: Dict[str, int] = {}
+                for _dst, _src, payload in deliveries:
+                    tag = payload_tag(payload)
+                    tag_counts[tag] = tag_counts.get(tag, 0) + 1
+
+            if self.faults is not None:
+                deliveries = self.faults.apply(round_no, deliveries)
+            deliveries = self.scheduler.arrange(round_no, deliveries)
+
+            self.bus.publish(ROUND, self.metrics.rounds, deliveries)
+
+            if recording:
+                self._end_round_span(
+                    round_span,
+                    phase=(
+                        inbox_phase if inbox_phase is not None
+                        else classify_tags(tag_counts)
+                    ),
+                    messages=(
+                        self.metrics.unicast_messages - snap_unicast
+                        + self.metrics.broadcast_messages - snap_broadcast
+                    ),
+                    unicast=self.metrics.unicast_messages - snap_unicast,
+                    broadcast=self.metrics.broadcast_messages - snap_broadcast,
+                    bits=self.metrics.bits - snap_bits,
+                    tags=tag_counts,
+                )
+                if tag_counts:
+                    inbox_phase = classify_tags(tag_counts)
+
+            if (
+                not deliveries
+                and stepped == 0
+                and not (
+                    self.faults is not None
+                    and self.faults.has_pending_delayed()
+                )
+            ):
+                # nobody ran, nothing is in flight, nothing is delayed:
+                # the remaining guards can never fire, so fail fast
+                # instead of spinning to max_rounds
+                raise self._exhausted(
+                    waited, done,
+                    f"no runnable player and no in-flight traffic at "
+                    f"round {round_no}",
+                )
+
+            started = True
+            inboxes = {pid: {} for pid in programs}
+            for dst, src, payload in deliveries:
+                if dst in inboxes:
+                    inboxes[dst].setdefault(src, []).append(payload)
+                    if self._guard_mode.get(dst):
+                        self._deliver(dst, src, payload, round_no, done)
+        else:
+            raise self._exhausted(
+                waited, done, f"exceeded max_rounds={self.max_rounds}"
+            )
+        self._end_run(programs, done)
+        return outputs

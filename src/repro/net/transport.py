@@ -7,13 +7,13 @@ and turns a program's :class:`Send` instructions into concrete
 ``(dst, payload)`` deliveries, metering each one and (optionally)
 round-tripping payloads through the binary wire codec.
 
-Two concrete transports mirror the paper's two models:
-
-* :class:`BroadcastTransport` — private channels *plus* the ideal
-  broadcast channel assumed by the Section 3 protocols;
-* :class:`PrivateChannelTransport` — point-to-point only, the Section 4
-  model ("every time a player needs to announce a message, (s)he can
-  only distribute it to each of the other players individually").
+One flag covers the paper's two models: ``allow_broadcast=True`` is
+private channels *plus* the ideal broadcast channel the Section 3
+protocols assume; ``allow_broadcast=False`` is point-to-point only, the
+Section 4 model ("every time a player needs to announce a message,
+(s)he can only distribute it to each of the other players
+individually"), and a ``broadcast`` send raises
+:class:`ProtocolViolation`.
 
 Delivery *timing* is not a transport concern — that is the scheduler
 layer (:mod:`repro.net.scheduler`); message loss/delay is the fault
@@ -74,7 +74,7 @@ class ProtocolViolation(Exception):
 
 
 class Transport:
-    """Base transport: expands sends into deliveries, metering each one.
+    """Expands sends into deliveries, metering each one.
 
     Parameters
     ----------
@@ -85,23 +85,25 @@ class Transport:
         message at *send* time.  Fault-plane drops/duplicates happen
         after metering — the tallies count what honest code paid to
         transmit, matching the paper's accounting.
+    allow_broadcast:
+        Whether the ideal broadcast channel exists on this transport.
     enforce_codec:
         When set, every payload is round-tripped through the binary wire
         codec (:mod:`repro.net.codec`): unencodable payloads raise, and
         ``metrics.wire_bytes`` accumulates the exact wire byte count.
     """
 
-    #: whether the ideal broadcast channel exists on this transport
-    broadcast_available = True
-
     def __init__(
-        self, n: int, metrics: NetworkMetrics, enforce_codec: bool = False
+        self,
+        n: int,
+        metrics: NetworkMetrics,
+        allow_broadcast: bool = True,
+        enforce_codec: bool = False,
     ):
         self.n = n
         self.metrics = metrics
+        self.allow_broadcast = allow_broadcast
         self.enforce_codec = enforce_codec
-        if enforce_codec and not hasattr(metrics, "wire_bytes"):
-            metrics.wire_bytes = 0  # type: ignore[attr-defined]
 
     def expand(self, src: int, sends: List[Send]) -> List[Delivery]:
         """Validate and expand a program's sends into (dst, payload)."""
@@ -120,10 +122,10 @@ class Transport:
                 copies = (
                     self.n if (send.dst == ALL and not send.broadcast) else 1
                 )
-                self.metrics.wire_bytes += copies * len(wire)  # type: ignore[attr-defined]
+                self.metrics.wire_bytes += copies * len(wire)
                 send = Send(send.dst, codec.decode(wire), send.broadcast)
             if send.broadcast:
-                if not self.broadcast_available:
+                if not self.allow_broadcast:
                     raise ProtocolViolation(
                         "broadcast channel not available in this model"
                     )
@@ -169,26 +171,3 @@ def expansion_channels(n: int, sends: List[Send]) -> List[str]:
         else:
             channels.append(UNICAST)
     return channels
-
-
-class BroadcastTransport(Transport):
-    """Private channels plus the ideal broadcast channel (Section 3)."""
-
-    broadcast_available = True
-
-
-class PrivateChannelTransport(Transport):
-    """Point-to-point private channels only (Section 4, ``n >= 6t+1``)."""
-
-    broadcast_available = False
-
-
-def make_transport(
-    n: int,
-    metrics: NetworkMetrics,
-    allow_broadcast: bool = True,
-    enforce_codec: bool = False,
-) -> Transport:
-    """The transport matching the legacy ``allow_broadcast`` flag."""
-    cls = BroadcastTransport if allow_broadcast else PrivateChannelTransport
-    return cls(n, metrics, enforce_codec=enforce_codec)

@@ -1,6 +1,6 @@
 """A small synchronous event bus for runtime observability.
 
-The :class:`~repro.net.runtime.ProtocolRuntime` owns one bus per
+A runtime (:class:`~repro.net.runtime.RuntimeBase`) owns one bus per
 execution (or shares the :class:`~repro.protocols.context.ProtocolContext`
 bus when one is attached) and publishes:
 
@@ -97,6 +97,47 @@ ALL_TOPICS = (
     COIN, BATCH, FAILURE, RETRY,
     GUARD_ARMED, GUARD_PROGRESS, GUARD_FIRED, POOL,
 )
+
+
+class RunCounter:
+    """Which protocol run a recorded event stream is in.
+
+    Round numbers restart with every run, so one rule delimits runs for
+    every recorder: a ``RUN`` marker opens a new run, and so — for
+    streams recorded without markers — does a round number that did not
+    advance past the last settled round.
+    """
+
+    def __init__(self) -> None:
+        #: 1-based number of the run in progress (0 before any event)
+        self.run = 0
+        self._last_round = 0
+        self._marked = False
+
+    def mark(self) -> None:
+        """A ``RUN`` marker arrived: the next event starts a new run."""
+        self.run += 1
+        self._last_round = 0
+        self._marked = True
+
+    def observe(self, round_no: int, settles: bool = False) -> bool:
+        """Place an event of ``round_no``; True when it opened a run.
+
+        ``settles`` marks the round's ``ROUND`` event, after which the
+        same round number can only belong to a later run.  (A marker's
+        own run is opened by :meth:`mark`, not here.)
+        """
+        opened = False
+        if self.run == 0:
+            self.run = 1  # stream without markers: first event opens run 1
+        elif not self._marked and round_no <= self._last_round:
+            self.run += 1
+            self._last_round = 0
+            opened = True
+        self._marked = False
+        if settles:
+            self._last_round = round_no
+        return opened
 
 
 class EventBus:

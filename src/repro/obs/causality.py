@@ -50,16 +50,8 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.net import codec
 from repro.net.metrics import payload_field_elements
 from repro.net.metrics import payload_tag
-from repro.obs.bus import ROUND, RUN, SENT, EventBus
+from repro.obs.bus import ROUND, RUN, SENT, EventBus, RunCounter
 from repro.obs.phases import classify_tag
-
-
-def _wire_key(payload: Any) -> str:
-    """A hashable identity for a payload (codec hex, repr fallback)."""
-    try:
-        return codec.encode(payload).hex()
-    except codec.CodecError:
-        return repr(payload)
 
 
 @dataclass(frozen=True)
@@ -258,10 +250,7 @@ class CausalRecorder:
         self._dropped: List[DroppedEmission] = []
         #: (src, dst, wire) -> [(send_round, channel, tag, elements)]
         self._pending: Dict[Tuple[int, int, str], List[Tuple]] = {}
-        self._run = 0
-        self._last_round = 0
-        self._cur_round: Optional[int] = None
-        self._run_marked = False
+        self._runs = RunCounter()
 
     # -- bus wiring ---------------------------------------------------------
     def attach(self, bus: EventBus) -> "CausalRecorder":
@@ -270,51 +259,41 @@ class CausalRecorder:
         bus.subscribe(ROUND, self.on_round)
         return self
 
-    # -- run delimiting (same contract as FlightRecorder) --------------------
+    # -- run delimiting (the FlightRecorder's RunCounter, same events) -------
     def on_run(self, n: int) -> None:
-        self._flush_pending()
-        self._run += 1
-        self._last_round = 0
-        self._cur_round = None
-        self._run_marked = True
+        self._flush_pending(self._runs.run)
+        self._runs.mark()
 
-    def _advance_run(self, round_no: int) -> None:
-        if self._run == 0:
-            self._run = 1
-        elif not self._run_marked and round_no <= self._last_round:
-            # stream without markers: round numbers restarted
-            self._flush_pending()
-            self._run += 1
-        self._run_marked = False
-        self._cur_round = round_no
+    def _observe(self, round_no: int, settles: bool = False) -> None:
+        if self._runs.observe(round_no, settles):
+            # stream without markers: the previous run just ended
+            self._flush_pending(self._runs.run - 1)
 
-    def _flush_pending(self) -> None:
-        """Emissions still unmatched when a run ends were never
+    def _flush_pending(self, run: int) -> None:
+        """Emissions still unmatched when ``run`` ends were never
         delivered — record them as dropped."""
         for (src, dst, _wire), entries in sorted(self._pending.items()):
             for send_round, channel, tag, _elements in entries:
                 self._dropped.append(DroppedEmission(
-                    run=max(self._run, 1), send_round=send_round,
+                    run=max(run, 1), send_round=send_round,
                     src=src, dst=dst, tag=tag, channel=channel,
                 ))
         self._pending.clear()
 
     # -- topic handlers -----------------------------------------------------
     def on_sent(self, round_no: int, emissions) -> None:
-        if round_no != self._cur_round:
-            self._advance_run(round_no)
+        self._observe(round_no)
         for dst, src, payload, channel in emissions:
             self._pending.setdefault(
-                (src, dst, _wire_key(payload)), []
+                (src, dst, codec.wire_key(payload)), []
             ).append((round_no, channel, payload_tag(payload),
                       payload_field_elements(payload)))
 
     def on_round(self, round_no: int, deliveries) -> None:
-        if round_no != self._cur_round:
-            self._advance_run(round_no)
-        run = self._run
+        self._observe(round_no, settles=True)
+        run = self._runs.run
         for dst, src, payload in deliveries:
-            key = (src, dst, _wire_key(payload))
+            key = (src, dst, codec.wire_key(payload))
             entries = self._pending.get(key)
             entry = None
             if entries:
@@ -341,12 +320,10 @@ class CausalRecorder:
                 src=src, dst=dst, tag=tag, elements=elements,
                 channel=channel,
             ))
-        self._last_round = round_no
-        self._cur_round = None
 
     # -- output -------------------------------------------------------------
     def graph(self) -> CausalGraph:
         """The captured DAG; pending emissions flush to ``dropped``."""
-        self._flush_pending()
+        self._flush_pending(self._runs.run)
         return CausalGraph(n=self.n, edges=list(self._edges),
                            dropped=list(self._dropped))

@@ -45,7 +45,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.net import codec
 from repro.net.metrics import payload_tag
-from repro.obs.bus import FAULT, ROUND, RUN, EventBus
+from repro.obs.bus import FAULT, ROUND, RUN, EventBus, RunCounter
 
 #: current flight-log schema version; bumped on any incompatible change
 FLIGHT_VERSION = 1
@@ -87,16 +87,30 @@ class OpaquePayload:
 
 
 def _encode_payload(payload: Any):
-    try:
-        return codec.encode(payload).hex()
-    except codec.CodecError:
-        return {"repr": repr(payload)}
+    return codec.wire_key(payload, opaque=lambda text: {"repr": text})
 
 
-def _decode_payload(wire) -> Any:
+def _get(record, key: str, kind=int, optional: bool = False):
+    """``record[key]``, checked — a log is input from outside the program."""
+    if not isinstance(record, dict):
+        raise ValueError(f"expected a JSON object, got {record!r}")
+    value = record.get(key)
+    if value is None and optional:
+        return None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(
+            f"key {key!r}: expected {kind.__name__}, got {value!r}"
+        )
+    return value
+
+
+def _decode_delivery(item) -> Tuple[int, int, Any]:
+    dst, src, wire = item
+    if not (type(dst) is int and type(src) is int):
+        raise ValueError(f"delivery {item!r}: player ids must be integers")
     if isinstance(wire, str):
-        return codec.decode(bytes.fromhex(wire))
-    return OpaquePayload(wire["repr"])
+        return dst, src, codec.decode(bytes.fromhex(wire))
+    return dst, src, OpaquePayload(_get(wire, "repr", str))
 
 
 @dataclass(frozen=True)
@@ -186,44 +200,63 @@ class FlightLog:
 
     @classmethod
     def loads(cls, text: str) -> "FlightLog":
-        lines = [line for line in text.splitlines() if line.strip()]
-        if not lines:
+        """Parse a log; any malformed input is a ``ValueError`` naming
+        the line (never a ``KeyError`` or a codec error from inside)."""
+        if not isinstance(text, str):
+            raise ValueError(f"a flight log is text, got {type(text).__name__}")
+        log = None
+        run = 0
+        for number, line in enumerate(text.splitlines(), start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+                if log is None:
+                    log = cls._from_header(record)
+                    continue
+                kind, index = _get(record, "e", str), _get(record, "i")
+                if kind == "run":
+                    run += 1
+                elif kind == "round":
+                    log.rounds.append(RoundEvent(
+                        index=index,
+                        run=_get(record, "run", optional=True) or run or 1,
+                        round=_get(record, "r"),
+                        deliveries=tuple(
+                            _decode_delivery(item)
+                            for item in _get(record, "d", list)
+                        ),
+                    ))
+                elif kind == "fault":
+                    log.faults.append(FaultEvent(
+                        index=index,
+                        run=_get(record, "run", optional=True) or run or 1,
+                        round=_get(record, "r"), kind=_get(record, "k", str),
+                        src=_get(record, "src"), dst=_get(record, "dst"),
+                    ))
+                else:
+                    raise ValueError(f"unknown flight event kind {kind!r}")
+                log.event_count = max(log.event_count, index + 1)
+            except (ValueError, TypeError, codec.CodecError) as error:
+                # TypeError: a delivery that is not a [dst, src, wire] list
+                raise ValueError(f"line {number}: {error}") from None
+        if log is None:
             raise ValueError("empty flight log")
-        header = json.loads(lines[0])
-        version = header.get("flight")
+        return log
+
+    @classmethod
+    def _from_header(cls, header) -> "FlightLog":
+        version = _get(header, "flight")
         if version != FLIGHT_VERSION:
             raise ValueError(
                 f"unsupported flight log version {version!r} "
                 f"(this build reads version {FLIGHT_VERSION})"
             )
-        log = cls(n=header["n"], t=header["t"], field=header.get("field"),
-                  seed=header.get("seed"), version=version,
-                  manifest=header.get("manifest"))
-        run = 0
-        for line in lines[1:]:
-            record = json.loads(line)
-            kind = record["e"]
-            if kind == "run":
-                run += 1
-            elif kind == "round":
-                deliveries = tuple(
-                    (dst, src, _decode_payload(wire))
-                    for dst, src, wire in record["d"]
-                )
-                log.rounds.append(RoundEvent(
-                    index=record["i"], run=record.get("run", run or 1),
-                    round=record["r"], deliveries=deliveries,
-                ))
-            elif kind == "fault":
-                log.faults.append(FaultEvent(
-                    index=record["i"], run=record.get("run", run or 1),
-                    round=record["r"], kind=record["k"],
-                    src=record["src"], dst=record["dst"],
-                ))
-            else:
-                raise ValueError(f"unknown flight event kind {kind!r}")
-            log.event_count = max(log.event_count, record["i"] + 1)
-        return log
+        return cls(n=_get(header, "n"), t=_get(header, "t"),
+                   field=_get(header, "field", str, optional=True),
+                   seed=_get(header, "seed", optional=True),
+                   version=version,
+                   manifest=_get(header, "manifest", dict, optional=True))
 
     @classmethod
     def load(cls, path: str) -> "FlightLog":
@@ -260,7 +293,7 @@ class FlightRecorder:
         ctx = ProtocolContext.create(field, n=7, t=1, seed=3)
         recorder = FlightRecorder(n=7, t=1, field=field, seed=3)
         recorder.attach(ctx.ensure_bus())
-        run_coin_gen(..., context=ctx)
+        run_coin_gen(ctx, M=8)
         recorder.log().dump("run.flightlog")
 
     The recorder delimits protocol runs by the runtime's ``"run"``
@@ -278,9 +311,7 @@ class FlightRecorder:
         self._rounds: List[RoundEvent] = []
         self._faults: List[FaultEvent] = []
         self._index = 0
-        self._run = 0
-        self._last_round = 0
-        self._run_marked = False
+        self._runs = RunCounter()
 
     # -- bus wiring ---------------------------------------------------------
     def attach(self, bus: EventBus) -> "FlightRecorder":
@@ -291,40 +322,26 @@ class FlightRecorder:
 
     # -- topic handlers -----------------------------------------------------
     def on_run(self, n: int) -> None:
-        self._run += 1
-        self._last_round = 0
-        self._run_marked = True
+        self._runs.mark()
         self._index += 1  # the marker occupies one event index
 
-    def _current_run(self, round_no: int) -> int:
-        if self._run == 0:
-            # stream without markers: first event opens run 1
-            self._run = 1
-        elif not self._run_marked and round_no <= self._last_round:
-            # fallback run detection: round numbers restarted
-            self._run += 1
-        return self._run
-
     def on_round(self, round_no: int, deliveries) -> None:
-        run = self._current_run(round_no)
+        self._runs.observe(round_no, settles=True)
         self._rounds.append(RoundEvent(
-            index=self._index, run=run, round=round_no,
+            index=self._index, run=self._runs.run, round=round_no,
             deliveries=tuple((dst, src, payload)
                              for dst, src, payload in deliveries),
         ))
         self._index += 1
-        self._last_round = round_no
-        self._run_marked = False
 
     def on_fault(self, round_no: int, kind: str, src: int, dst: int) -> None:
         # faults for round r are published before r's round event settles
-        run = self._current_run(round_no)
+        self._runs.observe(round_no)
         self._faults.append(FaultEvent(
-            index=self._index, run=run, round=round_no,
+            index=self._index, run=self._runs.run, round=round_no,
             kind=kind, src=src, dst=dst,
         ))
         self._index += 1
-        self._run_marked = False
 
     # -- output -------------------------------------------------------------
     def log(self) -> FlightLog:
@@ -461,11 +478,7 @@ class Divergence:
 
 def _delivery_key(delivery) -> Tuple[int, int, str]:
     dst, src, payload = delivery
-    try:
-        wire = codec.encode(payload).hex()
-    except codec.CodecError:
-        wire = repr(payload)
-    return (dst, src, wire)
+    return (dst, src, codec.wire_key(payload))
 
 
 def diff(log_a: FlightLog, log_b: FlightLog) -> Optional[Divergence]:

@@ -54,6 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.net.codec import wire_key
 from repro.net.metrics import payload_tag
 from repro.obs.flight import FlightLog
 from repro.obs.phases import (
@@ -123,15 +124,6 @@ class AccusationReport:
         return "\n".join(lines)
 
 
-def _payload_fingerprint(payload) -> str:
-    from repro.net import codec
-
-    try:
-        return codec.encode(payload).hex()
-    except codec.CodecError:
-        return repr(payload)
-
-
 def analyze_log(log: FlightLog, field=None,
                 t: Optional[int] = None) -> AccusationReport:
     """Run every forensic rule over ``log``; returns the report.
@@ -162,7 +154,7 @@ def analyze_log(log: FlightLog, field=None,
             tag = payload_tag(payload)
             by_sender.setdefault(src, {}).setdefault(tag, {}).setdefault(
                 dst, []
-            ).append(_payload_fingerprint(payload))
+            ).append(wire_key(payload))
             senders_of.setdefault(tag, set()).add(src)
 
         stage_before = run_stage.get(event.run, -1)

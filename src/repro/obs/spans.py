@@ -8,8 +8,8 @@ runtime produces is::
         round 1, round 2, ...
           player 1 step, player 2 step, ...
 
-Round and player spans are emitted live by
-:class:`~repro.net.runtime.ProtocolRuntime`; protocol spans by the
+Round and player spans are emitted live by the two runtimes
+(:class:`~repro.net.runtime.RuntimeBase`); protocol spans by the
 runners; *phase* spans are synthesized by :meth:`SpanRecorder.phase_spans`
 from consecutive rounds sharing a phase label (see
 :mod:`repro.obs.phases`).

@@ -16,7 +16,6 @@ from repro.poly.lagrange import (
     check_degree,
     interpolate,
     interpolate_at,
-    lagrange_coefficients_at_zero,
 )
 from repro.poly.barycentric import (
     InterpolationCache,
@@ -33,7 +32,6 @@ __all__ = [
     "interpolate",
     "interpolate_at",
     "check_degree",
-    "lagrange_coefficients_at_zero",
     "InterpolationCache",
     "interpolate_cached",
     "interpolate_at_cached",

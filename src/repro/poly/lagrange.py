@@ -16,7 +16,7 @@ the property tests compare against.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.fields.base import Element, Field
 from repro.poly.polynomial import Polynomial
@@ -91,40 +91,3 @@ def check_degree(field: Field, points: Sequence[Point], t: int) -> bool:
         return True
     head = interpolate(field, points[: t + 1])
     return all(head(x) == y for x, y in points[t + 1 :])
-
-
-def lagrange_coefficients_at_zero(field: Field, xs: Sequence[Element]) -> List[Element]:
-    """Weights ``w_i`` with ``f(0) = sum_i w_i f(x_i)`` for deg(f) < len(xs).
-
-    Used for repeated reconstructions over a fixed share set (the
-    bootstrap source exposes many coins against the same qualified set).
-    Costs a *single* field inversion regardless of ``len(xs)``: the
-    denominators ``prod_{j != i}(x_i - x_j)`` are inverted together with
-    Montgomery batch inversion, and the numerators
-    ``prod_{j != i}(0 - x_j)`` come from one prefix/suffix product sweep.
-    """
-    _require_distinct(xs)
-    n = len(xs)
-    if n == 0:
-        return []
-    if n == 1:
-        return [field.one]
-    # denominators d_i = prod_{j != i} (x_i - x_j)
-    dens = []
-    for i, xi in enumerate(xs):
-        d = field.one
-        for j, xj in enumerate(xs):
-            if j != i:
-                d = field.mul(d, field.sub(xi, xj))
-        dens.append(d)
-    inv_dens = field.batch_inv(dens)
-    # numerators via prefix/suffix products of (0 - x_j)
-    negs = [field.neg(x) for x in xs]
-    prefix = [field.one] * n  # prod of negs[:i]
-    for i in range(1, n):
-        prefix[i] = field.mul(prefix[i - 1], negs[i - 1])
-    suffix = [field.one] * n  # prod of negs[i+1:]
-    for i in range(n - 2, -1, -1):
-        suffix[i] = field.mul(suffix[i + 1], negs[i + 1])
-    nums = field.mul_many(prefix, suffix)
-    return field.mul_many(nums, inv_dens)

@@ -34,7 +34,7 @@ from repro.net.scheduler import Scheduler
 from repro.net.transport import multicast
 from repro.protocols.coin_expose import CoinShare, decode_exposed, make_dealer_coin
 from repro.protocols.common import filter_tag, valid_element
-from repro.protocols.context import as_context
+from repro.protocols.context import as_context, run_players
 
 
 def async_coin_program(
@@ -114,12 +114,11 @@ def run_async_coin(
         for pid in crashed:
             faults.crash(pid, 1)
     runtime = ctx.async_runtime(scheduler=scheduler, faults=faults)
-    programs = {
-        pid: async_coin_program(ctx.field, ctx.n, pid, shares[pid])
-        for pid in range(1, ctx.n + 1)
-    }
     with ctx.recorder.span("async_coin", "protocol", n=ctx.n, t=ctx.t):
-        outputs = runtime.run(programs)
+        outputs = run_players(
+            runtime, ctx.n,
+            lambda pid: async_coin_program(ctx.field, ctx.n, pid, shares[pid]),
+        )
     ctx.absorb(runtime.metrics)
     return outputs, secret, runtime
 

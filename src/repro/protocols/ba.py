@@ -28,6 +28,7 @@ from __future__ import annotations
 from typing import Dict, Generator
 
 from repro.net.simulator import multicast
+from repro.protocols.context import ProtocolContext
 from repro.obs.phases import register_tag_phase
 from repro.protocols.common import filter_tag
 
@@ -79,28 +80,9 @@ def phase_king(
 
 
 def run_phase_king(n, t, inputs: Dict[int, int], field=None, faulty=None,
-                   tag="ba", context=None):
-    """Standalone runner for tests/benches; returns (decisions, metrics).
-
-    Pass ``context=`` (a :class:`~repro.protocols.context.ProtocolContext`)
-    to run under its scheduler/fault plane/recorder.
-    """
-    from repro.net.simulator import SynchronousNetwork
-
-    faulty = faulty or {}
-    if context is not None:
-        network = context.network(allow_broadcast=False)
-    else:
-        network = SynchronousNetwork(n, field=field, allow_broadcast=False)
-    programs = {}
-    for pid in range(1, n + 1):
-        if pid in faulty:
-            if faulty[pid] is not None:
-                programs[pid] = faulty[pid]
-            continue
-        programs[pid] = phase_king(n, t, pid, inputs[pid], tag)
-    honest = [pid for pid in programs if pid not in faulty]
-    outputs = network.run(programs, wait_for=honest)
-    if context is not None:
-        context.absorb(network.metrics)
-    return outputs, network.metrics
+                   tag="ba"):
+    """Standalone runner for tests/benches; returns (decisions, metrics)."""
+    return ProtocolContext(field, n, t).run(
+        lambda pid: phase_king(n, t, pid, inputs[pid], tag),
+        faulty=faulty, allow_broadcast=False,
+    )

@@ -26,7 +26,7 @@ degree-t polynomial fits the values of at least ``l`` given players.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Generator, Optional, Sequence, Tuple
+from typing import Dict, Generator, Optional, Sequence, Tuple
 
 from repro.fields.base import Element, Field
 from repro.poly.barycentric import interpolate_cached
@@ -36,12 +36,10 @@ from repro.net.metrics import NetworkMetrics
 from repro.net.simulator import broadcast
 from repro.obs.phases import register_tag_phase
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.protocols.context import ProtocolContext
-
 register_tag_phase("clique", suffix="/nu")
 from repro.sharing.shamir import ShamirScheme
 from repro.protocols.coin_expose import CoinShare, coin_expose, make_dealer_coin
+from repro.protocols.context import as_context
 from repro.protocols.common import filter_tag, valid_element
 
 
@@ -134,7 +132,6 @@ def run_batch_vss(
     blinding: bool = False,
     accept_subset: Optional[Sequence[int]] = None,
     faulty_programs: Optional[Dict[int, Generator]] = None,
-    context: Optional["ProtocolContext"] = None,
 ) -> Tuple[Dict[int, BatchVSSResult], NetworkMetrics]:
     """Run Protocol Batch-VSS over M fresh dealings.
 
@@ -148,9 +145,7 @@ def run_batch_vss(
     dealing is appended to mask the combination of secrets (see module
     docstring).
     """
-    from repro.protocols.context import as_context
-
-    ctx = context if context is not None else as_context(field, n, t, seed=seed)
+    ctx = as_context(field, n, t, seed=seed)
     field, n, t, rng = ctx.field, ctx.n, ctx.t, ctx.rng
     scheme = ShamirScheme(field, n, t)
     total = M + (1 if blinding else 0)
@@ -167,25 +162,10 @@ def run_batch_vss(
             share_table[pid].append(values[pid])
 
     _, coin_shares = make_dealer_coin(field, n, t, "batchvss-challenge", rng)
-    network = ctx.network()
-    programs = {}
-    faulty_programs = faulty_programs or {}
-    for pid in range(1, n + 1):
-        if pid in faulty_programs:
-            if faulty_programs[pid] is not None:
-                programs[pid] = faulty_programs[pid]
-            continue
-        programs[pid] = batch_vss_program(
-            field,
-            n,
-            t,
-            pid,
-            share_table[pid],
-            coin_shares[pid],
+    return ctx.run(
+        lambda pid: batch_vss_program(
+            field, n, t, pid, share_table[pid], coin_shares[pid],
             accept_subset=accept_subset,
-        )
-    honest = [pid for pid in programs if pid not in faulty_programs]
-    with ctx.recorder.span("batch_vss", "protocol", n=n, t=t, M=M):
-        outputs = network.run(programs, wait_for=honest)
-    ctx.absorb(network.metrics)
-    return outputs, network.metrics
+        ),
+        faulty=faulty_programs, span="batch_vss", n=n, t=t, M=M,
+    )

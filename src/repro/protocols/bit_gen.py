@@ -26,7 +26,7 @@ combination.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Generator, Optional, Tuple
+from typing import Dict, Generator, Optional, Tuple
 
 from repro.fields.base import Element, Field
 from repro.poly import barycentric
@@ -42,14 +42,12 @@ from repro.poly.polynomial import Polynomial, evaluate_polys, horner_batch
 from repro.net.metrics import NetworkMetrics
 from repro.net.simulator import multicast, unicast
 from repro.obs.phases import register_tag_phase
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.protocols.context import ProtocolContext
 from repro.sharing.shamir import ShamirScheme
 
 register_tag_phase("deal", suffix="/sh")
 register_tag_phase("clique", suffix="/nu")
 from repro.protocols.coin_expose import CoinShare, coin_expose, make_dealer_coin
+from repro.protocols.context import as_context
 from repro.protocols.common import filter_tag, valid_element, valid_element_tuple
 
 
@@ -209,19 +207,16 @@ def run_bit_gen(
     blinding: bool = True,
     cheat_polys=None,
     faulty_programs: Optional[Dict[int, Generator]] = None,
-    context: Optional["ProtocolContext"] = None,
 ) -> Tuple[Dict[int, BitGenOutput], NetworkMetrics]:
     """Run one Bit-Gen instance end to end (point-to-point network).
 
-    Accepts either the legacy ``(field, n, t, ...)`` convention or a
-    ready :class:`~repro.protocols.context.ProtocolContext` (as ``field``
-    or via ``context=``).  ``cheat_polys`` lets a test substitute the
+    Accepts ``(field, n, t, ...)`` or a ready
+    :class:`~repro.protocols.context.ProtocolContext` as first
+    argument.  ``cheat_polys`` lets a test substitute the
     dealer's polynomials (e.g. degree > t) to exercise Lemma 5's
     soundness bound.
     """
-    from repro.protocols.context import as_context
-
-    ctx = context if context is not None else as_context(field, n, t, seed=seed)
+    ctx = as_context(field, n, t, seed=seed)
     field, n, t, rng = ctx.field, ctx.n, ctx.t, ctx.rng
     total = M + (1 if blinding else 0)
     polys = cheat_polys
@@ -229,28 +224,12 @@ def run_bit_gen(
         polys = [Polynomial.random(field, t, rng) for _ in range(total)]
     _, coin_shares = make_dealer_coin(field, n, t, "bitgen-challenge", rng)
 
-    network = ctx.network(allow_broadcast=False)
-    programs = {}
-    faulty_programs = faulty_programs or {}
-    for pid in range(1, n + 1):
-        if pid in faulty_programs:
-            if faulty_programs[pid] is not None:
-                programs[pid] = faulty_programs[pid]
-            continue
-        programs[pid] = bit_gen_program(
-            field,
-            n,
-            t,
-            pid,
-            dealer,
-            M,
-            coin_shares[pid],
+    return ctx.run(
+        lambda pid: bit_gen_program(
+            field, n, t, pid, dealer, M, coin_shares[pid],
             dealer_polys=polys if pid == dealer else None,
             blinding=blinding,
-        )
-    honest = [pid for pid in programs if pid not in faulty_programs]
-    with ctx.recorder.span("bit_gen", "protocol", n=n, t=t, M=M,
-                           dealer=dealer):
-        outputs = network.run(programs, wait_for=honest)
-    ctx.absorb(network.metrics)
-    return outputs, network.metrics
+        ),
+        faulty=faulty_programs, allow_broadcast=False,
+        span="bit_gen", n=n, t=t, M=M, dealer=dealer,
+    )

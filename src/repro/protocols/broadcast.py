@@ -29,10 +29,11 @@ from typing import Any, Dict, Generator, Optional, Tuple
 
 from repro.net.guards import Wait, guarded, wait_any
 from repro.net.metrics import NetworkMetrics
-from repro.net.simulator import SynchronousNetwork, multicast
+from repro.net.simulator import multicast
 from repro.obs.phases import register_tag_phase
 from repro.protocols.ba import phase_king
 from repro.protocols.common import filter_tag, plurality
+from repro.protocols.context import ProtocolContext, run_players
 from repro.protocols.gradecast import parallel_gradecast
 
 # Bracha reliable-broadcast traffic is broadcast-substrate work, same
@@ -174,16 +175,14 @@ def run_reliable_broadcast(
     mid-run crashes).
     """
     if runtime is None:
-        runtime = SynchronousNetwork(n, field=field)
-    crashed = set(crashed)
-    programs = {
-        pid: reliable_broadcast_program(
+        runtime = ProtocolContext(field, n, t).network()
+    return run_players(
+        runtime, n,
+        lambda pid: reliable_broadcast_program(
             n, t, pid, sender, value if pid == sender else None, tag
-        )
-        for pid in range(1, n + 1)
-        if pid not in crashed
-    }
-    return runtime.run(programs)
+        ),
+        faulty=dict.fromkeys(crashed),
+    )
 
 
 def run_broadcast(
@@ -196,17 +195,9 @@ def run_broadcast(
     tag: str = "bcast",
 ) -> Tuple[Dict[int, Any], NetworkMetrics]:
     """Run one Byzantine broadcast over a point-to-point network."""
-    network = SynchronousNetwork(n, field=field, allow_broadcast=False)
-    programs = {}
-    faulty_programs = faulty_programs or {}
-    for pid in range(1, n + 1):
-        if pid in faulty_programs:
-            if faulty_programs[pid] is not None:
-                programs[pid] = faulty_programs[pid]
-            continue
-        programs[pid] = broadcast_program(
+    return ProtocolContext(field, n, t).run(
+        lambda pid: broadcast_program(
             n, t, pid, sender, value if pid == sender else None, tag
-        )
-    honest = [pid for pid in programs if pid not in faulty_programs]
-    outputs = network.run(programs, wait_for=honest)
-    return outputs, network.metrics
+        ),
+        faulty=faulty_programs, allow_broadcast=False,
+    )

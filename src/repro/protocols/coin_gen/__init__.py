@@ -34,6 +34,7 @@ from repro.protocols.coin_gen.finalize import (
     expose_coin,
     make_seed_coins,
     run_coin_gen,
+    run_coin_gen_players,
 )
 
 __all__ = [
@@ -51,4 +52,5 @@ __all__ = [
     "expose_coin",
     "make_seed_coins",
     "run_coin_gen",
+    "run_coin_gen_players",
 ]

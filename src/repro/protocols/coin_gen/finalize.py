@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dataclass_field
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Generator, List, Optional, Sequence, Tuple,
+)
 
 from repro.fields.base import Element, Field
 from repro.net.metrics import NetworkMetrics
@@ -125,6 +127,49 @@ def make_seed_coins(
     return per_player
 
 
+def run_coin_gen_players(
+    ctx: ProtocolContext,
+    M: int,
+    seed_shares: Callable[[int], Sequence[CoinShare]],
+    player_rng: Callable[[int], random.Random],
+    tag: str,
+    blinding: bool = True,
+    shared_challenge: bool = True,
+    faulty: Optional[Dict[int, object]] = None,
+    rushing=(),
+) -> Tuple[Dict[int, CoinGenOutput], NetworkMetrics]:
+    """One Coin-Gen execution under ``ctx``, whoever supplies the seed.
+
+    ``seed_shares(pid)`` and ``player_rng(pid)`` give an honest player
+    its seed-coin shares and generator, asked in pid order (see
+    :func:`~repro.protocols.context.run_players`, also for ``faulty``).
+    The ``coin_gen`` protocol span carries the iteration count and
+    verdict of the first honest output.
+    """
+    faulty = faulty or {}
+    with ctx.recorder.span("coin_gen", "protocol",
+                           n=ctx.n, t=ctx.t, M=M) as span:
+        outputs, metrics = ctx.run(
+            lambda pid: coin_gen_program(
+                ctx.field, ctx.n, ctx.t, pid, M,
+                seed_shares(pid), player_rng(pid),
+                tag=tag, blinding=blinding,
+                shared_challenge=shared_challenge,
+            ),
+            faulty=faulty, allow_broadcast=False, rushing=rushing,
+        )
+        if ctx.recorder.enabled:
+            sample = next(
+                (outputs[pid] for pid in sorted(outputs)
+                 if pid not in faulty and outputs[pid]), None
+            )
+            span.set(
+                iterations=sample.iterations if sample else 0,
+                success=bool(sample and sample.success),
+            )
+    return outputs, metrics
+
+
 def run_coin_gen(
     field,
     n: Optional[int] = None,
@@ -136,21 +181,18 @@ def run_coin_gen(
     shared_challenge: bool = True,
     faulty_programs: Optional[Dict[int, Generator]] = None,
     tag: str = "cg",
-    context: Optional[ProtocolContext] = None,
 ) -> Tuple[Dict[int, CoinGenOutput], NetworkMetrics]:
     """Run Coin-Gen end to end with fresh trusted-dealer seed coins.
 
-    Accepts either the legacy ``(field, n, t, ...)`` convention or a
-    ready :class:`ProtocolContext` (as ``field`` or via ``context=``),
-    whose scheduler, fault plane, and recorder are wired through.  Returns
-    per-player outputs and network metrics.  Faulty players are supplied
-    as complete replacement programs, as None for crashed-from-the-start,
-    or as a *factory* — a callable receiving the player's honest program
-    and returning the program to run instead.  The factory form is how
-    wrapping adversaries (equivocators, crash-at-round-r) get the
-    player's dealt seed-coin shares without re-deriving them.
+    Accepts ``(field, n, t, ...)`` or a ready :class:`ProtocolContext`
+    as first argument, whose scheduler, fault plane, and recorder are
+    wired through.  Returns per-player outputs and network metrics.
+    Faulty players are supplied as complete replacement programs, as
+    None for crashed-from-the-start, or as a *factory* wrapping the
+    player's honest program (see
+    :func:`~repro.protocols.context.run_players`).
     """
-    ctx = context if context is not None else as_context(field, n, t, seed=seed)
+    ctx = as_context(field, n, t, seed=seed)
     if max_iterations is None:
         max_iterations = 2 * ctx.t + 4
     num_challenges = 1 if shared_challenge else ctx.n
@@ -158,49 +200,11 @@ def run_coin_gen(
         ctx.field, ctx.n, ctx.t, num_challenges + max_iterations, ctx.rng,
         prefix=f"{tag}-seed",
     )
-
-    network = ctx.network(allow_broadcast=False)
-    programs = {}
-    faulty_programs = faulty_programs or {}
-    for pid in range(1, ctx.n + 1):
-        honest_program = None
-        if pid not in faulty_programs or callable(faulty_programs.get(pid)):
-            honest_program = coin_gen_program(
-                ctx.field,
-                ctx.n,
-                ctx.t,
-                pid,
-                M,
-                seed_coins[pid],
-                ctx.player_rng(pid),
-                tag=tag,
-                blinding=blinding,
-                shared_challenge=shared_challenge,
-            )
-        if pid in faulty_programs:
-            supplied = faulty_programs[pid]
-            if supplied is None:
-                continue
-            # factory form: wrap the player's honest program
-            programs[pid] = (
-                supplied(honest_program) if callable(supplied) else supplied
-            )
-            continue
-        programs[pid] = honest_program
-    honest = [pid for pid in programs if pid not in faulty_programs]
-    with ctx.recorder.span("coin_gen", "protocol",
-                           n=ctx.n, t=ctx.t, M=M) as span:
-        outputs = network.run(programs, wait_for=honest)
-        if ctx.recorder.enabled:
-            sample = next(
-                (outputs[pid] for pid in honest if outputs.get(pid)), None
-            )
-            span.set(
-                iterations=sample.iterations if sample else 0,
-                success=bool(sample and sample.success),
-            )
-    ctx.absorb(network.metrics)
-    return outputs, network.metrics
+    return run_coin_gen_players(
+        ctx, M, seed_coins.__getitem__, ctx.player_rng, tag,
+        blinding=blinding, shared_challenge=shared_challenge,
+        faulty=faulty_programs,
+    )
 
 
 def expose_coin(
@@ -210,41 +214,36 @@ def expose_coin(
     h: int = 0,
     t: Optional[int] = None,
     faulty_programs: Optional[Dict[int, Generator]] = None,
-    context: Optional[ProtocolContext] = None,
 ) -> Tuple[Dict[int, Optional[Element]], NetworkMetrics]:
-    """Run Coin-Expose (Fig. 6) for the h-th coin of a Coin-Gen result."""
-    ctx = context if context is not None else as_context(field, n, t)
+    """Run Coin-Expose (Fig. 6) for the h-th coin of a Coin-Gen result.
+
+    Players whose Coin-Gen failed hold no share and take no part.
+    """
+    ctx = as_context(field, n, t)
     if outputs is None:
         raise TypeError("expose_coin requires the Coin-Gen outputs")
-    network = ctx.network(allow_broadcast=False)
-    programs = {}
     faulty_programs = faulty_programs or {}
-    for pid in range(1, ctx.n + 1):
-        if pid in faulty_programs:
-            supplied = faulty_programs[pid]
-            if supplied is None:
-                continue
-            if callable(supplied):
-                if pid not in outputs or not outputs[pid].success:
-                    continue
-                supplied = supplied(
-                    coin_expose(ctx.field, pid, outputs[pid].coins[h])
-                )
-            programs[pid] = supplied
-            continue
-        if pid not in outputs or not outputs[pid].success:
-            continue
-        programs[pid] = coin_expose(ctx.field, pid, outputs[pid].coins[h])
-    honest = [pid for pid in programs if pid not in faulty_programs]
+
+    def share_of(pid: int) -> Optional[CoinShare]:
+        out = outputs.get(pid)  # a faulty player's output may be anything
+        return out.coins[h] if out is not None and out.success else None
+
     # how many honest programs will actually send (self-selected senders)
-    senders_total = sum(
-        1 for pid in honest
-        if pid in outputs and outputs[pid].success
-        and pid in outputs[pid].coins[h].senders
-        and outputs[pid].coins[h].my_value is not None
+    honest_shares = (
+        (pid, share_of(pid)) for pid in range(1, ctx.n + 1)
+        if pid not in faulty_programs
     )
-    with ctx.recorder.span("expose", "protocol", n=ctx.n, coins=1,
-                           senders_total=senders_total):
-        results = network.run(programs, wait_for=honest)
-    ctx.absorb(network.metrics)
-    return results, network.metrics
+    senders_total = sum(
+        1 for pid, share in honest_shares
+        if share is not None
+        and pid in share.senders and share.my_value is not None
+    )
+
+    def make_program(pid: int):
+        share = share_of(pid)
+        return None if share is None else coin_expose(ctx.field, pid, share)
+
+    return ctx.run(
+        make_program, faulty=faulty_programs, allow_broadcast=False,
+        span="expose", n=ctx.n, coins=1, senders_total=senders_total,
+    )

@@ -17,36 +17,82 @@ object:
 * **scheduler / faults** — the delivery policy and fault plane every
   network built from this context uses.
 
-Build networks with :meth:`network` and the layers are wired through
-automatically::
+Everything between a runner's arguments and ``run(programs)`` lives
+here, once: :func:`run_players` is the player harness (honest programs,
+faulty substitutes, wait for the honest) and :meth:`ProtocolContext.run`
+wraps it with the context's network, protocol span and metrics merge::
 
     ctx = ProtocolContext.create(field, n=7, t=1, seed=3,
                                  scheduler=PermutedDeliveryScheduler(9))
-    net = ctx.network(allow_broadcast=False)
-    outputs = net.run(programs)
-    ctx.absorb(net.metrics)
+    outputs, metrics = ctx.run(
+        lambda pid: phase_king(7, 1, pid, inputs[pid]),
+        faulty={4: silent_program()}, allow_broadcast=False,
+    )
+
+No module outside :mod:`repro.net` and this one constructs a runtime
+(``tests/test_census.py`` walks the tree to check).
 """
 
 from __future__ import annotations
 
 import random
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.fields.base import Field
 from repro.net.faults import FaultPlane
 from repro.net.metrics import NetworkMetrics
+from repro.net.runtime import Program, RuntimeBase
 from repro.net.scheduler import Scheduler
 from repro.net.simulator import SynchronousNetwork
 from repro.obs.bus import EventBus
 from repro.obs.spans import NULL_RECORDER, NullRecorder
 
 
+def run_players(
+    runtime: RuntimeBase,
+    n: int,
+    make_program: Callable[[int], Optional[Program]],
+    faulty: Optional[Dict[int, Any]] = None,
+) -> Dict[int, Any]:
+    """Run players ``1..n`` on ``runtime``; returns ``{pid: output}``.
+
+    ``make_program(pid)`` builds a player's honest program (None: the
+    player takes no part).  It is called in pid order, for exactly the
+    players that run or wrap their honest program — building one may
+    draw from a shared generator, so call order is part of a seeded run.
+    ``faulty`` maps a player id to what runs in its place: ``None``
+    (crashed from the start), a replacement program, or a factory that
+    receives the honest program and returns the one to run — how
+    wrapping adversaries (equivocators, crash-at-round-r) get the
+    player's dealt inputs.  Only the honest players are waited for, so
+    a never-terminating adversary program cannot stall the run.
+    """
+    faulty = faulty or {}
+    programs: Dict[int, Program] = {}
+    for pid in range(1, n + 1):
+        if pid in faulty and not callable(faulty[pid]):
+            program = faulty[pid]  # a replacement, or None
+        else:
+            program = make_program(pid)
+            if program is not None and pid in faulty:
+                program = faulty[pid](program)
+        if program is not None:
+            programs[pid] = program
+    honest = [pid for pid in programs if pid not in faulty]
+    return runtime.run(programs, wait_for=honest)
+
+
 @dataclass
 class ProtocolContext:
-    """Everything a protocol execution needs, in one object."""
+    """Everything a protocol execution needs, in one object.
 
-    field: Field
+    ``field`` may be None for protocols that compute over no field
+    (EIG, phase king on bare bits): nothing is metered per element then.
+    """
+
+    field: Optional[Field]
     n: int
     t: int
     seed: int = 0
@@ -74,7 +120,11 @@ class ProtocolContext:
         if self.rng is None:
             self.rng = random.Random(self.seed)
         if self.metrics is None:
-            self.metrics = NetworkMetrics(element_bits=self.field.bit_length)
+            self.metrics = NetworkMetrics(
+                element_bits=(
+                    self.field.bit_length if self.field is not None else 1
+                )
+            )
 
     @classmethod
     def create(cls, field: Field, n: int, t: int, seed: int = 0,
@@ -166,6 +216,31 @@ class ProtocolContext:
             **kwargs,
         )
 
+    def run(
+        self,
+        make_program: Callable[[int], Optional[Program]],
+        *,
+        faulty: Optional[Dict[int, Any]] = None,
+        allow_broadcast: bool = True,
+        rushing=(),
+        span: Optional[str] = None,
+        **span_attrs,
+    ) -> Tuple[Dict[int, Any], NetworkMetrics]:
+        """One lockstep protocol run; returns ``(outputs, run metrics)``.
+
+        :func:`run_players` on a fresh :meth:`network`, inside a
+        ``"protocol"`` span named ``span`` (none when omitted), with the
+        run's tallies absorbed into the context's totals.
+        """
+        network = self.network(allow_broadcast=allow_broadcast, rushing=rushing)
+        with (
+            self.recorder.span(span, "protocol", **span_attrs)
+            if span is not None else nullcontext()
+        ):
+            outputs = run_players(network, self.n, make_program, faulty)
+        self.absorb(network.metrics)
+        return outputs, network.metrics
+
     def ensure_bus(self) -> EventBus:
         """The context's shared bus, creating (and attaching) one if unset."""
         if self.bus is None:
@@ -182,9 +257,9 @@ def as_context(field_or_ctx, n: Optional[int] = None, t: Optional[int] = None,
                seed: int = 0, **kwargs) -> ProtocolContext:
     """Normalize the two calling conventions runners accept.
 
-    Legacy call sites pass ``(field, n, t, seed=...)``; context-native
-    call sites pass a ready :class:`ProtocolContext`.  Returns the
-    context either way.
+    ``(field, n, t, seed=...)`` builds a fresh context; a ready
+    :class:`ProtocolContext` as first argument is returned as is, and
+    its scheduler, fault plane, recorder and bus are what the run uses.
     """
     if isinstance(field_or_ctx, ProtocolContext):
         return field_or_ctx

@@ -21,8 +21,9 @@ from __future__ import annotations
 
 from typing import Dict, Generator, List, Optional, Tuple
 
-from repro.net.simulator import SynchronousNetwork, multicast
+from repro.net.simulator import multicast
 from repro.protocols.common import filter_tag
+from repro.protocols.context import ProtocolContext
 
 Label = Tuple[int, ...]
 
@@ -139,14 +140,9 @@ def run_eig(
 ):
     """Standalone EIG runner; returns (decisions, metrics)."""
     faulty = faulty or {}
-    network = SynchronousNetwork(n, allow_broadcast=False)
-    programs = {}
-    for pid in range(1, n + 1):
-        if pid in faulty:
-            if faulty[pid] is not None:
-                programs[pid] = faulty[pid]
-            continue
-        programs[pid] = eig_program(n, t, pid, inputs[pid], tag)
-    honest = [pid for pid in programs if pid not in faulty]
-    outputs = network.run(programs, wait_for=honest)
-    return {pid: outputs[pid] for pid in honest}, network.metrics
+    outputs, metrics = ProtocolContext(None, n, t).run(
+        lambda pid: eig_program(n, t, pid, inputs[pid], tag),
+        faulty=faulty, allow_broadcast=False,
+    )
+    honest = {pid: out for pid, out in outputs.items() if pid not in faulty}
+    return honest, metrics

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dataclass_field
-from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.fields.base import Element, Field
 from repro.net.metrics import NetworkMetrics
@@ -41,9 +41,7 @@ from repro.protocols.coin_expose import CoinShare
 from repro.protocols.coin_gen import DealingAgreement, dealing_agreement_program
 from repro.protocols.common import filter_tag, valid_element_tuple
 from repro.sharing.shamir import ShamirScheme
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.protocols.context import ProtocolContext
+from repro.protocols.context import as_context
 
 
 @dataclass
@@ -180,19 +178,17 @@ def run_recovery(
     max_iterations: Optional[int] = None,
     faulty_programs: Optional[Dict[int, Generator]] = None,
     tag: str = "recover",
-    context: Optional["ProtocolContext"] = None,
 ) -> Tuple[Dict[int, RecoveryOutput], NetworkMetrics]:
     """Run one recovery for ``recovering`` over ``coin_table``.
 
-    Accepts either the legacy ``(field, n, t, ...)`` convention or a
-    ready :class:`~repro.protocols.context.ProtocolContext`.
+    Accepts ``(field, n, t, ...)`` or a ready
+    :class:`~repro.protocols.context.ProtocolContext` as first argument.
     """
     from repro.protocols.coin_gen import make_seed_coins
-    from repro.protocols.context import as_context
 
     if coin_table is None:
         raise TypeError("run_recovery requires a coin_table")
-    ctx = context if context is not None else as_context(field, n, t, seed=seed)
+    ctx = as_context(field, n, t, seed=seed)
     field, n, t, rng = ctx.field, ctx.n, ctx.t, ctx.rng
     if max_iterations is None:
         max_iterations = 2 * t + 4
@@ -200,26 +196,10 @@ def run_recovery(
         field, n, t, 1 + max_iterations, rng, prefix=f"{tag}-seed"
     )
 
-    network = ctx.network(allow_broadcast=False)
-    programs = {}
-    faulty_programs = faulty_programs or {}
-    for pid in range(1, n + 1):
-        if pid in faulty_programs:
-            if faulty_programs[pid] is not None:
-                programs[pid] = faulty_programs[pid]
-            continue
-        programs[pid] = recovery_program(
-            field,
-            n,
-            t,
-            pid,
-            recovering,
-            coin_table[pid],
-            seed_coins[pid],
-            ctx.player_rng(pid),
-            tag=tag,
-        )
-    honest = [pid for pid in programs if pid not in faulty_programs]
-    outputs = network.run(programs, wait_for=honest)
-    ctx.absorb(network.metrics)
-    return outputs, network.metrics
+    return ctx.run(
+        lambda pid: recovery_program(
+            field, n, t, pid, recovering, coin_table[pid], seed_coins[pid],
+            ctx.player_rng(pid), tag=tag,
+        ),
+        faulty=faulty_programs, allow_broadcast=False,
+    )

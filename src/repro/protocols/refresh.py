@@ -35,15 +35,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dataclass_field
-from typing import TYPE_CHECKING, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.fields.base import Element, Field
 from repro.net.metrics import NetworkMetrics
 from repro.protocols.coin_expose import CoinShare
 from repro.protocols.coin_gen import DealingAgreement, dealing_agreement_program
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.protocols.context import ProtocolContext
+from repro.protocols.context import as_context
 
 
 @dataclass
@@ -134,21 +132,19 @@ def run_refresh(
     max_iterations: Optional[int] = None,
     faulty_programs: Optional[Dict[int, Generator]] = None,
     tag: str = "refresh",
-    context: Optional["ProtocolContext"] = None,
 ) -> Tuple[Dict[int, RefreshOutput], NetworkMetrics]:
     """Run one refresh over ``coin_table`` ({player: its coin shares}).
 
     Fresh trusted-dealer seed coins drive the challenge/leader draws (in
     a bootstrapped system these come from the previous batch instead).
-    Accepts either the legacy ``(field, n, t, ...)`` convention or a
-    ready :class:`~repro.protocols.context.ProtocolContext`.
+    Accepts ``(field, n, t, ...)`` or a ready
+    :class:`~repro.protocols.context.ProtocolContext` as first argument.
     """
     from repro.protocols.coin_gen import make_seed_coins
-    from repro.protocols.context import as_context
 
     if coin_table is None:
         raise TypeError("run_refresh requires a coin_table")
-    ctx = context if context is not None else as_context(field, n, t, seed=seed)
+    ctx = as_context(field, n, t, seed=seed)
     field, n, t, rng = ctx.field, ctx.n, ctx.t, ctx.rng
     if max_iterations is None:
         max_iterations = 2 * t + 4
@@ -156,25 +152,10 @@ def run_refresh(
         field, n, t, 1 + max_iterations, rng, prefix=f"{tag}-seed"
     )
 
-    network = ctx.network(allow_broadcast=False)
-    programs = {}
-    faulty_programs = faulty_programs or {}
-    for pid in range(1, n + 1):
-        if pid in faulty_programs:
-            if faulty_programs[pid] is not None:
-                programs[pid] = faulty_programs[pid]
-            continue
-        programs[pid] = refresh_program(
-            field,
-            n,
-            t,
-            pid,
-            coin_table[pid],
-            seed_coins[pid],
-            ctx.player_rng(pid),
-            tag=tag,
-        )
-    honest = [pid for pid in programs if pid not in faulty_programs]
-    outputs = network.run(programs, wait_for=honest)
-    ctx.absorb(network.metrics)
-    return outputs, network.metrics
+    return ctx.run(
+        lambda pid: refresh_program(
+            field, n, t, pid, coin_table[pid], seed_coins[pid],
+            ctx.player_rng(pid), tag=tag,
+        ),
+        faulty=faulty_programs, allow_broadcast=False,
+    )

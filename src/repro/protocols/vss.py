@@ -33,7 +33,7 @@ and E5, and `examples/batch_vss_audit.py`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Generator, Optional, Tuple
+from typing import Dict, Generator, Optional, Tuple
 
 from repro.fields.base import Element, Field
 from repro.poly.berlekamp_welch import DecodingError, berlekamp_welch
@@ -41,11 +41,9 @@ from repro.poly.lagrange import interpolate
 from repro.poly.polynomial import Polynomial
 from repro.net.simulator import Send, broadcast, unicast
 from repro.net.metrics import NetworkMetrics
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.protocols.context import ProtocolContext
 from repro.sharing.shamir import ShamirScheme
 from repro.protocols.coin_expose import CoinShare, coin_expose, make_dealer_coin
+from repro.protocols.context import as_context
 from repro.protocols.common import filter_tag, valid_element
 
 
@@ -145,7 +143,6 @@ def run_vss(
     cheat_g: Optional[Polynomial] = None,
     robust: bool = False,
     faulty_programs: Optional[Dict[int, Generator]] = None,
-    context: Optional["ProtocolContext"] = None,
 ) -> Tuple[Dict[int, VSSResult], NetworkMetrics]:
     """Run Protocol VSS end to end on a fresh synchronous network.
 
@@ -156,9 +153,7 @@ def run_vss(
     one guessed challenge value); ``cheat_g`` substitutes the dealer's
     companion polynomial.  Returns per-player results and metrics.
     """
-    from repro.protocols.context import as_context
-
-    ctx = context if context is not None else as_context(field, n, t, seed=seed)
+    ctx = as_context(field, n, t, seed=seed)
     field, n, t, rng = ctx.field, ctx.n, ctx.t, ctx.rng
     scheme = ShamirScheme(field, n, t)
     if secret is None:
@@ -173,26 +168,11 @@ def run_vss(
     g_poly = cheat_g if cheat_g is not None else Polynomial.random(field, t, rng)
     _, coin_shares = make_dealer_coin(field, n, t, "vss-challenge", rng)
 
-    network = ctx.network()
-    programs = {}
-    faulty_programs = faulty_programs or {}
-    for pid in range(1, n + 1):
-        if pid in faulty_programs:
-            if faulty_programs[pid] is not None:
-                programs[pid] = faulty_programs[pid]
-            continue
-        programs[pid] = vss_program(
-            field,
-            n,
-            t,
-            pid,
-            dealer,
-            alphas[pid],
-            coin_shares[pid],
+    return ctx.run(
+        lambda pid: vss_program(
+            field, n, t, pid, dealer, alphas[pid], coin_shares[pid],
             g_poly=g_poly if pid == dealer else None,
             robust=robust,
-        )
-    honest = [pid for pid in programs if pid not in faulty_programs]
-    outputs = network.run(programs, wait_for=honest)
-    ctx.absorb(network.metrics)
-    return outputs, network.metrics
+        ),
+        faulty=faulty_programs,
+    )

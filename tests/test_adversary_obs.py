@@ -44,7 +44,7 @@ def traced_coin_gen(faulty_programs=None, seed=SEED):
     recorder = SpanRecorder()
     ctx = ProtocolContext.create(GF2k(16), n=N, t=T, seed=seed,
                                  bus=bus, recorder=recorder)
-    outputs, _ = run_coin_gen(GF2k(16), context=ctx, M=1, tag="cg",
+    outputs, _ = run_coin_gen(ctx, M=1, tag="cg",
                               faulty_programs=faulty_programs)
     return tracer, recorder, outputs
 

@@ -31,7 +31,7 @@ import pytest
 from repro.fields import GF2k
 from repro.fields.backends import numpy_available
 from repro.net import AsyncRuntime, FaultPlane, RandomOrderScheduler, guarded
-from repro.net import async_runtime, guards, runtime
+from repro.net import async_runtime, guards, simulator
 from repro.net.metrics import payload_tag
 from repro.net.transport import multicast
 from repro.obs.bus import ALL_TOPICS, EventBus
@@ -151,7 +151,7 @@ def _all_to_all(n: int, rounds: int):
 def _run_counted(monkeypatch, rounds: int, faults=None):
     """A dark all-to-all run; (deliveries, payload_tag calls, pool scans)."""
     tags = mock.Mock(wraps=payload_tag)
-    for module in (async_runtime, guards, runtime):
+    for module in (async_runtime, guards, simulator):
         monkeypatch.setattr(module, "payload_tag", tags)
     # the loop's only pass over the pool is ``enumerate(pending)``; a
     # module global of that name shadows the builtin and counts them

@@ -24,7 +24,6 @@ from repro.poly import (
     interpolate_at_cached,
     interpolate_cached,
     interpolation_mode,
-    lagrange_coefficients_at_zero,
     shared_cache,
 )
 from repro.sharing.shamir import ShamirScheme
@@ -507,25 +506,3 @@ class TestDecoderFallback:
             classic = berlekamp_welch(field, pts, 2)
         assert cached[0] == classic[0]
         assert cached[1] == classic[1]
-
-
-class TestWeightsAtZero:
-    def test_single_inversion_total(self):
-        field = GF2k(32)
-        before = field.counter.snapshot()
-        lagrange_coefficients_at_zero(field, [1, 2, 3, 4, 5, 6, 7])
-        assert field.counter.delta(before).invs == 1
-
-    def test_matches_cache_coefficients(self):
-        field = GF2k(8)
-        xs = [1, 2, 3, 4, 5]
-        weights = lagrange_coefficients_at_zero(field, xs)
-        node = shared_cache(field).node_set(xs)
-        by_x = dict(zip(xs, weights))
-        cached = node.coefficients_at(field.zero)
-        assert [by_x[x] for x in node.xs] == cached
-
-    def test_edge_sizes(self):
-        field = GF2k(8)
-        assert lagrange_coefficients_at_zero(field, []) == []
-        assert lagrange_coefficients_at_zero(field, [3]) == [field.one]

@@ -49,7 +49,7 @@ def causal_coin_gen(field, n=7, t=1, seed=3, scheduler=None, faults=None,
     causal = CausalRecorder(n=n).attach(bus)
     flight = FlightRecorder(n=n, t=t, field=field, seed=seed)
     flight.attach(bus)
-    outputs, _ = run_coin_gen(field, context=ctx, M=M, tag="cg", **kwargs)
+    outputs, _ = run_coin_gen(ctx, M=M, tag="cg", **kwargs)
     if expose:
         expose_coin(ctx, outputs=outputs, h=0)
     return causal.graph(), flight.log(), outputs, ctx
@@ -147,8 +147,8 @@ class TestLiveCapture:
         field = GF2k(16)
         ctx = ProtocolContext.create(field, n=7, t=1, seed=3)
         causal = CausalRecorder(n=7).attach(ctx.ensure_bus())
-        run_coin_gen(field, context=ctx, M=1, tag="one")
-        run_coin_gen(field, context=ctx, M=1, tag="two")
+        run_coin_gen(ctx, M=1, tag="one")
+        run_coin_gen(ctx, M=1, tag="two")
         graph = causal.graph()
         assert graph.runs() == [1, 2]
         # same protocol, same structural shape in both runs
@@ -307,9 +307,7 @@ class TestZeroCostDiscipline:
             ctx = ProtocolContext.create(GF2k(16), n=7, t=1, seed=11)
             if with_recorder:
                 CausalRecorder(n=7).attach(ctx.ensure_bus())
-            outputs, metrics = run_coin_gen(
-                ctx.field, context=ctx, M=2, tag="cg"
-            )
+            outputs, metrics = run_coin_gen(ctx, M=2, tag="cg")
             shaped = {
                 pid: (o.success, o.clique, o.iterations, o.seed_coins_used,
                       ctx.field.to_int(o.challenge)

@@ -8,6 +8,10 @@ tests: every ``src/repro`` module is imported by something other than
 Both checks fail on the commit before the census (79 modules loaded,
 ``obs`` / ``analysis`` / ``apps`` among them; ``core/sequence.py``,
 ``protocols/vss_complaints.py`` and ``analysis/report.py`` test-only).
+(c) There is one run path (the "Duplicate paths" table): two runtimes,
+constructed only by ``repro.net`` and ``protocols/context.py``; one
+player harness; one per-message fault decision.  Each of those checks
+fails on d37430e, the commit before the paths were folded.
 """
 
 import ast
@@ -141,3 +145,65 @@ def test_no_module_lives_on_its_own_unit_tests():
         if module != "repro.__main__" and not paths - {own_test}:
             orphans.append(module)
     assert orphans == []
+
+
+# -- one run path ------------------------------------------------------------
+
+def calls(tree, names):
+    """Call nodes whose callee is one of ``names`` (bare or dotted)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            callee = node.func
+            name = getattr(callee, "id", None) or getattr(callee, "attr", None)
+            if name in names:
+                yield node
+
+
+def test_only_net_and_the_context_construct_a_runtime():
+    allowed = {"repro.protocols.context"}
+    builders = sorted(
+        module for module, path in MODULES.items()
+        if not module.startswith("repro.net") and module not in allowed
+        and any(calls(ast.parse(path.read_text()),
+                      {"SynchronousNetwork", "AsyncRuntime"}))
+    )
+    assert builders == []
+
+
+def test_runtime_base_has_exactly_the_two_loops():
+    subclasses = sorted(
+        f"{module}.{node.name}"
+        for module, path in MODULES.items()
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        and any(getattr(base, "id", getattr(base, "attr", None)) == "RuntimeBase"
+                for base in node.bases)
+    )
+    assert subclasses == [
+        "repro.net.async_runtime.AsyncRuntime",
+        "repro.net.simulator.SynchronousNetwork",
+    ]
+
+
+def test_one_function_waits_for_the_honest_players():
+    """``run(programs, wait_for=honest)`` is written once: the harness."""
+    sites = []
+    for module, path in MODULES.items():
+        if not module.startswith(
+            ("repro.protocols", "repro.core", "repro.baselines")
+        ):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                keyword.arg == "wait_for"
+                for call in ast.walk(node) if isinstance(call, ast.Call)
+                for keyword in call.keywords
+            ):
+                sites.append(f"{module}.{node.name}")
+    assert sites == ["repro.protocols.context.run_players"]
+
+
+def test_the_async_loop_asks_the_fault_plane_to_decide():
+    text = MODULES["repro.net.async_runtime"].read_text()
+    assert "faults.rules" not in text
+    assert "faults._publish" not in text

@@ -295,6 +295,26 @@ class TestExitCodeConvention:
         assert main(["forensics", str(tmp_path / "absent.flightlog")]) == 2
         capsys.readouterr()
 
+    def test_malformed_flight_log_exits_two(self, tmp_path, capsys):
+        # a log that cannot be parsed is unreadable input (2), never a
+        # traceback — which would exit 1, the "gate tripped" code
+        from repro.campaign.shrink import ARTIFACT_SCHEMA
+
+        bad = tmp_path / "bad.flightlog"
+        for text in ('{"flight": 1}\n', '[1]\n',
+                     '{"flight": 1, "n": 7, "t": 1}\n{"e": "round"}\n'):
+            bad.write_text(text)
+            assert main(["replay", str(bad)]) == 2
+            assert main(["forensics", str(bad)]) == 2
+            assert "not a flight log" in capsys.readouterr().err
+        artifact = tmp_path / "artifact.json"
+        artifact.write_text(json.dumps({
+            "artifact_schema": ARTIFACT_SCHEMA, "cell": "0" * 10,
+            "scenario": {}, "violations": [], "flight_log": '{"flight": 1}\n',
+        }))
+        assert main(["campaign", "replay", str(artifact)]) == 2
+        assert "embedded flight log" in capsys.readouterr().err
+
     def test_bad_what_if_exits_two(self):
         assert main(["critpath", "--n", "7", "--t", "1", "--M", "2",
                      "--what-if", "bogus"]) == 2

@@ -46,7 +46,7 @@ def instrumented_run(n=7, t=1, M=2, seed=3):
     ctx = ProtocolContext.create(GF2k(16), n=n, t=t, seed=seed,
                                  recorder=recorder)
     causal = CausalRecorder(n=n).attach(ctx.ensure_bus())
-    outputs, _ = run_coin_gen(ctx.field, context=ctx, M=M, tag="cg")
+    outputs, _ = run_coin_gen(ctx, M=M, tag="cg")
     assert all(o.success for o in outputs.values())
     expose_coin(ctx, outputs=outputs, h=0)
     return causal.graph(), recorder

@@ -38,7 +38,7 @@ def assert_unanimous_coins(ctx, outputs, M, exclude=()):
     assert len(cliques) == 1, f"clique disagreement: {cliques}"
     for h in range(M):
         results, _ = expose_coin(
-            None, outputs=outputs, h=h, context=ctx,
+            ctx, outputs=outputs, h=h,
             faulty_programs={pid: None for pid in exclude},
         )
         values = {results[pid] for pid in results if pid not in exclude}

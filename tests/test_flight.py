@@ -38,7 +38,7 @@ def record_coin_gen(field, n=7, t=1, seed=3, scheduler=None, faults=None,
                                  scheduler=scheduler, faults=faults)
     recorder = FlightRecorder(n=n, t=t, field=field, seed=seed)
     recorder.attach(ctx.ensure_bus())
-    outputs, _ = run_coin_gen(field, context=ctx, M=M, tag="cg", **kwargs)
+    outputs, _ = run_coin_gen(ctx, M=M, tag="cg", **kwargs)
     return recorder.log(), outputs, ctx
 
 
@@ -109,8 +109,8 @@ class TestLosslessRoundTrip:
         ctx = ProtocolContext.create(field, n=7, t=1, seed=3)
         recorder = FlightRecorder(n=7, t=1, field=field, seed=3)
         recorder.attach(ctx.ensure_bus())
-        run_coin_gen(field, context=ctx, M=1, tag="one")
-        run_coin_gen(field, context=ctx, M=1, tag="two")
+        run_coin_gen(ctx, M=1, tag="one")
+        run_coin_gen(ctx, M=1, tag="two")
         log = recorder.log()
         assert log.runs() == [1, 2]
         reloaded = FlightLog.loads(log.dumps())
@@ -256,6 +256,89 @@ class TestVersioning:
             FlightLog.loads("")
 
 
+HEADER = '{"flight": 1, "n": 7, "t": 1}'
+ROUND = '{"e": "round", "i": 1, "run": 1, "r": 1, "d": [[2, 1, "690101"]]}'
+
+MALFORMED = {
+    "header_without_n": '{"flight": 1}',
+    "header_is_a_list": '[1, 2, 3]',
+    "header_is_not_json": 'flight log',
+    "mistyped_header_key": '{"flight": 1, "n": "seven", "t": 1}',
+    "round_without_deliveries":
+        HEADER + '\n{"e": "round", "i": 1, "run": 1, "r": 1}',
+    "round_without_index":
+        HEADER + '\n{"e": "round", "run": 1, "r": 1, "d": []}',
+    "mistyped_index": HEADER + '\n' + ROUND.replace('"i": 1', '"i": "1"'),
+    "non_object_line": HEADER + '\n42',
+    "truncated_line": HEADER + '\n' + ROUND[:30],
+    "event_without_kind": HEADER + '\n{"i": 1}',
+    "unknown_event_kind": HEADER + '\n{"e": "teleport", "i": 1}',
+    "undecodable_payload": HEADER + '\n' + ROUND.replace("690101", "ff"),
+    "bad_hex_payload": HEADER + '\n' + ROUND.replace("690101", "zz"),
+    "delivery_is_not_a_triple":
+        HEADER + '\n' + ROUND.replace('[2, 1, "690101"]', '[2, 1]'),
+    "delivery_is_a_number":
+        HEADER + '\n' + ROUND.replace('[2, 1, "690101"]', '7'),
+    "opaque_payload_without_repr":
+        HEADER + '\n' + ROUND.replace('"690101"', '{"text": "x"}'),
+    "fault_without_kind":
+        HEADER + '\n{"e": "fault", "i": 1, "r": 1, "src": 4, "dst": 0}',
+}
+
+
+class TestMalformedLogs:
+    """Every malformed log is a ``ValueError`` from ``FlightLog.loads`` —
+    what the CLI's loader turns into exit 2 — never a ``KeyError``, an
+    ``AttributeError`` or a ``CodecError`` from inside the parser."""
+
+    def test_the_well_formed_fixture_parses(self):
+        log = FlightLog.loads(HEADER + "\n" + ROUND + "\n")
+        assert log.rounds[0].deliveries == ((2, 1, 1),)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_input_is_a_value_error(self, case):
+        with pytest.raises(ValueError):
+            FlightLog.loads(MALFORMED[case] + "\n")
+
+    def test_the_error_names_the_line(self):
+        with pytest.raises(ValueError, match="line 3"):
+            FlightLog.loads(
+                HEADER + "\n" + ROUND + "\n" + ROUND.replace("690101", "ff")
+            )
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mutated_log_parses_or_raises_value_error(self, data):
+        lines = _VALID_LOG.splitlines()
+        number = data.draw(st.integers(0, len(lines) - 1))
+        line = lines[number]
+        mutation = data.draw(st.sampled_from(["delete_key", "truncate", "flip"]))
+        if mutation == "delete_key":
+            record = json.loads(line)
+            del record[data.draw(st.sampled_from(sorted(record)))]
+            line = json.dumps(record)
+        elif mutation == "truncate":
+            line = line[:data.draw(st.integers(0, len(line) - 1))]
+        else:
+            # flip one character of a hex payload (or of the header)
+            at = data.draw(st.integers(0, len(line) - 1))
+            line = line[:at] + data.draw(
+                st.sampled_from("0123456789abcdefz\"[{")
+            ) + line[at + 1:]
+        lines[number] = line
+        try:
+            parsed = FlightLog.loads("\n".join(lines) + "\n")
+        except ValueError:
+            return
+        assert isinstance(parsed, FlightLog)
+
+
+#: a real recorded run, faults included, for the mutation property
+_VALID_LOG = record_coin_gen(
+    GF2k(16), faults=FaultPlane().crash(5, at_round=4).drop(src=5)
+)[0].dumps()
+
+
 class TestZeroCostDiscipline:
     def test_run_without_recorder_is_byte_identical(self):
         """Attaching a flight recorder must not perturb the run."""
@@ -265,9 +348,7 @@ class TestZeroCostDiscipline:
                 FlightRecorder(n=7, t=1, field=ctx.field, seed=11).attach(
                     ctx.ensure_bus()
                 )
-            outputs, metrics = run_coin_gen(
-                ctx.field, context=ctx, M=2, tag="cg"
-            )
+            outputs, metrics = run_coin_gen(ctx, M=2, tag="cg")
             shaped = {
                 pid: (o.success, o.clique, o.iterations, o.seed_coins_used,
                       ctx.field.to_int(o.challenge)

@@ -32,8 +32,7 @@ def forensics_run(field, n, t, seed, faulty_programs=None, faults=None):
     ctx = ProtocolContext.create(field, n=n, t=t, seed=seed, faults=faults)
     recorder = FlightRecorder(n=n, t=t, field=field, seed=seed)
     recorder.attach(ctx.ensure_bus())
-    run_coin_gen(field, context=ctx, M=1, tag="cg",
-                 faulty_programs=faulty_programs)
+    run_coin_gen(ctx, M=1, tag="cg", faulty_programs=faulty_programs)
     return analyze_log(recorder.log())
 
 
@@ -199,7 +198,7 @@ class TestReportShape:
         recorder.attach(ctx.ensure_bus())
         rng = random.Random(7)
         run_coin_gen(
-            ctx.field, context=ctx, M=1, tag="cg",
+            ctx, M=1, tag="cg",
             faulty_programs={
                 4: lambda honest: equivocator_program(7, rng, honest)
             },
@@ -222,7 +221,7 @@ class TestReportShape:
         ctx = ProtocolContext.create(GF2k(16), n=7, t=1, seed=5)
         recorder = FlightRecorder(n=7, t=1, field=ctx.field, seed=5)
         recorder.attach(ctx.ensure_bus())
-        run_coin_gen(ctx.field, context=ctx, M=1, tag="cg",
+        run_coin_gen(ctx, M=1, tag="cg",
                      faulty_programs={3: silent_program()})
         log = recorder.log()
         direct = analyze_log(log)

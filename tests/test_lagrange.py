@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from repro.fields import GF2k
 from repro.fields.gfp import GFp
 from repro.poly import Polynomial, check_degree, interpolate, interpolate_at
-from repro.poly.lagrange import lagrange_coefficients_at_zero
 
 F = GF2k(8)
 
@@ -77,14 +76,3 @@ class TestCheckDegree:
 
     def test_vacuous_with_few_points(self):
         assert check_degree(F, [(1, 5), (2, 9)], 3)
-
-
-class TestWeightsAtZero:
-    def test_weights_reconstruct_constant_term(self, rng):
-        p = Polynomial.random(F, 4, rng)
-        xs = [1, 2, 3, 4, 5]
-        weights = lagrange_coefficients_at_zero(F, xs)
-        total = F.zero
-        for w, x in zip(weights, xs):
-            total = F.add(total, F.mul(w, p(x)))
-        assert total == p(F.zero)

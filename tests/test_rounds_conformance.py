@@ -21,7 +21,7 @@ def recorded_run(n=7, t=1, seed=3, faults=None, expose=True, M=1):
     recorder = SpanRecorder()
     ctx = ProtocolContext.create(GF2k(16), n=n, t=t, seed=seed,
                                  faults=faults, recorder=recorder)
-    outputs, _ = run_coin_gen(ctx.field, context=ctx, M=M, tag="cg")
+    outputs, _ = run_coin_gen(ctx, M=M, tag="cg")
     if expose:
         expose_coin(ctx, outputs=outputs, h=0)
     return recorder

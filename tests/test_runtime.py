@@ -3,8 +3,7 @@
 The stack under test (DESIGN.md, "Runtime architecture"):
 ``Transport`` (channel primitives + metering) -> ``Scheduler`` (stepping
 and delivery order) -> ``FaultPlane`` (optional message/player faults)
--> ``ProtocolRuntime`` (the synchronous round loop), with
-``SynchronousNetwork`` as the compatibility facade.
+-> ``SynchronousNetwork`` (the synchronous round loop).
 """
 
 from dataclasses import dataclass
@@ -16,12 +15,11 @@ from repro.net import (
     FaultPlane,
     LockstepScheduler,
     PermutedDeliveryScheduler,
-    ProtocolRuntime,
     ProtocolViolation,
     Send,
     SynchronousNetwork,
+    Transport,
     broadcast,
-    make_transport,
     multicast,
     unicast,
 )
@@ -47,7 +45,7 @@ def echo_program(n, me, rounds=1):
 class TestTransport:
     def test_unicast_expansion_and_metering(self):
         metrics = NetworkMetrics(element_bits=8)
-        transport = make_transport(3, metrics)
+        transport = Transport(3, metrics)
         routed = transport.expand(1, [unicast(2, 7), unicast(3, 9)])
         assert routed == [(2, 7), (3, 9)]
         assert metrics.unicast_messages == 2
@@ -55,14 +53,14 @@ class TestTransport:
 
     def test_multicast_expands_to_all(self):
         metrics = NetworkMetrics()
-        transport = make_transport(3, metrics)
+        transport = Transport(3, metrics)
         routed = transport.expand(2, [multicast("x")])
         assert routed == [(1, "x"), (2, "x"), (3, "x")]
         assert metrics.unicast_messages == 3
 
     def test_broadcast_counts_once(self):
         metrics = NetworkMetrics(element_bits=4)
-        transport = make_transport(3, metrics)
+        transport = Transport(3, metrics)
         routed = transport.expand(1, [broadcast(5)])
         assert routed == [(1, 5), (2, 5), (3, 5)]
         assert metrics.broadcast_messages == 1
@@ -70,13 +68,13 @@ class TestTransport:
         assert metrics.bits == 4  # one channel use, per the paper
 
     def test_private_transport_rejects_broadcast(self):
-        transport = make_transport(3, NetworkMetrics(), allow_broadcast=False)
-        assert not transport.broadcast_available
+        transport = Transport(3, NetworkMetrics(), allow_broadcast=False)
+        assert not transport.allow_broadcast
         with pytest.raises(ProtocolViolation):
             transport.expand(1, [broadcast("x")])
 
     def test_invalid_destination_rejected(self):
-        transport = make_transport(3, NetworkMetrics())
+        transport = Transport(3, NetworkMetrics())
         with pytest.raises(ProtocolViolation):
             transport.expand(1, [unicast(9, "x")])
         with pytest.raises(ProtocolViolation):
@@ -114,7 +112,7 @@ class TestScheduler:
     def test_rushing_set_frozen_and_merged(self):
         sched = PermutedDeliveryScheduler(seed=1, rushing=(3,))
         net = SynchronousNetwork(4, rushing=(2,), scheduler=sched)
-        assert net.rushing == frozenset({2, 3})
+        assert net.scheduler.rushing == frozenset({2, 3})
         # the shared scheduler instance is not mutated by the network
         assert sched.rushing == frozenset({3})
 
@@ -193,6 +191,39 @@ class TestRuntimeFaults:
         assert 2 in seen[0]
         assert 2 not in seen[1]  # silenced round
         assert 2 in seen[2]      # back online
+
+    def test_delayed_traffic_does_not_leak_into_the_next_run(self):
+        """A plane shared between runs (ProtocolContext.faults hands one
+        to every network) starts each run with nothing pending: round
+        numbers restart, so run A's delayed "A" payloads used to mature
+        inside run B's rounds 4 and 5."""
+        n = 3
+        plane = FaultPlane().delay(src=2, by=3)
+
+        def chatter(label, rounds):
+            for r in range(rounds):
+                yield [multicast((label, r))]
+
+        def delivered(label, rounds):
+            net = SynchronousNetwork(n, faults=plane, allow_broadcast=False)
+            seen = []
+            net.bus.subscribe(
+                "round", lambda _r, deliveries: seen.extend(
+                    payload[0] for _dst, _src, payload in deliveries
+                ),
+            )
+            net.run({pid: chatter(label, rounds) for pid in range(1, n + 1)})
+            return set(seen)
+
+        assert delivered("A", 2) == {"A"}
+        assert delivered("B", 6) == {"B"}
+        delivered("C", 2)
+        # what is still pending is the last run's alone
+        assert {
+            payload[0]
+            for batch in plane._delayed.values()
+            for _dst, _src, payload in batch
+        } == {"C"}
 
     def test_dropped_edge_is_still_metered(self):
         n = 3
@@ -280,7 +311,7 @@ class TestProtocolContext:
         assert isinstance(net, SynchronousNetwork)
         assert net.scheduler is sched
         assert net.faults is plane
-        assert not net.allow_broadcast
+        assert not net.transport.allow_broadcast
         assert net.metrics is not ctx.metrics  # fresh per-run metrics
 
     def test_player_rng_matches_legacy_derivation(self):
@@ -302,6 +333,22 @@ class TestProtocolContext:
             a.child_rng().randrange(1 << 30)
             == b.child_rng().randrange(1 << 30)
         )
+
+    def test_wire_bytes_survive_the_merge(self):
+        """``wire_bytes`` is a metrics field like any other: the context
+        total is the sum over its runs (it used to be an attribute
+        patched onto per-run metrics that ``merged_from`` dropped)."""
+        from repro.protocols.coin_gen import run_coin_gen
+
+        ctx = ProtocolContext.create(GF2k(16), 7, 1, enforce_codec=True)
+        _, first = run_coin_gen(ctx, M=2)
+        _, second = run_coin_gen(ctx, M=2, tag="again")
+        assert first.wire_bytes > 0 and second.wire_bytes > 0
+        assert ctx.metrics.wire_bytes == first.wire_bytes + second.wire_bytes
+        dark = ProtocolContext.create(GF2k(16), 7, 1)
+        run_coin_gen(dark, M=2)
+        assert dark.metrics.wire_bytes == 0
+        assert "wire_bytes" not in dark.metrics.summary()
 
     def test_absorb_accumulates(self):
         field = GF2k(8)
