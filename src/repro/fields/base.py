@@ -17,6 +17,22 @@ from typing import Any, Iterator, List, Sequence
 Element = Any  # representation is field-specific (int or tuple of ints)
 
 
+def exact_ints_below(values: Sequence[Any], bound: int) -> bool:
+    """Is every entry of ``values`` exactly an ``int`` in ``[0, bound)``?
+
+    The membership rule of the int-represented fields over a whole
+    sequence, in three C-level passes.  *Exactly* ``int``: a ``bool``, an
+    ``int`` subclass, a float, a ``Fraction`` or a numpy scalar compares
+    and orders like a member but is not one — the scalar arithmetic
+    raises on some of them and the array kernels truncate others.
+    """
+    return not values or (
+        set(map(type, values)) == {int}
+        and min(values) >= 0
+        and max(values) < bound
+    )
+
+
 @dataclass
 class OpCounter:
     """Mutable tally of primitive field operations.
@@ -259,6 +275,31 @@ class Field(ABC):
         self.counter.adds += len(rows) * (m - 1)
         return backend.dot_rows(rows, vec)
 
+    def sum_columns(self, rows: Sequence[Sequence[Element]]) -> List[Element]:
+        """The sum of every column of ``rows`` (``[]`` for no rows):
+        ``[sum(row[j] for row in rows) for j in range(width)]``.
+
+        Coin-Gen's step 12 — every coin share is the sum of one entry
+        from each clique dealer's tuple.  Metered as ``len(rows) * width``
+        additions, what accumulating every row onto zero performs.  There
+        is no array kernel behind it: the pure body is one C-level pass
+        per row, and at a stretch's shape (6 x 263) converting the rows
+        costs numpy what the whole sum costs python.
+        """
+        if not rows:
+            return []
+        width = len(rows[0])
+        for row in rows:
+            if len(row) != width:
+                raise ValueError("sum_columns requires equal-length rows")
+        if self._backend is None:
+            acc = [self.zero] * width
+            for row in rows:
+                acc = [self.add(a, v) for a, v in zip(acc, row)]
+            return acc
+        self.counter.adds += len(rows) * width
+        return self._sum_columns_pure(rows)
+
     def batch_inv(self, vec: Sequence[Element]) -> List[Element]:
         """All inverses of ``vec`` via Montgomery's trick.
 
@@ -319,6 +360,12 @@ class Field(ABC):
         """A uniformly random field element drawn from ``rng``."""
         return self.from_int(rng.randrange(self.order))
 
+    def random_many(self, rng, count: int) -> List[Element]:
+        """``count`` uniform elements, stream-identical to ``count``
+        successive :meth:`random` calls on ``rng``."""
+        randrange, order, from_int = rng.randrange, self.order, self.from_int
+        return [from_int(randrange(order)) for _ in range(count)]
+
     def random_nonzero(self, rng) -> Element:
         """A uniformly random *nonzero* field element."""
         return self.from_int(rng.randrange(1, self.order))
@@ -344,12 +391,18 @@ class Field(ABC):
         for value in range(self.order):
             yield self.from_int(value)
 
-    # -- misc --------------------------------------------------------------
-    def __contains__(self, a: Element) -> bool:
-        try:
-            return 0 <= self.to_int(a) < self.order
-        except (TypeError, ValueError):
-            return False
+    # -- membership --------------------------------------------------------
+    @abstractmethod
+    def __contains__(self, a: Any) -> bool:
+        """Is ``a`` a well-formed element?  Exact on type as well as
+        range: anything a faulty player can put on the wire is asked."""
 
+    def contains_all(self, values: Sequence[Any]) -> bool:
+        """``all(a in self for a in values)`` — the bulk form share-tuple
+        validation uses; the int-represented fields answer it without a
+        Python-level loop."""
+        return all(a in self for a in values)
+
+    # -- misc --------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(order={self.order})"

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.fields.base import Field
+from repro.fields.base import Field, exact_ints_below
 from repro.fields.irreducible import prime_factors
 from repro.fields.ntt import (
     choose_parameters,
@@ -225,6 +225,13 @@ class SpecialField(Field):
         for digit in reversed(a):
             value = value * self.q + digit
         return value
+
+    def __contains__(self, a) -> bool:
+        return (
+            type(a) is tuple
+            and len(a) == self.l
+            and exact_ints_below(a, self.q)
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SpecialField(q={self.q}, l={self.l}, order~2^{self.bit_length})"

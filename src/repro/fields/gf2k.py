@@ -18,9 +18,10 @@ O(k^2) multiplication is faster":
 
 from __future__ import annotations
 
+from operator import xor
 from typing import List, Optional
 
-from repro.fields.base import Field
+from repro.fields.base import Field, exact_ints_below
 from repro.fields.irreducible import (
     find_irreducible_gf2,
     gf2_degree,
@@ -215,6 +216,13 @@ class GF2k(Field):
     def _dot_rows_pure(self, rows, vec):
         return [self._dot_pure(row, vec) for row in rows]
 
+    def _sum_columns_pure(self, rows):
+        rows = iter(rows)
+        acc = next(rows)
+        for row in rows:
+            acc = map(xor, acc, row)
+        return list(acc)
+
     def _batch_inv_pure(self, vec):
         n = len(vec)
         mul = self._mul0
@@ -242,12 +250,11 @@ class GF2k(Field):
     def to_int(self, a: int) -> int:
         return a
 
-    def __contains__(self, a: int) -> bool:
-        # ints are the canonical representation; the membership test is on
-        # the valid_element hot path, so skip the generic try/except
-        if type(a) is int:
-            return 0 <= a < self.order
-        return super().__contains__(a)
+    def __contains__(self, a) -> bool:
+        return type(a) is int and 0 <= a < self.order
+
+    def contains_all(self, values) -> bool:
+        return exact_ints_below(values, self.order)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         mode = "tables" if self._exp is not None else "clmul"

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.fields.base import Field
+from repro.fields.base import Field, exact_ints_below
 from repro.fields.irreducible import is_prime
 
 
@@ -80,6 +80,10 @@ class GFp(Field):
     def _dot_rows_pure(self, rows, vec):
         return [self._dot_pure(row, vec) for row in rows]
 
+    def _sum_columns_pure(self, rows):
+        p = self.p
+        return [sum(column) % p for column in zip(*rows)]
+
     def _batch_inv_pure(self, vec):
         n = len(vec)
         p = self.p
@@ -102,12 +106,11 @@ class GFp(Field):
     def to_int(self, a: int) -> int:
         return a
 
-    def __contains__(self, a: int) -> bool:
-        # ints are the canonical representation; the membership test is on
-        # the valid_element hot path, so skip the generic try/except
-        if type(a) is int:
-            return 0 <= a < self.p
-        return super().__contains__(a)
+    def __contains__(self, a) -> bool:
+        return type(a) is int and 0 <= a < self.p
+
+    def contains_all(self, values) -> bool:
+        return exact_ints_below(values, self.p)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"GFp(p={self.p})"

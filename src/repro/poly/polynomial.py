@@ -6,7 +6,6 @@ coefficient list and degree -1.  Instances are immutable.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import List, Sequence
 
 from repro.fields.base import Element, Field
@@ -40,7 +39,9 @@ class Polynomial:
         When ``constant`` is given, the coefficient of ``x^0`` is fixed to
         it — exactly how Shamir sharing hides a secret at the origin.
         """
-        coeffs = [field.random(rng) for _ in range(degree + 1)]
+        if degree < 0:
+            raise ValueError(f"a random polynomial needs degree >= 0, got {degree}")
+        coeffs = field.random_many(rng, degree + 1)
         if constant is not None:
             coeffs[0] = constant
         return cls(field, coeffs)
@@ -160,50 +161,66 @@ class Polynomial:
         return f"Polynomial(deg={self.degree}, coeffs={self.coeffs!r})"
 
 
+def evaluate_columns(
+    field: Field,
+    columns: Sequence[Sequence[Element]],
+    xs: Sequence[Element],
+) -> List[List[Element]]:
+    """G polynomials at m points in one Horner sweep, grouped per point.
+
+    ``columns[i][g]`` is the ``x^i`` coefficient of polynomial ``g``; the
+    result's ``j``-th list holds all G values at ``xs[j]`` — the dealing
+    shape, where recipient j is sent exactly that slice.  Each Horner
+    step is one width-``G * m`` :meth:`Field.fma_many` over points tiled
+    recipient-major.  Metered like every polynomial evaluated on its own
+    *trimmed* coefficients: no step is spent on a zero leading one.
+    """
+    xs = list(xs)
+    G, m = len(columns[0]) if columns else 0, len(xs)
+    if not G or not m:
+        return [[] for _ in xs]
+    top, zero = columns[-1], field.zero
+    if zero in top:
+        # those polynomials take one step fewer: sweep them without `top`
+        out = [[zero] * G for _ in xs]
+        for members, cols in (
+            ([g for g in range(G) if top[g] == zero], columns[:-1]),
+            ([g for g in range(G) if top[g] != zero], columns),
+        ):
+            picked = [[col[g] for g in members] for col in cols]
+            for row, values in zip(out, evaluate_columns(field, picked, xs)):
+                for g, value in zip(members, values):
+                    row[g] = value
+        return out
+    xs_tiled: List[Element] = []
+    for x in xs:
+        xs_tiled += [x] * G
+    acc = list(top) * m
+    for column in columns[-2::-1]:
+        acc = field.fma_many(acc, xs_tiled, list(column) * m)
+    return [acc[j * G:(j + 1) * G] for j in range(m)]
+
+
 def evaluate_polys(
     field: Field,
     polys: Sequence[Polynomial],
     xs: Sequence[Element],
 ) -> List[List[Element]]:
-    """``[p.evaluate_many(xs) for p in polys]`` as grouped wide sweeps.
+    """``[p.evaluate_many(xs) for p in polys]`` as one wide sweep.
 
-    The Batch-VSS dealing shape: G polynomials evaluated at the same m
-    points.  Polynomials are grouped by coefficient count and each group
-    swept with one width-``len(group) * m`` :meth:`Field.fma_many` per
-    coefficient — identical per-element op totals (no padding), but the
+    The polynomials' coefficient columns go through
+    :func:`evaluate_columns` — the same per-element op totals, but the
     vectorized backends see width ``G*m`` instead of ``m``.
     """
-    xs = list(xs)
-    results: List[List[Element]] = [[] for _ in polys]
-    if not xs or not polys:
-        return results
-    m = len(xs)
-    groups: dict = {}
-    for i, p in enumerate(polys):
+    for p in polys:
         if p.field is not field:
             raise ValueError("evaluate_polys requires polynomials over `field`")
-        groups.setdefault(len(p.coeffs), []).append(i)
-    for ncoeff, idxs in groups.items():
-        if ncoeff == 0:
-            for i in idxs:
-                results[i] = [field.zero] * m
-            continue
-        if len(idxs) == 1:
-            # a lone group: the plain shared sweep already is the batch
-            results[idxs[0]] = polys[idxs[0]].evaluate_many(xs)
-            continue
-        xs_tiled = xs * len(idxs)
-        # row ci: coefficient ci of every polynomial, each repeated m times
-        tiled = [
-            list(chain.from_iterable([polys[i].coeffs[ci]] * m for i in idxs))
-            for ci in range(ncoeff)
-        ]
-        acc = tiled[-1]
-        for cs in tiled[-2::-1]:
-            acc = field.fma_many(acc, xs_tiled, cs)
-        for slot, i in enumerate(idxs):
-            results[i] = acc[slot * m:(slot + 1) * m]
-    return results
+    xs = list(xs)
+    width = max((len(p.coeffs) for p in polys), default=0)
+    if not width or not xs:
+        return [[field.zero] * len(xs) for _ in polys]
+    columns = [[p.coefficient(i) for p in polys] for i in range(width)]
+    return [list(row) for row in zip(*evaluate_columns(field, columns, xs))]
 
 
 def horner_batch(field: Field, values: Sequence[Element], r: Element) -> Element:
@@ -221,6 +238,17 @@ def horner_batch(field: Field, values: Sequence[Element], r: Element) -> Element
     return field.mul(acc, r)
 
 
+def power_basis(field: Field, r: Element, m: int) -> List[Element]:
+    """``[r^1, ..., r^m]`` by doubling, ``powers[k:2k] = powers[:k] * r^k``:
+    the ``m - 1`` multiplications of the one-at-a-time chain in
+    ``ceil(log2 m)`` :meth:`Field.mul_many` calls."""
+    powers = [r] if m else []
+    while len(powers) < m:
+        k = min(len(powers), m - len(powers))
+        powers += field.mul_many(powers[:k], [powers[-1]] * k)
+    return powers
+
+
 def horner_batch_many(
     field: Field,
     rows: Sequence[Sequence[Element]],
@@ -235,16 +263,6 @@ def horner_batch_many(
     same ``M`` mul / ``M - 1`` add totals per row, one wide kernel
     instead of ``len(rows)`` narrow Horner chains.
     """
-    rows = [list(row) for row in rows]
     if not rows:
         return []
-    m = len(rows[0])
-    for row in rows:
-        if len(row) != m:
-            raise ValueError("horner_batch_many requires equal-length rows")
-    if m == 0:
-        return [field.zero] * len(rows)
-    powers = [r]
-    for _ in range(m - 1):
-        powers.append(field.mul(powers[-1], r))
-    return field.dot_rows(rows, powers)
+    return field.dot_rows(rows, power_basis(field, r, len(rows[0])))

@@ -17,8 +17,8 @@ module surface, so existing imports keep working unchanged.
 
 from repro.protocols.coin_gen.dealing import (
     DealingState,
+    dealt_columns,
     random_vanishing,
-    _random_vanishing,
     verified_dealing,
 )
 from repro.protocols.coin_gen.agreement import (
@@ -39,8 +39,8 @@ from repro.protocols.coin_gen.finalize import (
 
 __all__ = [
     "DealingState",
+    "dealt_columns",
     "random_vanishing",
-    "_random_vanishing",
     "verified_dealing",
     "DealingAgreement",
     "consistency_clique",

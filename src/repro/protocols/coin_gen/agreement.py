@@ -27,7 +27,7 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.fields.base import Element, Field
-from repro.poly.polynomial import Polynomial
+from repro.poly.polynomial import Polynomial, evaluate_polys
 from repro.protocols.ba import phase_king
 from repro.protocols.clique import gavril_clique, mutual_graph
 from repro.protocols.coin_expose import CoinShare, coin_expose, coin_to_index
@@ -103,17 +103,18 @@ class DealingAgreement:
 def consistency_clique(field: Field, n: int, state: DealingState) -> List[int]:
     """Fig. 5 step 6: consistency graph and Gavril clique (local view).
 
-    Each decoded polynomial is checked against every announcer with one
-    batched evaluation sweep.
+    All decoded polynomials are evaluated at all announcer points in one
+    width-n^2 sweep, then compared pair by pair with what was announced.
     """
     directed = []
     announcers = sorted(state.nu_recv)
-    announcer_points = [state.points[k] for k in announcers]
-    for j in range(1, n + 1):
-        poly_j = state.decoded[j]
-        if poly_j is None:
-            continue
-        evals = poly_j.evaluate_many(announcer_points)
+    dealers = [j for j in range(1, n + 1) if state.decoded[j] is not None]
+    rows = evaluate_polys(
+        field,
+        [state.decoded[j] for j in dealers],
+        [state.points[k] for k in announcers],
+    )
+    for j, evals in zip(dealers, rows):
         for k, expected in zip(announcers, evals):
             value = state.nu_recv[k][j - 1]
             if valid_element(field, value) and expected == value:
@@ -128,12 +129,14 @@ def proposal_support(
 ) -> int:
     """Count clique members passing the full step-10(iii) consistency check.
 
-    Evaluates each proposed polynomial at every clique point once
-    (shared-Horner), then checks all ``|clique|^2`` pairs against the
+    Evaluates all proposed polynomials at all clique points in one
+    width-``|clique|^2`` sweep, then checks every pair against the
     announced combinations in this player's own view.
     """
-    clique_points = [state.points[j] for j in clique]
-    expected = {k: polys[k].evaluate_many(clique_points) for k in clique}
+    rows = evaluate_polys(
+        field, [polys[k] for k in clique], [state.points[j] for j in clique]
+    )
+    expected = dict(zip(clique, rows))
     passing = [
         j
         for idx, j in enumerate(clique)

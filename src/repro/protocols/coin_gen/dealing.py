@@ -4,12 +4,14 @@ Every player acts as a Bit-Gen dealer in parallel; all instances reuse
 one exposed challenge coin r ("using the same coin r for all
 invocations", saving n-1 interpolations).  Step numbering follows Fig. 5:
 
-1.  every player deals ``total`` degree-t polynomials — each evaluated at
-    all n points in one shared-Horner sweep (Bit-Gen step 1);
+1.  every player deals ``total`` degree-t polynomials — drawn as
+    coefficient columns, evaluated at all n points in one Horner sweep
+    whose per-recipient slices are the tuples sent (Bit-Gen step 1);
 2.  a seed coin is exposed as the batching challenge r (one coin, or one
     per dealer in the ``shared_challenge=False`` ablation);
 3.  every player announces the vector of Horner combinations (one per
-    dealer), n^2 messages of size nk (Theorem 2);
+    dealer, all from one power basis of r), n^2 messages of size nk
+    (Theorem 2);
 4-5. every Bit-Gen instance is locally decoded with Berlekamp-Welch
     (Fig. 4 steps 4-5).
 
@@ -27,7 +29,7 @@ from repro.fields.base import Element, Field
 from repro.obs.phases import register_tag_phase
 from repro.poly.polynomial import (
     Polynomial,
-    evaluate_polys,
+    evaluate_columns,
     horner_batch,
     horner_batch_many,
 )
@@ -74,17 +76,27 @@ def random_vanishing(field: Field, t: int, rng, vanish_at=None) -> Polynomial:
     ``vanish_at=None`` -> unconstrained; zero -> zero constant term;
     other point x0 -> (x - x0) * q(x) with q uniform of degree t-1.
     """
-    if vanish_at is None:
-        return Polynomial.random(field, t, rng)
-    if vanish_at == field.zero:
-        return Polynomial.random(field, t, rng, constant=field.zero)
+    if vanish_at is None or vanish_at == field.zero:
+        return Polynomial.random(field, t, rng, constant=vanish_at)
     q = Polynomial.random(field, t - 1, rng)
-    linear = Polynomial(field, [field.neg(vanish_at), field.one])
-    return linear * q
+    return Polynomial(field, [field.neg(vanish_at), field.one]) * q
 
 
-#: historical name, kept for callers that imported the private helper
-_random_vanishing = random_vanishing
+def dealt_columns(
+    field: Field, t: int, total: int, rng, vanish_at=None
+) -> List[List[Element]]:
+    """``total`` successive :func:`random_vanishing` draws as coefficient
+    columns (``columns[i][g]``: the ``x^i`` coefficient of the g-th) —
+    the same polynomials, ``rng`` left in the same state."""
+    if vanish_at is None or vanish_at == field.zero:
+        draws = field.random_many(rng, total * (t + 1))
+        columns = [draws[i::t + 1] for i in range(t + 1)]
+        if vanish_at is not None:
+            columns[0] = [field.zero] * total
+        return columns
+    # (x - x0) * q(x) is metered polynomial arithmetic, not a draw
+    polys = [random_vanishing(field, t, rng, vanish_at) for _ in range(total)]
+    return [[p.coefficient(i) for p in polys] for i in range(t + 1)]
 
 
 def verified_dealing(
@@ -111,17 +123,16 @@ def verified_dealing(
     points = {j: scheme.point(j) for j in range(1, n + 1)}
     num_challenges = 1 if shared_challenge else n
 
-    # ---- Step 1: every player deals its polynomials (Bit-Gen step 1).
-    # Each polynomial is evaluated at all n points in one shared-Horner
-    # sweep rather than n separate scalar evaluations.
-    my_polys = [
-        random_vanishing(field, t, rng, vanish_at) for _ in range(total)
-    ]
-    point_list = [points[j] for j in range(1, n + 1)]
-    rows = evaluate_polys(field, my_polys, point_list)
+    # ---- Step 1: every player deals its polynomials (Bit-Gen step 1):
+    # one sweep over all of them at all n points, sliced per recipient.
+    per_recipient = evaluate_columns(
+        field,
+        dealt_columns(field, t, total, rng, vanish_at),
+        [points[j] for j in range(1, n + 1)],
+    )
     sends = [
-        unicast(j, (tag + "/sh", tuple(row[j - 1] for row in rows)))
-        for j in range(1, n + 1)
+        unicast(j, (tag + "/sh", tuple(values)))
+        for j, values in enumerate(per_recipient, 1)
     ]
     inbox = yield sends
     raw = filter_tag(inbox, tag + "/sh")
@@ -140,11 +151,6 @@ def verified_dealing(
         return DealingState(
             False, seed_coins_used=num_challenges, challenges=challenges
         )
-    r_for = (
-        {j: challenges[0] for j in range(1, n + 1)}
-        if shared_challenge
-        else {j: challenges[j - 1] for j in range(1, n + 1)}
-    )
 
     # ---- Step 3: announce the vector of Horner combinations (one per
     # dealer), n^2 messages of size nk (Theorem 2).
@@ -152,21 +158,18 @@ def verified_dealing(
     # dealer's combination uses the same r, so the Horner chains batch
     # into one wide dot against the shared power basis r^1..r^M.
     nu_mine: List[object] = ["missing"] * n
+    present = sorted(shares_from)
     if shared_challenge:
-        present = sorted(shares_from)
         combos = horner_batch_many(
-            field,
-            [list(shares_from[j]) for j in present],
-            r_for[present[0]] if present else challenges[0],
+            field, [shares_from[j] for j in present], challenges[0]
         )
-        for j, combo in zip(present, combos):
-            nu_mine[j - 1] = combo
     else:
-        for j in range(1, n + 1):
-            if j in shares_from:
-                nu_mine[j - 1] = horner_batch(
-                    field, list(shares_from[j]), r_for[j]
-                )
+        combos = [
+            horner_batch(field, shares_from[j], challenges[j - 1])
+            for j in present
+        ]
+    for j, combo in zip(present, combos):
+        nu_mine[j - 1] = combo
     inbox = yield [multicast((tag + "/nu", tuple(nu_mine)))]
     nu_recv: Dict[int, tuple] = {
         src: body

@@ -2,7 +2,8 @@
 
 On success the h-th coin is the sealed value ``sum_{k in C_l} f_{k,h}(0)``
 (at least one clique dealer is honest, so the sum is uniform and secret);
-a player's coin share is the corresponding sum of its raw shares, which it
+a player's coin share is the corresponding sum of its raw shares (all M
+formed by one :meth:`Field.sum_columns` over the clique's tuples), which it
 will only send at expose time if its own shares passed the consistency
 check against the agreed polynomials (self-verification — see DESIGN.md
 Section 5 for why this, plus Coin-Expose's robust acceptance rule, yields
@@ -84,15 +85,16 @@ def coin_gen_program(
 
     # ---- Step 12: each player's share of coin h is the sum of its raw
     # shares from the clique dealers (sealed value sum_{k in C_l} f_{k,h}(0)).
-    coins: List[CoinShare] = []
     members = frozenset(agreement.clique)
-    for h in range(M):
-        sigma: Optional[Element] = None
-        if agreement.self_ok:
-            sigma = field.zero
-            for k in agreement.clique:
-                sigma = field.add(sigma, agreement.shares_from[k][h])
-        coins.append(CoinShare(f"{tag}/c{h}", members, t, sigma))
+    sigmas: Sequence[Optional[Element]] = [None] * M
+    if agreement.self_ok:
+        sigmas = field.sum_columns(
+            [agreement.shares_from[k][:M] for k in agreement.clique]
+        )
+    coins = [
+        CoinShare(f"{tag}/c{h}", members, t, sigma)
+        for h, sigma in enumerate(sigmas)
+    ]
     return CoinGenOutput(
         True,
         clique=agreement.clique,

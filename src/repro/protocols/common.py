@@ -40,19 +40,25 @@ def valid_element(field: Field, value: Any) -> bool:
     """Is ``value`` a well-formed element of ``field``?
 
     Faulty players may send arbitrary objects; honest code validates every
-    field element before using it.
+    field element before using it.  Membership is exact on type (see
+    :func:`repro.fields.base.exact_ints_below`): a ``bool``, float,
+    ``Fraction``, numpy scalar or ``int`` subclass in range is *not* an
+    element, whatever it compares equal to.
     """
-    if isinstance(value, bool):
-        return False
     return value in field
 
 
 def valid_element_tuple(field: Field, value: Any, length: int) -> bool:
-    """Is ``value`` a tuple of exactly ``length`` valid field elements?"""
+    """Is ``value`` a tuple of exactly ``length`` valid field elements?
+
+    The same rule as :func:`valid_element` on every entry, asked once of
+    the whole tuple (:meth:`Field.contains_all`) — a dealer's share tuple
+    is M+1 wide and every player validates n of them per stretch.
+    """
     return (
         isinstance(value, tuple)
         and len(value) == length
-        and all(valid_element(field, v) for v in value)
+        and field.contains_all(value)
     )
 
 

@@ -89,12 +89,12 @@ class TestRefreshAlgebra:
     def test_vanishing_dealings_preserve_one_point(self, seed, x0):
         """Recovery's algebra: polynomials vanishing at x0 mask everything
         except the value at x0."""
-        from repro.protocols.coin_gen import _random_vanishing
+        from repro.protocols.coin_gen import random_vanishing
 
         rng = random.Random(seed)
         t = 2
         point = F.element_point(x0)
-        masked = _random_vanishing(F, t, rng, point)
+        masked = random_vanishing(F, t, rng, point)
         assert masked.degree <= t
         assert masked(point) == F.zero
 
