@@ -172,6 +172,10 @@ def _run_manifest(args: argparse.Namespace, ctx: ProtocolContext,
     """The :class:`~repro.obs.manifest.RunManifest` these flags describe."""
     from repro.obs.manifest import RunManifest
 
+    scheduler = getattr(args, "scheduler", None)
+    if scheduler == "lockstep" and getattr(args, "runtime", None) == "async":
+        # what _run_async_coins runs when no policy was asked for
+        scheduler = "random"
     return RunManifest.capture(
         field=ctx.field,
         protocol=protocol or getattr(args, "command", None),
@@ -179,7 +183,7 @@ def _run_manifest(args: argparse.Namespace, ctx: ProtocolContext,
         M=getattr(args, "M", None),
         seed=getattr(args, "seed", None),
         sched_seed=getattr(args, "sched_seed", None),
-        scheduler=getattr(args, "scheduler", None),
+        scheduler=scheduler,
         runtime=getattr(args, "runtime", None),
     )
 

@@ -18,7 +18,8 @@ It supports a mobile adversary re-corrupting players between batches
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional
+from collections import deque
+from typing import TYPE_CHECKING, Callable, Deque, List, Optional
 
 from repro.fields.base import Element, Field
 from repro.net.adversary import Adversary
@@ -104,8 +105,9 @@ class BootstrapCoinSource:
             )
         self.initial_seed_size = len(self._seed_coins)
 
-        self.pool: List[SharedCoin] = []
-        self._bit_buffer: List[int] = []
+        #: sealed coins, consumed oldest first
+        self.pool: Deque[SharedCoin] = deque()
+        self._bit_buffer: Deque[int] = deque()
         self.epoch = 0
         self.coins_generated = 0
         self.coins_consumed = 0
@@ -156,7 +158,7 @@ class BootstrapCoinSource:
         failure and retry is published to the health stream.
         """
         self._ensure()
-        coin = self.pool.pop(0)
+        coin = self.pool.popleft()
         self.coins_consumed += 1
         attempt = 0
         while True:
@@ -185,8 +187,8 @@ class BootstrapCoinSource:
         """
         if not self._bit_buffer:
             element = self.toss_element()
-            self._bit_buffer = self.system.field.coin_bits(element)
-        return self._bit_buffer.pop(0)
+            self._bit_buffer.extend(self.system.field.coin_bits(element))
+        return self._bit_buffer.popleft()
 
     def tosses(self, count: int) -> List[int]:
         """A batch of ``count`` shared coin bits."""

@@ -14,6 +14,7 @@ O(k^2) multiplication is faster":
   one multiplication = one table add.  Setup is O(2^k).
 * ``tables=False``: naive shift-and-xor carry-less multiplication with
   modular reduction, O(k^2) bit operations, no setup cost; works for any k.
+  Inversion is extended Euclid on the same representation.
 """
 
 from __future__ import annotations
@@ -134,6 +135,27 @@ class GF2k(Field):
             e >>= 1
         return result
 
+    def _raw_inv(self, a: int) -> int:
+        """Inverse of a nonzero ``a`` without tables (no metering).
+
+        Extended Euclid over GF(2)[x] on ``(a, modulus)``: the larger
+        remainder is reduced by a shifted copy of the smaller until one
+        of them is 1, keeping ``g * a == u`` and ``h * a == v`` modulo
+        the field polynomial.  The modulus is irreducible, so the gcd is
+        1 and the loop ends within ``2k`` steps of shifts and xors —
+        against the ``2k`` carry-less multiplies of ``a^(2^k - 2)``.
+        """
+        u, v = a, self.modulus
+        g, h = 1, 0
+        while u != 1:
+            shift = u.bit_length() - v.bit_length()
+            if shift < 0:
+                u, v, g, h = v, u, h, g
+                shift = -shift
+            u ^= v << shift
+            g ^= h << shift
+        return g
+
     # -- Field interface ----------------------------------------------------
     def add(self, a: int, b: int) -> int:
         self.counter.adds += 1
@@ -156,14 +178,19 @@ class GF2k(Field):
         return self._raw_mul(a, b)
 
     def inv(self, a: int) -> int:
+        """``a``'s multiplicative inverse; one metered ``invs``.
+
+        A table lookup when the field has log/exp tables, extended
+        Euclid over GF(2)[x] (:meth:`_raw_inv`, about one multiply's
+        cost) when it does not.  Zero raises :class:`ZeroDivisionError`.
+        """
         if a == 0:
             raise ZeroDivisionError("inverse of zero in GF(2^k)")
         self.counter.invs += 1
         if self._exp is not None:
             group_order = self.order - 1
             return self._exp[(group_order - self._log[a]) % group_order]
-        # a^(2^k - 2) = a^(-1)
-        return self._raw_pow(a, self.order - 2)
+        return self._raw_inv(a)
 
     # -- bulk-op pure loops (unmetered; see Field metering contract) --------
     def _mul0(self, a: int, b: int) -> int:
@@ -234,7 +261,7 @@ class GF2k(Field):
             group_order = self.order - 1
             acc = self._exp[(group_order - self._log[total]) % group_order]
         else:
-            acc = self._raw_pow(total, self.order - 2)
+            acc = self._raw_inv(total)
         out = [0] * n
         for i in range(n - 1, 0, -1):
             out[i] = mul(acc, prefix[i - 1])

@@ -32,13 +32,18 @@ time as the round index: each delivery publishes one ``SENT`` event
 (the settled delivery), so causal recorders, flight logs, replay/diff,
 and critical-path analysis work unchanged on async runs — one
 happens-before edge per delivered message, and live and offline
-(flight-log) causal graphs are canonically equal.
+(flight-log) causal graphs are canonically equal.  Whether either topic
+has a subscriber is sampled once per run, like the liveness topics
+below: a dark run builds no event at all.
 
 One delivery costs constant work, whatever the run's history and pool
 depth.  The pool is one ordered list and pool order *is* the schedule;
 an entry is immature only after a ``delay`` rule fired on it, and while
 none is the scheduler's pick indexes the list directly (the eligible
-scan runs only on ticks that still hold a delayed message).  Every
+scan runs only on ticks that still hold a delayed message).  The pick
+itself is arithmetic — :meth:`RandomOrderScheduler.choose
+<repro.net.scheduler.RandomOrderScheduler.choose>` hashes ``(seed,
+time)``; nothing is seeded inside the loop.  Every
 cumulative inbox is an :class:`~repro.net.guards.IndexedInbox`, so the
 woken player's guard re-check is a set lookup per tag, not a pass over
 every payload it ever received; the run ends on a count of unfinished
@@ -172,6 +177,7 @@ class AsyncRuntime(RuntimeBase):
         bus = self.bus
         choose = self.scheduler.choose
         capturing = bus.has_subscribers(SENT)
+        settling = bus.has_subscribers(ROUND)
         # opt-in like the guard telemetry: the gauge and the backlog
         # bookkeeping feeding it exist only while POOL has subscribers
         lv_pool = bus.has_subscribers(POOL)
@@ -345,7 +351,8 @@ class AsyncRuntime(RuntimeBase):
             self.delivery_count += 1
             if capturing:
                 bus.publish(SENT, clock, [(dst, src, payload, channel)])
-            bus.publish(ROUND, clock, [(dst, src, payload)])
+            if settling:
+                bus.publish(ROUND, clock, [(dst, src, payload)])
             if dst in cum:
                 self._deliver(dst, src, payload, clock, done)
                 if not done[dst]:

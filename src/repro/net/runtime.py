@@ -351,14 +351,19 @@ class RuntimeBase:
     def _next_round_span(self, round_span, next_round: int, **attrs: Any):
         """End ``round_span`` and open logical tick ``next_round``'s.
 
-        The next span opens the instant the previous one ends, so no
+        The next span opens the instant the previous one ends — it is
+        given the ended span's closing timestamp, so the recorder's own
+        hand-over bookkeeping (about a microsecond, 4-5 % of a tick now
+        that a pick is arithmetic) lands in the tick that follows, no
         wall time falls between round spans and ``coverage()``
         attributes the whole run.
         """
         self._end_round_span(round_span, **attrs)
-        return self.recorder.begin(
+        opened = self.recorder.begin(
             f"t={next_round}", "round", round=next_round
         )
+        opened.span.t0 = round_span.span.t1
+        return opened
 
     def _exhausted(self, waited, done, reason: str) -> RuntimeExhausted:
         """Build the :class:`RuntimeExhausted` for an out-of-budget run,

@@ -35,6 +35,8 @@ from repro.net.transport import Payload
 #: a routed delivery as the runtime tracks it: (dst, src, payload)
 RoutedDelivery = Tuple[int, int, Payload]
 
+_MASK64 = (1 << 64) - 1
+
 
 class Scheduler:
     """Base scheduler: lock-step semantics, no rushing.
@@ -114,34 +116,56 @@ class RandomOrderScheduler(Scheduler):
     :meth:`choose` picks uniformly among the eligible in-flight
     messages — i.e. the full space of eventual-delivery schedules,
     reproducible from one seed (in the style of the SVSS simulation's
-    ``RandomOrderSimulator``).  Both ``choose`` and ``arrange`` derive
-    their generator *statelessly* from ``(seed, time)``, so a schedule
-    never depends on how many picks other runs consumed.
+    ``RandomOrderSimulator``).  The pick is a *pure function* of
+    ``(seed, time, count)``: a 64-bit integer hash of ``seed`` and
+    ``time`` (a splitmix64 finaliser) reduced into ``range(count)`` by
+    multiply-shift.  No generator is seeded or advanced, so a schedule
+    never depends on how many picks other runs consumed, on which copy
+    of the scheduler is asked, or on the order of the questions — and a
+    pick costs a handful of integer operations.
+
+    :attr:`contract` names this mapping.  It is what a run's provenance
+    records (:class:`~repro.obs.manifest.RunManifest` ``scheduler``):
+    two async recordings are comparable delivery for delivery only when
+    they name the same contract.  ``random-order/1``, the mapping of
+    earlier releases, reseeded a Mersenne Twister from 31 bits of
+    ``(seed, time)`` per pick; it is gone, not selectable.
 
     On the lockstep runtime the same scheduler degrades to a seeded
     per-round shuffle (a different stream than
     :class:`PermutedDeliveryScheduler`), which is what lets the
     scheduler-equivalence property suite run one protocol under all
-    three schedulers unchanged.
+    three schedulers unchanged.  A shuffle consumes a variable number
+    of draws, so :meth:`arrange` keeps its Mersenne Twister, seeded from
+    ``(seed, round)`` — one generator per *round*, not per message, and
+    byte-identical to every earlier release.  An async run never
+    shuffles, so it never makes one.
     """
+
+    #: the seeded-schedule contract: which ``(seed, time) -> pick``
+    #: mapping produced an async delivery order (DESIGN.md §11)
+    contract = "random-order/2"
 
     def __init__(self, seed: int = 0, rushing: Iterable[int] = ()):
         super().__init__(rushing)
         self.seed = seed
-        #: the one generator, reseeded before every use — never read
-        #: across calls, so copies of a scheduler may share it
-        self._random = random.Random()
-
-    def _rng(self, time: int) -> random.Random:
-        self._random.seed((self.seed * 2_000_003 + time * 7_919) & 0x7FFFFFFF)
-        return self._random
 
     def choose(self, time: int, count: int) -> int:
-        return self._rng(time).randrange(count) if count > 1 else 0
+        if count <= 1:
+            return 0
+        # time + 1: the finaliser fixes 0, which would make the default
+        # scheduler's very first pick (seed 0, time 0) index 0 at any count
+        x = (self.seed * 0x9E3779B97F4A7C15
+             + (time + 1) * 0xD1B54A32D192ED03) & _MASK64
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return ((x ^ (x >> 31)) * count) >> 64
 
     def arrange(
         self, round_no: int, deliveries: List[RoutedDelivery]
     ) -> List[RoutedDelivery]:
         arranged = list(deliveries)
-        self._rng(round_no).shuffle(arranged)
+        random.Random(
+            (self.seed * 2_000_003 + round_no * 7_919) & 0x7FFFFFFF
+        ).shuffle(arranged)
         return arranged

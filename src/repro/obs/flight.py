@@ -486,7 +486,11 @@ def diff(log_a: FlightLog, log_b: FlightLog) -> Optional[Divergence]:
 
     Per-round delivery sets are compared order-insensitively (schedulers
     permute arrival order without changing what arrives); header
-    mismatches and missing rounds report with sender/receiver 0.
+    mismatches and missing rounds report with sender/receiver 0.  Two
+    logs that diverge *and* whose manifests name different schedulers —
+    e.g. async recordings made under different seeded-pick contracts —
+    report that as a header mismatch naming both, not as whichever
+    delivery happened to differ first.
     """
     if (log_a.n, log_a.t, log_a.field) != (log_b.n, log_b.t, log_b.field):
         return Divergence(0, 0, 0, 0, "", reason=(
@@ -494,6 +498,21 @@ def diff(log_a: FlightLog, log_b: FlightLog) -> Optional[Divergence]:
             f"({log_a.n},{log_a.t},{log_a.field}) vs "
             f"({log_b.n},{log_b.t},{log_b.field})"
         ))
+    divergence = _first_divergent_delivery(log_a, log_b)
+    if divergence is not None:
+        named_a = (log_a.manifest or {}).get("scheduler")
+        named_b = (log_b.manifest or {}).get("scheduler")
+        if named_a is not None and named_b is not None and named_a != named_b:
+            return Divergence(0, 0, 0, 0, "", reason=(
+                f"header mismatch: scheduler {named_a} vs {named_b} "
+                "(delivery orders of different schedules are not comparable)"
+            ))
+    return divergence
+
+
+def _first_divergent_delivery(
+    log_a: FlightLog, log_b: FlightLog
+) -> Optional[Divergence]:
     rounds_a = {(event.run, event.round): event for event in log_a.rounds}
     rounds_b = {(event.run, event.round): event for event in log_b.rounds}
     for key in sorted(set(rounds_a) | set(rounds_b)):

@@ -122,7 +122,13 @@ class RunManifest:
         ``field`` accepts a live :class:`~repro.fields.base.Field` (its
         spec string and resolved backend name are read off it) or an
         already-formatted spec string.  Any explicit keyword wins over a
-        captured value.
+        captured value.  ``scheduler="random"`` — the CLI's and the
+        campaign's name for the axis value — is recorded as
+        :attr:`RandomOrderScheduler.contract
+        <repro.net.scheduler.RandomOrderScheduler.contract>`, the name
+        of the ``(seed, time) -> pick`` mapping that produced the run's
+        delivery order, so recordings made under different mappings
+        never fingerprint alike.
         """
         from repro.obs.flight import field_spec
         import repro
@@ -146,6 +152,10 @@ class RunManifest:
 
             captured["interpolation"] = cache_mode()
         captured.update(values)
+        if captured.get("scheduler") == "random":
+            from repro.net.scheduler import RandomOrderScheduler
+
+            captured["scheduler"] = RandomOrderScheduler.contract
         return cls(**captured)
 
     # -- (de)serialization -----------------------------------------------

@@ -49,7 +49,12 @@ def berlekamp_welch(
 
     Counted as a single interpolation in the field's counter, matching the
     paper's accounting ("the Berlekamp-Welch decoder can be used to
-    implement this operation", Section 2).
+    implement this operation", Section 2) — whichever of the three
+    stages below answers.  A clean decode ends in the first; wrong
+    shares among the first ``degree + 1`` points cost one more cached
+    candidate (its products are metered as ``muls``, plus one ``invs``
+    the first time a head's node set is seen) per dirty head; the
+    key-equation solve is the last resort.
     """
     points = list(points)
     n = len(points)
@@ -69,9 +74,7 @@ def berlekamp_welch(
     # polynomial matching >= n - max_errors points is unique (two
     # candidates would agree on >= n - 2*max_errors >= degree + 1 common
     # points), so when this succeeds it returns exactly what the
-    # key-equation solve below would — without the O(n^3) linear system.
-    # Corrupted head points simply fail the match count and fall through
-    # to the full decoder.
+    # key-equation solve would — without the O(n^3) linear system.
     if barycentric.cache_mode() != "off":
         head = degree + 1
         candidate = optimistic_candidate(field, points[:head])
@@ -80,7 +83,43 @@ def berlekamp_welch(
         good += [i for i, v in enumerate(values, head) if v == points[i][1]]
         if len(good) >= n - max_errors:
             return candidate, good
+        return decode_past_first_head(field, points, degree, max_errors)
 
+    return full_decode(field, points, degree, max_errors)
+
+
+def decode_past_first_head(
+    field: Field,
+    points: Sequence[Point],
+    degree: int,
+    max_errors: int,
+) -> Tuple[Polynomial, List[int]]:
+    """Finish a decode whose first head's candidate missed the threshold.
+
+    A wrong share among the first ``degree + 1`` points spoils that
+    candidate, not the decode: the same optimistic test is run from the
+    next *disjoint* heads — points ``[degree+1, 2*degree+2)``, and so on
+    — each candidate checked against every point outside its head.  By
+    the uniqueness argument in :func:`berlekamp_welch` an accepted
+    candidate is the polynomial the key equation would return.  If a
+    polynomial within ``max_errors`` exists, its wrong shares dirty at
+    most ``max_errors`` heads, so one of any ``max_errors + 1`` is clean
+    and no more than that are tried; the O(n^3) :func:`full_decode` runs
+    only when there are fewer heads than that (wrong shares spread over
+    every one) or when nothing decodes at all.  No re-metering: the
+    caller already counted the interpolation.
+    """
+    n = len(points)
+    head = degree + 1
+    xs = [x for x, _ in points]
+    for start in range(head, min(n // head, max_errors + 1) * head, head):
+        stop = start + head
+        candidate = optimistic_candidate(field, points[start:stop])
+        outside = [*range(start), *range(stop, n)]
+        values = candidate.evaluate_many([xs[i] for i in outside])
+        wrong = {i for i, v in zip(outside, values) if v != points[i][1]}
+        if len(wrong) <= max_errors:
+            return candidate, [i for i in range(n) if i not in wrong]
     return full_decode(field, points, degree, max_errors)
 
 

@@ -33,7 +33,7 @@ from repro.poly import barycentric
 from repro.poly.berlekamp_welch import (
     DecodingError,
     berlekamp_welch,
-    full_decode,
+    decode_past_first_head,
     max_correctable_errors,
     optimistic_candidate,
 )
@@ -94,8 +94,11 @@ def decode_batched_many(field: Field, point_sets, t: int, n: int):
     optimistic Berlekamp-Welch candidates of every set are verified in a
     single bulk evaluation sweep (grouped by shared evaluation points),
     so vectorized field backends see one wide kernel instead of many
-    short ones.  Only sets whose candidate fails the match count — i.e.
-    actually-corrupted dealings — pay the full key-equation decode.
+    short ones.  A set whose candidate fails the match count — a wrong
+    announcement among its first ``t + 1`` senders — finishes through
+    :func:`~repro.poly.berlekamp_welch.decode_past_first_head`: the
+    next disjoint heads first, the key-equation decode only when every
+    head tried holds a wrong point or the dealing really is corrupted.
     """
     if barycentric.cache_mode() == "off":
         return [decode_batched(field, pts, t, n) for pts in point_sets]
@@ -123,10 +126,13 @@ def decode_batched_many(field: Field, point_sets, t: int, n: int):
             good = list(range(t + 1))
             good += [i for i, v in enumerate(values, t + 1) if v == pts[i][1]]
             if len(good) < len(pts) - max_errors:
-                # corrupted head: same fall-through as berlekamp_welch,
-                # without re-paying the optimistic attempt
+                # corrupted head: same fall-through as berlekamp_welch
+                # (later heads, then the key equation), without
+                # re-paying the optimistic attempt
                 try:
-                    candidate, good = full_decode(field, pts, t, max_errors)
+                    candidate, good = decode_past_first_head(
+                        field, pts, t, max_errors
+                    )
                 except DecodingError:
                     continue
             if len(good) >= n - t:

@@ -7,19 +7,23 @@ Three contracts of :class:`repro.net.async_runtime.AsyncRuntime`'s loop
   drop + duplicate + delay + mid-run-crash plane; a delay-everything
   plane that forces idle ticks) reproduce pinned sha256 digests of their
   flight log and of every event published on any bus topic, plus their
-  logical clock and delivery count.  The pins were recorded on commit
-  14c2e5f, *before* the pool and the guards were made scan-free; they
-  state that delivery order, fault events, guard telemetry and pool
-  gauges did not move, on either field backend;
+  logical clock and delivery count.  The pins state that delivery
+  order, fault events, guard telemetry and pool gauges do not move, on
+  either field backend.  They were re-recorded once, when the pick
+  mapping became ``random-order/2`` (a stateless 64-bit hash; every
+  async delivery order for a given seed differs from ``random-order/1``,
+  no protocol output does);
 * **constant work** — a dark 60-round guarded all-to-all run computes at
   most two payload tags per delivery (the parent re-tagged the player's
-  whole history on every delivery) and never scans the in-flight pool
-  unless a delay rule has fired;
+  whole history on every delivery), never scans the in-flight pool
+  unless a delay rule has fired, and never seeds a generator;
 * **the seeded pick** — ``RandomOrderScheduler.choose`` is a pure
   function of ``(seed, time, count)`` whichever instance is asked and
-  whatever was asked before.
+  whatever was asked before, uniform enough over times and over seeds,
+  and reads all 64 bits of the seed.
 """
 
+import collections
 import dataclasses
 import hashlib
 import json
@@ -59,27 +63,27 @@ def _planes():
 
 
 #: scenario -> (flight-log sha256, every-topic sha256, logical_time,
-#: delivery_count), recorded on the parent commit
+#: delivery_count), recorded under the ``random-order/2`` pick
 PINNED = {
     "clean": (
-        "a6888df18829527d59bda5c134e3a6901f18105cfa1a6d1df83f53ea7086efd5",
-        "32fd6d50a4009f6d714d5e89c12f2fd2bcae36246d01607514ec236957455f8e",
-        42, 42,
-    ),
-    "crashed_from_start": (
-        "30f97be453a6f7f6124b7d84635119e13d4270ffc75f1c2b597a5a221afc1b10",
-        "a7fecb6636a6242df0bd08c2ba7a56d7d1285792b881f9ff8df60d9d66200e1d",
-        35, 35,
-    ),
-    "drop_dup_delay_crash": (
-        "08d785e3c23f4af7c8be86216b589426fc8a89142b1bb694e9f09ebafe87d584",
-        "2ef2963949f19b8bfab4db998dec66b7532ed5401eb0e895bb7d4d8820514105",
+        "b0a8f84eb5582a17063438cf653e3b6b8995b0cd93cc6f09c01112a978716bec",
+        "1c21ba8a29a1b2e4e84eb1528e673fee4256d24998ae459ff7a16b26457829af",
         45, 45,
     ),
+    "crashed_from_start": (
+        "a18708d8326e4682c731558aaa4cf1e28d868bd69edd6c4f893d5472b1ff1d08",
+        "6cd98479fded75d373977d0e32463cc9db654a46af6e81d5bb8d93ef736daf2e",
+        31, 31,
+    ),
+    "drop_dup_delay_crash": (
+        "5d4fc0cad04a783f540bcbeb404042e39db1992c39736fbef254db242619a973",
+        "4e571270dd96fc426fbd8ca9178b2354968a946b914fe247db631eeb2fdf60e7",
+        48, 48,
+    ),
     "delay_everything": (
-        "02881ecb4198b6661faa35c50c30e6de16ad880d52ccd2f91d0c20c3a35df29e",
-        "3b8d06e31a7eaeb64719f7af909256ad048594e4cf8018864b9c822b34d9e4a0",
-        44, 39,
+        "294b40ffa05bd18313f2ce3f740f43523f46449cdab1a223b28afdbc39053035",
+        "e135b899e04a1c08ce2aa02bfe90060e83a39dd0adb99c20e0fe064d295ab886",
+        46, 41,
     ),
 }
 
@@ -180,27 +184,87 @@ class TestConstantWorkPerDelivery:
         assert deliveries == 4 * N * N
         assert 0 < scans < deliveries
 
+    def test_no_generator_is_seeded_inside_the_loop(self, monkeypatch):
+        """The pick is arithmetic: a run seeds nothing (one per delivery
+        on the parent, whose pick reseeded a Mersenne Twister)."""
+        seeds = []
+        seed = random.Random.seed
+
+        def counting_seed(self, *args, **kwargs):
+            seeds.append(args)
+            return seed(self, *args, **kwargs)
+
+        monkeypatch.setattr(random.Random, "seed", counting_seed)
+        deliveries, _, _ = _run_counted(monkeypatch, rounds=60)
+        assert deliveries == 60 * N * N
+        assert seeds == []
+
 
 # -- the seeded pick ---------------------------------------------------------
+
+#: chi-square 0.999 quantiles at ``count - 1`` degrees of freedom
+CHI2_999 = {2: 10.828, 3: 13.816, 7: 22.458, 49: 84.037}
+
 
 class TestSeededPick:
     def test_choose_is_stateless_in_seed_and_time(self):
         grid = [
             (seed, time, count)
-            for seed in (0, 1, 5, 2**31 + 7)
-            for time in (0, 1, 2, 69, 10_000)
+            for seed in (0, 1, 5, 2**31 + 7, 2**63 + 11)
+            for time in (0, 1, 2, 69, 10_000, 2**40)
             for count in (1, 2, 3, 49, 1000)
         ]
+        # two instances per seed, each asked the whole grid in its own
+        # order: what one was asked before must not matter to the other
+        forward = {
+            point: RandomOrderScheduler(point[0]).choose(*point[1:])
+            for point in grid
+        }
         schedulers = {}
-        for index, (seed, time, count) in enumerate(grid):
-            # two instances per seed, asked alternately
+        for index, (seed, time, count) in enumerate(reversed(grid)):
             scheduler = schedulers.setdefault(
                 (seed, index % 2), RandomOrderScheduler(seed)
             )
-            expected = random.Random(
-                (seed * 2_000_003 + time * 7_919) & 0x7FFFFFFF
-            ).randrange(count)
-            assert scheduler.choose(time, count) == expected
+            pick = scheduler.choose(time, count)
+            assert pick == forward[seed, time, count]
+            assert 0 <= pick < count
+            if count == 1:
+                assert pick == 0
+
+    @pytest.mark.parametrize("count", sorted(CHI2_999))
+    @pytest.mark.parametrize("seed", [1, 5, 2**31 + 7])
+    def test_picks_are_uniform_over_consecutive_times(self, seed, count):
+        scheduler = RandomOrderScheduler(seed)
+        samples = 20_000
+        seen = collections.Counter(
+            scheduler.choose(time, count) for time in range(samples)
+        )
+        expected = samples / count
+        chi2 = sum(
+            (seen[pick] - expected) ** 2 / expected for pick in range(count)
+        )
+        assert chi2 < CHI2_999[count]
+
+    def test_every_order_of_a_small_pool_occurs_over_seeds(self):
+        orders = set()
+        for seed in range(2_000):
+            scheduler = RandomOrderScheduler(seed)
+            pool = list("abcd")
+            orders.add("".join(
+                pool.pop(scheduler.choose(time, len(pool)))
+                for time in range(4)
+            ))
+        assert len(orders) == 24
+
+    @pytest.mark.parametrize("seed", [0, 1, 5, 77])
+    def test_the_high_seed_bits_reach_the_pick(self, seed):
+        """``random-order/1`` masked ``(seed, time)`` to 31 bits, so these
+        two streams were identical."""
+        low, high = RandomOrderScheduler(seed), RandomOrderScheduler(seed + 2**31)
+        differing = sum(
+            low.choose(time, 49) != high.choose(time, 49) for time in range(70)
+        )
+        assert differing >= 35
 
     def test_arrange_is_the_same_shuffle(self):
         deliveries = [(dst, src, ("x", dst)) for dst in range(5)

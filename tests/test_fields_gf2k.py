@@ -63,6 +63,53 @@ class TestTableVsClmul:
             GF2k(32, tables=True)
 
 
+TABLE_FREE = {
+    k: GF2k(k, tables=False) for k in (8, 17, 32, 64)
+}
+
+
+class TestTableFreeInverse:
+    """``inv`` without tables is extended Euclid over GF(2)[x]; the
+    exponentiation it replaced stays in the tests as the reference."""
+
+    @pytest.mark.parametrize("k", sorted(TABLE_FREE))
+    @given(data=st.data())
+    def test_inverse_is_the_inverse_and_equals_the_power(self, k, data):
+        field = TABLE_FREE[k]
+        a = data.draw(st.integers(min_value=1, max_value=field.order - 1))
+        inverse = field.inv(a)
+        assert field.mul(a, inverse) == 1
+        assert inverse == field._raw_pow(a, field.order - 2)
+
+    def test_every_element_of_a_small_field(self):
+        field = TABLE_FREE[8]
+        for a in range(1, 256):
+            assert field._raw_mul(a, field.inv(a)) == 1
+
+    @pytest.mark.parametrize("k", sorted(TABLE_FREE))
+    def test_one_metered_inversion_and_no_multiplication(self, k):
+        field = TABLE_FREE[k]
+        before = field.counter.snapshot()
+        field.inv(field.order - 1)
+        delta = field.counter.delta(before)
+        assert (delta.adds, delta.muls, delta.invs) == (0, 0, 1)
+
+    @pytest.mark.parametrize("k", sorted(TABLE_FREE))
+    def test_batch_inv_agrees_and_meters_one_inversion(self, k):
+        field = TABLE_FREE[k]
+        rng = random.Random(k)
+        vec = [rng.randrange(1, field.order) for _ in range(9)]
+        expected = [field._raw_pow(a, field.order - 2) for a in vec]
+        before = field.counter.snapshot()
+        assert field.batch_inv(vec) == expected
+        assert field.counter.delta(before).invs == 1
+
+    @pytest.mark.parametrize("k", sorted(TABLE_FREE))
+    def test_zero_has_no_inverse(self, k):
+        with pytest.raises(ZeroDivisionError):
+            TABLE_FREE[k].inv(0)
+
+
 class TestConstruction:
     def test_default_modulus_is_irreducible_and_deterministic(self):
         assert GF2k(16).modulus == GF2k(16).modulus == find_irreducible_gf2(16)
