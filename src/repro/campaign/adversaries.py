@@ -37,6 +37,7 @@ from repro.net.adversary import (
     silent_program,
 )
 from repro.net.simulator import multicast
+from repro.protocols.coin_expose import expose_tag
 
 LOCKSTEP = "lockstep"
 ASYNC = "async"
@@ -57,7 +58,7 @@ def _bad_share_expose(field, n: int, coin, rng: random.Random):
     decoders drop below the robust acceptance threshold and exposure
     fails: the campaign's canonical known-bad cell.
     """
-    tag = "expose/" + coin.coin_id
+    tag = expose_tag(coin.coin_id)
 
     def program():
         yield [multicast((tag, field.random(rng)))]

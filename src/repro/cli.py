@@ -20,7 +20,7 @@ Commands
               per-player accusation report;
 ``health``    run a living coin source under the health monitor and gate
               the exit code on operational thresholds;
-``critpath``  run one instrumented Coin-Gen, capture its happens-before
+``critpath``  run one instrumented Coin-Gen, build its happens-before
               DAG, and print per-run critical paths, per-phase latency
               attribution, and per-coin exposure latencies under a cost
               model; ``--what-if player=I,scale=S`` re-prices the graph
@@ -60,18 +60,21 @@ under ``async`` each coin is exposed on an event-driven
 (seed-deterministic) scheduler delivers one message at a time — sweep
 ``--sched-seed`` to explore delivery orders, ``--crash PLAYERS`` to
 crash players from the start.  ``trace --runtime async --audit`` gates
-on unanimity plus live-vs-offline causal-graph equality; ``critpath
---runtime async`` prices the async happens-before DAG (logical time =
-delivery count).
+on unanimity plus the structure of the recorded happens-before graph
+(one edge per delivered message, depth within the run's deliveries);
+``critpath --runtime async`` prices that DAG (logical time = delivery
+count).  Every causal graph the CLI shows is built from a flight log,
+recorded in memory when no ``--flight-log`` asks for the file.
 
 ``toss``, ``trace``, and ``metrics`` accept ``--export chrome|jsonl|prom``
 (+ ``--export-out PATH``) to write the recorded spans as a Chrome
 trace-event JSON (open with Perfetto), newline-delimited JSON, or a
-Prometheus exposition; the default export path derives from the
-subcommand name (``toss.json``, ``trace.jsonl``, ``metrics.prom``, ...),
-so concurrent exports from different commands never collide.  ``toss``
-and ``trace`` also accept ``--flight-log PATH`` to record the delivered
-message stream for later ``replay``/``forensics``.
+Prometheus exposition (``waits``: ``prom`` only); the default export
+path derives from the subcommand name (``toss.json``, ``trace.jsonl``,
+``metrics.prom``, ...), so concurrent exports from different commands
+never collide.  ``toss``, ``trace`` and ``critpath`` also accept
+``--flight-log PATH`` to record the delivered message stream for later
+``replay``/``forensics``.
 
 Off the coin path (docs/CENSUS.md, class ii); run by every CI smoke step
 (`.github/workflows/ci.yml`).
@@ -145,14 +148,15 @@ def _add_system_arguments(parser: argparse.ArgumentParser, default_n: int = 7,
                              "installed, else pure python)")
 
 
-def _add_export_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--export", choices=("chrome", "jsonl", "prom"),
-                        default=None,
-                        help="write recorded spans: Chrome trace-event JSON "
-                             "(Perfetto), JSONL, or Prometheus text")
+def _add_export_arguments(parser: argparse.ArgumentParser,
+                          formats=("chrome", "jsonl", "prom")) -> None:
+    parser.add_argument("--export", choices=formats, default=None,
+                        help="write the recording: chrome = trace-event JSON "
+                             "(Perfetto), jsonl = JSONL, prom = Prometheus "
+                             "text")
     parser.add_argument("--export-out", default=None, metavar="PATH",
-                        help="export file (defaults to <command>.json / "
-                             "<command>.jsonl / <command>.prom)")
+                        help="export file (defaults to <command>.<ext>: "
+                             "json / jsonl / prom)")
 
 
 def _add_flight_argument(parser: argparse.ArgumentParser) -> None:
@@ -211,18 +215,14 @@ def _make_context(args: argparse.Namespace,
 
 
 def _write_export(args: argparse.Namespace, ctx: ProtocolContext,
-                  health=None, graph=None) -> None:
-    """Write the recorder's spans in the format ``--export`` selected.
-
-    ``graph`` (a captured :class:`~repro.obs.causality.CausalGraph`)
-    adds causal flow arrows to Chrome exports.
-    """
+                  health=None) -> None:
+    """Write the recorder's spans in the format ``--export`` selected."""
     if getattr(args, "export", None) is None:
         return
     recorder = ctx.recorder
     manifest = _run_manifest(args, ctx)
     if args.export == "chrome":
-        content = to_chrome_trace(recorder, graph=graph, manifest=manifest)
+        content = to_chrome_trace(recorder, manifest=manifest)
     elif args.export == "jsonl":
         content = to_jsonl(recorder, manifest=manifest)
     else:
@@ -241,9 +241,12 @@ def _save_export(args: argparse.Namespace, content: str) -> None:
     print(f"wrote {args.export} export to {out}", file=sys.stderr)
 
 
-def _attach_flight_recorder(args: argparse.Namespace, ctx: ProtocolContext):
-    """A FlightRecorder on the context bus when ``--flight-log`` was given."""
-    if getattr(args, "flight_log", None) is None:
+def _attach_flight_recorder(args: argparse.Namespace, ctx: ProtocolContext,
+                            always: bool = False):
+    """A FlightRecorder on the context bus when ``--flight-log`` was
+    given — or ``always``, for the commands whose report is read off the
+    log (the causal graph is built from it)."""
+    if getattr(args, "flight_log", None) is None and not always:
         return None
     from repro.obs.flight import FlightRecorder
 
@@ -254,7 +257,7 @@ def _attach_flight_recorder(args: argparse.Namespace, ctx: ProtocolContext):
 
 
 def _write_flight_log(args: argparse.Namespace, flight) -> None:
-    if flight is None:
+    if flight is None or args.flight_log is None:
         return
     flight.dump(args.flight_log)
     log = flight.log()
@@ -263,12 +266,35 @@ def _write_flight_log(args: argparse.Namespace, flight) -> None:
           file=sys.stderr)
 
 
+def _player_ids(text: Optional[str], flag: str, n: Optional[int] = None) -> set:
+    """A comma-separated player-id flag value as a set (empty for None
+    or blank); anything else — or an id outside ``1..n`` — is a usage
+    error naming ``flag``."""
+    if text is None or not text.strip():
+        return set()
+    try:
+        ids = {int(pid) for pid in text.split(",")}
+    except ValueError:
+        raise _usage_error(f"bad {flag} value {text!r} "
+                           f"(expected comma-separated player ids)")
+    if n is not None and not all(1 <= pid <= n for pid in ids):
+        raise _usage_error(f"bad {flag} value {text!r} "
+                           f"(player ids run from 1 to {n})")
+    return ids
+
+
 def _crashed_players(args: argparse.Namespace) -> set:
     """The ``--crash`` flag parsed into a set of player ids."""
-    spec = getattr(args, "crash", None)
-    if spec is None or not spec.strip():
-        return set()
-    return {int(pid) for pid in spec.split(",")}
+    return _player_ids(getattr(args, "crash", None), "--crash", args.n)
+
+
+def _number(kind, value: str, flag: str):
+    """``kind(value)`` for one ``key=value`` flag component, or exit 2."""
+    try:
+        return kind(value)
+    except ValueError:
+        raise _usage_error(f"bad {flag} value {value!r} "
+                           f"(expected {kind.__name__})")
 
 
 def _run_async_coins(args: argparse.Namespace, ctx, count: int):
@@ -449,29 +475,25 @@ def _cmd_beacon(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_instrumented_coin_gen(args: argparse.Namespace, causal: bool = False):
+def _run_instrumented_coin_gen(args: argparse.Namespace,
+                               flight_always: bool = False):
     """One Coin-Gen + batch exposure under a live recorder.
 
-    ``causal`` additionally attaches a
-    :class:`~repro.obs.causality.CausalRecorder` (which turns on the
-    runtime's pre-fault provenance stream) and returns it third.
+    Returns ``(ctx, flight)``; ``flight`` is None unless
+    ``--flight-log`` was given or the caller reads the log itself
+    (``flight_always``).
     """
     from repro.protocols.coin_gen import run_coin_gen, expose_coin
 
     # trace/metrics are pointless without a recorder: attach one even
     # when no --export was requested (the terminal report needs it)
     ctx = _make_context(args, record=True)
-    causal_recorder = None
-    if causal:
-        from repro.obs.causality import CausalRecorder
-
-        causal_recorder = CausalRecorder(n=ctx.n).attach(ctx.ensure_bus())
-    flight = _attach_flight_recorder(args, ctx)
+    flight = _attach_flight_recorder(args, ctx, always=flight_always)
     outputs, _ = run_coin_gen(ctx, M=args.M, seed=args.seed)
     if all(o.success for o in outputs.values()):
         expose_coin(ctx, outputs=outputs, h=0)
     _write_flight_log(args, flight)
-    return ctx, outputs, causal_recorder
+    return ctx, flight
 
 
 def _cmd_trace_async(args: argparse.Namespace) -> int:
@@ -479,18 +501,16 @@ def _cmd_trace_async(args: argparse.Namespace) -> int:
 
     The audit (gated by ``--audit``) checks what lockstep lemma
     conformance cannot cover asynchronously: every coin unanimous, and
-    the live happens-before graph canonically equal to its offline
-    reconstruction from the delivered-message stream.
+    the happens-before graph of the recorded run well-formed against
+    what the runtime itself counted — one edge per delivered message,
+    and a longest chain of at least one and at most that many messages
+    (each delivery is its own logical tick, so a chain cannot outrun
+    the deliveries).
     """
-    from repro.obs.causality import CausalRecorder, graph_from_log
-    from repro.obs.flight import FlightRecorder
+    from repro.obs.causality import graph_from_log
 
     ctx = _make_context(args, record=True)
-    causal = CausalRecorder(n=ctx.n).attach(ctx.ensure_bus())
-    # always keep an in-memory flight recorder: live-vs-offline causal
-    # equality is part of the audit even without --flight-log
-    flight = FlightRecorder(n=ctx.n, t=ctx.t, field=ctx.field,
-                            seed=ctx.seed).attach(ctx.ensure_bus())
+    flight = _attach_flight_recorder(args, ctx, always=True)
     values, runtimes, breaks = _run_async_coins(args, ctx, args.M)
 
     print(f"async trace: n={ctx.n}, t={ctx.t}, k={args.k}, "
@@ -499,29 +519,32 @@ def _cmd_trace_async(args: argparse.Namespace) -> int:
     if crashed:
         print(f"crashed players: {','.join(map(str, sorted(crashed)))}")
     print()
-    graph = causal.graph()
+    graph = graph_from_log(flight.log())
     print(f"{'coin':<6} {'deliveries':>10} {'logical time':>13} "
           f"{'causal depth':>13}")
     print("-" * 45)
+    well_formed = True
     for index, runtime in enumerate(runtimes):
+        depth = graph.depth(index + 1)
         print(f"{index:<6} {runtime.delivery_count:>10} "
-              f"{runtime.logical_time:>13} {graph.depth(index + 1):>13}")
+              f"{runtime.logical_time:>13} {depth:>13}")
+        well_formed = well_formed and (
+            len(graph.edges_in_run(index + 1)) == runtime.delivery_count
+            and 1 <= depth <= runtime.delivery_count
+        )
 
-    offline = graph_from_log(flight.log())
     unanimous = not breaks
-    graphs_equal = graph == offline
     print()
     print(f"unanimity          : {'OK' if unanimous else 'BROKEN'} "
           f"({args.M - len(breaks)}/{args.M} coins)")
     for index, distinct in breaks:
         print(f"  coin {index}: {len(distinct)} distinct values "
               f"{distinct}")
-    print(f"live == offline DAG: {'OK' if graphs_equal else 'DIVERGED'} "
+    print(f"edges == deliveries: {'OK' if well_formed else 'DIVERGED'} "
           f"({len(graph.edges)} edges)")
 
-    if args.flight_log is not None:
-        _write_flight_log(args, flight)
-    return _finish_trace(args, ctx, unanimous and graphs_equal)
+    _write_flight_log(args, flight)
+    return _finish_trace(args, ctx, unanimous and well_formed)
 
 
 def _finish_trace(args: argparse.Namespace, ctx, ok: bool) -> int:
@@ -535,7 +558,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     if args.runtime == "async":
         return _cmd_trace_async(args)
-    ctx, outputs, _ = _run_instrumented_coin_gen(args)
+    ctx, _ = _run_instrumented_coin_gen(args)
     recorder = ctx.recorder
 
     print(f"Coin-Gen trace: n={ctx.n}, t={ctx.t}, k={args.k}, M={args.M}")
@@ -578,7 +601,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    ctx, _, _ = _run_instrumented_coin_gen(args)
+    ctx, _ = _run_instrumented_coin_gen(args)
     print(to_prometheus(metrics=ctx.metrics, recorder=ctx.recorder), end="")
     _write_export(args, ctx)
     return 0
@@ -621,24 +644,32 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     print(f"faults recorded   : {len(log.faults)}")
     decoded = result.decoded_values()
     print(f"exposed coins     : {len(decoded)}")
-    disagreements = sum(
-        1 for values in decoded.values() if len(set(values.values())) > 1
-    )
+    # a player the log records as crashed stopped reading: whatever part
+    # of an exposure reached it afterwards is not a view anyone decoded
+    crashed = {(fault.run, fault.src) for fault in log.faults
+               if fault.kind == "crash"}
+    outcomes = [
+        {value for pid, value in values.items() if (run, pid) not in crashed}
+        for (run, _coin), values in decoded.items()
+    ]
+    # agreeing on None is not agreement: a coin no receiver could decode
+    # is a failed exposure
+    failed = sum(1 for values in outcomes if values <= {None})
+    if failed:
+        print(f"failed exposures  : {failed}")
+    disagreements = sum(1 for values in outcomes if len(values) > 1)
     print(f"unanimity breaks  : {disagreements}")
-    return 1 if disagreements else 0
+    return 1 if disagreements or failed else 0
 
 
 def _cmd_forensics(args: argparse.Namespace) -> int:
     from repro.obs.forensics import analyze_log
 
     log = _load_flight_log(args.log)
+    expected = _player_ids(args.expect, "--expect")
     report = analyze_log(log)
     print(report.summary())
     if args.expect is not None:
-        expected = (
-            set() if not args.expect.strip()
-            else {int(pid) for pid in args.expect.split(",")}
-        )
         actual = report.corrupt_players()
         if actual != expected:
             print(f"MISMATCH: expected {sorted(expected)}, "
@@ -680,9 +711,9 @@ def _parse_what_if(text: str):
         key, _, value = part.partition("=")
         key = key.strip()
         if key == "player":
-            player = int(value)
+            player = _number(int, value, "--what-if player")
         elif key == "scale":
-            scale = float(value)
+            scale = _number(float, value, "--what-if scale")
         else:
             raise _usage_error(f"bad --what-if component {part!r} "
                                f"(expected player=I,scale=S)")
@@ -704,7 +735,7 @@ def _parse_op_costs(text: Optional[str]) -> dict:
         if field_name is None:
             raise _usage_error(f"bad --op-cost component {part!r} "
                                f"(expected add=A,mul=M,inv=I,interp=P)")
-        out[field_name] = float(value)
+        out[field_name] = _number(float, value, f"--op-cost {key.strip()}")
     return out
 
 
@@ -773,16 +804,15 @@ def _cmd_critpath_async(args: argparse.Namespace) -> int:
     machinery prices adversarial delivery schedules; depth conformance
     against the synchronous round model is (correctly) not asserted.
     """
-    from repro.obs.causality import CausalRecorder
+    from repro.obs.causality import graph_from_log
 
     ctx = _make_context(args, record=True)
-    causal = CausalRecorder(n=ctx.n).attach(ctx.ensure_bus())
-    flight = _attach_flight_recorder(args, ctx)
+    flight = _attach_flight_recorder(args, ctx, always=True)
     values, runtimes, breaks = _run_async_coins(args, ctx, args.M)
     for index, distinct in breaks:
         print(f"UNANIMITY BREAK: coin {index} exposed {distinct}",
               file=sys.stderr)
-    graph = causal.graph()
+    graph = graph_from_log(flight.log())
     # async round spans carry per-step op deltas exactly like lockstep
     # ones (the step settling delivery c is node (c+1, pid)), so the
     # same recorder->DAG pricing applies under adversarial schedules
@@ -818,12 +848,13 @@ def _cmd_critpath_async(args: argparse.Namespace) -> int:
 
 def _cmd_critpath(args: argparse.Namespace) -> int:
     from repro.analysis.rounds import predicted_rounds
+    from repro.obs.causality import graph_from_log
     from repro.obs.critical_path import op_profile, op_profile_table
 
     if args.runtime == "async":
         return _cmd_critpath_async(args)
-    ctx, _, causal = _run_instrumented_coin_gen(args, causal=True)
-    graph = causal.graph()
+    ctx, flight = _run_instrumented_coin_gen(args, flight_always=True)
+    graph = graph_from_log(flight.log())
     model, step_ops, run_labels, result = _priced_critical_path(
         args, ctx, graph
     )
@@ -904,8 +935,6 @@ def _cmd_waits(args: argparse.Namespace) -> int:
         StallWatchdog,
         audit_liveness,
         default_threshold,
-        waits_to_chrome,
-        waits_to_jsonl,
     )
 
     if args.runtime != "async":
@@ -957,14 +986,9 @@ def _cmd_waits(args: argparse.Namespace) -> int:
         print(report.table())
 
     if args.export is not None:
-        if args.export == "chrome":
-            content = waits_to_chrome(latency, watchdog)
-        elif args.export == "jsonl":
-            content = waits_to_jsonl(latency, watchdog)
-        else:
-            content = to_prometheus(metrics=ctx.metrics, liveness=latency,
-                                    watchdog=watchdog)
-        _save_export(args, content)
+        _save_export(args, to_prometheus(
+            metrics=ctx.metrics, liveness=latency, watchdog=watchdog
+        ))
 
     if breaks:
         return 1
@@ -1340,7 +1364,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exit non-zero unless the liveness conformance "
                             "audit passes (fault-free runs: zero stalls, "
                             "every guard fired at exactly its quorum)")
-    _add_export_arguments(waits)
+    _add_export_arguments(waits, formats=("prom",))
     waits.set_defaults(func=_cmd_waits, runtime="async")
 
     diff_cmd = sub.add_parser(

@@ -58,7 +58,11 @@ def echo_noise_program(n: int, rng: random.Random, noise_space: int = 1 << 16) -
 
     Because honest sub-protocols filter inboxes by tag, this exercises the
     "arbitrary messages" part of the fault model without knowing any
-    protocol's structure.
+    protocol's structure.  It learns a tag by receiving it, so its
+    garbage is one round late: in a one-round protocol — Coin-Expose —
+    it sends nothing anyone reads and amounts to a silent holder
+    (``MobileAdversary(..., "noise")`` attacks Coin-Gen's clique, BA
+    and in-stretch decodes, never an exposure's).
     """
     inbox: Dict[int, List[Any]] = yield []
     while True:

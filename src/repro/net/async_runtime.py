@@ -27,14 +27,12 @@ re-enqueues a copy, ``delay(by=k)`` makes it ineligible for the next
 messages remain).
 
 Observability rides the same EventBus topics as lockstep, with logical
-time as the round index: each delivery publishes one ``SENT`` event
-(provenance, pre-fault) immediately followed by one ``ROUND`` event
-(the settled delivery), so causal recorders, flight logs, replay/diff,
-and critical-path analysis work unchanged on async runs — one
-happens-before edge per delivered message, and live and offline
-(flight-log) causal graphs are canonically equal.  Whether either topic
-has a subscriber is sampled once per run, like the liveness topics
-below: a dark run builds no event at all.
+time as the round index: each delivery publishes one ``ROUND`` event
+(the settled delivery), so flight logs, replay/diff, the causal graph
+built from a log and critical-path analysis work unchanged on async
+runs — one happens-before edge per delivered message.  Whether the
+topic has a subscriber is sampled once per run, like the liveness
+topics below: a dark run builds no event at all.
 
 One delivery costs constant work, whatever the run's history and pool
 depth.  The pool is one ordered list and pool order *is* the schedule;
@@ -72,8 +70,8 @@ from repro.net.guards import IndexedInbox
 from repro.net.metrics import NetworkMetrics, payload_tag
 from repro.net.runtime import Program, RuntimeBase
 from repro.net.scheduler import RandomOrderScheduler, Scheduler
-from repro.net.transport import ProtocolViolation
-from repro.obs.bus import POOL, ROUND, SENT
+from repro.net.transport import ProtocolViolation, expansion_channels
+from repro.obs.bus import POOL, ROUND
 from repro.obs.phases import classify_tag
 
 
@@ -176,7 +174,6 @@ class AsyncRuntime(RuntimeBase):
         step_budget = 4 * self.max_deliveries + 16 * self.n
         bus = self.bus
         choose = self.scheduler.choose
-        capturing = bus.has_subscribers(SENT)
         settling = bus.has_subscribers(ROUND)
         # opt-in like the guard telemetry: the gauge and the backlog
         # bookkeeping feeding it exist only while POOL has subscribers
@@ -208,11 +205,19 @@ class AsyncRuntime(RuntimeBase):
             return sends
 
         def emit(pid: int, sends, tick: int) -> None:
-            expanded, channels = self._emit(pid, sends, max(tick, 1), True)
+            expanded = self._emit(pid, sends, max(tick, 1))
+            if not lv_pool:
+                pending.extend(
+                    [dst, pid, payload, None, tick, False]
+                    for dst, payload in expanded
+                )
+                return
+            # the pool gauge's per-channel backlog: label each delivery
+            # beside the expansion, never inside what a run pays for
+            channels = expansion_channels(self.n, sends)
             for (dst, payload), channel in zip(expanded, channels):
                 pending.append([dst, pid, payload, channel, tick, False])
-                if lv_pool:
-                    backlog[channel] = backlog.get(channel, 0) + 1
+                backlog[channel] = backlog.get(channel, 0) + 1
 
         def wake(pid: int, tick: int) -> None:
             nonlocal steps
@@ -307,8 +312,8 @@ class AsyncRuntime(RuntimeBase):
             tick = clock + 1  # 1-based time of the delivery being decided
             if crash_pending:
                 # note crashes taking effect by this tick *before* the
-                # tick's SENT/ROUND publish — flight recorders expect
-                # faults for time r ahead of r's round event
+                # tick's ROUND publish — flight recorders expect faults
+                # for time r ahead of r's round event
                 for pid in list(crash_pending):
                     crashed(pid, tick)
             pick = choose(clock, len(eligible)) % len(eligible)
@@ -336,10 +341,6 @@ class AsyncRuntime(RuntimeBase):
                     immature += 1
                     if lv_pool:
                         backlog[channel] += 1
-                elif capturing:
-                    # provenance without a matching delivery: the causal
-                    # recorder files it as a DroppedEmission
-                    bus.publish(SENT, tick, [(dst, src, payload, channel)])
                 if recording:
                     round_span = self._next_round_span(
                         round_span, clock + 1, messages=0,
@@ -349,8 +350,6 @@ class AsyncRuntime(RuntimeBase):
             clock += 1
             self.metrics.rounds += 1
             self.delivery_count += 1
-            if capturing:
-                bus.publish(SENT, clock, [(dst, src, payload, channel)])
             if settling:
                 bus.publish(ROUND, clock, [(dst, src, payload)])
             if dst in cum:

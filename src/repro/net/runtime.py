@@ -37,12 +37,7 @@ from repro.net.faults import FaultPlane
 from repro.net.guards import Guard, Guarded, IndexedInbox
 from repro.net.metrics import NetworkMetrics
 from repro.net.scheduler import Scheduler
-from repro.net.transport import (
-    ProtocolViolation,
-    Send,
-    Transport,
-    expansion_channels,
-)
+from repro.net.transport import ProtocolViolation, Send, Transport
 from repro.obs.bus import (
     FAULT,
     GUARD_ARMED,
@@ -203,9 +198,8 @@ class RuntimeBase:
         self._guard_mode = {}
         self._cum = defaultdict(IndexedInbox)
         self._step_spans = []
-        # liveness telemetry is opt-in like the "sent" topic: sampled
-        # once per run, every publish gated on it, so unmonitored runs
-        # stay byte-identical
+        # liveness telemetry is opt-in: sampled once per run, every
+        # publish gated on it, so unmonitored runs stay byte-identical
         self._lv_armed = self.bus.has_subscribers(GUARD_ARMED)
         self._lv_progress = self.bus.has_subscribers(GUARD_PROGRESS)
         self._lv_fired = self.bus.has_subscribers(GUARD_FIRED)
@@ -285,29 +279,15 @@ class RuntimeBase:
                 self._guard_mode.setdefault(pid, False)
         return sends
 
-    def _emit(
-        self, pid: int, sends: List[Send], round_no: int, labelled: bool
-    ) -> Tuple[Sequence[tuple], Optional[List[str]]]:
+    def _emit(self, pid: int, sends: List[Send],
+              round_no: int) -> Sequence[tuple]:
         """One step's sends as ``(dst, payload)`` deliveries — none from
-        a player silenced this round (noted as a ``"silence"`` fault).
-
-        With ``labelled``, the second item names each delivery's channel
-        kind, in order: provenance for the ``"sent"`` topic and the
-        async pool gauge, computed beside the expansion so it can never
-        change what a run pays.
-        """
+        a player silenced this round (noted as a ``"silence"`` fault)."""
         faults = self.faults
         if faults is not None and faults.is_silenced(pid, round_no):
             faults.note_player_fault(round_no, "silence", pid)
-            return (), []
-        expanded = self._expand(pid, sends)
-        if not labelled:
-            return expanded, None
-        channels = expansion_channels(self.n, sends)
-        if len(channels) != len(expanded):
-            # a test double replaced _expand; fall back to unknown
-            channels = ["?"] * len(expanded)
-        return expanded, channels
+            return ()
+        return self._expand(pid, sends)
 
     # -- guarded programs -----------------------------------------------------
     def _deliver(self, dst: int, src: int, payload: Payload, time: int,

@@ -40,7 +40,7 @@ from repro.net.transport import (  # noqa: F401  (re-exported wire primitives)
     multicast,
     unicast,
 )
-from repro.obs.bus import ROUND, SENT
+from repro.obs.bus import ROUND
 from repro.obs.phases import classify_tags
 
 __all__ = [
@@ -98,16 +98,11 @@ class SynchronousNetwork(RuntimeBase):
         self.max_rounds = max_rounds
 
     def _collect(self, pid: int, program: Program, inbox, round_no: int,
-                 outputs, done, deliveries: List[tuple],
-                 emissions: Optional[List[tuple]]) -> int:
+                 outputs, done, deliveries: List[tuple]) -> int:
         """Step one player and append its (dst, src, payload) deliveries.
 
         Returns 1 when the program was actually advanced (not crashed),
-        0 otherwise — the no-progress detection counts these.  When
-        ``emissions`` is a list (a causality recorder subscribed to the
-        ``"sent"`` topic), each delivery is also appended there as
-        ``(dst, src, payload, channel)`` — pre-fault, pre-scheduler
-        provenance in exact expansion order.
+        0 otherwise — the no-progress detection counts these.
         """
         faults = self.faults
         if faults is not None and faults.is_crashed(pid, round_no):
@@ -115,17 +110,10 @@ class SynchronousNetwork(RuntimeBase):
             return 0
         sends = self._advance(pid, program, inbox, outputs, done, round_no)
         if sends:
-            expanded, channels = self._emit(
-                pid, sends, round_no, emissions is not None
-            )
             deliveries.extend(
-                (dst, pid, payload) for dst, payload in expanded
+                (dst, pid, payload)
+                for dst, payload in self._emit(pid, sends, round_no)
             )
-            if channels:
-                emissions.extend(
-                    (dst, pid, payload, channel)
-                    for (dst, payload), channel in zip(expanded, channels)
-                )
         return 1
 
     def run(
@@ -177,10 +165,6 @@ class SynchronousNetwork(RuntimeBase):
                 snap_broadcast = self.metrics.broadcast_messages
                 snap_bits = self.metrics.bits
             deliveries: List[tuple] = []  # (dst, src, payload)
-            # provenance capture is strictly opt-in: the list exists only
-            # while a causality recorder subscribes to the "sent" topic
-            capturing = self.bus.has_subscribers(SENT)
-            emissions: Optional[List[tuple]] = [] if capturing else None
             stepped = 0
 
             for pid in ordinary:
@@ -198,7 +182,7 @@ class SynchronousNetwork(RuntimeBase):
                     inbox = None if not started else inboxes[pid]
                 advanced = self._collect(
                     pid, programs[pid], inbox,
-                    round_no, outputs, done, deliveries, emissions,
+                    round_no, outputs, done, deliveries,
                 )
                 stepped += advanced
                 if advanced and self._lv_armed:
@@ -218,13 +202,8 @@ class SynchronousNetwork(RuntimeBase):
                 inbox["rush_peek"] = peek  # type: ignore[index]
                 stepped += self._collect(
                     pid, programs[pid], inbox, round_no, outputs, done,
-                    deliveries, emissions,
+                    deliveries,
                 )
-
-            if capturing:
-                # pre-fault emissions: the causality layer needs the true
-                # origin round even when the fault plane delays delivery
-                self.bus.publish(SENT, self.metrics.rounds, emissions)
 
             if recording:
                 # tag tallies are taken pre-fault: they count what honest

@@ -40,9 +40,9 @@ workload, CI step or example that runs it — in its module docstring
 * :mod:`repro.obs.health` — gauges/counters/rolling statistics for a
   long-lived :class:`~repro.core.bootstrap.BootstrapCoinSource`;
 * :mod:`repro.obs.causality` — per-message provenance as a
-  happens-before DAG (:class:`~repro.obs.causality.CausalGraph`),
-  captured live by a :class:`~repro.obs.causality.CausalRecorder` or
-  rebuilt offline from a flight log;
+  happens-before DAG (:class:`~repro.obs.causality.CausalGraph`), a
+  pure function of a flight log
+  (:func:`~repro.obs.causality.graph_from_log`);
 * :mod:`repro.obs.critical_path` — pluggable
   :class:`~repro.obs.critical_path.CostModel` pricing of a causal
   graph: per-coin exposure latency, slowest-chain phase attribution,
@@ -55,10 +55,11 @@ workload, CI step or example that runs it — in its module docstring
 * :mod:`repro.obs.manifest` — :class:`~repro.obs.manifest.RunManifest`,
   the provenance stamp (parameters, backend, runtime, environment) with
   a stable semantic fingerprint, attached to exports;
-* :mod:`repro.obs.diffing` — cross-run analysis: reduce any recording
-  to a per-phase metric table (:class:`~repro.obs.diffing.RunProfile`),
-  diff two of them, and price the op deltas into a makespan attribution
-  ("clique-phase interpolations account for 78% of the slowdown").
+* :mod:`repro.obs.diffing` — cross-run analysis: reduce a JSONL span
+  export to a per-phase metric table
+  (:class:`~repro.obs.diffing.RunProfile`), diff two of them, and price
+  the op deltas into a makespan attribution ("clique-phase
+  interpolations account for 78% of the slowdown").
 """
 
 from importlib import import_module
@@ -76,15 +77,13 @@ from repro.obs.phases import classify_tag, classify_tags, register_tag_phase
 _LAZY = {
     name: module
     for module, names in {
-        "export": ("to_chrome_trace", "to_jsonl", "to_prometheus",
-                   "waits_to_chrome", "waits_to_jsonl"),
+        "export": ("to_chrome_trace", "to_jsonl", "to_prometheus"),
         "audit": ("ConformanceReport", "PhaseCheck", "RoundsCheck",
                   "audit_coin_gen", "audit_liveness", "audit_recorder",
                   "audit_rounds"),
         "liveness": ("QuorumLatencyRecorder", "Stall", "StallWatchdog",
                      "WaitRecord", "default_threshold"),
-        "causality": ("CausalGraph", "CausalRecorder", "MessageEdge",
-                      "graph_from_log"),
+        "causality": ("CausalGraph", "MessageEdge", "graph_from_log"),
         # critical_path() itself is not re-exported: the package attribute
         # of that name is the submodule
         "critical_path": ("CostModel", "CriticalPathResult", "WhatIf",
@@ -95,8 +94,7 @@ _LAZY = {
         "health": ("HealthMonitor",),
         "manifest": ("RunManifest",),
         "diffing": ("Attribution", "DiffRow", "ProfileDiff", "RunProfile",
-                    "diff_profiles", "diff_recordings", "profile_from_jsonl",
-                    "profile_from_recorder"),
+                    "diff_profiles", "profile_from_jsonl"),
     }.items()
     for name in names
 }

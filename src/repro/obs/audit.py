@@ -261,17 +261,6 @@ class RoundsCheck:
     def ok(self) -> bool:
         return self.measured == self.expected
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "protocol": self.protocol,
-            "metric": "rounds",
-            "expected": self.expected,
-            "measured": self.measured,
-            "deviation": self.deviation,
-            "faults_observed": self.faults,
-            "ok": self.ok,
-        }
-
 
 def audit_rounds(recorder: SpanRecorder) -> List[RoundsCheck]:
     """Observed round counts vs. the :mod:`repro.analysis.rounds` model.

@@ -14,17 +14,10 @@ bus when one is attached) and publishes:
   :class:`~repro.net.faults.FaultPlane`, once per rewritten delivery
   (kind is ``"drop"``, ``"duplicate"``, or ``"delay"``) and once per
   round a player fault suppresses (kind ``"crash"`` or ``"silence"``,
-  with ``dst=0`` meaning "all destinations");
-* ``"sent"``    — ``(round_number, emissions)`` once per round, *before*
-  the fault plane and scheduler touch the traffic, where emissions is a
-  list of ``(dst, src, payload, channel)`` in expansion order (channel
-  is ``"unicast"``/``"multicast"``/``"broadcast"``).  Published **only
-  when the topic has subscribers** — provenance capture for the
-  causality layer (:mod:`repro.obs.causality`) must cost nothing when
-  detached.
+  with ``dst=0`` meaning "all destinations").
 
-Liveness topics (published **only when subscribed**, like ``"sent"``,
-so unmonitored runs stay byte-identical — see :mod:`repro.obs.liveness`):
+Liveness topics (published **only when subscribed**, so unmonitored
+runs stay byte-identical — see :mod:`repro.obs.liveness`):
 
 * ``"guard_armed"``    — ``(time, pid, guard)`` when a guarded program
   parks on a :class:`~repro.net.guards.Wait`/``AnyWait`` (``time`` is
@@ -77,7 +70,6 @@ Handler = Callable[..., Any]
 RUN = "run"
 ROUND = "round"
 FAULT = "fault"
-SENT = "sent"
 #: topic names published by the long-lived coin pipeline (health stream)
 COIN = "coin"
 BATCH = "batch"
@@ -93,7 +85,7 @@ POOL = "pool"
 #: Publishers and subscribers must name topics via these constants
 #: (regression-tested in tests/test_bus_topics.py).
 ALL_TOPICS = (
-    RUN, ROUND, FAULT, SENT,
+    RUN, ROUND, FAULT,
     COIN, BATCH, FAILURE, RETRY,
     GUARD_ARMED, GUARD_PROGRESS, GUARD_FIRED, POOL,
 )
@@ -120,24 +112,21 @@ class RunCounter:
         self._last_round = 0
         self._marked = True
 
-    def observe(self, round_no: int, settles: bool = False) -> bool:
-        """Place an event of ``round_no``; True when it opened a run.
+    def observe(self, round_no: int, settles: bool = False) -> None:
+        """Place an event of ``round_no`` in the run it belongs to.
 
         ``settles`` marks the round's ``ROUND`` event, after which the
         same round number can only belong to a later run.  (A marker's
         own run is opened by :meth:`mark`, not here.)
         """
-        opened = False
         if self.run == 0:
             self.run = 1  # stream without markers: first event opens run 1
         elif not self._marked and round_no <= self._last_round:
             self.run += 1
             self._last_round = 0
-            opened = True
         self._marked = False
         if settles:
             self._last_round = round_no
-        return opened
 
 
 class EventBus:

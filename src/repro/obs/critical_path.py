@@ -42,6 +42,7 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.causality import CausalGraph, MessageEdge
+from repro.protocols.coin_expose import exposed_coin_id
 
 #: the op-delta attribute names player-step spans carry
 OP_KEYS = ("adds", "muls", "invs", "interpolations")
@@ -353,9 +354,9 @@ def critical_path(
         result.runs.append(run_path)
         clock = run_path.makespan
         for edge in graph.edges_in_run(run_no):
-            if not edge.tag.startswith("expose/"):
+            coin = exposed_coin_id(edge.tag)
+            if coin is None:
                 continue
-            coin = edge.tag[len("expose/"):]
             consumed = finish.get((edge.recv_round, edge.dst), 0.0)
             key = (run_no, coin)
             if consumed > result.coin_exposures.get(key, 0.0):

@@ -1,9 +1,9 @@
 """Cross-run differential analysis: per-phase × per-op delta tables.
 
 One recorded run tells you where time went; two runs tell you what
-*changed*.  This module reduces any recording this repo produces — a
-live :class:`~repro.obs.spans.SpanRecorder` or a JSONL span export — to
-one canonical shape, a :class:`RunProfile`::
+*changed*.  This module reduces a recording — the JSONL span export
+``--export jsonl`` writes (:func:`~repro.obs.export.to_jsonl`) — to one
+canonical shape, a :class:`RunProfile`::
 
     {phase: {rounds, messages, bits, adds, muls, invs,
              interpolations, wall_s}}
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dataclass_field
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.obs.critical_path import OP_KEYS, CostModel
 from repro.obs.manifest import RunManifest
@@ -78,52 +78,6 @@ class RunProfile:
             for metric in METRICS:
                 out[metric] += metrics.get(metric, 0)
         return out
-
-    def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
-            "phases": {
-                phase: {m: self.phases[phase].get(m, 0) for m in METRICS}
-                for phase in sorted(self.phases)
-            },
-        }
-        if self.manifest is not None:
-            out["manifest"] = self.manifest.to_dict()
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any],
-                  source: str = "") -> "RunProfile":
-        profile = cls(source=source)
-        for phase, metrics in data.get("phases", {}).items():
-            row = profile.phase(phase)
-            for metric in METRICS:
-                row[metric] += metrics.get(metric, 0)
-        if data.get("manifest"):
-            profile.manifest = RunManifest.from_dict(data["manifest"])
-        return profile
-
-
-def profile_from_recorder(recorder, manifest: Optional[RunManifest] = None,
-                          source: str = "recorder") -> RunProfile:
-    """Reduce a live :class:`~repro.obs.spans.SpanRecorder`.
-
-    Phase spans (synthesized from consecutive same-phase rounds) supply
-    rounds / messages / bits / wall; player-step spans supply the op
-    deltas, keyed by the ``phase`` attribute the runtime backfills at
-    round end.
-    """
-    profile = RunProfile(manifest=manifest, source=source)
-    for span in recorder.phase_spans():
-        row = profile.phase(span.attrs.get("phase", "other"))
-        row["rounds"] += span.attrs.get("rounds", 0)
-        row["messages"] += span.attrs.get("messages", 0)
-        row["bits"] += span.attrs.get("bits", 0)
-        row["wall_s"] += span.duration
-    for span in recorder.by_kind("player"):
-        row = profile.phase(span.attrs.get("phase", "other"))
-        for key in OP_KEYS:
-            row[key] += span.attrs.get(key, 0)
-    return profile
 
 
 def profile_from_jsonl(text: str, source: str = "jsonl") -> RunProfile:
@@ -176,13 +130,6 @@ class DiffRow:
             return None
         return self.after / self.before
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "phase": self.phase, "metric": self.metric,
-            "before": self.before, "after": self.after,
-            "delta": self.delta, "ratio": self.ratio,
-        }
-
 
 @dataclass(frozen=True)
 class Attribution:
@@ -193,12 +140,6 @@ class Attribution:
     delta: float
     seconds: float
     share: float  #: fraction of the total priced delta magnitude
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "phase": self.phase, "op": self.op, "delta": self.delta,
-            "seconds": self.seconds, "share": self.share,
-        }
 
     def describe(self) -> str:
         sign = "+" if self.delta >= 0 else ""
@@ -267,18 +208,6 @@ class ProfileDiff:
         out.sort(key=lambda a: (-a.share, a.phase, a.op))
         return out
 
-    def to_dict(self, model: Optional[CostModel] = None) -> Dict[str, Any]:
-        return {
-            "empty": self.is_empty(),
-            "manifest_changes": {
-                field: {"before": before, "after": after}
-                for field, (before, after) in self.manifest_changes.items()
-            },
-            "rows": [row.to_dict() for row in self.rows
-                     if row.delta != 0],
-            "attribution": [a.to_dict() for a in self.attribution(model)],
-        }
-
     def report(self, model: Optional[CostModel] = None,
                label_a: str = "before", label_b: str = "after") -> str:
         """The full human-readable attribution report."""
@@ -337,23 +266,3 @@ def diff_profiles(before: RunProfile, after: RunProfile) -> ProfileDiff:
                 before=a.get(metric, 0), after=b.get(metric, 0),
             ))
     return result
-
-
-def diff_recordings(a, b) -> ProfileDiff:
-    """Diff two recordings of any supported type.
-
-    Each argument may be a :class:`RunProfile`, a
-    :class:`~repro.obs.spans.SpanRecorder`, or a JSONL export string.
-    """
-    return diff_profiles(as_profile(a), as_profile(b))
-
-
-def as_profile(source) -> RunProfile:
-    """Coerce a recorder / JSONL text into a profile."""
-    if isinstance(source, RunProfile):
-        return source
-    if isinstance(source, str):
-        return profile_from_jsonl(source)
-    if hasattr(source, "phase_spans"):
-        return profile_from_recorder(source)
-    raise TypeError(f"cannot profile {type(source).__name__}")

@@ -17,10 +17,6 @@
   ``watchdog=`` (see :mod:`repro.obs.liveness`) to append guard-wait
   latency histograms (in logical ticks), pivotal-sender counters, pool
   gauges and stall counters.
-* :func:`waits_to_chrome` / :func:`waits_to_jsonl` — guard-wait spans
-  on a *logical-time* axis (one lane per player, 1 tick = 1 ms, stalls
-  as instant events, pool depth as a counter track) and the line-delimited
-  archival form of the same records.
 
 Off the coin path (docs/CENSUS.md, class ii); run by CI's `repro toss
 --export chrome` and `repro waits --export prom`.
@@ -145,8 +141,7 @@ def _flow_events(recorder: SpanRecorder, graph, flows: str, model,
             **common, "ph": "s",
             "ts": (send.t1 - origin) * 1e6,
             "tid": PLAYER_TID + edge.src,
-            "args": {"phase": edge.phase, "elements": edge.elements,
-                     "channel": edge.channel, "delayed": edge.delayed},
+            "args": {"phase": edge.phase, "elements": edge.elements},
         })
         events.append({
             **common, "ph": "f", "bp": "e",
@@ -390,155 +385,4 @@ def to_prometheus(
         )
     if health is not None:
         lines.extend(health.prometheus_lines(prefix))
-    return "\n".join(lines) + "\n"
-
-
-#: chrome-trace microseconds per logical tick in guard-wait traces
-_TICK_US = 1000.0
-#: synthetic pid for the logical-time process (wall-clock traces use 1)
-_LIVENESS_PID = 2
-
-
-def _liveness_run_spans(liveness, watchdog=None) -> Dict[int, int]:
-    """``run -> last logical time observed`` across all liveness records."""
-    spans: Dict[int, int] = {}
-
-    def bump(run: int, time: Optional[int]) -> None:
-        if time is not None and time > spans.get(run, 0):
-            spans[run] = time
-
-    for record in liveness.records:
-        bump(record.run, record.armed_at)
-        bump(record.run, record.fired_at)
-        for time, _src in record.arrivals:
-            bump(record.run, time)
-    for run, time, _depth in liveness.pool_depths:
-        bump(run, time)
-    if watchdog is not None:
-        for stall in watchdog.stalls:
-            bump(stall.run, stall.detected_at)
-            bump(stall.run, stall.resolved_at)
-    return spans
-
-
-def waits_to_chrome(liveness, watchdog=None) -> str:
-    """Guard-wait spans on a logical-time axis (Trace Event Format).
-
-    One lane per player; each fired wait is a complete slice from its
-    armed tick to its fired tick (1 logical tick = 1 ms so Perfetto's
-    ruler reads directly in ticks), unfired waits extend to the end of
-    their run, stalls appear as instant events on the starving player's
-    lane, and the async pool depth is a counter track.  Runs are laid
-    out end-to-end with a small gap.
-    """
-    spans = _liveness_run_spans(liveness, watchdog)
-    offsets: Dict[int, float] = {}
-    acc = 0.0
-    for run in sorted(spans):
-        offsets[run] = acc
-        acc += spans[run] + 10.0
-
-    def ts(run: int, time: int) -> float:
-        return (offsets.get(run, 0.0) + time) * _TICK_US
-
-    events: List[Dict] = [
-        {"name": "process_name", "ph": "M", "pid": _LIVENESS_PID,
-         "args": {"name": "repro liveness (logical time)"}},
-    ]
-    players = sorted(
-        {r.pid for r in liveness.records}
-        | ({s.pid for s in watchdog.stalls} if watchdog is not None else set())
-    )
-    for pid in players:
-        events.append({"name": "thread_name", "ph": "M",
-                       "pid": _LIVENESS_PID, "tid": PLAYER_TID + pid,
-                       "args": {"name": f"player {pid}"}})
-    for record in liveness.records:
-        if record.fired:
-            dur = max(record.wait_time, 1)
-            state = "fired"
-        else:
-            dur = max(spans.get(record.run, record.armed_at)
-                      - record.armed_at, 1)
-            state = "unfired"
-        events.append({
-            "name": "wait " + "/".join(record.tags),
-            "cat": "wait",
-            "ph": "X",
-            "ts": ts(record.run, record.armed_at),
-            "dur": dur * _TICK_US,
-            "pid": _LIVENESS_PID,
-            "tid": PLAYER_TID + record.pid,
-            "args": {
-                "run": record.run,
-                "quorum": record.quorum,
-                "senders": len(record.senders),
-                "pivotal": record.pivotal,
-                "state": state,
-            },
-        })
-    if watchdog is not None:
-        for stall in watchdog.stalls:
-            events.append({
-                "name": f"stall:{stall.classification}",
-                "cat": "stall",
-                "ph": "i",
-                "ts": ts(stall.run, stall.detected_at),
-                "pid": _LIVENESS_PID,
-                "tid": PLAYER_TID + stall.pid,
-                "s": "t",
-                "args": stall.to_dict(),
-            })
-    for run, time, depth in liveness.pool_depths:
-        events.append({
-            "name": "pool_depth",
-            "ph": "C",
-            "ts": ts(run, time),
-            "pid": _LIVENESS_PID,
-            "args": {"depth": depth},
-        })
-    return json.dumps({"traceEvents": events,
-                       "displayTimeUnit": "ms"}, indent=1)
-
-
-def waits_to_jsonl(liveness, watchdog=None) -> str:
-    """Guard-wait records (and stalls, pool gauges) as line-delimited JSON.
-
-    One ``{"kind": "wait"}`` object per armed guard, one
-    ``{"kind": "stall"}`` per watchdog flag, one ``{"kind": "pool"}``
-    per published pool gauge, and a trailing ``{"kind": "summary"}``
-    with the aggregate latency/pivotal/pool statistics.
-    """
-    lines = [
-        json.dumps({"kind": "wait", **record.to_dict()})
-        for record in liveness.records
-    ]
-    if watchdog is not None:
-        lines.extend(
-            json.dumps({"kind": "stall", **stall.to_dict()})
-            for stall in watchdog.stalls
-        )
-    lines.extend(
-        json.dumps({"kind": "pool", "run": run, "time": time,
-                    "depth": depth})
-        for run, time, depth in liveness.pool_depths
-    )
-    summary = {
-        "kind": "summary",
-        "runs": liveness.run_count,
-        "waits": len(liveness.records),
-        "fired": len(liveness.fired_records()),
-        "mean_wait": liveness.mean_wait(),
-        "max_wait": liveness.max_wait(),
-        "pool_peak": liveness.pool_peak,
-        "backlog_peak": dict(liveness.backlog_peak),
-        "pivotal_counts": {
-            str(player): count
-            for player, count in sorted(liveness.pivotal_counts().items())
-        },
-    }
-    if watchdog is not None:
-        summary["stalls"] = len(watchdog.stalls)
-        summary["threshold"] = watchdog.threshold
-    lines.append(json.dumps(summary))
     return "\n".join(lines) + "\n"

@@ -272,6 +272,13 @@ class FlightLog:
                 seen.append(event.run)
         return seen
 
+    def rounds_by_run(self) -> Dict[int, List[RoundEvent]]:
+        """``{run: [its round events, in order]}``."""
+        out: Dict[int, List[RoundEvent]] = {}
+        for event in self.rounds:
+            out.setdefault(event.run, []).append(event)
+        return out
+
 
 def _run_marker_indices(rounds, faults, event_count) -> List[int]:
     """Reconstruct where run-boundary markers sat in the event stream.
@@ -362,7 +369,6 @@ class ExposeDecode:
     """One receiver's Berlekamp-Welch decode of one exposed coin."""
 
     run: int
-    round: int
     coin_id: str
     receiver: int
     value: Optional[Any]  #: decoded F(0), or None when undecodable
@@ -396,16 +402,23 @@ def replay(log: FlightLog, field=None, t: Optional[int] = None) -> ReplayResult:
 
     Payloads were codec round-tripped at load time; here the per-round
     inboxes are rebuilt exactly as the runtime built them, and every
-    Coin-Expose message stream is pushed through the real
-    :func:`~repro.protocols.coin_expose.decode_exposed` decoder — per
-    receiver view, so equivocated shares produce the same (possibly
-    divergent) values the live players saw.
+    exposure is pushed through the real
+    :func:`~repro.protocols.coin_expose.decode_exposed` decoder — once
+    per (run, coin, receiver), over every share that reached that
+    receiver in the run
+    (:func:`~repro.protocols.coin_expose.exposure_shares` states the
+    rule and why it reproduces the live value on both runtimes), so
+    equivocated shares produce the same (possibly divergent) values the
+    live players saw.
 
     ``field`` defaults to the log's recorded field spec; expose decoding
     is skipped when neither is available.  ``t`` defaults to the log's.
     """
-    from repro.protocols.coin_expose import decode_exposed
-    from repro.protocols.common import valid_element
+    from repro.protocols.coin_expose import (
+        decode_exposed,
+        exposure_shares,
+        share_points,
+    )
 
     if field is None and log.field is not None:
         field = field_from_spec(log.field)
@@ -414,7 +427,6 @@ def replay(log: FlightLog, field=None, t: Optional[int] = None) -> ReplayResult:
 
     inboxes: Dict[Tuple[int, int], Dict[int, Dict[int, List[Any]]]] = {}
     tags: Dict[Tuple[int, int], Dict[str, int]] = {}
-    decodes: List[ExposeDecode] = []
     for event in log.rounds:
         key = (event.run, event.round)
         inboxes[key] = event.inboxes()
@@ -422,32 +434,19 @@ def replay(log: FlightLog, field=None, t: Optional[int] = None) -> ReplayResult:
         for _dst, _src, payload in event.deliveries:
             tag = payload_tag(payload)
             tally[tag] = tally.get(tag, 0) + 1
-        if field is None:
-            continue
-        # re-drive the expose decoder for every receiver's view
-        for receiver, inbox in sorted(inboxes[key].items()):
-            shares: Dict[str, Dict[int, Any]] = {}
-            for src, payloads in inbox.items():
-                for payload in payloads:
-                    if (isinstance(payload, tuple) and len(payload) == 2
-                            and isinstance(payload[0], str)
-                            and payload[0].startswith("expose/")):
-                        coin_id = payload[0][len("expose/"):]
-                        # the live protocol keeps the first share per
-                        # sender (filter_tag semantics)
-                        shares.setdefault(coin_id, {}).setdefault(
-                            src, payload[1]
-                        )
-            for coin_id, by_sender in sorted(shares.items()):
-                points = [
-                    (field.element_point(src), value)
-                    for src, value in sorted(by_sender.items())
-                    if valid_element(field, value)
-                ]
+    decodes: List[ExposeDecode] = []
+    runs = log.rounds_by_run() if field is not None else {}
+    for run, events in runs.items():
+        views = exposure_shares(
+            delivery for event in events for delivery in event.deliveries
+        )
+        for receiver, coins in sorted(views.items()):
+            for coin_id, by_sender in sorted(coins.items()):
                 decodes.append(ExposeDecode(
-                    run=event.run, round=event.round, coin_id=coin_id,
-                    receiver=receiver,
-                    value=decode_exposed(field, points, t),
+                    run=run, coin_id=coin_id, receiver=receiver,
+                    value=decode_exposed(
+                        field, share_points(field, by_sender), t
+                    ),
                     senders=tuple(sorted(by_sender)),
                 ))
     return ReplayResult(log=log, inboxes=inboxes, tags=tags,

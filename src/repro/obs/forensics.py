@@ -34,8 +34,12 @@ adversarial message schedules.  The rules:
   replay.  ``expose`` rounds interleave freely and carry no ordering;
 * **bad-share** — a Coin-Expose share that Berlekamp-Welch excludes
   from the unique decoded polynomial, in a receiver view where decoding
-  succeeded.  Honest holders send their true share, which always lies
-  on the polynomial;
+  succeeded.  A view is every share that reached the receiver in the
+  run (:func:`~repro.protocols.coin_expose.exposure_shares`, the rule
+  ``replay`` decodes by), so a liar whose share was delayed past the
+  round, or any liar on an async log, is caught like a punctual one.
+  Honest holders send their true share, which always lies on the
+  polynomial;
 * **injected** — the fault plane's own player-level ``crash``/
   ``silence`` events name the player directly (ground truth recorded in
   the log).
@@ -230,9 +234,10 @@ def analyze_log(log: FlightLog, field=None,
                 if stage > run_stage.get(event.run, -1):
                     run_stage[event.run] = stage
 
-        # -- bad shares (Berlekamp-Welch exclusion) -----------------------
-        if field is not None:
-            _accuse_bad_shares(report, event, field, t)
+    # -- bad shares (Berlekamp-Welch exclusion) ---------------------------
+    if field is not None:
+        for run, events in log.rounds_by_run().items():
+            _accuse_bad_shares(report, run, events, field, t)
 
     # -- injected player faults (recorded ground truth) -------------------
     for fault in log.faults:
@@ -250,49 +255,43 @@ def analyze_log(log: FlightLog, field=None,
     return report
 
 
-def _accuse_bad_shares(report: AccusationReport, event, field, t: int) -> None:
+def _accuse_bad_shares(report: AccusationReport, run: int, events, field,
+                       t: int) -> None:
     """Flag senders whose exposed share lies off the decoded polynomial."""
-    from repro.poly.berlekamp_welch import DecodingError, berlekamp_welch
-    from repro.protocols.common import valid_element
+    from repro.protocols.coin_expose import (
+        decode_shares,
+        expose_tag,
+        exposure_shares,
+        share_points,
+    )
 
-    # receiver -> coin_id -> {sender: first share seen}
-    views: Dict[int, Dict[str, Dict[int, object]]] = {}
-    for dst, src, payload in event.deliveries:
-        if (isinstance(payload, tuple) and len(payload) == 2
-                and isinstance(payload[0], str)
-                and payload[0].startswith("expose/")):
-            views.setdefault(dst, {}).setdefault(
-                payload[0][len("expose/"):], {}
-            ).setdefault(src, payload[1])
-
+    views = exposure_shares(
+        delivery for event in events for delivery in event.deliveries
+    )
     accused: Set[Tuple[int, str]] = set()
     for receiver, coins in sorted(views.items()):
         for coin_id, by_sender in sorted(coins.items()):
-            sources = [src for src in sorted(by_sender)
-                       if valid_element(field, by_sender[src])]
-            points = [(field.element_point(src), by_sender[src])
-                      for src in sources]
-            n_valid = len(points)
-            threshold = max(2 * t + 1, n_valid - t) if t > 0 else n_valid
-            if n_valid == 0 or n_valid < threshold:
+            points = share_points(field, by_sender)
+            accepted = decode_shares(field, points, t)
+            if accepted is None:
                 continue
-            try:
-                _poly, good = berlekamp_welch(
-                    field, points, t, n_valid - threshold
-                )
-            except DecodingError:
-                continue
-            if len(good) < threshold:
-                continue
-            good_set = set(good)
-            for position, src in enumerate(sources):
-                if position in good_set or (src, coin_id) in accused:
+            good = set(accepted[1])
+            for position, (point, _share) in enumerate(points):
+                src = field.to_int(point)  # the abscissa is the sender's id
+                if position in good or (src, coin_id) in accused:
                     continue
                 accused.add((src, coin_id))
+                tag = expose_tag(coin_id)
+                # evidence: the event that carried the share to this view
+                event = next(
+                    event for event in events
+                    if any(d == receiver and s == src
+                           and payload_tag(payload) == tag
+                           for d, s, payload in event.deliveries)
+                )
                 report.accusations.append(Accusation(
                     player=src, kind="bad-share",
-                    run=event.run, round=event.round,
-                    tag=f"expose/{coin_id}",
+                    run=run, round=event.round, tag=tag,
                     detail=(
                         f"share excluded by Berlekamp-Welch in "
                         f"receiver {receiver}'s view"

@@ -13,10 +13,8 @@ turn the stream into answers:
   the armed→fired logical-time delta and the **pivotal** sender (the
   distinct matching sender whose delivery completed the quorum).
   Pivotal counts are quorum-level straggler attribution: a player that
-  is repeatedly last-in-quorum is the one slowing everyone down, and
-  :meth:`~QuorumLatencyRecorder.pivotal_what_if` re-prices the causal
-  graph with that player as a straggler via the
-  :class:`~repro.obs.critical_path.CostModel` what-if machinery.
+  is repeatedly last-in-quorum is the one slowing everyone down (the
+  player to hand ``repro critpath --what-if``).
 * :class:`StallWatchdog` — the *online* complement of the post-mortem
   ``RuntimeExhausted.stuck`` report: flags any guard waiting past a
   logical-time threshold, names the senders still missing from its
@@ -40,7 +38,7 @@ steps and `repro toss --watchdog`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.obs.bus import (
     FAULT,
@@ -102,20 +100,6 @@ class WaitRecord:
             return None
         return self.fired_at - self.armed_at
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "run": self.run,
-            "pid": self.pid,
-            "tags": list(self.tags),
-            "quorum": self.quorum,
-            "armed_at": self.armed_at,
-            "fired_at": self.fired_at,
-            "wait_time": self.wait_time,
-            "senders": list(self.senders),
-            "arrivals": [list(a) for a in self.arrivals],
-            "pivotal": self.pivotal,
-        }
-
 
 class QuorumLatencyRecorder:
     """Bus subscriber turning liveness topics into per-wait records.
@@ -123,15 +107,13 @@ class QuorumLatencyRecorder:
     Attach before the run (``recorder = QuorumLatencyRecorder().attach(bus)``);
     afterwards :meth:`waits` holds one :class:`WaitRecord` per armed
     guard, :meth:`pivotal_counts` the straggler attribution, and the
-    pool gauges (:attr:`pool_peak`, :attr:`backlog_peak`,
-    :attr:`pool_depths`) the in-flight depth profile.  Works on both
-    runtimes; on lockstep there are no ``POOL`` events.
+    pool gauges (:attr:`pool_peak`, :attr:`backlog_peak`) the in-flight
+    depth peaks.  Works on both runtimes; on lockstep there are no
+    ``POOL`` events.
     """
 
     def __init__(self) -> None:
         self.records: List[WaitRecord] = []
-        #: (run, time, depth) per published pool gauge
-        self.pool_depths: List[Tuple[int, int, int]] = []
         #: channel -> max in-flight backlog ever observed
         self.backlog_peak: Dict[str, int] = {}
         self.pool_peak = 0
@@ -185,7 +167,6 @@ class QuorumLatencyRecorder:
             record.pivotal = record.arrivals[-1][1]
 
     def _on_pool(self, time: int, depth: int, backlog: Dict[str, int]) -> None:
-        self.pool_depths.append((self.run_count, time, depth))
         if depth > self.pool_peak:
             self.pool_peak = depth
         for channel, count in backlog.items():
@@ -221,27 +202,6 @@ class QuorumLatencyRecorder:
             if record.pivotal is not None:
                 counts[record.pivotal] = counts.get(record.pivotal, 0) + 1
         return counts
-
-    def pivotal_what_if(self, graph, model=None, scale: float = 10.0,
-                        top: int = 3) -> Dict[int, Any]:
-        """What-if repricing for the most-pivotal players.
-
-        Composes the quorum-level attribution with the PR 5 cost-model
-        machinery: the ``top`` players that most often complete quorums
-        are each re-priced as a ``scale``× straggler over ``graph``
-        (a :class:`~repro.obs.causality.CausalGraph` of the same run),
-        returning ``{player: WhatIfResult}`` — "how much slower would
-        the run get if its habitual quorum-completer lagged".
-        """
-        from repro.obs.critical_path import CostModel, what_if
-
-        model = model if model is not None else CostModel()
-        counts = self.pivotal_counts()
-        ranked = sorted(counts, key=lambda p: (-counts[p], p))[:top]
-        return {
-            player: what_if(graph, model, player=player, scale=scale)
-            for player in ranked
-        }
 
     def table(self) -> str:
         """Human-readable fixed-width wait table for the CLI."""
@@ -292,22 +252,6 @@ class Stall:
     crashed_missing: Tuple[int, ...]
     classification: str
     resolved_at: Optional[int] = None
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "run": self.run,
-            "pid": self.pid,
-            "tags": list(self.tags),
-            "quorum": self.quorum,
-            "armed_at": self.armed_at,
-            "detected_at": self.detected_at,
-            "waited": self.waited,
-            "senders": list(self.senders),
-            "missing": list(self.missing),
-            "crashed_missing": list(self.crashed_missing),
-            "classification": self.classification,
-            "resolved_at": self.resolved_at,
-        }
 
 
 @dataclass

@@ -32,8 +32,14 @@ from repro.net.faults import FaultPlane
 from repro.net.guards import guarded
 from repro.net.scheduler import Scheduler
 from repro.net.transport import multicast
-from repro.protocols.coin_expose import CoinShare, decode_exposed, make_dealer_coin
-from repro.protocols.common import filter_tag, valid_element
+from repro.protocols.coin_expose import (
+    CoinShare,
+    decode_exposed,
+    expose_tag,
+    make_dealer_coin,
+    share_points,
+)
+from repro.protocols.common import filter_tag
 from repro.protocols.context import as_context, run_players
 
 
@@ -49,7 +55,7 @@ def async_coin_program(
     the quorum is satisfied at the first round boundary after the
     sends, reproducing the paper's one-round exposure.
     """
-    tag = "expose/" + coin.coin_id
+    tag = expose_tag(coin.coin_id)
     sends = []
     if me in coin.senders and coin.my_value is not None:
         sends.append(multicast((tag, coin.my_value)))
@@ -58,12 +64,9 @@ def async_coin_program(
         inbox = yield guarded(sends, tags=tag, quorum=quorum)
         sends = []
         received = filter_tag(inbox, tag)
-        points = [
-            (field.element_point(src), value)
-            for src, value in sorted(received.items())
-            if src in coin.senders and valid_element(field, value)
-        ]
-        value = decode_exposed(field, points, coin.t)
+        value = decode_exposed(
+            field, share_points(field, received, coin.senders), coin.t
+        )
         if value is not None:
             return value
         # not decodable from this prefix of the delivery order (faulty

@@ -22,17 +22,76 @@ unanimity even when faulty senders equivocate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Any, Dict, Generator, Iterable, List, Optional, Tuple
 
 from repro.fields.base import Element, Field
 from repro.obs.phases import register_tag_phase
 from repro.poly.berlekamp_welch import DecodingError, berlekamp_welch
+from repro.poly.polynomial import Polynomial
 from repro.net.simulator import Send, multicast
 from repro.protocols.common import filter_tag, valid_element
 
-# every Coin-Expose message (seed challenges, leader coins, generated
-# batches) is tagged "expose/<coin_id>"
-register_tag_phase("expose", prefix="expose/")
+#: every Coin-Expose message (seed challenges, leader coins, generated
+#: batches) is tagged ``expose/<coin_id>``; nothing outside this module
+#: spells the prefix
+_PREFIX = "expose/"
+register_tag_phase("expose", prefix=_PREFIX)
+
+
+def expose_tag(coin_id: str) -> str:
+    """The wire tag of ``coin_id``'s exposure shares."""
+    return _PREFIX + coin_id
+
+
+def exposed_coin_id(tag: Any) -> Optional[str]:
+    """The coin an expose tag names; None for any other tag."""
+    if isinstance(tag, str) and tag.startswith(_PREFIX):
+        return tag[len(_PREFIX):]
+    return None
+
+
+def exposure_shares(
+    deliveries: Iterable[Tuple[int, int, Any]],
+) -> Dict[int, Dict[str, Dict[int, Any]]]:
+    """``{receiver: {coin_id: {sender: share}}}`` out of ``(dst, src,
+    payload)`` deliveries — which shares make up one exposure.
+
+    A receiver keeps the *first* share each sender sent it under a
+    coin's tag (what :func:`~repro.protocols.common.filter_tag` hands
+    the live players), whenever it arrived.  That is the whole rule,
+    for a lockstep round and an async delivery stream alike, because of
+    what the decoder does with the result: inside the fault model the
+    shares that reached a receiver hold every honest holder's valid one
+    (at least ``n - t`` for a dealt coin) and at most ``t`` wrong ones,
+    which is within the Berlekamp-Welch radius of
+    :func:`decode_exposed`'s acceptance rule, and the polynomial it
+    accepts is unique.  So a receiver's decode over
+    *every* share that reached it in a run equals the decode it made
+    live from whichever subset had arrived when it acted — a liar's
+    share delayed past the round, or an async share landing after the
+    quorum fired, changes the view and not the value.
+    """
+    views: Dict[int, Dict[str, Dict[int, Any]]] = {}
+    for dst, src, payload in deliveries:
+        if isinstance(payload, tuple) and len(payload) == 2:
+            coin_id = exposed_coin_id(payload[0])
+            if coin_id is not None:
+                views.setdefault(dst, {}).setdefault(
+                    coin_id, {}
+                ).setdefault(src, payload[1])
+    return views
+
+
+def share_points(field: Field, by_sender: Dict[int, Any],
+                 senders=None) -> List[Tuple[Element, Element]]:
+    """The decoder's input: ``(x_sender, share)`` per well-formed share,
+    in sender order — from ``senders`` only, when the qualified set is
+    known (the log readers do not know it and take every sender)."""
+    return [
+        (field.element_point(src), value)
+        for src, value in sorted(by_sender.items())
+        if (senders is None or src in senders) and valid_element(field, value)
+    ]
 
 
 @dataclass(frozen=True)
@@ -86,23 +145,23 @@ def coin_expose_many(field: Field, me: int, coins) -> Generator:
     sends = []
     for coin in coins:
         if me in coin.senders and coin.my_value is not None:
-            sends.append(multicast(("expose/" + coin.coin_id, coin.my_value)))
+            sends.append(multicast((_PREFIX + coin.coin_id, coin.my_value)))
     inbox = yield sends
 
     values = []
     for coin in coins:
-        received = filter_tag(inbox, "expose/" + coin.coin_id)
-        points = [
-            (field.element_point(src), value)
-            for src, value in sorted(received.items())
-            if src in coin.senders and valid_element(field, value)
-        ]
-        values.append(decode_exposed(field, points, coin.t))
+        received = filter_tag(inbox, _PREFIX + coin.coin_id)
+        values.append(decode_exposed(
+            field, share_points(field, received, coin.senders), coin.t
+        ))
     return values
 
 
-def decode_exposed(field: Field, points, t: int) -> Optional[Element]:
-    """Robustly decode the exposed shares; None when undecodable.
+def decode_shares(
+    field: Field, points, t: int
+) -> Optional[Tuple[Polynomial, List[int]]]:
+    """The accepted polynomial and the positions of ``points`` on it, or
+    None when nothing meets the robust acceptance rule (module docstring).
 
     The Berlekamp-Welch call below takes its optimistic fast path in the
     common no-fault case: an inversion-free cached Newton build through
@@ -115,14 +174,20 @@ def decode_exposed(field: Field, points, t: int) -> Optional[Element]:
     threshold = max(2 * t + 1, n_valid - t) if t > 0 else n_valid
     if n_valid == 0 or n_valid < threshold:
         return None
-    max_errors = n_valid - threshold
     try:
-        poly, good = berlekamp_welch(field, points, t, max_errors)
+        poly, good = berlekamp_welch(field, points, t, n_valid - threshold)
     except DecodingError:
         return None
     if len(good) < threshold:
         return None
-    return poly.coefficient(0)
+    return poly, good
+
+
+def decode_exposed(field: Field, points, t: int) -> Optional[Element]:
+    """Robustly decode the exposed shares to ``F(0)``; None when
+    undecodable."""
+    accepted = decode_shares(field, points, t)
+    return None if accepted is None else accepted[0].coefficient(0)
 
 
 def coin_to_index(field: Field, value: Element, n: int) -> int:

@@ -12,7 +12,10 @@ Three contracts of :class:`repro.net.async_runtime.AsyncRuntime`'s loop
   either field backend.  They were re-recorded once, when the pick
   mapping became ``random-order/2`` (a stateless 64-bit hash; every
   async delivery order for a given seed differs from ``random-order/1``,
-  no protocol output does);
+  no protocol output does); the every-topic halves once more when the
+  ``sent`` topic was deleted — each is the digest of the earlier
+  transcript with its ``sent`` lines left out, the flight-log halves
+  did not move;
 * **constant work** — a dark 60-round guarded all-to-all run computes at
   most two payload tags per delivery (the parent re-tagged the player's
   whole history on every delivery), never scans the in-flight pool
@@ -63,26 +66,27 @@ def _planes():
 
 
 #: scenario -> (flight-log sha256, every-topic sha256, logical_time,
-#: delivery_count), recorded under the ``random-order/2`` pick
+#: delivery_count), recorded under the ``random-order/2`` pick, eleven
+#: topics
 PINNED = {
     "clean": (
         "b0a8f84eb5582a17063438cf653e3b6b8995b0cd93cc6f09c01112a978716bec",
-        "1c21ba8a29a1b2e4e84eb1528e673fee4256d24998ae459ff7a16b26457829af",
+        "7342cb28ee3b8730bbe9c6d1623c62fa984cc03cd98c6d2eadd1a614448220af",
         45, 45,
     ),
     "crashed_from_start": (
         "a18708d8326e4682c731558aaa4cf1e28d868bd69edd6c4f893d5472b1ff1d08",
-        "6cd98479fded75d373977d0e32463cc9db654a46af6e81d5bb8d93ef736daf2e",
+        "7954ce41a00a47ccaa1f910b1309578e9a882fae04def9941d5711761576e016",
         31, 31,
     ),
     "drop_dup_delay_crash": (
         "5d4fc0cad04a783f540bcbeb404042e39db1992c39736fbef254db242619a973",
-        "4e571270dd96fc426fbd8ca9178b2354968a946b914fe247db631eeb2fdf60e7",
+        "cddf37cfef48451958dae58aaaa5143d74eef1b808eaba9899b4c1c0d16f24da",
         48, 48,
     ),
     "delay_everything": (
         "294b40ffa05bd18313f2ce3f740f43523f46449cdab1a223b28afdbc39053035",
-        "e135b899e04a1c08ce2aa02bfe90060e83a39dd0adb99c20e0fe064d295ab886",
+        "ed8fcd720c0f8232272eeca0b6ab23021c45902c867aa73822653771ece9bba2",
         46, 41,
     ),
 }

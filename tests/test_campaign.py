@@ -195,6 +195,18 @@ class TestRunCell:
         assert outcome.status == CLEAN, outcome.violations
         assert outcome.measured["fault_events"] > 0
 
+    def test_a_liars_share_delayed_past_the_round_is_clean(self):
+        """ROADMAP item 5(0): what all three standing violations of
+        ``--budget 48 --campaign-seed 12345`` shrank to.  The liar's
+        share settles alone in the drain round; the replay oracle used
+        to decode it alone and report ``replay:decode_divergence``."""
+        outcome = run_cell(Scenario(
+            runtime="lockstep", field="gf2k:16", n=7, t=1,
+            adversary="bad_share", corrupt=(7,),
+            faults=("delay:src=7,by=1",),
+        ))
+        assert outcome.status == CLEAN, outcome.violations
+
     def test_error_outcome_instead_of_raise(self):
         outcome = run_cell(Scenario(adversary="gremlin", corrupt=(7,)))
         assert outcome.status == ERROR

@@ -6,7 +6,9 @@ Three contracts from the campaign observatory's definition of done:
   reports **zero** violations (the stack is sound under its own model);
 * the same campaign seed produces a byte-identical ledger and coverage
   report;
-* seeded known-bad cells are detected and land in the triage report.
+* seeded known-bad cells are detected and land in the triage report;
+* the fixed slice that stood red from PR 16 to PR 21 (ROADMAP item
+  5(0)) is clean.
 
 The 200-cell sweep runs once per module (it is the dominant cost) and
 its assertions are split across tests.
@@ -122,3 +124,16 @@ class TestKnownBadDetection:
         assert "forensics_fn:adversary=lurker" in signatures
         assert any(s.startswith("coin_failure") or "coin" == c.oracle
                    for c in clusters for s in [c.signature])
+
+
+class TestTheFormerlyRedSlice:
+    def test_campaign_seed_12345_reports_no_violation(self):
+        """``repro campaign run --budget 48 --campaign-seed 12345``: its
+        three ``bad_share`` x ``delay:src=7,by=1`` cells tripped
+        ``replay:decode_divergence`` until the replay oracle decoded
+        each receiver's whole view of a run (CI's ``campaign-soak`` is
+        sha-seeded, so it went red only on the pushes that drew one)."""
+        result = run_campaign(default_space().sample(48, seed=12345))
+        assert result.status_counts() == {
+            "clean": 48, "violated": 0, "error": 0,
+        }

@@ -1,13 +1,15 @@
-"""Happens-before graphs: live capture vs. offline reconstruction.
+"""Happens-before graphs: the DAG of a recorded run.
 
-The causal layer has one invariant worth a property test — the DAG
-rebuilt offline from a flight log equals the one captured live off the
-event bus, across schedulers, fields, and adversaries (delay faults are
-the documented exception: only live capture knows true origin rounds).
-On top of that: run delimiting, drop/delay/duplicate semantics, the
-structural-depth = ``predicted_rounds`` acceptance bound, the Chrome
-flow-arrow overlay, and the zero-cost discipline (attaching a causal
-recorder never perturbs the run it observes).
+:func:`~repro.obs.causality.graph_from_log` is the only constructor of a
+:class:`~repro.obs.causality.CausalGraph`, so there is no second graph
+to compare it with; these tests hold it against what the *live* run
+measured by other means — ``NetworkMetrics`` delivery and round counts,
+the ``predicted_rounds`` depth formula, the log's own fault events —
+across schedulers, fields, and adversaries.  On top of that: run
+delimiting, drop/delay/duplicate semantics (a delayed message is
+attributed to the round it settled in), the Chrome flow-arrow overlay,
+and the zero-cost discipline (recording the log a graph is built from
+never perturbs the run it observes).
 """
 
 import json
@@ -21,14 +23,8 @@ from repro.fields import GF2k
 from repro.fields.gfp import GFp
 from repro.net import PermutedDeliveryScheduler
 from repro.net.faults import FaultPlane
-from repro.net.transport import BROADCAST, MULTICAST, UNICAST
 from repro.obs import SpanRecorder, to_chrome_trace
-from repro.obs.causality import (
-    CausalGraph,
-    CausalRecorder,
-    MessageEdge,
-    graph_from_log,
-)
+from repro.obs.causality import CausalGraph, MessageEdge, graph_from_log
 from repro.obs.critical_path import critical_path
 from repro.obs.flight import FlightRecorder
 from repro.protocols.coin_gen import expose_coin, run_coin_gen
@@ -36,167 +32,170 @@ from repro.protocols.context import ProtocolContext
 
 from tests.test_forensics import scenario_programs
 
-KNOWN_CHANNELS = {UNICAST, MULTICAST, BROADCAST}
-
 
 def causal_coin_gen(field, n=7, t=1, seed=3, scheduler=None, faults=None,
                     M=1, span_recorder=None, expose=False, **kwargs):
-    """One Coin-Gen run captured both live and to a flight log."""
+    """One Coin-Gen run recorded to a flight log, and the graph of it."""
     extra = {} if span_recorder is None else {"recorder": span_recorder}
     ctx = ProtocolContext.create(field, n=n, t=t, seed=seed,
                                  scheduler=scheduler, faults=faults, **extra)
-    bus = ctx.ensure_bus()
-    causal = CausalRecorder(n=n).attach(bus)
     flight = FlightRecorder(n=n, t=t, field=field, seed=seed)
-    flight.attach(bus)
+    flight.attach(ctx.ensure_bus())
     outputs, _ = run_coin_gen(ctx, M=M, tag="cg", **kwargs)
     if expose:
         expose_coin(ctx, outputs=outputs, h=0)
-    return causal.graph(), flight.log(), outputs, ctx
+    log = flight.log()
+    return graph_from_log(log), log, outputs, ctx
 
 
-def edge(run=1, send=1, recv=2, src=1, dst=2, tag="syn/x", elements=1,
-         channel="?"):
+def sent_deliveries(ctx):
+    """Deliveries the live run paid to send (``NetworkMetrics``): one per
+    point-to-point message, ``n`` per use of the broadcast channel."""
+    return (ctx.metrics.unicast_messages
+            + ctx.n * ctx.metrics.broadcast_messages)
+
+
+def fault_count(log, kind):
+    return sum(1 for fault in log.faults if fault.kind == kind)
+
+
+def edge(run=1, send=1, recv=2, src=1, dst=2, tag="syn/x", elements=1):
     return MessageEdge(run=run, send_round=send, recv_round=recv, src=src,
-                       dst=dst, tag=tag, elements=elements, channel=channel)
+                       dst=dst, tag=tag, elements=elements)
 
 
 class TestGraphSemantics:
     def test_depth_is_longest_message_chain(self):
-        graph = CausalGraph(n=3)
         # chain 1->2->3 plus an unrelated single edge
-        graph.add(edge(send=1, recv=2, src=1, dst=2))
-        graph.add(edge(send=2, recv=3, src=2, dst=3))
-        graph.add(edge(send=1, recv=2, src=3, dst=1))
+        graph = CausalGraph(n=3, edges=[
+            edge(send=1, recv=2, src=1, dst=2),
+            edge(send=2, recv=3, src=2, dst=3),
+            edge(send=1, recv=2, src=3, dst=1),
+        ])
         assert graph.depth(1) == 2
         assert graph.depths() == {1: 2}
 
     def test_depth_respects_causality_not_round_count(self):
         # two edges in disjoint rounds whose tail cannot feed the head
-        graph = CausalGraph(n=3)
-        graph.add(edge(send=1, recv=2, src=1, dst=2))
-        graph.add(edge(send=2, recv=3, src=3, dst=1))  # src 3 got nothing
+        graph = CausalGraph(n=3, edges=[
+            edge(send=1, recv=2, src=1, dst=2),
+            edge(send=2, recv=3, src=3, dst=1),  # src 3 got nothing
+        ])
         assert graph.depth(1) == 1
 
     def test_delayed_edge_chains_from_true_origin(self):
-        # a delayed arrival still only extends chains ending at or
-        # before its *send* round
-        graph = CausalGraph(n=3)
-        graph.add(edge(send=1, recv=2, src=1, dst=2))
-        graph.add(edge(send=1, recv=4, src=2, dst=3))  # delayed, origin 1
-        assert graph.edges[1].delayed
+        # an edge only extends chains ending at or before its *send*
+        # round, however late it is consumed
+        graph = CausalGraph(n=3, edges=[
+            edge(send=1, recv=2, src=1, dst=2),
+            edge(send=1, recv=4, src=2, dst=3),
+        ])
         assert graph.depth(1) == 1
-
-    def test_equality_ignores_channel_annotation(self):
-        a = CausalGraph(n=2, edges=[edge(channel=UNICAST)])
-        b = CausalGraph(n=2, edges=[edge(channel="?")])
-        assert a == b
-        assert a.canonical() == b.canonical()
-
-    def test_equality_is_order_insensitive_but_payload_sensitive(self):
-        e1, e2 = edge(src=1, dst=2), edge(src=2, dst=1)
-        assert CausalGraph(n=2, edges=[e1, e2]) == CausalGraph(
-            n=2, edges=[e2, e1]
-        )
-        assert CausalGraph(n=2, edges=[e1]) != CausalGraph(
-            n=2, edges=[edge(src=1, dst=2, elements=9)]
-        )
 
     def test_in_edges_and_last_round(self):
         graph = CausalGraph(n=2, edges=[edge(send=1, recv=2, src=1, dst=2),
                                         edge(send=2, recv=3, src=2, dst=1)])
-        assert set(graph.in_edges(1)) == {(2, 2), (3, 1)}
-        assert graph.last_round(1) == 3
+        index = graph.in_edges(1)
+        assert set(index) == {(2, 2), (3, 1)}
+        assert [e.src for e in index[(3, 1)]] == [2]
+        # the last consuming step is the runtime's trailing drain round
+        assert max(round_no for round_no, _ in index) == 3
 
     def test_to_dict_round_trips_the_edge_facts(self):
-        graph = CausalGraph(n=2, edges=[edge(tag="expose/c0",
-                                             channel=UNICAST)])
-        payload = graph.to_dict()
-        assert payload["depths"] == {"1": 1}
-        (row,) = payload["edges"]
-        assert row["tag"] == "expose/c0"
-        assert row["phase"] == "expose"
-        assert row["channel"] == UNICAST
-        assert row["delayed"] is False
+        row = edge(tag="expose/c0").to_dict()
+        assert row == {
+            "run": 1, "send_round": 1, "recv_round": 2, "src": 1, "dst": 2,
+            "tag": "expose/c0", "phase": "expose", "elements": 1,
+        }
 
 
 class TestLiveCapture:
+    """The graph of a live run's log against the run's own counters."""
+
     def test_coin_gen_depth_matches_round_model(self):
-        graph, _, outputs, _ = causal_coin_gen(GF2k(16))
+        graph, log, outputs, ctx = causal_coin_gen(GF2k(16))
         assert any(o.success for o in outputs.values())
         assert graph.depth(1) == predicted_rounds("coin_gen", t=1)
-        assert not graph.dropped
+        # ... which is every round the run took but the empty drain round
+        assert graph.depth(1) == ctx.metrics.rounds - 1
+        assert len(graph.edges) == sent_deliveries(ctx)
 
     def test_expose_run_has_depth_one(self):
-        graph, _, _, _ = causal_coin_gen(GF2k(16), expose=True)
+        graph, _, _, ctx = causal_coin_gen(GF2k(16), expose=True)
         assert graph.runs() == [1, 2]
         assert graph.depth(1) == predicted_rounds("coin_gen", t=1)
         assert graph.depth(2) == predicted_rounds("expose")
-
-    def test_channels_are_known_on_live_capture(self):
-        graph, _, _, _ = causal_coin_gen(GF2k(16))
-        channels = {e.channel for e in graph.edges}
-        assert channels <= KNOWN_CHANNELS
-        assert UNICAST in channels  # dealing rounds are pairwise
+        assert len(graph.edges) == sent_deliveries(ctx)
 
     def test_fault_free_run_has_no_delayed_edges(self):
-        graph, _, _, _ = causal_coin_gen(GF2k(16))
-        assert not any(e.delayed for e in graph.edges)
+        """Every edge is consumed the round after it settled, and the
+        log — the record of what was delayed — holds no fault at all."""
+        graph, log, _, _ = causal_coin_gen(GF2k(16))
+        assert all(e.recv_round == e.send_round + 1 for e in graph.edges)
+        assert not log.faults
 
     def test_multi_run_delimiting_over_shared_bus(self):
         field = GF2k(16)
         ctx = ProtocolContext.create(field, n=7, t=1, seed=3)
-        causal = CausalRecorder(n=7).attach(ctx.ensure_bus())
+        flight = FlightRecorder(n=7, t=1, field=field, seed=3)
+        flight.attach(ctx.ensure_bus())
         run_coin_gen(ctx, M=1, tag="one")
         run_coin_gen(ctx, M=1, tag="two")
-        graph = causal.graph()
+        graph = graph_from_log(flight.log())
         assert graph.runs() == [1, 2]
         # same protocol, same structural shape in both runs
         assert graph.depth(1) == graph.depth(2)
+        assert len(graph.edges_in_run(1)) == len(graph.edges_in_run(2))
 
 
 class TestFaultSemantics:
     def test_dropped_emissions_are_recorded(self):
+        """As ``drop`` fault events in the log — and as no edge."""
         plane = FaultPlane().drop(src=6)
-        graph, _, _, _ = causal_coin_gen(GF2k(16), faults=plane)
-        assert graph.dropped
-        assert {d.src for d in graph.dropped} == {6}
+        graph, log, _, _ = causal_coin_gen(GF2k(16), faults=plane)
+        drops = [f for f in log.faults if f.kind == "drop"]
+        assert drops and {f.src for f in drops} == {6}
         assert not any(e.src == 6 for e in graph.edges)
 
     def test_drop_does_not_break_offline_equality(self):
-        # dropped emissions are a live-only extra; the *edge* sets agree
+        """Edges == what the run sent minus what the plane dropped."""
         plane = FaultPlane().drop(src=6)
-        graph, log, _, _ = causal_coin_gen(GF2k(16), faults=plane)
-        assert graph == graph_from_log(log)
+        graph, log, _, ctx = causal_coin_gen(GF2k(16), faults=plane)
+        assert len(graph.edges) == (
+            sent_deliveries(ctx) - fault_count(log, "drop")
+        )
 
-    def test_delay_keeps_true_origin_round_live_only(self):
+    def test_delay_is_attributed_to_the_round_it_settled_in(self):
         plane = FaultPlane().delay(src=2, dst=3, by=2, rounds=[2])
-        graph, log, _, _ = causal_coin_gen(GF2k(16), faults=plane)
-        delayed = [e for e in graph.edges if e.delayed]
-        assert delayed, "the delay rule must surface as delayed edges"
-        for e in delayed:
-            assert (e.src, e.dst) == (2, 3)
-            assert e.send_round == 2
-            assert e.recv_round == e.send_round + 2 + 1
-        # the flight log only saw the settle round: origins differ, so
-        # the offline graph is *documented* to diverge under delay
-        offline = graph_from_log(log)
-        assert not any(e.delayed for e in offline.edges)
-        assert graph != offline
+        graph, log, _, ctx = causal_coin_gen(GF2k(16), faults=plane)
+        delays = [f for f in log.faults if f.kind == "delay"]
+        assert delays, "the delay rule must surface as fault events"
+        assert {(f.src, f.dst, f.round) for f in delays} == {(2, 3, 2)}
+        # nothing is lost and nothing carries a second round number: the
+        # late copies sit in round 4 = 2 + by, beside that round's own
+        assert len(graph.edges) == sent_deliveries(ctx)
+        assert all(e.recv_round == e.send_round + 1 for e in graph.edges)
+        on_link = [e for e in graph.edges if (e.src, e.dst) == (2, 3)]
+        assert not any(e.send_round == 2 for e in on_link)
+        round_2_tags = {e.tag for e in graph.edges if e.send_round == 2}
+        late = [e for e in on_link
+                if e.send_round == 4 and e.tag in round_2_tags]
+        assert len(late) == len(delays)
 
     def test_duplicate_second_copy_falls_back_like_offline(self):
+        """Both copies are edges of the round they settled in."""
         plane = FaultPlane().duplicate(src=2, dst=5, rounds=[3])
-        graph, log, _, _ = causal_coin_gen(GF2k(16), faults=plane)
+        graph, log, _, ctx = causal_coin_gen(GF2k(16), faults=plane)
         copies = [e for e in graph.edges
                   if (e.src, e.dst, e.recv_round) == (2, 5, 4)]
         assert len(copies) >= 2
-        assert any(e.channel == "?" for e in copies)  # unmatched extra
-        # both copies carry the settle round, so offline still agrees
-        assert graph == graph_from_log(log)
+        assert len(graph.edges) == (
+            sent_deliveries(ctx) + fault_count(log, "duplicate")
+        )
 
 
 class TestOfflineReconstruction:
-    """Satellite: flight-log replay rebuilds the live DAG exactly."""
+    """The graph read off the log against the live run's counters."""
 
     @pytest.mark.parametrize("make_scheduler", [
         lambda: None,
@@ -211,26 +210,38 @@ class TestOfflineReconstruction:
         n, t, seed = 7, 1, 3
         programs = (None if adversary == "none"
                     else scenario_programs(adversary, {4}, n, seed))
-        graph, log, _, _ = causal_coin_gen(
+        graph, log, _, ctx = causal_coin_gen(
             make_field(), n=n, t=t, seed=seed,
             scheduler=make_scheduler(),
             faulty_programs=programs,
         )
-        offline = graph_from_log(log)
-        assert graph == offline
-        assert graph.depths() == offline.depths()
+        # live: what NetworkMetrics counted; offline: the log's graph
+        assert len(graph.edges) == sent_deliveries(ctx)
+        assert graph.depth(1) == ctx.metrics.rounds - 1
+        assert {e.send_round for e in graph.edges} == set(
+            range(1, ctx.metrics.rounds)
+        )
+        if adversary == "none":
+            assert graph.depth(1) == predicted_rounds("coin_gen", t=t)
 
     @given(seed=st.integers(0, 50))
     @settings(max_examples=8, deadline=None)
     def test_live_equals_offline_property(self, seed):
-        graph, log, _, _ = causal_coin_gen(GF2k(16), seed=seed, expose=True)
-        assert graph == graph_from_log(log)
+        graph, _, outputs, ctx = causal_coin_gen(GF2k(16), seed=seed,
+                                                 expose=True)
+        assert len(graph.edges) == sent_deliveries(ctx)
+        iterations = next(iter(outputs.values())).iterations
+        assert graph.depths() == {
+            1: predicted_rounds("coin_gen", t=1, iterations=iterations),
+            2: predicted_rounds("expose"),
+        }
 
     def test_multi_run_reconstruction_keeps_run_boundaries(self):
-        graph, log, _, _ = causal_coin_gen(GF2k(16), expose=True)
-        offline = graph_from_log(log)
-        assert offline.runs() == [1, 2]
-        assert offline.depths() == graph.depths()
+        graph, log, _, ctx = causal_coin_gen(GF2k(16), expose=True)
+        assert graph.runs() == log.runs() == [1, 2]
+        # rounds restart per run; the two depths add up to every round
+        # either run took, less one drain round each
+        assert sum(graph.depths().values()) == ctx.metrics.rounds - 2
 
 
 def _pairwise_nested_or_disjoint(intervals):
@@ -301,12 +312,12 @@ class TestChromeFlowOverlay:
 
 class TestZeroCostDiscipline:
     def test_run_without_causal_recorder_is_byte_identical(self):
-        """The SENT topic only publishes while subscribed; an
+        """The flight recorder a graph is read off only subscribes; an
         unmonitored run must be bit-for-bit unchanged."""
         def run(with_recorder):
             ctx = ProtocolContext.create(GF2k(16), n=7, t=1, seed=11)
             if with_recorder:
-                CausalRecorder(n=7).attach(ctx.ensure_bus())
+                FlightRecorder(n=7, t=1).attach(ctx.ensure_bus())
             outputs, metrics = run_coin_gen(ctx, M=2, tag="cg")
             shaped = {
                 pid: (o.success, o.clique, o.iterations, o.seed_coins_used,

@@ -12,6 +12,10 @@ Both checks fail on the commit before the census (79 modules loaded,
 constructed only by ``repro.net`` and ``protocols/context.py``; one
 player harness; one per-message fault decision.  Each of those checks
 fails on d37430e, the commit before the paths were folded.
+(d) There is one path from a recorded run to an answer: one constructor
+of a ``CausalGraph`` and no ``sent`` topic, one module that spells the
+expose tag, and no name exported by ``repro.obs`` that no entry point
+reaches.  Each fails on 12b941c, the commit before that fold.
 """
 
 import ast
@@ -207,3 +211,104 @@ def test_the_async_loop_asks_the_fault_plane_to_decide():
     text = MODULES["repro.net.async_runtime"].read_text()
     assert "faults.rules" not in text
     assert "faults._publish" not in text
+
+
+# -- one path from a recorded run to an answer -------------------------------
+
+def test_the_flight_log_is_the_only_source_of_a_causal_graph():
+    builders = sorted(
+        module for module, path in MODULES.items()
+        if any(calls(ast.parse(path.read_text()), {"CausalGraph"}))
+    )
+    assert builders == ["repro.obs.causality"]
+    constructors = [
+        node.name
+        for node in ast.walk(ast.parse(MODULES["repro.obs.causality"].read_text()))
+        if isinstance(node, ast.FunctionDef)
+        and any(calls(node, {"CausalGraph"}))
+    ]
+    assert constructors == ["graph_from_log"]
+
+
+def test_no_sent_topic_is_published_or_subscribed():
+    import repro.obs.bus as bus
+
+    assert len(bus.ALL_TOPICS) == 11 and "sent" not in bus.ALL_TOPICS
+    for module, path in MODULES.items():
+        for node in ast.walk(ast.parse(path.read_text())):
+            assert getattr(node, "id", getattr(node, "attr", None)) != "SENT", module
+            assert not (isinstance(node, ast.Constant) and node.value == "sent"), module
+
+
+def test_one_module_spells_the_expose_tag():
+    spellers = sorted(
+        module for module, path in MODULES.items()
+        if re.search(r"""["']expose/""", path.read_text())
+    )
+    assert spellers == ["repro.protocols.coin_expose"]
+
+
+def identifiers(node):
+    """Every name ``node`` mentions: variables, attributes, imports."""
+    found = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            found.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            found.add(child.attr)
+        elif isinstance(child, (ast.Import, ast.ImportFrom)):
+            found.update(alias.name.rpartition(".")[2] for alias in child.names)
+    return found
+
+
+def test_every_obs_export_is_reached_from_an_entry_point():
+    """Name-level reachability: from the CLI, the examples, the claims
+    table and ``bench/``, through every top-level definition under
+    ``src/repro`` a reached name names (and the import-time statements
+    of its module).  Coarse — a shared method name over-reaches — but an
+    export nothing mentions outside its own tests cannot pass."""
+    import repro.obs
+
+    mentions = {}  # top-level name -> what its definition mentions
+    import_time = {}  # top-level name -> its module's other statements
+    for path in MODULES.values():
+        body = ast.parse(path.read_text()).body
+        loose = set()
+        names = []
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.append(node.name)
+                mentions.setdefault(node.name, set()).update(identifiers(node))
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                targets = [t.id for t in getattr(node, "targets", [])
+                           if isinstance(t, ast.Name)]
+                for name in targets:
+                    mentions.setdefault(name, set()).update(identifiers(node))
+                names.extend(targets)
+                if not targets:
+                    loose |= identifiers(node)
+        for name in names:
+            import_time.setdefault(name, set()).update(loose)
+    entry_points = [
+        MODULES["repro.cli"], ROOT / "benchmarks" / "claims.py",
+        *(ROOT / "examples").glob("*.py"),
+        *(p for p in (ROOT / "bench").glob("*.py")
+          if not p.name.startswith("test_")),
+    ]
+    reached = set().union(
+        *(identifiers(ast.parse(path.read_text())) for path in entry_points)
+    )
+    frontier = [name for name in reached if name in mentions]
+    expanded = set()
+    while frontier:
+        name = frontier.pop()
+        if name in expanded:
+            continue
+        expanded.add(name)
+        new = (mentions[name] | import_time.get(name, set())) - reached
+        reached |= new
+        frontier.extend(new & mentions.keys())
+    assert [name for name in repro.obs.__all__ if name not in reached] == []
+    # the check can see a dead export: these were, on the parent
+    assert not reached & {"profile_from_recorder", "diff_recordings",
+                          "as_profile", "pivotal_what_if"}

@@ -118,6 +118,55 @@ class TestReplayCausal:
         assert "depth" in out
 
 
+class TestReplayExposures:
+    def test_async_replay_holds_the_tossed_elements(self, tmp_path, capsys):
+        """On an async log a "round" is one delivery; decoding round by
+        round (the parent) replayed every coin as None for everyone."""
+        from repro.obs.flight import FlightLog, replay
+
+        log_path = tmp_path / "async.flightlog"
+        assert main(["toss", "--n", "7", "--t", "2", "--runtime", "async",
+                     "--count", "4", "--elements", "--sched-seed", "5",
+                     "--flight-log", str(log_path)]) == 0
+        printed = [int(line, 16)
+                   for line in capsys.readouterr().out.split()]
+        assert len(printed) == 4
+        decoded = replay(FlightLog.load(str(log_path))).decoded_values()
+        assert decoded == {
+            (index + 1, f"async-{index}"): dict.fromkeys(range(1, 8), value)
+            for index, value in enumerate(printed)
+        }
+        assert main(["replay", str(log_path)]) == 0
+        out = capsys.readouterr().out
+        assert "exposed coins     : 4" in out
+        assert "failed exposures" not in out
+
+    def test_a_coin_nobody_decodes_is_a_failed_exposure(self, tmp_path,
+                                                        capsys):
+        """All-None is not agreement: t + 1 bad shares at n = 7, t = 1
+        leave every view undecodable, and replay must say so."""
+        from repro.campaign import known_bad_scenarios, run_cell
+
+        log_path = tmp_path / "bad_share.flightlog"
+        log_path.write_text(run_cell(known_bad_scenarios()[0]).log_text)
+        assert main(["replay", str(log_path)]) == 1
+        assert "failed exposures  : 1" in capsys.readouterr().out
+
+    def test_a_share_delayed_to_one_receiver_is_no_unanimity_break(
+            self, tmp_path, capsys):
+        from repro.campaign import Scenario, run_cell
+
+        outcome = run_cell(Scenario(
+            runtime="lockstep", field="gf2k:16", n=7, t=1,
+            adversary="bad_share", corrupt=(7,),
+            faults=("delay:src=7,dst=2,by=1",),
+        ), keep_log=True)
+        log_path = tmp_path / "delayed.flightlog"
+        log_path.write_text(outcome.log_text)
+        assert main(["replay", str(log_path)]) == 0
+        assert "unanimity breaks  : 0" in capsys.readouterr().out
+
+
 class TestTraceRoundConformance:
     def test_audit_includes_round_model_check(self, capsys):
         assert main(["trace", "--n", "7", "--t", "1", "--M", "4",
@@ -318,6 +367,30 @@ class TestExitCodeConvention:
     def test_bad_what_if_exits_two(self):
         assert main(["critpath", "--n", "7", "--t", "1", "--M", "2",
                      "--what-if", "bogus"]) == 2
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["toss", "--runtime", "async", "--count", "1", "--crash", "3,x"],
+         "--crash"),
+        (["toss", "--runtime", "async", "--count", "1", "--n", "7",
+          "--crash", "9"], "--crash"),
+        (["critpath", "--n", "7", "--t", "1", "--M", "2",
+          "--what-if", "player=x"], "--what-if"),
+        (["critpath", "--n", "7", "--t", "1", "--M", "2",
+          "--op-cost", "add=zz"], "--op-cost"),
+        (["forensics", "LOG", "--expect", "a"], "--expect"),
+    ], ids=["crash-not-a-number", "crash-not-a-player", "what-if-player",
+            "op-cost", "forensics-expect"])
+    def test_malformed_flag_values_exit_two(self, argv, flag, tmp_path,
+                                            capsys):
+        # a ValueError traceback would exit 1, the "gate tripped" code
+        if "LOG" in argv:
+            log_path = tmp_path / "honest.flightlog"
+            assert main(["trace", "--n", "7", "--t", "1", "--M", "1",
+                         "--flight-log", str(log_path)]) == 0
+            argv = [str(log_path) if arg == "LOG" else arg for arg in argv]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert flag in capsys.readouterr().err
 
     def test_campaign_gate_vs_usage_split(self, tmp_path, capsys):
         # gate tripped (violations found) is 1; unreadable input is 2

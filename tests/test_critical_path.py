@@ -14,7 +14,8 @@ import pytest
 from repro.analysis.rounds import predicted_rounds
 from repro.fields import GF2k
 from repro.obs import SpanRecorder
-from repro.obs.causality import CausalGraph, CausalRecorder, MessageEdge
+from repro.obs.causality import CausalGraph, MessageEdge, graph_from_log
+from repro.obs.flight import FlightRecorder
 from repro.obs.critical_path import (
     CostModel,
     critical_path,
@@ -45,11 +46,11 @@ def instrumented_run(n=7, t=1, M=2, seed=3):
     recorder = SpanRecorder()
     ctx = ProtocolContext.create(GF2k(16), n=n, t=t, seed=seed,
                                  recorder=recorder)
-    causal = CausalRecorder(n=n).attach(ctx.ensure_bus())
+    flight = FlightRecorder(n=n, t=t).attach(ctx.ensure_bus())
     outputs, _ = run_coin_gen(ctx, M=M, tag="cg")
     assert all(o.success for o in outputs.values())
     expose_coin(ctx, outputs=outputs, h=0)
-    return causal.graph(), recorder
+    return graph_from_log(flight.log()), recorder
 
 
 class TestCostModel:
@@ -133,7 +134,7 @@ class TestMicroGraphExactValues:
 
     def test_runs_chain_sequentially(self):
         graph = micro_graph()
-        graph.add(edge(run=2, send=12, recv=13, src=1, dst=2))
+        graph.edges.append(edge(run=2, send=12, recv=13, src=1, dst=2))
         result = critical_path(graph)
         assert [r.start for r in result.runs] == pytest.approx([0.0, 2.0])
         assert result.makespan == pytest.approx(3.0)

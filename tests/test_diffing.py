@@ -19,12 +19,9 @@ from repro.obs import SpanRecorder, to_jsonl
 from repro.obs.diffing import (
     COUNT_METRICS,
     DEFAULT_PRICING,
-    ProfileDiff,
     RunProfile,
     diff_profiles,
-    diff_recordings,
     profile_from_jsonl,
-    profile_from_recorder,
 )
 from repro.obs.manifest import RunManifest
 from repro.poly.barycentric import interpolation_mode
@@ -33,6 +30,11 @@ from repro.protocols.coin_gen import run_coin_gen
 from repro.protocols.context import ProtocolContext
 
 BACKENDS = ("python", "numpy") if numpy_available() else ("python",)
+
+
+def exported_profile(recorder, manifest=None):
+    """A recorder's profile by the one path there is: its JSONL export."""
+    return profile_from_jsonl(to_jsonl(recorder, manifest=manifest))
 
 
 def lockstep_profile(backend="python", seed=5, mode="shared"):
@@ -67,8 +69,8 @@ class TestIdenticalSeedsDiffEmpty:
         rec_a, man_a = lockstep_profile(backend=backend)
         rec_b, man_b = lockstep_profile(backend=backend)
         diff = diff_profiles(
-            profile_from_recorder(rec_a, manifest=man_a),
-            profile_from_recorder(rec_b, manifest=man_b),
+            exported_profile(rec_a, manifest=man_a),
+            exported_profile(rec_b, manifest=man_b),
         )
         assert diff.is_empty()
         assert diff.manifest_changes == {}
@@ -76,19 +78,30 @@ class TestIdenticalSeedsDiffEmpty:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_async(self, backend):
-        diff = diff_recordings(async_profile(backend=backend),
-                               async_profile(backend=backend))
+        diff = diff_profiles(exported_profile(async_profile(backend=backend)),
+                             exported_profile(async_profile(backend=backend)))
         assert diff.is_empty()
 
     def test_live_vs_jsonl_round_trip(self):
+        """The profile read off the export holds what the live recorder
+        holds: per-phase tallies of its phase spans, op sums of its
+        player spans, the manifest's fingerprint."""
         recorder, manifest = lockstep_profile()
-        live = profile_from_recorder(recorder, manifest=manifest)
-        exported = profile_from_jsonl(to_jsonl(recorder, manifest=manifest))
-        diff = diff_profiles(live, exported)
-        assert diff.is_empty()
-        # wall-clock must round-trip too: same spans, same durations
-        assert all(row.delta == 0 for row in diff.rows)
-        assert exported.manifest is not None
+        exported = exported_profile(recorder, manifest=manifest)
+        for metric in ("rounds", "messages", "bits"):
+            live = {}
+            for span in recorder.phase_spans():
+                phase = span.attrs["phase"]
+                live[phase] = live.get(phase, 0) + span.attrs[metric]
+            assert {phase: row[metric]
+                    for phase, row in exported.phases.items()} == live
+        assert exported.totals()["muls"] == sum(
+            span.attrs["muls"] for span in recorder.by_kind("player")
+        )
+        # wall-clock round-trips too: same spans, same durations
+        assert exported.totals()["wall_s"] == pytest.approx(sum(
+            span.duration for span in recorder.phase_spans()
+        ))
         assert exported.manifest.fingerprint() == manifest.fingerprint()
 
 
@@ -97,8 +110,8 @@ class TestForcedRegression:
         rec_shared, man_shared = lockstep_profile(mode="shared")
         rec_off, man_off = lockstep_profile(mode="off")
         diff = diff_profiles(
-            profile_from_recorder(rec_shared, manifest=man_shared),
-            profile_from_recorder(rec_off, manifest=man_off),
+            exported_profile(rec_shared, manifest=man_shared),
+            exported_profile(rec_off, manifest=man_off),
         )
         assert not diff.is_empty()
         # the clique phase does the interpolation-heavy share recovery;
@@ -116,8 +129,8 @@ class TestForcedRegression:
         rec_shared, man_shared = lockstep_profile(mode="shared")
         rec_off, man_off = lockstep_profile(mode="off")
         diff = diff_profiles(
-            profile_from_recorder(rec_shared, manifest=man_shared),
-            profile_from_recorder(rec_off, manifest=man_off),
+            exported_profile(rec_shared, manifest=man_shared),
+            exported_profile(rec_off, manifest=man_off),
         )
         assert diff.manifest_changes == {
             "interpolation": ("shared", "off")
@@ -130,22 +143,16 @@ class TestForcedRegression:
     def test_attribution_shares_sum_to_one(self):
         rec_shared, _ = lockstep_profile(mode="shared")
         rec_off, _ = lockstep_profile(mode="off")
-        entries = diff_recordings(rec_shared, rec_off).attribution()
+        entries = diff_profiles(exported_profile(rec_shared),
+                                exported_profile(rec_off)).attribution()
         assert entries
         assert sum(e.share for e in entries) == pytest.approx(1.0)
 
 
 class TestProfileShapes:
-    def test_profile_dict_round_trip(self):
-        recorder, manifest = lockstep_profile()
-        live = profile_from_recorder(recorder, manifest=manifest)
-        rebuilt = RunProfile.from_dict(live.to_dict())
-        assert diff_profiles(live, rebuilt).is_empty()
-        assert rebuilt.manifest.fingerprint() == manifest.fingerprint()
-
     def test_totals_aggregate_all_phases(self):
         recorder, _ = lockstep_profile()
-        profile = profile_from_recorder(recorder)
+        profile = exported_profile(recorder)
         totals = profile.totals()
         for metric in COUNT_METRICS:
             assert totals[metric] == sum(
@@ -158,11 +165,13 @@ class TestLegacyArtifacts:
     """Profiles recorded without op counts still diff on structure."""
 
     def test_both_sides_without_ops_stay_comparable(self):
-        phases = {"phases": {"deal": {"rounds": 2, "messages": 98,
-                                      "bits": 100, "wall_s": 0.1}}}
-        diff = diff_profiles(RunProfile.from_dict(phases),
-                             RunProfile.from_dict(phases))
-        assert diff.is_empty()
+        def structure_only():
+            out = RunProfile()
+            out.phase("deal").update(rounds=2, messages=98, bits=100,
+                                     wall_s=0.1)
+            return out
+
+        assert diff_profiles(structure_only(), structure_only()).is_empty()
 
 
 class TestDiffMechanics:
@@ -187,11 +196,3 @@ class TestDiffMechanics:
         diff = diff_profiles(a, b)
         assert diff.is_empty()
         assert "jitter" in diff.report()
-
-    def test_to_dict_carries_attribution(self):
-        rec_shared, _ = lockstep_profile(mode="shared")
-        rec_off, _ = lockstep_profile(mode="off")
-        data = diff_recordings(rec_shared, rec_off).to_dict()
-        assert data["empty"] is False
-        assert data["attribution"][0]["phase"] == "clique"
-        assert isinstance(ProfileDiff(RunProfile(), RunProfile()), ProfileDiff)

@@ -7,6 +7,7 @@ the run it observes (the NULL_RECORDER discipline, asserted here).
 """
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +15,14 @@ from hypothesis import strategies as st
 
 from repro.fields import GF2k
 from repro.fields.gfp import GFp
-from repro.net import PermutedDeliveryScheduler
+from repro.net import (
+    AsyncRuntime,
+    PermutedDeliveryScheduler,
+    RandomOrderScheduler,
+)
 from repro.net.faults import FaultPlane
+from repro.net.simulator import Send, SynchronousNetwork
+from repro.obs.bus import EventBus
 from repro.obs.flight import (
     Divergence,
     FlightLog,
@@ -27,8 +34,14 @@ from repro.obs.flight import (
     field_spec,
     replay,
 )
+from repro.protocols.async_coin import async_coin_program
+from repro.protocols.coin_expose import (
+    coin_expose,
+    expose_tag,
+    make_dealer_coin,
+)
 from repro.protocols.coin_gen import run_coin_gen
-from repro.protocols.context import ProtocolContext
+from repro.protocols.context import ProtocolContext, run_players
 
 
 def record_coin_gen(field, n=7, t=1, seed=3, scheduler=None, faults=None,
@@ -192,6 +205,87 @@ class TestReplay:
         assert original.inboxes == rerun.inboxes
         assert original.tags == rerun.tags
         assert original.expose_decodes == rerun.expose_decodes
+
+
+def _liar(field, n, coin_id, rng):
+    """A faulty holder: its own garbage share to every receiver."""
+    yield [Send(dst, (expose_tag(coin_id), field.random(rng)))
+           for dst in range(1, n + 1)]
+
+
+class TestReplayEqualsLive:
+    """The replay rule (``coin_expose.exposure_shares``): a receiver's
+    decode over every share that reached it in the run is the value it
+    decoded live — with up to t liars, whenever their shares land."""
+
+    N, T = 7, 2
+
+    def _exposure(self, seed, liars):
+        field = GF2k(16)
+        rng = random.Random(seed)
+        secret, shares = make_dealer_coin(field, self.N, self.T, "c", rng)
+        bus = EventBus()
+        flight = FlightRecorder(n=self.N, t=self.T, field=field).attach(bus)
+        faulty = {pid: _liar(field, self.N, "c", rng) for pid in liars}
+        return field, secret, shares, bus, flight, faulty
+
+    def _assert_replay_is_live(self, flight, outputs, secret, liars):
+        (replayed,) = replay(flight.log()).decoded_values().values()
+        for pid in range(1, self.N + 1):
+            if pid not in liars:
+                assert replayed[pid] == outputs[pid] == secret
+
+    @given(seed=st.integers(0, 10_000),
+           delays=st.dictionaries(st.integers(1, 7), st.integers(0, 2),
+                                  max_size=2))
+    @settings(max_examples=25, deadline=None)
+    def test_lockstep_liars_delayed_by_up_to_two_rounds(self, seed, delays):
+        field, secret, shares, bus, flight, faulty = self._exposure(
+            seed, delays
+        )
+        plane = FaultPlane()
+        for liar, by in delays.items():
+            if by:
+                plane.delay(src=liar, by=by)
+        network = SynchronousNetwork(self.N, field=field, bus=bus,
+                                     faults=plane, allow_broadcast=False)
+        outputs = run_players(
+            network, self.N,
+            lambda pid: coin_expose(field, pid, shares[pid]), faulty,
+        )
+        self._assert_replay_is_live(flight, outputs, secret, delays)
+
+    @given(seed=st.integers(0, 10_000), sched_seed=st.integers(0, 10_000),
+           liars=st.sets(st.integers(1, 7), max_size=2))
+    @settings(max_examples=25, deadline=None)
+    def test_async_liars_under_random_schedules(self, seed, sched_seed,
+                                                liars):
+        field, secret, shares, bus, flight, faulty = self._exposure(
+            seed, liars
+        )
+        runtime = AsyncRuntime(self.N, field=field, bus=bus,
+                               scheduler=RandomOrderScheduler(sched_seed))
+        outputs = run_players(
+            runtime, self.N,
+            lambda pid: async_coin_program(field, self.N, pid, shares[pid]),
+            faulty,
+        )
+        self._assert_replay_is_live(flight, outputs, secret, liars)
+
+    def test_a_share_delayed_to_one_receiver_does_not_split_the_replay(self):
+        """The parent decoded the late share alone, in the drain round,
+        and overwrote player 2's good value with None."""
+        field, secret, shares, bus, flight, faulty = self._exposure(5, {7})
+        network = SynchronousNetwork(
+            self.N, field=field, bus=bus, allow_broadcast=False,
+            faults=FaultPlane().delay(src=7, dst=2, by=1),
+        )
+        run_players(network, self.N,
+                    lambda pid: coin_expose(field, pid, shares[pid]), faulty)
+        log = flight.log()
+        assert [len(event.deliveries) for event in log.rounds] == [48, 1]
+        (replayed,) = replay(log).decoded_values().values()
+        assert set(replayed.values()) == {secret}
 
 
 class TestDiff:

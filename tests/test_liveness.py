@@ -32,8 +32,7 @@ from repro.obs import (
     StallWatchdog,
     audit_liveness,
     default_threshold,
-    waits_to_chrome,
-    waits_to_jsonl,
+    to_prometheus,
 )
 from repro.obs.bus import (
     FAULT,
@@ -44,7 +43,7 @@ from repro.obs.bus import (
     RUN,
     EventBus,
 )
-from repro.obs.causality import CausalRecorder
+from repro.obs.causality import graph_from_log
 from repro.obs.critical_path import critical_path, ops_from_recorder
 from repro.obs.flight import FlightRecorder, diff
 from repro.protocols.async_coin import async_coin_program, run_async_coin
@@ -198,15 +197,14 @@ class TestQuorumLatencyRecorder:
         bus = EventBus()
         latency = QuorumLatencyRecorder().attach(bus)
         watchdog = StallWatchdog(7, threshold=threshold).attach(bus)
-        causal = CausalRecorder(n=7).attach(bus)
         outputs, secret, runtime = run_async_coin(
             FIELD, 7, 2, seed=13, bus=bus,
             scheduler=RandomOrderScheduler(sched_seed), crashed=crashed,
         )
-        return latency, watchdog, causal, outputs
+        return latency, watchdog, outputs
 
     def test_every_guard_fires_with_positive_latency(self):
-        latency, _, _, _ = self._observed_run()
+        latency, _, _ = self._observed_run()
         records = latency.waits()
         assert len(records) == 7
         assert all(r.fired for r in records)
@@ -214,7 +212,7 @@ class TestQuorumLatencyRecorder:
         assert latency.max_wait() >= latency.mean_wait() > 0
 
     def test_pivotal_sender_is_a_recorded_arrival(self):
-        latency, _, _, _ = self._observed_run()
+        latency, _, _ = self._observed_run()
         for record in latency.fired_records():
             assert record.pivotal in {src for _, src in record.arrivals}
             assert record.pivotal in record.senders
@@ -222,35 +220,22 @@ class TestQuorumLatencyRecorder:
         assert sum(counts.values()) == 7
 
     def test_pool_gauges_accumulate(self):
-        latency, _, _, _ = self._observed_run()
+        latency, _, _ = self._observed_run()
         assert latency.pool_peak > 0
         assert latency.backlog_peak.get("multicast", 0) == latency.pool_peak
-        assert max(d for _, _, d in latency.pool_depths) == latency.pool_peak
-
-    def test_pivotal_what_if_composes_with_cost_model(self):
-        latency, _, causal, _ = self._observed_run()
-        results = latency.pivotal_what_if(causal.graph(), scale=10.0, top=2)
-        assert len(results) == 2
-        top_player = max(
-            latency.pivotal_counts().items(), key=lambda kv: (kv[1], -kv[0])
-        )[0]
-        assert top_player in results
-        for player, what in results.items():
-            # a 10x straggler can only slow the run down
-            assert what.player == player
-            assert what.makespan_delta >= 0
-            assert what.perturbed.makespan >= what.base.makespan
 
     def test_exports_parse(self):
-        import json
-
-        latency, watchdog, _, _ = self._observed_run(threshold=3)
-        trace = json.loads(waits_to_chrome(latency, watchdog))
-        assert any(e.get("ph") == "X" for e in trace["traceEvents"])
-        lines = waits_to_jsonl(latency, watchdog).splitlines()
-        rows = [json.loads(line) for line in lines]
-        assert rows[-1]["kind"] == "summary"
-        assert rows[-1]["waits"] == 7
+        latency, watchdog, _ = self._observed_run(threshold=3)
+        samples = dict(
+            line.rsplit(" ", 1)
+            for line in to_prometheus(liveness=latency,
+                                      watchdog=watchdog).splitlines()
+            if not line.startswith("#")
+        )
+        assert samples['repro_guard_waits_total{state="fired"}'] == "7"
+        assert samples["repro_guard_wait_ticks_count"] == "7"
+        assert samples["repro_pool_depth_peak"] == str(latency.pool_peak)
+        assert samples["repro_watchdog_threshold_ticks"] == "3"
 
 
 # -- the conformance audit ---------------------------------------------------
@@ -377,10 +362,10 @@ class TestAsyncSpanPricing:
     def _recorded_run(self, sched_seed):
         recorder = SpanRecorder()
         bus = EventBus()
-        causal = CausalRecorder(n=7).attach(bus)
+        flight = FlightRecorder(n=7, t=2).attach(bus)
         run_async_coin(FIELD, 7, 2, seed=13, bus=bus, recorder=recorder,
                        scheduler=RandomOrderScheduler(sched_seed))
-        return recorder, causal.graph()
+        return recorder, graph_from_log(flight.log())
 
     def test_coverage_is_at_least_95_percent(self):
         """Round spans attribute (nearly) the whole async protocol span."""

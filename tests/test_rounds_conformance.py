@@ -48,7 +48,7 @@ class TestFaultFreeExact:
         checks = checks_by_protocol(recorded_run())
         assert set(checks) == {"coin_gen", "expose"}
         for check in checks.values():
-            assert check.ok, check.to_dict()
+            assert check.ok, check
             assert check.deviation == 0
             assert check.faults == 0
         assert checks["coin_gen"].expected == predicted_rounds(
@@ -88,9 +88,7 @@ class TestUnderFaultInjection:
         checks = checks_by_protocol(recorded_run(faults=plane, expose=False))
         check = checks["coin_gen"]
         assert check.faults > 0
-        payload = check.to_dict()
-        assert payload["faults_observed"] == check.faults
-        assert payload["deviation"] == check.measured - check.expected
+        assert check.deviation == check.measured - check.expected
 
     def test_silence_fault_does_not_empty_other_senders_rounds(self):
         # silencing one player leaves every round message-carrying, so
@@ -108,7 +106,6 @@ class TestRoundsCheckShape:
                             faults=1)
         assert check.deviation == -2
         assert not check.ok
-        assert check.to_dict()["metric"] == "rounds"
 
     @pytest.mark.parametrize("measured,ok", [(11, True), (12, False)])
     def test_exactness(self, measured, ok):
