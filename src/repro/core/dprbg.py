@@ -31,13 +31,6 @@ class GenerationError(Exception):
     """A Coin-Gen run failed (e.g. the seed ran out of leader coins)."""
 
 
-def tuple_or_value(output, index):
-    """Pick the index-th exposed value from a coin_expose_many output."""
-    if isinstance(output, list):
-        return output[index]
-    return output
-
-
 @dataclass
 class StretchResult:
     """Outcome of one D-PRBG stretch."""
@@ -214,7 +207,7 @@ class SharedCoinSystem:
 
         results = []
         for index, coin in enumerate(coins):
-            values = {tuple_or_value(outputs[pid], index) for pid in honest}
+            values = {outputs[pid][index] for pid in honest}
             if len(values) != 1:
                 raise UnanimityError(
                     f"coin {coin.coin_id}: honest views "

@@ -113,6 +113,8 @@ class Field(ABC):
         #: bulk-kernel strategy object (see :mod:`repro.fields.backends`);
         #: None = no backend layer, bulk ops run as metered scalar loops
         self._backend = None
+        #: player id -> evaluation point, filled by :meth:`element_points`
+        self._points: dict = {}
 
     def _init_backend(self, backend: "str | None") -> None:
         """Attach the bulk-kernel backend ``backend`` names (see
@@ -354,6 +356,19 @@ class Field(ABC):
                 f"player id {player_id} out of range for field of order {self.order}"
             )
         return self.from_int(player_id)
+
+    def element_points(self, player_ids: Sequence[int]) -> List[Element]:
+        """:meth:`element_point` of every id in ``player_ids``, each
+        looked up once per field: a decode asks for the same ``n``
+        points coin after coin."""
+        points = self._points
+        try:
+            return list(map(points.__getitem__, player_ids))
+        except KeyError:
+            for pid in player_ids:
+                if pid not in points:
+                    points[pid] = self.element_point(pid)
+            return list(map(points.__getitem__, player_ids))
 
     # -- randomness -------------------------------------------------------
     def random(self, rng) -> Element:

@@ -125,7 +125,9 @@ class NetworkMetrics:
         self.bits += self.element_bits * payload_field_elements(payload)
 
     def add_player_ops(self, player_id: int, delta: OpCounter) -> None:
-        current = self.player_ops.setdefault(player_id, OpCounter())
+        current = self.player_ops.get(player_id)
+        if current is None:
+            current = self.player_ops[player_id] = OpCounter()
         current.adds += delta.adds
         current.muls += delta.muls
         current.invs += delta.invs

@@ -99,7 +99,7 @@ class RuntimeBase:
         Number of players, with ids ``1..n``.
     field:
         Optional field whose operation counter is attributed per player
-        (snapshots around each program step).
+        (its four tallies read before and after each program step).
     metrics:
         Optional pre-existing metrics object to accumulate into.
     scheduler:
@@ -238,7 +238,9 @@ class RuntimeBase:
         recorder = self.recorder
         recording = recorder.enabled and round_no > 0
         t0 = recorder.clock() if recording else 0.0
-        before = self.field.counter.snapshot() if self.field is not None else None
+        counter = self.field.counter if self.field is not None else _ZERO_OPS
+        adds, muls = counter.adds, counter.muls
+        invs, interpolations = counter.invs, counter.interpolations
         try:
             if inbox is None:
                 sends = next(program)
@@ -249,19 +251,27 @@ class RuntimeBase:
             outputs[pid] = stop.value
             sends = None
         finally:
-            delta = None
-            if before is not None:
-                delta = self.field.counter.delta(before)
-                self.metrics.add_player_ops(pid, delta)
+            # the step's op-count delta: the four tallies read before and
+            # after, added to the player's running total in place
+            adds, muls = counter.adds - adds, counter.muls - muls
+            invs = counter.invs - invs
+            interpolations = counter.interpolations - interpolations
+            if counter is not _ZERO_OPS:
+                player_ops = self.metrics.player_ops
+                ops = player_ops.get(pid)
+                if ops is None:
+                    ops = player_ops[pid] = OpCounter()
+                ops.adds += adds
+                ops.muls += muls
+                ops.invs += invs
+                ops.interpolations += interpolations
             if recording:
-                ops = delta if delta is not None else _ZERO_OPS
-                span = recorder.record(
+                self._step_spans.append(recorder.record(
                     f"player {pid}", "player", t0, recorder.clock(),
                     player=pid, round=round_no,
-                    adds=ops.adds, muls=ops.muls, invs=ops.invs,
-                    interpolations=ops.interpolations,
-                )
-                self._step_spans.append(span)
+                    adds=adds, muls=muls, invs=invs,
+                    interpolations=interpolations,
+                ))
         if isinstance(sends, Guarded):
             if self._guard_mode.get(pid) is False:
                 raise ProtocolViolation(

@@ -110,10 +110,10 @@ class SynchronousNetwork(RuntimeBase):
             return 0
         sends = self._advance(pid, program, inbox, outputs, done, round_no)
         if sends:
-            deliveries.extend(
+            deliveries += [
                 (dst, pid, payload)
                 for dst, payload in self._emit(pid, sends, round_no)
-            )
+            ]
         return 1
 
     def run(
@@ -153,7 +153,7 @@ class SynchronousNetwork(RuntimeBase):
         inbox_phase: Optional[str] = None
 
         for _ in range(self.max_rounds):
-            if all(done[pid] for pid in waited):
+            if all(map(done.__getitem__, waited)):
                 break
             self.metrics.rounds += 1
             round_no += 1
@@ -257,10 +257,17 @@ class SynchronousNetwork(RuntimeBase):
 
             started = True
             inboxes = {pid: {} for pid in programs}
+            in_guard_mode = [
+                pid for pid, mode in self._guard_mode.items() if mode
+            ]
             for dst, src, payload in deliveries:
                 if dst in inboxes:
-                    inboxes[dst].setdefault(src, []).append(payload)
-                    if self._guard_mode.get(dst):
+                    inbox = inboxes[dst]
+                    if src in inbox:
+                        inbox[src].append(payload)
+                    else:
+                        inbox[src] = [payload]
+                    if dst in in_guard_mode:
                         self._deliver(dst, src, payload, round_no, done)
         else:
             raise self._exhausted(

@@ -132,17 +132,15 @@ class Transport:
                 if send.dst != ALL:
                     raise ProtocolViolation("broadcast must be addressed to ALL")
                 self.metrics.record_broadcast(send.payload)
-                deliveries.extend(
-                    (dst, send.payload) for dst in range(1, self.n + 1)
-                )
+                payload = send.payload
+                deliveries += [(dst, payload) for dst in range(1, self.n + 1)]
             elif send.dst == ALL:
                 # size the payload once, not once per recipient
+                payload = send.payload
                 self.metrics.record_unicast_elements(
-                    payload_field_elements(send.payload), copies=self.n
+                    payload_field_elements(payload), copies=self.n
                 )
-                deliveries.extend(
-                    (dst, send.payload) for dst in range(1, self.n + 1)
-                )
+                deliveries += [(dst, payload) for dst in range(1, self.n + 1)]
             else:
                 if not 1 <= send.dst <= self.n:
                     raise ProtocolViolation(f"bad destination {send.dst}")

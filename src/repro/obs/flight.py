@@ -104,10 +104,17 @@ def _get(record, key: str, kind=int, optional: bool = False):
     return value
 
 
-def _decode_delivery(item) -> Tuple[int, int, Any]:
+def _player(value, n: int, what: str) -> int:
+    """``value``, checked to be one of the header's players ``1..n``."""
+    if type(value) is not int or not 1 <= value <= n:
+        raise ValueError(f"{what} {value!r} is not a player id in 1..{n}")
+    return value
+
+
+def _decode_delivery(item, n: int) -> Tuple[int, int, Any]:
     dst, src, wire = item
-    if not (type(dst) is int and type(src) is int):
-        raise ValueError(f"delivery {item!r}: player ids must be integers")
+    _player(dst, n, "delivery dst")
+    _player(src, n, "delivery src")
     if isinstance(wire, str):
         return dst, src, codec.decode(bytes.fromhex(wire))
     return dst, src, OpaquePayload(_get(wire, "repr", str))
@@ -223,16 +230,20 @@ class FlightLog:
                         run=_get(record, "run", optional=True) or run or 1,
                         round=_get(record, "r"),
                         deliveries=tuple(
-                            _decode_delivery(item)
+                            _decode_delivery(item, log.n)
                             for item in _get(record, "d", list)
                         ),
                     ))
                 elif kind == "fault":
+                    dst = _get(record, "dst")
+                    if dst != 0:  # 0: every destination (a player's fault)
+                        _player(dst, log.n, "fault dst")
                     log.faults.append(FaultEvent(
                         index=index,
                         run=_get(record, "run", optional=True) or run or 1,
                         round=_get(record, "r"), kind=_get(record, "k", str),
-                        src=_get(record, "src"), dst=_get(record, "dst"),
+                        src=_player(_get(record, "src"), log.n, "fault src"),
+                        dst=dst,
                     ))
                 else:
                     raise ValueError(f"unknown flight event kind {kind!r}")
@@ -416,6 +427,7 @@ def replay(log: FlightLog, field=None, t: Optional[int] = None) -> ReplayResult:
     """
     from repro.protocols.coin_expose import (
         decode_exposed,
+        expose_tag,
         exposure_shares,
         share_points,
     )
@@ -436,18 +448,20 @@ def replay(log: FlightLog, field=None, t: Optional[int] = None) -> ReplayResult:
             tally[tag] = tally.get(tag, 0) + 1
     decodes: List[ExposeDecode] = []
     runs = log.rounds_by_run() if field is not None else {}
+    players = range(1, log.n + 1)
     for run, events in runs.items():
         views = exposure_shares(
             delivery for event in events for delivery in event.deliveries
         )
         for receiver, coins in sorted(views.items()):
-            for coin_id, by_sender in sorted(coins.items()):
+            for coin_id, inbox in sorted(coins.items()):
+                xs, ys = share_points(
+                    field, inbox, expose_tag(coin_id), players
+                )
                 decodes.append(ExposeDecode(
                     run=run, coin_id=coin_id, receiver=receiver,
-                    value=decode_exposed(
-                        field, share_points(field, by_sender), t
-                    ),
-                    senders=tuple(sorted(by_sender)),
+                    value=decode_exposed(field, xs, ys, t),
+                    senders=tuple(sorted(inbox)),
                 ))
     return ReplayResult(log=log, inboxes=inboxes, tags=tags,
                         expose_decodes=decodes)

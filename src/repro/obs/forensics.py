@@ -269,19 +269,19 @@ def _accuse_bad_shares(report: AccusationReport, run: int, events, field,
         delivery for event in events for delivery in event.deliveries
     )
     accused: Set[Tuple[int, str]] = set()
+    players = range(1, report.n + 1)
     for receiver, coins in sorted(views.items()):
-        for coin_id, by_sender in sorted(coins.items()):
-            points = share_points(field, by_sender)
-            accepted = decode_shares(field, points, t)
+        for coin_id, inbox in sorted(coins.items()):
+            tag = expose_tag(coin_id)
+            xs, ys = share_points(field, inbox, tag, players)
+            accepted = decode_shares(field, xs, ys, t)
             if accepted is None:
                 continue
-            good = set(accepted[1])
-            for position, (point, _share) in enumerate(points):
-                src = field.to_int(point)  # the abscissa is the sender's id
-                if position in good or (src, coin_id) in accused:
+            for position in accepted[1]:
+                src = field.to_int(xs[position])  # the abscissa is the id
+                if (src, coin_id) in accused:
                     continue
                 accused.add((src, coin_id))
-                tag = expose_tag(coin_id)
                 # evidence: the event that carried the share to this view
                 event = next(
                     event for event in events

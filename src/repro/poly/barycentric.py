@@ -44,7 +44,6 @@ Three modes support the benchmark ablations (``interpolation_mode``):
 
 from __future__ import annotations
 
-import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -87,7 +86,7 @@ def interpolation_mode(mode: str):
 class _NodeSet:
     """Precomputed data for one set of interpolation abscissas.
 
-    Both tables are lazy: a set that only ever serves ``polynomial()``
+    Both tables are lazy: a set that only ever serves ``coefficients()``
     (every Berlekamp-Welch head) never builds ``weights``, one that only
     serves ``eval_at()`` never builds the divided-difference inverses.
     """
@@ -183,8 +182,13 @@ class _NodeSet:
         """Interpolant of ``points`` evaluated at ``x0`` (inversion-free on hit)."""
         return self.field.dot(self.coefficients_at(x0), self._aligned_ys(points))
 
-    def polynomial(self, points: Sequence[Point]) -> Polynomial:
-        """The full interpolating polynomial (inversion-free on hit).
+    def coefficients(
+        self, xs: Sequence[Element], ys: Sequence[Element]
+    ) -> List[Element]:
+        """Monomial coefficients (low degree first, one per node, zeros
+        kept) of the interpolant with value ``ys[i]`` at ``xs[i]`` —
+        ``xs`` being this set's abscissas in any order.  Inversion-free
+        on a hit.
 
         Newton form: divided differences against the cached inverses
         (``m(m-1)/2`` products of two arbitrary elements), then the
@@ -194,20 +198,23 @@ class _NodeSet:
         """
         f = self.field
         sub, mul = f.sub, f.mul
-        xs = self.xs
-        m = len(xs)
-        newton = self._aligned_ys(points)
+        nodes = self.xs
+        m = len(nodes)
+        if tuple(xs) == nodes:  # already in canonical order: ids ascending
+            newton = list(ys)
+        else:
+            newton = self._aligned_ys(zip(xs, ys))
         for j, inv_row in enumerate(self.inverse_differences(), start=1):
             for i in range(m - 1, j - 1, -1):
                 newton[i] = mul(sub(newton[i], newton[i - 1]), inv_row[i - j])
         coeffs = newton[m - 1:]
         for k in range(m - 2, -1, -1):
-            xk = xs[k]
+            xk = nodes[k]
             shifted = [newton[k]] + coeffs
             for i, c in enumerate(coeffs):
                 shifted[i] = sub(shifted[i], mul(c, xk))
             coeffs = shifted
-        return Polynomial(f, coeffs)
+        return coeffs
 
 
 class InterpolationCache:
@@ -245,8 +252,11 @@ class InterpolationCache:
         return node.eval_at(points, x0)
 
     def polynomial(self, points: Sequence[Point]) -> Polynomial:
-        node = self.node_set([x for x, _ in points])
-        return node.polynomial(points)
+        """The full interpolating polynomial (inversion-free on hit)."""
+        xs = [x for x, _ in points]
+        return Polynomial(self.field, self.node_set(xs).coefficients(
+            xs, [y for _, y in points]
+        ))
 
     def stats(self) -> Dict[str, int]:
         return {
@@ -256,18 +266,17 @@ class InterpolationCache:
         }
 
 
-_SHARED: "weakref.WeakKeyDictionary[Field, InterpolationCache]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def shared_cache(field: Field) -> InterpolationCache:
-    """The long-lived cache attached to ``field`` (created on first use)."""
-    cache = _SHARED.get(field)
-    if cache is None:
-        cache = InterpolationCache(field)
-        _SHARED[field] = cache
-    return cache
+    """The long-lived cache attached to ``field`` (created on first use).
+
+    Kept on the field object itself, so it lives exactly as long as the
+    field does and finding it is one attribute read on every decode.
+    """
+    try:
+        return field._interpolation_cache
+    except AttributeError:
+        field._interpolation_cache = InterpolationCache(field)
+        return field._interpolation_cache
 
 
 def cache_for(field: Field) -> InterpolationCache:

@@ -20,7 +20,7 @@ from repro.fields.base import Element, Field
 from repro.poly import barycentric
 from repro.poly.lagrange import _require_distinct
 from repro.poly.linalg import solve_linear_system
-from repro.poly.polynomial import Polynomial
+from repro.poly.polynomial import Polynomial, horner_many
 
 Point = Tuple[Element, Element]
 
@@ -45,7 +45,37 @@ def berlekamp_welch(
     Returns ``(F, good_indices)`` where ``good_indices`` lists the
     positions whose values match ``F``.  Raises :class:`DecodingError` when
     no degree-``degree`` polynomial agrees with at least
-    ``len(points) - max_errors`` of the points.
+    ``len(points) - max_errors`` of the points.  :func:`decode_lists` on
+    the points' coordinates, its answer dressed as a polynomial and the
+    kept positions.
+    """
+    xs, ys = [], []
+    for x, y in points:
+        xs.append(x)
+        ys.append(y)
+    coeffs, wrong = decode_lists(field, xs, ys, degree, max_errors)
+    good = list(range(len(xs)))
+    if wrong:
+        good = [i for i in good if i not in wrong]
+    return Polynomial(field, coeffs), good
+
+
+def decode_lists(
+    field: Field,
+    xs: List[Element],
+    ys: List[Element],
+    degree: int,
+    max_errors: int = None,
+) -> Tuple[List[Element], List[int]]:
+    """The decoder proper, on parallel lists: ``ys[i]`` is the value
+    received for abscissa ``xs[i]``.
+
+    Returns ``(coeffs, wrong)``: the decoded polynomial's coefficients
+    (low degree first, no zero leading one — empty for the zero
+    polynomial, so ``F(0)`` is ``coeffs[0]`` when there is one) and the
+    ascending positions whose values are off it, at most ``max_errors``
+    of them.  Raises :class:`DecodingError` when nothing decodes and
+    ``ValueError`` on a repeated abscissa.
 
     Counted as a single interpolation in the field's counter, matching the
     paper's accounting ("the Berlekamp-Welch decoder can be used to
@@ -56,15 +86,13 @@ def berlekamp_welch(
     the first time a head's node set is seen) per dirty head; the
     key-equation solve is the last resort.
     """
-    points = list(points)
-    n = len(points)
-    xs = [x for x, _ in points]
+    n = len(xs)
     _require_distinct(xs)
     if n < degree + 1:
         raise DecodingError(f"need at least {degree + 1} points, got {n}")
-    if max_errors is None:
-        max_errors = max_correctable_errors(n, degree)
-    max_errors = min(max_errors, max_correctable_errors(n, degree))
+    correctable = max_correctable_errors(n, degree)
+    if max_errors is None or max_errors > correctable:
+        max_errors = correctable
     field.counter.interpolations += 1
 
     # Optimistic fast path: interpolate through the first degree+1 points
@@ -75,32 +103,28 @@ def berlekamp_welch(
     # candidates would agree on >= n - 2*max_errors >= degree + 1 common
     # points), so when this succeeds it returns exactly what the
     # key-equation solve would — without the O(n^3) linear system.
-    if barycentric.cache_mode() != "off":
-        head = degree + 1
-        candidate = optimistic_candidate(field, points[:head])
-        values = candidate.evaluate_many(xs[head:])
-        good = list(range(head))
-        good += [i for i, v in enumerate(values, head) if v == points[i][1]]
-        if len(good) >= n - max_errors:
-            return candidate, good
-        return decode_past_first_head(field, points, degree, max_errors)
-
-    return full_decode(field, points, degree, max_errors)
+    if barycentric.cache_mode() == "off":
+        return _key_equation(field, xs, ys, degree, max_errors)
+    coeffs, wrong = _head_test(field, xs, ys, 0, degree + 1)
+    if len(wrong) <= max_errors:
+        return coeffs, wrong
+    return decode_past_first_head(field, xs, ys, degree, max_errors)
 
 
 def decode_past_first_head(
     field: Field,
-    points: Sequence[Point],
+    xs: List[Element],
+    ys: List[Element],
     degree: int,
     max_errors: int,
-) -> Tuple[Polynomial, List[int]]:
+) -> Tuple[List[Element], List[int]]:
     """Finish a decode whose first head's candidate missed the threshold.
 
     A wrong share among the first ``degree + 1`` points spoils that
     candidate, not the decode: the same optimistic test is run from the
     next *disjoint* heads — points ``[degree+1, 2*degree+2)``, and so on
     — each candidate checked against every point outside its head.  By
-    the uniqueness argument in :func:`berlekamp_welch` an accepted
+    the uniqueness argument in :func:`decode_lists` an accepted
     candidate is the polynomial the key equation would return.  If a
     polynomial within ``max_errors`` exists, its wrong shares dirty at
     most ``max_errors`` heads, so one of any ``max_errors + 1`` is clean
@@ -109,28 +133,70 @@ def decode_past_first_head(
     every one) or when nothing decodes at all.  No re-metering: the
     caller already counted the interpolation.
     """
-    n = len(points)
     head = degree + 1
-    xs = [x for x, _ in points]
-    for start in range(head, min(n // head, max_errors + 1) * head, head):
-        stop = start + head
-        candidate = optimistic_candidate(field, points[start:stop])
-        outside = [*range(start), *range(stop, n)]
-        values = candidate.evaluate_many([xs[i] for i in outside])
-        wrong = {i for i, v in zip(outside, values) if v != points[i][1]}
+    for start in range(head, min(len(xs) // head, max_errors + 1) * head, head):
+        coeffs, wrong = _head_test(field, xs, ys, start, start + head)
         if len(wrong) <= max_errors:
-            return candidate, [i for i in range(n) if i not in wrong]
-    return full_decode(field, points, degree, max_errors)
+            return coeffs, wrong
+    return _key_equation(field, xs, ys, degree, max_errors)
 
 
-def optimistic_candidate(field: Field, points: Sequence[Point]) -> Polynomial:
-    """The head-interpolation candidate the optimistic fast path tests.
+def optimistic_candidate(
+    field: Field, xs: List[Element], ys: List[Element], start: int, stop: int
+) -> List[Element]:
+    """The head-interpolation candidate the optimistic stage tests: the
+    coefficients (no zero leading one) of the polynomial through points
+    ``[start, stop)``, a Newton build against the cached node set of
+    those abscissas.
 
     Exposed so batched decoders (``decode_batched_many``) can build many
     candidates and verify them in one bulk evaluation sweep while paying
-    exactly the ops :func:`berlekamp_welch` would.
+    exactly the ops :func:`decode_lists` would.
     """
-    return barycentric.cache_for(field).polynomial(list(points))
+    head_xs = xs[start:stop]
+    node = barycentric.cache_for(field).node_set(head_xs)
+    coeffs = node.coefficients(head_xs, ys[start:stop])
+    zero = field.zero
+    while coeffs and coeffs[-1] == zero:
+        coeffs.pop()
+    return coeffs
+
+
+def outside_mismatches(
+    values: List[Element], ys: List[Element], start: int, stop: int
+) -> List[int]:
+    """Positions of ``ys`` outside ``[start, stop)`` that a candidate
+    misses, ``values`` being the candidate at every outside abscissa in
+    order — the counted comparison of the optimistic stage."""
+    outside = ys[:start] + ys[stop:]
+    if values == outside:
+        return []
+    head = stop - start
+    return [
+        i if i < start else i + head
+        for i, (v, y) in enumerate(zip(values, outside)) if v != y
+    ]
+
+
+def _head_test(
+    field: Field, xs: List[Element], ys: List[Element], start: int, stop: int
+) -> Tuple[List[Element], List[int]]:
+    """The optimistic stage on one head: its candidate, swept over every
+    point outside the head (Horner steps on the candidate's own degree,
+    like any polynomial evaluated), and the positions it misses."""
+    coeffs = optimistic_candidate(field, xs, ys, start, stop)
+    values = horner_many(field, coeffs, xs[:start] + xs[stop:])
+    return coeffs, outside_mismatches(values, ys, start, stop)
+
+
+def _key_equation(
+    field: Field, xs: List[Element], ys: List[Element], degree: int,
+    max_errors: int,
+) -> Tuple[List[Element], List[int]]:
+    """:func:`full_decode` in :func:`decode_lists`' currency."""
+    poly, good = full_decode(field, list(zip(xs, ys)), degree, max_errors)
+    kept = set(good)
+    return list(poly.coeffs), [i for i in range(len(xs)) if i not in kept]
 
 
 def full_decode(

@@ -72,22 +72,9 @@ class Polynomial:
         return result
 
     def evaluate_many(self, xs: Sequence[Element]) -> List[Element]:
-        """Evaluate at every point of ``xs`` in one shared Horner sweep.
-
-        A single pass over the coefficients updates all accumulators via
-        the field's vectorized ``axpy_many`` — the same mul/add totals as
-        per-point Horner, but one batched step per coefficient instead of
-        ``len(xs)`` interleaved scalar calls.
-        """
-        f = self.field
-        xs = list(xs)
-        coeffs = self.coeffs
-        if not xs or not coeffs:
-            return [f.zero] * len(xs)
-        acc = [coeffs[-1]] * len(xs)
-        for c in coeffs[-2::-1]:
-            acc = f.axpy_many(acc, xs, c)
-        return acc
+        """Evaluate at every point of ``xs`` in one shared Horner sweep
+        (:func:`horner_many` over the stored coefficients)."""
+        return horner_many(self.field, self.coeffs, list(xs))
 
     # -- arithmetic ------------------------------------------------------------
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -159,6 +146,26 @@ class Polynomial:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Polynomial(deg={self.degree}, coeffs={self.coeffs!r})"
+
+
+def horner_many(
+    field: Field, coeffs: Sequence[Element], xs: Sequence[Element]
+) -> List[Element]:
+    """The polynomial with *trimmed* coefficients ``coeffs`` (low degree
+    first, no zero leading one) at every point of ``xs``.
+
+    A single pass over the coefficients updates all accumulators via
+    the field's vectorized ``axpy_many`` — the same mul/add totals as
+    per-point Horner (``len(coeffs) - 1`` of each per point), but one
+    batched step per coefficient instead of ``len(xs)`` interleaved
+    scalar calls.
+    """
+    if not xs or not coeffs:
+        return [field.zero] * len(xs)
+    acc = [coeffs[-1]] * len(xs)
+    for c in coeffs[-2::-1]:
+        acc = field.axpy_many(acc, xs, c)
+    return acc
 
 
 def evaluate_columns(

@@ -63,15 +63,14 @@ def async_coin_program(
     while True:
         inbox = yield guarded(sends, tags=tag, quorum=quorum)
         sends = []
-        received = filter_tag(inbox, tag)
         value = decode_exposed(
-            field, share_points(field, received, coin.senders), coin.t
+            field, *share_points(field, inbox, tag, coin.senders), coin.t
         )
         if value is not None:
             return value
         # not decodable from this prefix of the delivery order (faulty
         # shares in view): wait for one more distinct expose sender
-        quorum = len(received) + 1
+        quorum = len(filter_tag(inbox, tag)) + 1
 
 
 def run_async_coin(

@@ -36,6 +36,7 @@ from repro.poly.berlekamp_welch import (
     decode_past_first_head,
     max_correctable_errors,
     optimistic_candidate,
+    outside_mismatches,
 )
 from repro.poly.lagrange import _require_distinct
 from repro.poly.polynomial import Polynomial, evaluate_polys, horner_batch
@@ -103,40 +104,40 @@ def decode_batched_many(field: Field, point_sets, t: int, n: int):
     if barycentric.cache_mode() == "off":
         return [decode_batched(field, pts, t, n) for pts in point_sets]
     results: list = [None] * len(point_sets)
-    attempted = []  # (index, points, candidate)
+    head = t + 1
+    by_xs: Dict[tuple, list] = {}  # abscissas -> [(index, ys, candidate)]
     for idx, pts in enumerate(point_sets):
         pts = list(pts)
         if len(pts) < n - t:
             continue
         xs = [x for x, _ in pts]
+        ys = [y for _, y in pts]
         _require_distinct(xs)
         field.counter.interpolations += 1
-        attempted.append((idx, pts, optimistic_candidate(field, pts[: t + 1])))
-    by_xs: Dict[tuple, list] = {}
-    for entry in attempted:
-        by_xs.setdefault(tuple(x for x, _ in entry[1]), []).append(entry)
+        candidate = optimistic_candidate(field, xs, ys, 0, head)
+        by_xs.setdefault(tuple(xs), []).append((idx, ys, candidate))
     for xs, entries in by_xs.items():
-        rows = evaluate_polys(
-            field, [candidate for _, _, candidate in entries], xs[t + 1:]
+        xs = list(xs)
+        polys = [Polynomial(field, candidate) for _, _, candidate in entries]
+        rows = evaluate_polys(field, polys, xs[head:])
+        max_errors = min(
+            len(xs) - (n - t), max_correctable_errors(len(xs), t)
         )
-        for (idx, pts, candidate), values in zip(entries, rows):
-            max_errors = min(
-                len(pts) - (n - t), max_correctable_errors(len(pts), t)
-            )
-            good = list(range(t + 1))
-            good += [i for i, v in enumerate(values, t + 1) if v == pts[i][1]]
-            if len(good) < len(pts) - max_errors:
+        for (idx, ys, _), poly, values in zip(entries, polys, rows):
+            wrong = outside_mismatches(values, ys, 0, head)
+            if len(wrong) > max_errors:
                 # corrupted head: same fall-through as berlekamp_welch
                 # (later heads, then the key equation), without
                 # re-paying the optimistic attempt
                 try:
-                    candidate, good = decode_past_first_head(
-                        field, pts, t, max_errors
+                    coeffs, wrong = decode_past_first_head(
+                        field, xs, ys, t, max_errors
                     )
                 except DecodingError:
                     continue
-            if len(good) >= n - t:
-                results[idx] = candidate
+                poly = Polynomial(field, coeffs)
+            if len(xs) - len(wrong) >= n - t:
+                results[idx] = poly
     return results
 
 

@@ -26,10 +26,8 @@ from typing import Any, Dict, Generator, Iterable, List, Optional, Tuple
 
 from repro.fields.base import Element, Field
 from repro.obs.phases import register_tag_phase
-from repro.poly.berlekamp_welch import DecodingError, berlekamp_welch
-from repro.poly.polynomial import Polynomial
-from repro.net.simulator import Send, multicast
-from repro.protocols.common import filter_tag, valid_element
+from repro.poly.berlekamp_welch import DecodingError, decode_lists
+from repro.net.simulator import multicast
 
 #: every Coin-Expose message (seed challenges, leader coins, generated
 #: batches) is tagged ``expose/<coin_id>``; nothing outside this module
@@ -52,46 +50,64 @@ def exposed_coin_id(tag: Any) -> Optional[str]:
 
 def exposure_shares(
     deliveries: Iterable[Tuple[int, int, Any]],
-) -> Dict[int, Dict[str, Dict[int, Any]]]:
-    """``{receiver: {coin_id: {sender: share}}}`` out of ``(dst, src,
-    payload)`` deliveries — which shares make up one exposure.
-
-    A receiver keeps the *first* share each sender sent it under a
-    coin's tag (what :func:`~repro.protocols.common.filter_tag` hands
-    the live players), whenever it arrived.  That is the whole rule,
-    for a lockstep round and an async delivery stream alike, because of
-    what the decoder does with the result: inside the fault model the
-    shares that reached a receiver hold every honest holder's valid one
-    (at least ``n - t`` for a dealt coin) and at most ``t`` wrong ones,
-    which is within the Berlekamp-Welch radius of
-    :func:`decode_exposed`'s acceptance rule, and the polynomial it
-    accepts is unique.  So a receiver's decode over
-    *every* share that reached it in a run equals the decode it made
-    live from whichever subset had arrived when it acted — a liar's
-    share delayed past the round, or an async share landing after the
-    quorum fired, changes the view and not the value.
+) -> Dict[int, Dict[str, Dict[int, List[Any]]]]:
+    """``{receiver: {coin_id: {sender: [payloads]}}}`` out of ``(dst,
+    src, payload)`` deliveries: per receiver and exposed coin, the
+    inbox of that coin's expose traffic over a whole run, in arrival
+    order — what :func:`share_points` reads, so a log reader asks the
+    very function the live players asked.
     """
-    views: Dict[int, Dict[str, Dict[int, Any]]] = {}
+    views: Dict[int, Dict[str, Dict[int, List[Any]]]] = {}
     for dst, src, payload in deliveries:
         if isinstance(payload, tuple) and len(payload) == 2:
             coin_id = exposed_coin_id(payload[0])
             if coin_id is not None:
                 views.setdefault(dst, {}).setdefault(
                     coin_id, {}
-                ).setdefault(src, payload[1])
+                ).setdefault(src, []).append(payload)
     return views
 
 
-def share_points(field: Field, by_sender: Dict[int, Any],
-                 senders=None) -> List[Tuple[Element, Element]]:
-    """The decoder's input: ``(x_sender, share)`` per well-formed share,
-    in sender order — from ``senders`` only, when the qualified set is
-    known (the log readers do not know it and take every sender)."""
-    return [
-        (field.element_point(src), value)
-        for src, value in sorted(by_sender.items())
-        if (senders is None or src in senders) and valid_element(field, value)
-    ]
+def share_points(
+    field: Field, inbox: Dict[Any, List[Any]], tag: str, senders
+) -> Tuple[List[Element], List[Element]]:
+    """The decoder's input for the exposure tagged ``tag``, as parallel
+    lists ``(xs, ys)`` — which shares make up one exposure.
+
+    One pass over ``senders`` (the coin's qualified set; every player of
+    the system for a log reader, who does not know it) in id order: the
+    *first* payload a sender put under the coin's tag, whenever it
+    arrived, kept when its share is a well-formed element, at the
+    sender's evaluation point.  That is the whole rule, for a lockstep
+    round's inbox, an async player's cumulative one and a run's
+    recorded deliveries alike, because of what the decoder does with
+    the result: inside the fault model the shares that reached a
+    receiver hold every honest holder's valid one (at least ``n - t``
+    for a dealt coin) and at most ``t`` wrong ones, which is within the
+    Berlekamp-Welch radius of :func:`decode_exposed`'s acceptance rule,
+    and the polynomial it accepts is unique.  So a receiver's decode
+    over *every* share that reached it in a run equals the decode it
+    made live from whichever subset had arrived when it acted — a
+    liar's share delayed past the round, or an async share landing
+    after the quorum fired, changes the view and not the value.
+    """
+    ids: List[int] = []
+    ys: List[Any] = []
+    for src in sorted(senders):
+        for payload in inbox.get(src, ()):
+            if (
+                isinstance(payload, tuple)
+                and len(payload) == 2
+                and payload[0] == tag
+            ):
+                ids.append(src)
+                ys.append(payload[1])
+                break
+    if not field.contains_all(ys):  # a faulty sender's non-element
+        kept = [i for i, y in enumerate(ys) if y in field]
+        ids = [ids[i] for i in kept]
+        ys = [ys[i] for i in kept]
+    return field.element_points(ids), ys
 
 
 @dataclass(frozen=True)
@@ -150,44 +166,51 @@ def coin_expose_many(field: Field, me: int, coins) -> Generator:
 
     values = []
     for coin in coins:
-        received = filter_tag(inbox, _PREFIX + coin.coin_id)
-        values.append(decode_exposed(
-            field, share_points(field, received, coin.senders), coin.t
-        ))
+        xs, ys = share_points(
+            field, inbox, _PREFIX + coin.coin_id, coin.senders
+        )
+        values.append(decode_exposed(field, xs, ys, coin.t))
     return values
 
 
 def decode_shares(
-    field: Field, points, t: int
-) -> Optional[Tuple[Polynomial, List[int]]]:
-    """The accepted polynomial and the positions of ``points`` on it, or
-    None when nothing meets the robust acceptance rule (module docstring).
+    field: Field, xs: List[Element], ys: List[Element], t: int
+) -> Optional[Tuple[List[Element], List[int]]]:
+    """The accepted polynomial's coefficients and the positions of the
+    shares off it (:func:`~repro.poly.berlekamp_welch.decode_lists`'
+    answer), or None when nothing meets the robust acceptance rule
+    (module docstring).
 
-    The Berlekamp-Welch call below takes its optimistic fast path in the
-    common no-fault case: an inversion-free cached Newton build through
-    the first t+1 shares, checked against the rest.  Because the
-    bootstrap source exposes many coins against the *same* qualified set,
-    every exposure after the first reuses the cached inverse differences
-    — the per-coin cost drops to t(t+1) products plus the match check.
+    The decode takes its optimistic fast path in the common no-fault
+    case: an inversion-free cached Newton build through the first t+1
+    shares, checked against the rest.  Because the bootstrap source
+    exposes many coins against the *same* qualified set, every exposure
+    after the first reuses the cached inverse differences — the
+    per-coin cost drops to t(t+1) products plus the match check.
     """
-    n_valid = len(points)
+    n_valid = len(xs)
     threshold = max(2 * t + 1, n_valid - t) if t > 0 else n_valid
     if n_valid == 0 or n_valid < threshold:
         return None
     try:
-        poly, good = berlekamp_welch(field, points, t, n_valid - threshold)
+        coeffs, wrong = decode_lists(field, xs, ys, t, n_valid - threshold)
     except DecodingError:
         return None
-    if len(good) < threshold:
+    if n_valid - len(wrong) < threshold:
         return None
-    return poly, good
+    return coeffs, wrong
 
 
-def decode_exposed(field: Field, points, t: int) -> Optional[Element]:
-    """Robustly decode the exposed shares to ``F(0)``; None when
-    undecodable."""
-    accepted = decode_shares(field, points, t)
-    return None if accepted is None else accepted[0].coefficient(0)
+def decode_exposed(
+    field: Field, xs: List[Element], ys: List[Element], t: int
+) -> Optional[Element]:
+    """Robustly decode the exposed shares ``ys`` at ``xs`` to ``F(0)``;
+    None when undecodable."""
+    accepted = decode_shares(field, xs, ys, t)
+    if accepted is None:
+        return None
+    coeffs = accepted[0]
+    return coeffs[0] if coeffs else field.zero
 
 
 def coin_to_index(field: Field, value: Element, n: int) -> int:

@@ -392,6 +392,40 @@ class TestExitCodeConvention:
         assert main(argv) == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("forged", [0, -3, 99999999999, 50])
+    def test_a_forged_sender_id_exits_two(self, forged, tmp_path, capsys):
+        """A delivery whose ``src`` is not one of the header's players:
+        0, -3 and 99999999999 used to die in ``Field.element_point`` (a
+        traceback, exit 1); 50 in a 7-player log was *accepted* — counted
+        in receiver 1's view and reported as "player 50: bad-share"."""
+        log_path = tmp_path / "honest.flightlog"
+        assert main(["trace", "--n", "7", "--t", "1", "--M", "1",
+                     "--flight-log", str(log_path)]) == 0
+        capsys.readouterr()
+        assert main(["replay", str(log_path)]) == 0
+        honest_replay = capsys.readouterr().out
+        lines = log_path.read_text().splitlines()
+        number, record = next(
+            (number, json.loads(line)) for number, line in enumerate(lines)
+            if '"round"' in line and any(
+                "6578706f73652f" in str(wire)  # hex of "expose/"
+                for _, _, wire in json.loads(line)["d"]
+            )
+        )
+        delivery = next(d for d in record["d"] if "6578706f73652f" in d[2])
+        delivery[1] = forged
+        lines[number] = json.dumps(record, sort_keys=True)
+        forged_path = tmp_path / "forged.flightlog"
+        forged_path.write_text("\n".join(lines) + "\n")
+        for command in ("replay", "forensics"):
+            assert main([command, str(forged_path)]) == 2
+            err = capsys.readouterr().err.strip()
+            assert len(err.splitlines()) == 1
+            assert f"line {number + 1}" in err and "player id" in err
+        # and the honest log is untouched by the check
+        assert main(["replay", str(log_path)]) == 0
+        assert capsys.readouterr().out == honest_replay
+
     def test_campaign_gate_vs_usage_split(self, tmp_path, capsys):
         # gate tripped (violations found) is 1; unreadable input is 2
         assert main(CAMPAIGN_SMALL + ["--budget", "0", "--known-bad"]) == 1

@@ -98,6 +98,13 @@ class TestFaultTolerance:
         assert set(values.values()) == {None}
 
 
+def decode_points(field, points, t):
+    """``decode_exposed`` of ``(x, share)`` pairs."""
+    return decode_exposed(
+        field, [x for x, _ in points], [y for _, y in points], t
+    )
+
+
 class TestDecodeRule:
     def test_threshold_formula(self, rng):
         """decode_exposed accepts only with >= max(2t+1, N-t) agreement."""
@@ -106,26 +113,26 @@ class TestDecodeRule:
         t = 2
         poly = Polynomial.random(F, t, rng)
         pts = [(F.element_point(i), poly(F.element_point(i))) for i in range(1, 8)]
-        assert decode_exposed(F, pts, t) == poly(F.zero)
+        assert decode_points(F, pts, t) == poly(F.zero)
         # corrupt t of 7: still decodes (7 - 2 = 5 >= max(5,5))
         bad = list(pts)
         bad[0] = (bad[0][0], F.add(bad[0][1], 1))
         bad[1] = (bad[1][0], F.add(bad[1][1], 1))
-        assert decode_exposed(F, bad, t) == poly(F.zero)
+        assert decode_points(F, bad, t) == poly(F.zero)
         # corrupt t+1 of 7: must refuse rather than guess
         bad[2] = (bad[2][0], F.add(bad[2][1], 1))
-        assert decode_exposed(F, bad, t) is None
+        assert decode_points(F, bad, t) is None
 
     def test_empty(self):
-        assert decode_exposed(F, [], 1) is None
+        assert decode_points(F, [], 1) is None
 
     def test_t_zero_requires_unanimous_points(self, rng):
         from repro.poly.polynomial import Polynomial
 
         poly = Polynomial.constant(F, 9)
         pts = [(F.element_point(i), 9) for i in range(1, 4)]
-        assert decode_exposed(F, pts, 0) == 9
-        assert decode_exposed(F, pts + [(F.element_point(4), 8)], 0) is None
+        assert decode_points(F, pts, 0) == 9
+        assert decode_points(F, pts + [(F.element_point(4), 8)], 0) is None
 
 
 class TestHelpers:

@@ -238,11 +238,11 @@ class TestOperandWidth:
         def dealt_points():
             secret = field.random(rng)
             _, shares = scheme.deal(secret, rng)
-            return secret, [(scheme.point(s.player_id), s.value)
-                            for s in shares]
+            return (secret, [scheme.point(s.player_id) for s in shares],
+                    [s.value for s in shares])
 
-        decode_exposed(field, dealt_points()[1], t)  # warm the node set
-        secret, points = dealt_points()
+        decode_exposed(field, *dealt_points()[1:], t)  # warm the node set
+        secret, xs, ys = dealt_points()
         field.wide = 0
-        assert decode_exposed(field, points, t) == secret
+        assert decode_exposed(field, xs, ys, t) == secret
         assert field.wide <= t * (t + 1) // 2

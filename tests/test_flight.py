@@ -353,6 +353,8 @@ class TestVersioning:
 HEADER = '{"flight": 1, "n": 7, "t": 1}'
 ROUND = '{"e": "round", "i": 1, "run": 1, "r": 1, "d": [[2, 1, "690101"]]}'
 
+FAULT = '{"e": "fault", "i": 1, "r": 1, "k": "crash", "src": 4, "dst": 0}'
+
 MALFORMED = {
     "header_without_n": '{"flight": 1}',
     "header_is_a_list": '[1, 2, 3]',
@@ -377,6 +379,25 @@ MALFORMED = {
         HEADER + '\n' + ROUND.replace('"690101"', '{"text": "x"}'),
     "fault_without_kind":
         HEADER + '\n{"e": "fault", "i": 1, "r": 1, "src": 4, "dst": 0}',
+    # ids that are not players 1..n of the header (n = 7)
+    "delivery_from_player_zero":
+        HEADER + '\n' + ROUND.replace('[2, 1,', '[2, 0,'),
+    "delivery_from_a_negative_player":
+        HEADER + '\n' + ROUND.replace('[2, 1,', '[2, -3,'),
+    "delivery_from_beyond_n":
+        HEADER + '\n' + ROUND.replace('[2, 1,', '[2, 50,'),
+    "delivery_from_beyond_the_field":
+        HEADER + '\n' + ROUND.replace('[2, 1,', '[2, 99999999999,'),
+    "delivery_to_player_zero":
+        HEADER + '\n' + ROUND.replace('[2, 1,', '[0, 1,'),
+    "delivery_to_beyond_n":
+        HEADER + '\n' + ROUND.replace('[2, 1,', '[8, 1,'),
+    "fault_by_beyond_n": HEADER + '\n' + FAULT.replace('"src": 4', '"src": 8'),
+    "fault_by_player_zero":
+        HEADER + '\n' + FAULT.replace('"src": 4', '"src": 0'),
+    "fault_at_beyond_n": HEADER + '\n' + FAULT.replace('"dst": 0', '"dst": 8'),
+    "fault_at_a_negative_player":
+        HEADER + '\n' + FAULT.replace('"dst": 0', '"dst": -1'),
 }
 
 
@@ -388,6 +409,11 @@ class TestMalformedLogs:
     def test_the_well_formed_fixture_parses(self):
         log = FlightLog.loads(HEADER + "\n" + ROUND + "\n")
         assert log.rounds[0].deliveries == ((2, 1, 1),)
+
+    def test_a_fault_on_every_destination_parses(self):
+        # dst 0 is "all destinations" (a player-level fault), not a player
+        log = FlightLog.loads(HEADER + "\n" + FAULT + "\n")
+        assert (log.faults[0].src, log.faults[0].dst) == (4, 0)
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_input_is_a_value_error(self, case):

@@ -28,13 +28,14 @@ class TestExposeDecodeProperty:
         scheme = ShamirScheme(F, N, t)
         secret = F.random(rng)
         _, shares = scheme.deal(secret, rng)
-        points = []
+        xs, ys = [], []
         for share in shares:
             value = share.value
             if share.player_id in liars:
                 value = F.add(value, F.random_nonzero(rng))
-            points.append((scheme.point(share.player_id), value))
-        decoded = decode_exposed(F, points, t)
+            xs.append(scheme.point(share.player_id))
+            ys.append(value)
+        decoded = decode_exposed(F, xs, ys, t)
         assert decoded == secret
 
     @given(
@@ -49,12 +50,10 @@ class TestExposeDecodeProperty:
         scheme = ShamirScheme(F, N, t)
         secret = F.random(rng)
         _, shares = scheme.deal(secret, rng)
-        points = [
-            (scheme.point(s.player_id), s.value)
-            for s in shares
-            if s.player_id not in missing
-        ]
-        assert decode_exposed(F, points, t) == secret
+        present = [s for s in shares if s.player_id not in missing]
+        xs = [scheme.point(s.player_id) for s in present]
+        ys = [s.value for s in present]
+        assert decode_exposed(F, xs, ys, t) == secret
 
 
 class TestRefreshAlgebra:
