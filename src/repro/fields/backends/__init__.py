@@ -10,8 +10,9 @@ swappable per field instance:
   zero-dependency loops (exactly the pre-backend behaviour);
 * :class:`~repro.fields.backends.numpy_backend.NumpyBackend` — vectorized
   kernels on numpy arrays: GF(2^k) via log/antilog table gathers (k <= 16
-  with tables) or byte-table carry-less multiplication (k <= 32), GF(p)
-  via ``uint64`` modular arithmetic (p < 2^32).
+  with tables) or table-free carry-less multiplication — sixteen integer
+  multiplies on nibble-spaced operands, shifts along the modulus's taps
+  (k <= 32) — and GF(p) via ``uint64`` modular arithmetic (p < 2^32).
 
 Selection happens at field construction: ``GF2k(k, backend="numpy")``,
 ``GFp(p, backend="python")``, the ``REPRO_FIELD_BACKEND`` environment
@@ -24,11 +25,14 @@ Metering contract: backends are *unmetered* — every
 wrapper methods *before* the backend is consulted, so per-element op
 totals are identical whichever backend computes the result (the lemma
 conformance audits never see a difference).  Results are identical too:
-the numpy kernels compute the same field elements, and configurations a
-vectorized kernel does not cover (small vectors below
-:data:`~repro.fields.backends.numpy_backend.MIN_WIDTH`, k > 32 carry-less
-fields, p >= 2^32 primes, Montgomery's inherently sequential inversion
-chain) transparently reuse the pure loops.
+the numpy kernels compute the same field elements — as exact ``int``s, and
+refusing a non-integer operand with the ``TypeError`` the pure loops raise
+— and configurations a vectorized kernel does not cover (vectors below
+the floor of :meth:`~repro.fields.backends.numpy_backend.NumpyBackend.
+_pure_wins`: 8 elements for a carry-less product of two wide operands,
+32 when one fits a byte and for the table and prime styles; k > 32
+carry-less fields, p >= 2^32 primes, Montgomery's inherently sequential
+inversion chain) transparently reuse the pure loops.
 """
 
 from __future__ import annotations

@@ -5,25 +5,27 @@ Strategies, chosen per field at construction:
 * **GF(2^k), log/exp tables (k <= 16)** — a multiplication is two log
   gathers, an integer add, and one antilog gather; whole vectors become
   four fancy-indexing operations.
-* **GF(2^k), carry-less (k <= 32)** — products are assembled from a
-  process-global 256x256 byte carry-less-product table (one gather,
-  shift and XOR per pair of byte limbs: 16 for two full-width k=32
-  vectors, 4 when one operand is all player indices), then reduced
-  modulo the field polynomial with per-field byte fold tables (one
-  gather per high byte the product can reach).  This is the table-free
-  analogue of a CLMUL instruction.
+* **GF(2^k), carry-less (k <= 32)** — table-free: the carry-less product
+  is read off ordinary integer multiplies of nibble-spaced operands and
+  reduced by shifts along the modulus's low taps (see
+  :meth:`NumpyBackend._clmul`); nothing is built at construction and
+  nothing is shared between fields.
 * **GF(p), p < 2^32** — ``uint64`` arithmetic with one ``% p`` per
   product; ``(p-1)^2 + (p-1) < 2^64`` so nothing overflows, and dot
   products accumulate reduced summands (``n * (p-1)`` also fits).
 
-Vectors shorter than :data:`MIN_WIDTH` delegate to the pure loops — the
-per-call numpy overhead (array conversion, ufunc dispatch) exceeds the
-arithmetic below roughly 32 elements, and the protocol's genuinely hot
-vectors (dealing sweeps, batched dots) are hundreds wide.
-``batch_inv`` always delegates: Montgomery's trick is a prefix-product
-chain whose every step depends on the previous one, so there is nothing
-to vectorize — reusing the scalar chain keeps results, error behaviour,
-and metering bit-identical.
+Short vectors delegate to the pure loops: converting in and out and
+dispatching ufuncs is a fixed cost a call, the pure loops cost per
+element (see :meth:`NumpyBackend._pure_wins` for the rule and what it
+was measured on).  ``batch_inv`` always delegates: Montgomery's trick is
+a prefix-product chain whose every step depends on the previous one, so
+there is nothing to vectorize — reusing the scalar chain keeps results,
+error behaviour, and metering bit-identical.
+
+Vectors enter through a typed buffer (``array('Q', vec)``), which is
+faster than ``np.array`` on a list of ints and refuses what is not an
+integer — a float raises ``TypeError`` here as it does in the pure
+loops, where ``np.array(..., dtype=uint64)`` would truncate it.
 
 Everything here is *unmetered*; the ``Field`` wrappers count ops before
 dispatching (see the package docstring's metering contract).
@@ -31,15 +33,11 @@ dispatching (see the package docstring's metering contract).
 
 from __future__ import annotations
 
+from array import array
+from itertools import chain
+
 _NUMPY = None
 _NUMPY_CHECKED = False
-
-#: below this many total elements the pure loops win; measured on the
-#: k=32 carry-less kernels with limb skipping on both sides: numpy
-#: overtakes between 12 and 16 elements when both operands are full
-#: width and at about 64 when one fits a byte (the pure loop then runs 8
-#: iterations, the kernel 4 gathers) — one constant between the two
-MIN_WIDTH = 32
 
 
 def numpy_or_none():
@@ -55,26 +53,6 @@ def numpy_or_none():
     return _NUMPY
 
 
-_CL8 = None
-
-
-def _cl8_table(np):
-    """256x256 carry-less products of byte pairs (15-bit results).
-
-    Field-independent (no reduction), so one table serves every GF(2^k)
-    instance in the process; built vectorized in ~1 ms on first use.
-    """
-    global _CL8
-    if _CL8 is None:
-        a = np.arange(256, dtype=np.uint64).reshape(-1, 1)
-        b = np.arange(256, dtype=np.uint64).reshape(1, -1)
-        table = np.zeros((256, 256), dtype=np.uint64)
-        for bit in range(8):
-            table ^= np.where((b >> bit) & 1, a << bit, 0).astype(np.uint64)
-        _CL8 = table
-    return _CL8
-
-
 class NumpyBackend:
     """Numpy bulk kernels with transparent pure-python fallback."""
 
@@ -88,76 +66,104 @@ class NumpyBackend:
         self.field = field
         kind = getattr(field, "kind", None)
         self._style = None
+        self._dtype = np.uint64
         if kind == "gf2k":
             if field._exp is not None:
                 self._style = "gf2k_tables"
+                self._dtype = np.int64  # gather indices
                 self._exp_arr = np.array(field._exp, dtype=np.int64)
                 self._log_arr = np.array(field._log, dtype=np.int64)
             elif field.k <= 32:
-                # byte products peak at bit 8*(nbytes-1)*2 + 14 < 64
+                # operands below 2^32: integer products stay below 2^64
                 self._style = "gf2k_clmul"
-                self._setup_clmul(field)
+                low = field.modulus ^ (1 << field.k)
+                self._k = np.uint64(field.k)
+                self._mask = np.uint64((1 << field.k) - 1)
+                self._taps = [np.uint64(i) for i in range(low.bit_length())
+                              if (low >> i) & 1]
+                self._low_degree = low.bit_length() - 1
+                self._residues = [np.uint64(0x1111111111111111 << r)
+                                  for r in range(4)]
         elif kind == "gfp" and field.p < (1 << 32):
             self._style = "gfp_u64"
             self._p = np.uint64(field.p)
         # any other configuration: every kernel falls back to pure
 
-    # -- setup ------------------------------------------------------------
-    def _setup_clmul(self, field) -> None:
-        np = self.np
-        k, mod = field.k, field.modulus
-        self._k = np.uint64(k)
-        self._mask = np.uint64((1 << k) - 1)
-        # reduction of x^(k+j) for every overflow bit position j
-        red = []
-        for j in range(max(0, k - 1)):
-            v = 1 << (k + j)
-            for d in range(k + j, k - 1, -1):
-                if (v >> d) & 1:
-                    v ^= mod << (d - k)
-            red.append(v)
-        nfold = max(1, (k - 1 + 7) // 8)
-        fold = np.zeros((nfold, 256), dtype=np.uint64)
-        for pos in range(nfold):
-            for byte in range(256):
-                acc = 0
-                for bit in range(8):
-                    j = 8 * pos + bit
-                    if (byte >> bit) & 1 and j < k - 1:
-                        acc ^= red[j]
-                fold[pos, byte] = acc
-        self._fold = fold
-
     # -- helpers ----------------------------------------------------------
-    def _clmul_reduce(self, a, b):
-        """Carry-less product of uint64 arrays, reduced into the field.
+    def _pure_wins(self, n, a, b):
+        """Is an ``n``-element call on operands ``a``, ``b`` cheaper in
+        the pure loops?
 
-        Byte limbs above an operand's widest element are zero across the
-        whole vector and are skipped, as are fold positions above the
-        widest possible product: for k=32, a sweep by abscissas below 256
-        costs 4 table gathers and 1 fold instead of 16 and 4.
+        The carry-less pure loop runs once per bit of the *narrower*
+        operand, so the crossover is keyed on it (k=32, this box): both
+        operands wide, the loop costs ~4 us an element and the kernel
+        ~30 us a call — numpy from 8 elements; one operand a byte (every
+        sweep by player indices), ~0.5 us an element against ~16 us —
+        numpy from 32.  The table and prime loops cost the same whatever
+        the operands hold and keep the floor they were measured at, 32.
+        ``a`` and ``b`` are only scanned between the two floors.
+        """
+        if n < 8 or self._style is None:
+            return True
+        if n >= 32:
+            return False
+        return self._style != "gf2k_clmul" or max(b) < 256 or max(a) < 256
+
+    def _clmul(self, a, b):
+        """Unreduced carry-less products of uint64 arrays below 2^32, and
+        the bit length they can reach.
+
+        Mask an operand with ``0x1111...`` shifted by r and its set bits
+        sit at positions = r (mod 4), with three-bit holes between them.
+        The *integer* product of residue i of ``a`` and residue j of
+        ``b`` then holds, at each position = i + j (mod 4), the number
+        of bit pairs that land there; an operand below 2^32 has at most
+        8 bits per residue, so no count exceeds 8, none carries out of
+        its 4-bit hole, and the count's low bit is the carry-less
+        product's bit.  XOR the four products of each residue class,
+        keep the class's positions, OR the classes: sixteen multiplies,
+        no table.  When the narrower operand fits a byte the product is
+        the XOR of ``a * (b & 2^i)`` over its bits — a single-bit
+        multiplier shifts, so nothing collides and no mask is needed.
         """
         np = self.np
-        cl8 = _cl8_table(np)
         a_bits = int(a.max()).bit_length()
         b_bits = int(b.max()).bit_length()
-        a_bytes = [((a >> np.uint64(8 * i)) & np.uint64(0xFF)).astype(np.intp)
-                   for i in range((a_bits + 7) // 8)]
-        b_bytes = [((b >> np.uint64(8 * j)) & np.uint64(0xFF)).astype(np.intp)
-                   for j in range((b_bits + 7) // 8)]
-        prod = np.zeros(np.broadcast(a, b).shape, dtype=np.uint64)
-        for i, ai in enumerate(a_bytes):
-            for j, bj in enumerate(b_bytes):
-                prod ^= cl8[ai, bj] << np.uint64(8 * (i + j))
-        # fold the overflow bits k..2k-2 back down (fold values are < 2^k,
-        # so a single pass fully reduces)
-        hi = prod >> self._k
-        out = prod & self._mask
-        hi_bits = a_bits + b_bits - 1 - int(self._k)  # none when <= 0
-        for pos in range((hi_bits + 7) // 8):
-            byte = ((hi >> np.uint64(8 * pos)) & np.uint64(0xFF)).astype(np.intp)
-            out = out ^ self._fold[pos, byte]
-        return out
+        if a_bits < b_bits:
+            a, b, a_bits, b_bits = b, a, b_bits, a_bits
+        if b_bits <= 8:
+            prod = np.zeros(np.broadcast(a, b).shape, dtype=np.uint64)
+            for i in range(b_bits):
+                prod ^= a * (b & np.uint64(1 << i))
+            return prod, a_bits + b_bits - 1
+        ar = [a & m for m in self._residues]
+        br = [b & m for m in self._residues]
+        prod = None
+        for r, m in enumerate(self._residues):
+            cls = ar[0] * br[r]
+            for i in (1, 2, 3):
+                cls ^= ar[i] * br[(r - i) % 4]
+            cls &= m
+            prod = cls if prod is None else prod | cls
+        return prod, a_bits + b_bits - 1
+
+    def _reduce(self, prod, bits):
+        """``prod`` (below ``2^bits``) modulo the field polynomial.
+
+        ``x^k = low(x)``, so the part above bit k folds down as a
+        carry-less multiple of ``low`` — one shift and XOR per tap.  A
+        pass leaves at most ``bits - k + deg(low)`` bits; passes repeat
+        until that is k (two for a full k=32 product under ``0x8d``, one
+        for a sweep by indices, more for a modulus with a high low part).
+        """
+        k = self.field.k
+        while bits > k:
+            hi = prod >> self._k
+            prod = prod & self._mask
+            for tap in self._taps:
+                prod ^= hi << tap
+            bits += self._low_degree - k
+        return prod
 
     def _gf2k_mul_arrays(self, a, b):
         np = self.np
@@ -165,15 +171,27 @@ class NumpyBackend:
             nz = (a != 0) & (b != 0)
             idx = self._log_arr[a] + self._log_arr[b]
             return np.where(nz, self._exp_arr[idx], 0)
-        return self._clmul_reduce(a, b)
+        return self._reduce(*self._clmul(a, b))
+
+    def _gf2k_dots(self, a, b):
+        """XOR of the products along the last axis (kept, length 1)."""
+        xor = self.np.bitwise_xor.reduce
+        if self._style == "gf2k_tables":
+            return xor(self._gf2k_mul_arrays(a, b), axis=-1, keepdims=True)
+        # reduction is GF(2)-linear: fold once per row, not per product
+        prod, bits = self._clmul(a, b)
+        return self._reduce(xor(prod, axis=-1, keepdims=True), bits)
 
     def _in_arr(self, vec):
-        dtype = self.np.int64 if self._style == "gf2k_tables" else self.np.uint64
-        return self.np.array(vec, dtype=dtype)
+        """``vec`` as an array of the style's dtype; ``TypeError`` for a
+        non-integer element.  Always through an unsigned buffer (``'q'``
+        converts at half the speed); the table style reads the same
+        bytes as ``int64``."""
+        return self.np.frombuffer(array("Q", vec), dtype=self._dtype)
 
     # -- kernels ----------------------------------------------------------
     def mul_many(self, avec, bvec):
-        if self._style is None or len(avec) < MIN_WIDTH:
+        if self._pure_wins(len(avec), avec, bvec):
             return self.field._mul_many_pure(avec, bvec)
         a, b = self._in_arr(avec), self._in_arr(bvec)
         if self._style == "gfp_u64":
@@ -181,45 +199,43 @@ class NumpyBackend:
         return self._gf2k_mul_arrays(a, b).tolist()
 
     def dot(self, avec, bvec):
-        if self._style is None or len(avec) < MIN_WIDTH:
+        if self._pure_wins(len(avec), avec, bvec):
             return self.field._dot_pure(avec, bvec)
         np = self.np
         a, b = self._in_arr(avec), self._in_arr(bvec)
         if self._style == "gfp_u64":
             return int(((a * b) % self._p).sum(dtype=np.uint64) % self._p)
-        return int(np.bitwise_xor.reduce(self._gf2k_mul_arrays(a, b)))
+        return int(self._gf2k_dots(a, b)[0])
 
     def axpy_many(self, acc, xs, c):
-        if self._style is None or len(acc) < MIN_WIDTH:
+        if self._pure_wins(len(acc), acc, xs):
             return self.field._axpy_many_pure(acc, xs, c)
-        a, x = self._in_arr(acc), self._in_arr(xs)
-        if self._style == "gfp_u64":
-            return ((a * x + self.np.uint64(c)) % self._p).tolist()
-        prod = self._gf2k_mul_arrays(a, x)
-        return (prod ^ (self.np.int64(c) if self._style == "gf2k_tables"
-                        else self.np.uint64(c))).tolist()
+        return self._fma(acc, xs, (c,))
 
     def fma_many(self, acc, xs, cs):
-        if self._style is None or len(acc) < MIN_WIDTH:
+        if self._pure_wins(len(acc), acc, xs):
             return self.field._fma_many_pure(acc, xs, cs)
+        return self._fma(acc, xs, cs)
+
+    def _fma(self, acc, xs, cs):
         a, x, c = self._in_arr(acc), self._in_arr(xs), self._in_arr(cs)
         if self._style == "gfp_u64":
             return ((a * x + c) % self._p).tolist()
         return (self._gf2k_mul_arrays(a, x) ^ c).tolist()
 
     def dot_rows(self, rows, vec):
-        total = len(rows) * len(vec)
-        if self._style is None or total < MIN_WIDTH or not len(vec):
+        if self._pure_wins(len(rows) * len(vec), vec,
+                           chain.from_iterable(rows)):
             return self.field._dot_rows_pure(rows, vec)
         np = self.np
-        dtype = np.int64 if self._style == "gf2k_tables" else np.uint64
-        matrix = np.array([list(row) for row in rows], dtype=dtype)
-        v = np.array(vec, dtype=dtype)
+        # a list first: ``array`` fills from an iterator element by element
+        matrix = self._in_arr(list(chain.from_iterable(rows)))
+        matrix = matrix.reshape(len(rows), -1)
+        v = self._in_arr(vec)
         if self._style == "gfp_u64":
             prods = (matrix * v) % self._p
             return (prods.sum(axis=1, dtype=np.uint64) % self._p).tolist()
-        prods = self._gf2k_mul_arrays(matrix, v)
-        return np.bitwise_xor.reduce(prods, axis=1).tolist()
+        return self._gf2k_dots(matrix, v)[:, 0].tolist()
 
     def batch_inv(self, vec):
         # Montgomery's chain is sequential by construction — see module

@@ -20,6 +20,16 @@ from repro.fields.base import Field, exact_ints_below
 from repro.fields.irreducible import is_prime
 
 
+def _ints(values):
+    """``values`` if every entry is an ``int``.  ``%`` accepts a float and
+    answers with one, where the GF(2^k) loops and the array conversion
+    raise: the bulk API refuses a non-integer whichever field or backend
+    computes."""
+    if values and set(map(type, values)) != {int}:
+        raise TypeError("GF(p) bulk operands must be ints")
+    return values
+
+
 class GFp(Field):
     """Integers modulo a prime ``p``, elements represented as ints in [0, p)."""
 
@@ -63,19 +73,19 @@ class GFp(Field):
     # -- bulk-op pure loops (unmetered; see Field metering contract) --------
     def _mul_many_pure(self, avec, bvec):
         p = self.p
-        return [a * b % p for a, b in zip(avec, bvec)]
+        return _ints([a * b % p for a, b in zip(avec, bvec)])
 
     def _dot_pure(self, avec, bvec):
         # accumulate in the integers, one reduction at the end
-        return sum(a * b for a, b in zip(avec, bvec)) % self.p
+        return _ints([sum(a * b for a, b in zip(avec, bvec)) % self.p])[0]
 
     def _axpy_many_pure(self, acc, xs, c):
         p = self.p
-        return [(a * x + c) % p for a, x in zip(acc, xs)]
+        return _ints([(a * x + c) % p for a, x in zip(acc, xs)])
 
     def _fma_many_pure(self, acc, xs, cs):
         p = self.p
-        return [(a * x + c) % p for a, x, c in zip(acc, xs, cs)]
+        return _ints([(a * x + c) % p for a, x, c in zip(acc, xs, cs)])
 
     def _dot_rows_pure(self, rows, vec):
         return [self._dot_pure(row, vec) for row in rows]

@@ -4,7 +4,10 @@ Covers the PR's satellite contracts:
 
 * element-for-element parity of every bulk kernel across the python and
   numpy backends (hypothesis property tests over GF(2^16), GF(2^32) and
-  GF(p));
+  GF(p)), and of the table-free carry-less kernel against ``_raw_mul`` on
+  every operand shape, modulus and width that reaches it;
+* a float element raises ``TypeError`` on both backends, and a
+  carry-less backend builds no table;
 * OpCounter invariance — the metering happens in the ``Field`` wrappers,
   so per-element op totals are identical whichever backend computes;
 * unified ``batch_inv`` zero behaviour (same error type and message,
@@ -14,17 +17,20 @@ Covers the PR's satellite contracts:
   fallback (exercised in a subprocess with numpy import-blocked).
 """
 
+import functools
 import os
 import random
 import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.fields import GF2k
 from repro.fields.gfp import GFp
+from repro.fields.irreducible import is_irreducible_gf2
 from repro.fields.backends import (
     BACKEND_ENV_VAR,
     available_backends,
@@ -51,8 +57,8 @@ if numpy_available():
 else:  # pragma: no cover - exercised on the no-numpy CI leg
     F16_NP, F32_NP, FP_NP = F16_PY, F32_PY, FP_PY
 
-# widths straddle the numpy MIN_WIDTH=32 cutoff on purpose: both the
-# vectorized kernels and the short-vector pure fallback must agree
+# widths straddle the numpy backend's floors (8 and 32) on purpose: both
+# the vectorized kernels and the short-vector pure fallback must agree
 PAIRS = [(F16_PY, F16_NP), (F32_PY, F32_NP), (FP_PY, FP_NP)]
 PAIR_IDS = ["gf2k16", "gf2k32", "gfp"]
 
@@ -140,20 +146,101 @@ def test_batch_inv_parity(py, np_, data):
     assert py.batch_inv(vec) == np_.batch_inv(vec)
 
 
-# -- limb skipping -------------------------------------------------------------
+# -- the carry-less kernel equals _raw_mul ----------------------------------
+
+def _high_low_modulus(k):
+    """The first irreducible of degree k whose low part has degree k - 1:
+    a fold pass then sheds one bit, so a full product needs k - 1 passes."""
+    top = (1 << k) | (1 << (k - 1))
+    return next(top | low for low in range(1, 1 << (k - 1), 2)
+                if is_irreducible_gf2(top | low))
+
+
+@functools.lru_cache(maxsize=None)
+def _clmul_pair(k, high_low):
+    modulus = _high_low_modulus(k) if high_low else None
+    return tuple(GF2k(k, modulus=modulus, tables=False, backend=backend)
+                 for backend in ("python", "numpy"))
+
+
+def _operand(shape, k, width, rng):
+    if shape == "zero":
+        return [0] * width
+    if shape == "ones":  # eight bits in every residue at k=32
+        return [(1 << k) - 1] * width
+    if shape == "bit":  # every position, from a drawn offset
+        offset = rng.randrange(k)
+        return [1 << ((i + offset) % k) for i in range(width)]
+    top = 1 << min(k, {"nibble": 4, "byte": 8, "uniform": k}[shape])
+    out = [rng.randrange(top) for _ in range(width)]
+    out[0] = top - 1  # the operand really is that wide
+    return out
+
+
+SHAPES = ["zero", "ones", "bit", "nibble", "byte", "uniform"]
+
+
+@needs_numpy
+@given(
+    k=st.sampled_from([17, 20, 24, 31, 32, 4, 8, 16]),
+    high_low=st.booleans(),
+    # each floor of the backend's dispatch rule +-1, and a dealing sweep
+    width=st.sampled_from([7, 8, 9, 31, 32, 33, 1848]),
+    a_shape=st.sampled_from(SHAPES),
+    b_shape=st.sampled_from(SHAPES),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@example(k=32, high_low=False, width=1848, a_shape="ones", b_shape="ones",
+         seed=0)
+@example(k=32, high_low=True, width=33, a_shape="ones", b_shape="uniform",
+         seed=1)
+@example(k=32, high_low=False, width=8, a_shape="uniform", b_shape="uniform",
+         seed=2)
+@example(k=32, high_low=False, width=1848, a_shape="bit", b_shape="bit",
+         seed=3)
+@example(k=32, high_low=False, width=33, a_shape="uniform", b_shape="byte",
+         seed=4)
+@example(k=17, high_low=True, width=9, a_shape="nibble", b_shape="uniform",
+         seed=5)
+@settings(max_examples=150, deadline=None)
+def test_clmul_kernel_equals_raw_mul(k, high_low, width, a_shape, b_shape,
+                                     seed):
+    """Every bulk method of the table-free kernel, on every operand shape
+    that steers it (the byte path, the sixteen-product path, the number
+    of fold passes), is the pure ``_raw_mul`` loop — and hands back
+    exact ``int``s, never a numpy scalar."""
+    py, np_ = _clmul_pair(k, high_low)
+    rng = random.Random(seed)
+    a = _operand(a_shape, k, width, rng)
+    b = _operand(b_shape, k, width, rng)
+    cs = _operand("uniform", k, width, rng)
+    rows = [_operand(a_shape, k, width, rng) for _ in range(3)]
+    results = [
+        (np_.mul_many(a, b), py.mul_many(a, b)),
+        (np_.axpy_many(a, b, cs[0]), py.axpy_many(a, b, cs[0])),
+        (np_.fma_many(a, b, cs), py.fma_many(a, b, cs)),
+        ([np_.dot(a, b)], [py.dot(a, b)]),
+        # the 2-D x 1-D broadcast: rows shaped like ``a``, vector ``b``
+        (np_.dot_rows(rows, b), py.dot_rows(rows, b)),
+    ]
+    for got, expected in results:
+        assert got == expected
+        assert all(type(x) is int for x in got)
+
 
 @needs_numpy
 @pytest.mark.parametrize("k", [20, 24, 32])
-@pytest.mark.parametrize("width", [31, 32, 33, 96])  # MIN_WIDTH is 32
+@pytest.mark.parametrize("width", [31, 32, 33, 96])
 @pytest.mark.parametrize(
     "a_bits,b_bits",
     [(0, 0), (0, None), (None, 0), (4, None), (None, 4), (8, None),
      (None, 8), (7, 3), (8, 8), (9, 13), (None, None)],
 )
 def test_clmul_limb_skipping_parity(k, width, a_bits, b_bits):
-    """The carry-less kernel drops byte limbs (and fold positions) that are
-    zero across a whole operand; every operand-width shape must still be
-    byte-identical to the python loops.  ``None`` bits = full width."""
+    """The carry-less kernel picks its path and its fold passes from the
+    widest element of each operand; every operand-width shape must still
+    be byte-identical to the python loops.  ``None`` bits = full width.
+    A fixed grid beside the drawn property above."""
     py, np_ = GF2k(k, backend="python"), GF2k(k, backend="numpy")
     rng = random.Random(k * 1000 + width)
 
@@ -171,6 +258,67 @@ def test_clmul_limb_skipping_parity(k, width, a_bits, b_bits):
     # the 2-D x 1-D broadcast: rows as wide as ``a``, vector as ``b``
     rows = [vec(a_bits) for _ in range(3)]
     assert np_.dot_rows(rows, b) == py.dot_rows(rows, b)
+
+
+# -- what the array conversion refuses, and what set-up builds ---------------
+
+FLOAT_FIELDS = {
+    f"{style}-{backend}": make(size, backend=backend)
+    for backend in available_backends()
+    for style, make, size in (
+        ("gf2k_clmul", GF2k, 32),
+        ("gf2k_tables", GF2k, 16),
+        ("gfp_u64", GFp, P_PRIME),
+    )
+}
+
+
+@pytest.mark.parametrize("field", FLOAT_FIELDS.values(), ids=FLOAT_FIELDS.keys())
+def test_a_float_element_is_a_type_error_on_every_backend(field):
+    """``np.array(vec, dtype=uint64)`` truncated 5.5 to 5 and answered;
+    the bulk API must refuse it whichever backend computes."""
+    good = [(i * 2654435761 + 12345) % (field.order - 1) + 1 for i in range(40)]
+    bad = [5.5] + good[1:]
+    calls = [
+        lambda: field.mul_many(bad, good),
+        lambda: field.mul_many(good, bad),
+        lambda: field.dot(bad, good),
+        lambda: field.dot(good, bad),
+        lambda: field.axpy_many(bad, good, good[0]),
+        lambda: field.axpy_many(good, bad, good[0]),
+        lambda: field.axpy_many(good, good, 5.5),
+        lambda: field.fma_many(bad, good, good),
+        lambda: field.fma_many(good, bad, good),
+        lambda: field.fma_many(good, good, bad),
+        lambda: field.dot_rows([good, bad], good),
+        lambda: field.dot_rows([good, good], bad),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
+
+
+@needs_numpy
+def test_a_carry_less_backend_builds_no_table():
+    """Set-up cost went with the tables: nothing above 1 KB on the
+    backend, nothing array-valued in the module, and a hundred fields
+    inside a generous wall bound (20 ms here; the tables took 80)."""
+    from repro.fields.backends import numpy_backend
+
+    np = numpy_backend.numpy_or_none()
+    start = time.perf_counter()
+    fields = [GF2k(k, backend="numpy") for _ in range(34) for k in (17, 24, 32)]
+    elapsed = time.perf_counter() - start
+    for field in fields[:3]:
+        assert field._backend._style == "gf2k_clmul"
+        wide = [field.order - 1 - i for i in range(40)]
+        field.mul_many(wide, wide)  # anything lazy is built by now
+        for name, value in vars(field._backend).items():
+            if isinstance(value, np.ndarray):
+                assert value.nbytes <= 1024, name
+    for name, value in vars(numpy_backend).items():
+        assert not isinstance(value, np.ndarray), name
+    assert elapsed < 0.4, f"{len(fields)} fields took {elapsed:.3f} s"
 
 
 # -- metering invariance -----------------------------------------------------
@@ -201,21 +349,25 @@ def test_op_counts_identical_across_backends():
 @needs_numpy
 def test_protocol_run_identical_across_backends():
     """Same seed, different backend: identical outputs AND identical
-    per-player op tallies — the audit gates can never tell them apart."""
+    per-player op tallies — the audit gates can never tell them apart.
+    M=12 is the small-batch stretch, whose sweeps (width 49-84) the
+    numpy backend takes and the python one cannot."""
     from repro.protocols.coin_gen import run_coin_gen
 
-    outs = {}
-    for name, field in (("python", GF2k(32, backend="python")),
-                        ("numpy", GF2k(32, backend="numpy"))):
-        results, metrics = run_coin_gen(field, n=7, t=1, M=8, seed=11)
-        outs[name] = (
-            {pid: r.coins for pid, r in results.items()},
-            {pid: (c.adds, c.muls, c.invs, c.interpolations)
-             for pid, c in sorted(metrics.player_ops.items())},
-            metrics.bits,
-            metrics.paper_messages,
-        )
-    assert outs["python"] == outs["numpy"]
+    for M, seed in ((8, 11), (12, 3)):
+        outs = {}
+        for name in ("python", "numpy"):
+            results, metrics = run_coin_gen(
+                GF2k(32, backend=name), n=7, t=1, M=M, seed=seed
+            )
+            outs[name] = (
+                {pid: r.coins for pid, r in results.items()},
+                {pid: (c.adds, c.muls, c.invs, c.interpolations)
+                 for pid, c in sorted(metrics.player_ops.items())},
+                metrics.bits,
+                metrics.paper_messages,
+            )
+        assert outs["python"] == outs["numpy"]
 
 
 # -- batch_inv zero behaviour ------------------------------------------------
