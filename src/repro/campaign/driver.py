@@ -3,9 +3,8 @@
 :func:`run_cell` is the contract everything else (shrinker, artifact
 replay, CLI, tests) builds on: given a :class:`Scenario` it constructs
 the full stack — field, scheduler, fresh :class:`FaultPlane`, protocol
-context with a :class:`SpanRecorder`, :class:`FlightRecorder` (and the
-liveness observers on async cells) — runs the coin protocol, and hands
-the artifacts to the oracle.  Same scenario ⇒ same outcome, same flight
+context with a :class:`SpanRecorder` and a :class:`FlightRecorder` —
+runs the coin protocol, and hands the artifacts to the oracle.  Same scenario ⇒ same outcome, same flight
 log, byte for byte: the fault plane is rebuilt from its spec each run
 (planes are stateful), every rng is derived from the scenario's seeds,
 and nothing reads the clock.
@@ -100,11 +99,6 @@ def _run_async(scenario: Scenario, artifacts: Optional[CellArtifacts]):
     When ``artifacts`` is None this is the determinism re-run: protocol
     work identical, only the flight log retained.
     """
-    from repro.obs.liveness import (
-        QuorumLatencyRecorder,
-        StallWatchdog,
-        default_threshold,
-    )
     from repro.protocols.async_coin import run_async_coin
 
     field = (artifacts.field if artifacts is not None
@@ -114,10 +108,6 @@ def _run_async(scenario: Scenario, artifacts: Optional[CellArtifacts]):
         recorder=SpanRecorder(),
     )
     flight = _attach_flight(scenario, ctx)
-    latency = QuorumLatencyRecorder().attach(ctx.ensure_bus())
-    watchdog = StallWatchdog(
-        scenario.n, threshold=default_threshold(scenario.n)
-    ).attach(ctx.ensure_bus())
     results: Dict[int, tuple] = {}
     for index in range(scenario.M):
         outputs, secret, _runtime = run_async_coin(
@@ -130,8 +120,6 @@ def _run_async(scenario: Scenario, artifacts: Optional[CellArtifacts]):
     if artifacts is not None:
         artifacts.recorder = ctx.recorder
         artifacts.async_results = results
-        artifacts.latency = latency
-        artifacts.watchdog = watchdog
         artifacts.flight_log = flight.log()
     return flight.log()
 

@@ -1,8 +1,7 @@
 """The violation oracle: every auditor the repo has, pointed at one cell.
 
 The campaign driver runs a cell and hands the artifacts (protocol
-outputs, the flight log, the span recorder, liveness recorders, any
-exception) to :func:`evaluate`, which composes the existing observers
+outputs, the flight log, the span recorder, any exception) to :func:`evaluate`, which composes the existing observers
 into a single verdict:
 
 * **coin** — honest players' exposed values must be unanimous and
@@ -17,7 +16,7 @@ into a single verdict:
   :func:`~repro.obs.audit.audit_rounds`) must pass bit-exactly;
 * **liveness** — fault-free async cells must pass
   :func:`~repro.obs.audit.audit_liveness`; faulted async cells must
-  leave no *unexplained* stalls;
+  leave no *unexplained* stalls (both read off the flight log);
 * **replay** — the flight log must round-trip through serialization
   diff-clean, and re-driving its expose rounds through the real decoder
   must reproduce the live honest values (lockstep); async cells are
@@ -76,8 +75,6 @@ class CellArtifacts:
     coin_gen_outputs: Dict[int, Any] = dataclass_field(default_factory=dict)
     #: async: per-coin {i: ({pid: value}, secret)}
     async_results: Dict[int, Any] = dataclass_field(default_factory=dict)
-    latency: Any = None  #: QuorumLatencyRecorder (async)
-    watchdog: Any = None  #: StallWatchdog (async)
     error: Optional[BaseException] = None
 
 
@@ -273,14 +270,18 @@ def _check_audits(artifacts: CellArtifacts) -> List[Violation]:
 # -- liveness (async) --------------------------------------------------------
 
 def _check_liveness(artifacts: CellArtifacts) -> List[Violation]:
-    if artifacts.latency is None:
+    log = artifacts.flight_log
+    if log is None:
         return []
+    from repro.obs.liveness import default_threshold, stalls
+
     scenario = artifacts.scenario
+    threshold = default_threshold(scenario.n)
     out: List[Violation] = []
     if scenario.adversary == HONEST and not scenario.faults:
         from repro.obs.audit import audit_liveness
 
-        report = audit_liveness(artifacts.latency, artifacts.watchdog)
+        report = audit_liveness(log, threshold)
         for check in report.checks:
             if not check.ok:
                 out.append(Violation(
@@ -289,8 +290,9 @@ def _check_liveness(artifacts: CellArtifacts) -> List[Violation]:
                     f"{check.phase} {check.metric}: expected "
                     f"{check.expected}, measured {check.measured}",
                 ))
-    elif artifacts.watchdog is not None:
-        unexplained = artifacts.watchdog.unexplained()
+    else:
+        unexplained = [s for s in stalls(log, threshold)
+                       if s.classification == "unexplained"]
         if unexplained:
             out.append(Violation(
                 "liveness", "liveness:unexplained_stall",

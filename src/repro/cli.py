@@ -28,12 +28,12 @@ Commands
               ``--chrome`` writes a Perfetto trace with causal flow
               arrows, ``--assert-depth`` gates the exit code on the DAG
               depth matching the ``analysis.rounds`` prediction;
-``waits``     run async coin exposures under the liveness observatory:
-              per-guard quorum-latency table (armed/fired logical times,
-              pivotal sender), in-flight pool gauges, the stall
-              watchdog's crash-vs-withholding classification
-              (``--watchdog TICKS`` gates the exit code on zero stalls),
-              and ``--audit`` the liveness conformance audit;
+``waits``     run async coin exposures and read their liveness off the
+              flight log: per-guard quorum-latency table (armed/fired
+              logical times, pivotal sender), the stalls with their
+              crash-vs-withholding classification (``--watchdog TICKS``
+              gates the exit code on zero stalls), and ``--audit`` the
+              liveness conformance audit;
 ``campaign``  sweep the joint scenario space (adversary × faults ×
               scheduler × runtime) under the composed violation oracle:
               ``run`` executes a space or ``--budget`` sampled slice
@@ -303,10 +303,14 @@ def _run_async_coins(args: argparse.Namespace, ctx, count: int):
     Coin ``i`` runs under ``RandomOrderScheduler(sched_seed + i)`` — so
     sweeping ``--sched-seed`` sweeps whole families of adversarial
     delivery orders — unless a non-default ``--scheduler`` asked for a
-    specific policy.  Returns ``(values, runtimes, breaks)`` where
+    specific policy.  Returns ``(values, runtimes, breaks, stuck)`` where
     ``breaks`` lists ``(coin_index, distinct_values)`` unanimity
-    violations (which ≤ t crashes can never cause).
+    violations (which ≤ t crashes can never cause) and ``stuck`` is the
+    :class:`~repro.net.runtime.RuntimeExhausted` of a coin that never
+    finished (more than t crashes), already printed on stderr — the
+    coins after it are not run — or None.
     """
+    from repro.net.runtime import RuntimeExhausted
     from repro.protocols.async_coin import run_async_coin
 
     crashed = _crashed_players(args)
@@ -316,16 +320,20 @@ def _run_async_coins(args: argparse.Namespace, ctx, count: int):
             ctx.scheduler if args.scheduler != "lockstep"
             else RandomOrderScheduler(seed=args.sched_seed + index)
         )
-        outputs, _, runtime = run_async_coin(
-            ctx, coin_id=f"async-{index}", scheduler=scheduler,
-            crashed=crashed,
-        )
+        try:
+            outputs, _, runtime = run_async_coin(
+                ctx, coin_id=f"async-{index}", scheduler=scheduler,
+                crashed=crashed,
+            )
+        except RuntimeExhausted as stuck:
+            print(stuck, file=sys.stderr)
+            return values, runtimes, breaks, stuck
         distinct = {ctx.field.to_int(v) for v in outputs.values()}
         if len(distinct) != 1:
             breaks.append((index, sorted(distinct)))
         values.append(next(iter(outputs.values())))
         runtimes.append(runtime)
-    return values, runtimes, breaks
+    return values, runtimes, breaks, None
 
 
 def _print_coins(args: argparse.Namespace, field, coins) -> None:
@@ -343,23 +351,26 @@ def _print_coins(args: argparse.Namespace, field, coins) -> None:
 
 
 def _cmd_toss_async(args: argparse.Namespace, ctx, flight) -> int:
-    """``toss --runtime async``: one event-driven exposure per coin."""
+    """``toss --runtime async``: one event-driven exposure per coin.
+
+    A coin that never finishes (more than t crashes) is reported on
+    stderr with the players it left stuck; the flight log is written
+    anyway and ``--watchdog`` prints the stalls read off it.
+    """
     from repro.protocols.async_coin import async_coin_bit
 
-    watchdog = None
-    if getattr(args, "watchdog", None) is not None:
-        from repro.obs import StallWatchdog
-
-        watchdog = StallWatchdog(
-            ctx.n, threshold=args.watchdog
-        ).attach(ctx.ensure_bus())
     root = ctx.recorder.begin("toss", "root")
-    values, runtimes, breaks = _run_async_coins(args, ctx, args.count)
+    values, runtimes, breaks, stuck = _run_async_coins(args, ctx, args.count)
     ctx.recorder.end(root)
     for index, distinct in breaks:
         print(f"UNANIMITY BREAK: coin {index} exposed {len(distinct)} "
               f"distinct values {distinct}", file=sys.stderr)
     if breaks:
+        return 1
+    if stuck is not None:
+        _write_flight_log(args, flight)
+        if args.watchdog is not None:
+            _report_stalls(flight.log(), args.watchdog)
         return 1
     _print_coins(
         args, ctx.field,
@@ -380,23 +391,36 @@ def _cmd_toss_async(args: argparse.Namespace, ctx, flight) -> int:
               f"{makespan / max(len(values), 1):,.1f}")
     _write_export(args, ctx)
     _write_flight_log(args, flight)
-    if watchdog is not None and watchdog.stalls:
-        print(_stall_summary(watchdog), file=sys.stderr)
-        print(watchdog.table(), file=sys.stderr)
+    if args.watchdog is not None and _report_stalls(flight.log(),
+                                                    args.watchdog):
         return 1
     return 0
 
 
-def _stall_summary(watchdog) -> str:
-    return (f"STALL: {len(watchdog.stalls)} guard(s) waited past "
-            f"{watchdog.threshold} logical ticks "
-            f"({len(watchdog.crash_induced())} crash-induced, "
-            f"{len(watchdog.unexplained())} unexplained)")
+def _stall_summary(found, threshold: int) -> str:
+    crash = sum(1 for s in found if s.classification == "crash")
+    return (f"STALL: {len(found)} guard(s) waited past "
+            f"{threshold} logical ticks "
+            f"({crash} crash-induced, {len(found) - crash} unexplained)")
+
+
+def _report_stalls(log, threshold: int) -> bool:
+    """Print ``log``'s stalls past ``threshold`` on stderr; any found?"""
+    from repro.obs.liveness import stall_table, stalls
+
+    found = stalls(log, threshold)
+    if found:
+        print(_stall_summary(found, threshold), file=sys.stderr)
+        print(stall_table(found, threshold), file=sys.stderr)
+    return bool(found)
 
 
 def _cmd_toss(args: argparse.Namespace) -> int:
     ctx = _make_context(args)
-    flight = _attach_flight_recorder(args, ctx)
+    # --watchdog reads its stalls off the log, so it records one
+    flight = _attach_flight_recorder(
+        args, ctx, always=args.runtime == "async" and args.watchdog is not None
+    )
     if args.runtime == "async":
         return _cmd_toss_async(args, ctx, flight)
     root = ctx.recorder.begin("toss", "root")
@@ -511,7 +535,10 @@ def _cmd_trace_async(args: argparse.Namespace) -> int:
 
     ctx = _make_context(args, record=True)
     flight = _attach_flight_recorder(args, ctx, always=True)
-    values, runtimes, breaks = _run_async_coins(args, ctx, args.M)
+    values, runtimes, breaks, stuck = _run_async_coins(args, ctx, args.M)
+    if stuck is not None:
+        _write_flight_log(args, flight)
+        return 1
 
     print(f"async trace: n={ctx.n}, t={ctx.t}, k={args.k}, "
           f"coins={args.M}, sched-seed={args.sched_seed}")
@@ -808,7 +835,10 @@ def _cmd_critpath_async(args: argparse.Namespace) -> int:
 
     ctx = _make_context(args, record=True)
     flight = _attach_flight_recorder(args, ctx, always=True)
-    values, runtimes, breaks = _run_async_coins(args, ctx, args.M)
+    values, runtimes, breaks, stuck = _run_async_coins(args, ctx, args.M)
+    if stuck is not None:
+        _write_flight_log(args, flight)
+        return 1
     for index, distinct in breaks:
         print(f"UNANIMITY BREAK: coin {index} exposed {distinct}",
               file=sys.stderr)
@@ -920,21 +950,25 @@ def _cmd_critpath(args: argparse.Namespace) -> int:
 
 
 def _cmd_waits(args: argparse.Namespace) -> int:
-    """``repro waits``: the liveness observatory over async coin runs.
+    """``repro waits``: liveness of async coin runs, read off their log.
 
-    Attaches a :class:`~repro.obs.liveness.QuorumLatencyRecorder` and a
-    :class:`~repro.obs.liveness.StallWatchdog` to the context bus, runs
-    ``--coins`` async exposures, and prints the per-guard wait table,
-    the pool-depth gauges, and the stall classification.  ``--watchdog
-    TICKS`` gates the exit code on zero stalls; ``--audit`` gates on the
-    liveness conformance audit (fault-free runs must show zero stalls,
-    zero unfired guards, and quorum-exact firing).
+    Records ``--coins`` async exposures in an in-memory flight log and
+    prints the views :mod:`repro.obs.liveness` derives from it: the
+    per-guard wait table and the stall classification.  A coin that
+    never finishes is reported on stderr and exits 1; its stuck guards
+    are the table's unfired waits (and unresolved stalls once they
+    waited past the threshold).  ``--watchdog TICKS`` gates the exit
+    code on zero stalls; ``--audit`` gates on the liveness conformance
+    audit (fault-free runs must show zero stalls, zero unfired guards,
+    and quorum-exact firing).
     """
-    from repro.obs import (
-        QuorumLatencyRecorder,
-        StallWatchdog,
-        audit_liveness,
-        default_threshold,
+    from repro.obs import audit_liveness, default_threshold
+    from repro.obs.liveness import (
+        pivotal_counts,
+        stall_table,
+        stalls,
+        wait_records,
+        wait_table,
     )
 
     if args.runtime != "async":
@@ -942,17 +976,18 @@ def _cmd_waits(args: argparse.Namespace) -> int:
               "use --runtime async (the default here)", file=sys.stderr)
         return 2
     ctx = _make_context(args)
-    bus = ctx.ensure_bus()
-    latency = QuorumLatencyRecorder().attach(bus)
+    flight = _attach_flight_recorder(args, ctx, always=True)
     threshold = (
         args.watchdog if args.watchdog is not None
         else default_threshold(ctx.n)
     )
-    watchdog = StallWatchdog(ctx.n, threshold=threshold).attach(bus)
-    values, runtimes, breaks = _run_async_coins(args, ctx, args.coins)
+    values, runtimes, breaks, stuck = _run_async_coins(args, ctx, args.coins)
     for index, distinct in breaks:
         print(f"UNANIMITY BREAK: coin {index} exposed {distinct}",
               file=sys.stderr)
+    log = flight.log()
+    records = wait_records(log)
+    found = stalls(log, threshold)
 
     crashed = _crashed_players(args)
     print(f"liveness observatory: n={ctx.n}, t={ctx.t}, k={args.k}, "
@@ -960,40 +995,36 @@ def _cmd_waits(args: argparse.Namespace) -> int:
           f"crashed={','.join(map(str, sorted(crashed))) or 'none'}, "
           f"watchdog threshold={threshold} logical ticks")
     print()
-    print(latency.table())
+    print(wait_table(records))
     print()
-    fired = latency.fired_records()
-    print(f"{'waits armed / fired':42s} "
-          f"{len(latency.waits())} / {len(fired)}")
+    waited = [r.wait_time for r in records if r.fired]
+    print(f"{'waits armed / fired':42s} {len(records)} / {len(waited)}")
     print(f"{'mean / max wait (logical ticks)':42s} "
-          f"{latency.mean_wait():.1f} / {latency.max_wait()}")
-    print(f"{'in-flight pool peak':42s} {latency.pool_peak}")
-    for channel in sorted(latency.backlog_peak):
-        print(f"{f'backlog peak [{channel}]':42s} "
-              f"{latency.backlog_peak[channel]}")
-    pivotal = latency.pivotal_counts()
+          f"{sum(waited) / len(waited) if waited else 0.0:.1f} / "
+          f"{max(waited, default=0)}")
+    pivotal = pivotal_counts(records)
     if pivotal:
         ranked = sorted(pivotal, key=lambda p: (-pivotal[p], p))
         print(f"{'pivotal senders (quorums completed)':42s} "
               + ", ".join(f"{p}:{pivotal[p]}" for p in ranked))
     print()
-    print(watchdog.table())
+    print(stall_table(found, threshold))
 
     report = None
     if args.audit:
-        report = audit_liveness(latency, watchdog)
+        report = audit_liveness(log, threshold)
         print()
         print(report.table())
 
     if args.export is not None:
         _save_export(args, to_prometheus(
-            metrics=ctx.metrics, liveness=latency, watchdog=watchdog
+            metrics=ctx.metrics, liveness=log, watchdog=threshold
         ))
 
-    if breaks:
+    if breaks or stuck is not None:
         return 1
-    if args.watchdog is not None and watchdog.stalls:
-        print(_stall_summary(watchdog), file=sys.stderr)
+    if args.watchdog is not None and found:
+        print(_stall_summary(found, threshold), file=sys.stderr)
         return 1
     if args.audit and not report.ok:
         print("LIVENESS DEVIATION: see audit table above", file=sys.stderr)

@@ -31,8 +31,8 @@ time as the round index: each delivery publishes one ``ROUND`` event
 (the settled delivery), so flight logs, replay/diff, the causal graph
 built from a log and critical-path analysis work unchanged on async
 runs — one happens-before edge per delivered message.  Whether the
-topic has a subscriber is sampled once per run, like the liveness
-topics below: a dark run builds no event at all.
+topic has a subscriber is sampled once per run, like the guard topics
+below: a dark run builds no event at all.
 
 One delivery costs constant work, whatever the run's history and pool
 depth.  The pool is one ordered list and pool order *is* the schedule;
@@ -49,15 +49,11 @@ waited players, and the per-tick crash sweep looks only at scheduled
 crashes not yet in effect.  What remains per step, not per delivery, is
 the copy of the cumulative inbox handed to the program.
 
-Liveness telemetry (see :mod:`repro.obs.liveness`) is published on the
-``GUARD_ARMED`` / ``GUARD_PROGRESS`` / ``GUARD_FIRED`` / ``POOL``
-topics with logical-time stamps — armed/fired when guarded programs
-park and step, per-relevant-delivery quorum progress, and per-tick
-in-flight pool depth with a per-channel backlog (counted as entries
-enter and leave the pool, progress read from the guard index: observing
-a run is not quadratic either).  Every one of these is gated on the
-topic having subscribers, so unmonitored runs stay byte-identical
-(asserted by flight-log equality in the tests).
+A guarded program parking and waking is published on ``GUARD_ARMED`` /
+``GUARD_FIRED`` with logical-time stamps, gated on the topics having
+subscribers; the flight recorder logs both, and
+:mod:`repro.obs.liveness` derives wait records and stalls from the log.
+Nothing else observes the loop from inside it.
 """
 
 from __future__ import annotations
@@ -70,8 +66,8 @@ from repro.net.guards import IndexedInbox
 from repro.net.metrics import NetworkMetrics, payload_tag
 from repro.net.runtime import Program, RuntimeBase
 from repro.net.scheduler import RandomOrderScheduler, Scheduler
-from repro.net.transport import ProtocolViolation, expansion_channels
-from repro.obs.bus import POOL, ROUND
+from repro.net.transport import ProtocolViolation
+from repro.obs.bus import ROUND
 from repro.obs.phases import classify_tag
 
 
@@ -155,7 +151,7 @@ class AsyncRuntime(RuntimeBase):
         #: payload count a player had last time it stepped — drives the
         #: "wake on anything new" semantics of unguarded yields
         seen: Dict[int, int] = {pid: 0 for pid in programs}
-        #: in-flight messages: [dst, src, payload, channel, ready_at,
+        #: in-flight messages: [dst, src, payload, ready_at,
         #: fault_processed] — ready_at gates delay-rule maturation.  Pool
         #: order is the schedule: the scheduler's pick indexes the
         #: eligible entries in this order.
@@ -164,8 +160,6 @@ class AsyncRuntime(RuntimeBase):
         #: delay rule makes one, so while it is zero every entry is
         #: eligible and the pick indexes ``pending`` directly.
         immature = 0
-        #: per-channel pool depth, kept only while POOL has subscribers
-        backlog: Dict[str, int] = {}
         clock = 0
         steps = 0
         # one program may step several times per delivery (cascading
@@ -175,17 +169,8 @@ class AsyncRuntime(RuntimeBase):
         bus = self.bus
         choose = self.scheduler.choose
         settling = bus.has_subscribers(ROUND)
-        # opt-in like the guard telemetry: the gauge and the backlog
-        # bookkeeping feeding it exist only while POOL has subscribers
-        lv_pool = bus.has_subscribers(POOL)
         self.delivery_count = 0
         self.logical_time = 0
-
-        def pool_gauge(time: int) -> None:
-            bus.publish(
-                POOL, time, len(pending),
-                {channel: depth for channel, depth in backlog.items() if depth},
-            )
 
         def crashed(pid: int, tick: int) -> bool:
             if pid not in crashing or not faults.is_crashed(pid, max(tick, 1)):
@@ -205,19 +190,10 @@ class AsyncRuntime(RuntimeBase):
             return sends
 
         def emit(pid: int, sends, tick: int) -> None:
-            expanded = self._emit(pid, sends, max(tick, 1))
-            if not lv_pool:
-                pending.extend(
-                    [dst, pid, payload, None, tick, False]
-                    for dst, payload in expanded
-                )
-                return
-            # the pool gauge's per-channel backlog: label each delivery
-            # beside the expansion, never inside what a run pays for
-            channels = expansion_channels(self.n, sends)
-            for (dst, payload), channel in zip(expanded, channels):
-                pending.append([dst, pid, payload, channel, tick, False])
-                backlog[channel] = backlog.get(channel, 0) + 1
+            pending.extend(
+                [dst, pid, payload, tick, False]
+                for dst, payload in self._emit(pid, sends, max(tick, 1))
+            )
 
         def wake(pid: int, tick: int) -> None:
             nonlocal steps
@@ -246,7 +222,7 @@ class AsyncRuntime(RuntimeBase):
                 sends = step(pid, inbox, tick + 1)
                 if sends:
                     emit(pid, sends, tick)
-                if self._lv_armed:
+                if self._guard_events:
                     self._note_armed(pid, tick, done)
 
         # priming: step every (non-crashed) program once at logical time
@@ -259,13 +235,11 @@ class AsyncRuntime(RuntimeBase):
             sends = step(pid, None, 1)
             if sends:
                 emit(pid, sends, 0)
-            if self._lv_armed:
+            if self._guard_events:
                 self._note_armed(pid, 0, done)
         for pid in sorted(programs):
             if not done[pid]:
                 wake(pid, 0)  # a quorum-0 guard may already be satisfied
-        if lv_pool:
-            pool_gauge(0)
         if recording:
             # one "round" span per logical tick, each opened as the
             # previous one ends (the final, unused one is discarded
@@ -295,15 +269,13 @@ class AsyncRuntime(RuntimeBase):
                 )
             if immature:
                 eligible = [
-                    i for i, entry in enumerate(pending) if entry[4] <= clock
+                    i for i, entry in enumerate(pending) if entry[3] <= clock
                 ]
                 immature = len(pending) - len(eligible)
             else:
                 eligible = pending
             if not eligible:
                 clock += 1  # idle tick: only delayed traffic remains
-                if lv_pool:
-                    pool_gauge(clock)
                 if recording:
                     round_span = self._next_round_span(
                         round_span, clock + 1, phase="other", messages=0
@@ -319,9 +291,7 @@ class AsyncRuntime(RuntimeBase):
             pick = choose(clock, len(eligible)) % len(eligible)
             # ``eligible`` is the pool itself or a list of indices into it
             entry = pending.pop(pick if eligible is pending else eligible[pick])
-            dst, src, payload, channel, _ready, processed = entry
-            if lv_pool:
-                backlog[channel] -= 1
+            dst, src, payload, _ready, processed = entry
             rule = (
                 faults.decide(tick, src, dst)
                 if faults is not None and not processed else None
@@ -329,18 +299,14 @@ class AsyncRuntime(RuntimeBase):
             if rule is None:
                 pass
             elif rule.kind == DUPLICATE:
-                pending.append([dst, src, payload, channel, clock, True])
-                if lv_pool:
-                    backlog[channel] += 1
+                pending.append([dst, src, payload, clock, True])
             else:
                 # dropped or delayed: the tick is spent without a delivery
                 if rule.kind == DELAY:
-                    entry[4] = tick + rule.delay
-                    entry[5] = True
+                    entry[3] = tick + rule.delay
+                    entry[4] = True
                     pending.append(entry)
                     immature += 1
-                    if lv_pool:
-                        backlog[channel] += 1
                 if recording:
                     round_span = self._next_round_span(
                         round_span, clock + 1, messages=0,
@@ -353,11 +319,9 @@ class AsyncRuntime(RuntimeBase):
             if settling:
                 bus.publish(ROUND, clock, [(dst, src, payload)])
             if dst in cum:
-                self._deliver(dst, src, payload, clock, done)
+                cum[dst].deliver(src, payload)
                 if not done[dst]:
                     wake(dst, clock)
-            if lv_pool:
-                pool_gauge(clock)
             if recording:
                 tag = payload_tag(payload)
                 round_span = self._next_round_span(

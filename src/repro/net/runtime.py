@@ -38,14 +38,7 @@ from repro.net.guards import Guard, Guarded, IndexedInbox
 from repro.net.metrics import NetworkMetrics
 from repro.net.scheduler import Scheduler
 from repro.net.transport import ProtocolViolation, Send, Transport
-from repro.obs.bus import (
-    FAULT,
-    GUARD_ARMED,
-    GUARD_FIRED,
-    GUARD_PROGRESS,
-    RUN,
-    EventBus,
-)
+from repro.obs.bus import FAULT, GUARD_ARMED, GUARD_FIRED, RUN, EventBus
 from repro.obs.spans import NULL_RECORDER
 
 Payload = Any
@@ -198,11 +191,10 @@ class RuntimeBase:
         self._guard_mode = {}
         self._cum = defaultdict(IndexedInbox)
         self._step_spans = []
-        # liveness telemetry is opt-in: sampled once per run, every
-        # publish gated on it, so unmonitored runs stay byte-identical
-        self._lv_armed = self.bus.has_subscribers(GUARD_ARMED)
-        self._lv_progress = self.bus.has_subscribers(GUARD_PROGRESS)
-        self._lv_fired = self.bus.has_subscribers(GUARD_FIRED)
+        # guard events are opt-in: sampled once per run, every publish
+        # gated on it, so unmonitored runs stay byte-identical
+        self._guard_events = (self.bus.has_subscribers(GUARD_ARMED)
+                              or self.bus.has_subscribers(GUARD_FIRED))
         return waited - crashing, crashing
 
     @staticmethod
@@ -300,31 +292,16 @@ class RuntimeBase:
         return self._expand(pid, sends)
 
     # -- guarded programs -----------------------------------------------------
-    def _deliver(self, dst: int, src: int, payload: Payload, time: int,
-                 done: Dict[int, bool]) -> None:
-        """Append one delivery to ``dst``'s cumulative inbox (and tell
-        ``GUARD_PROGRESS`` subscribers if its parked guard awaits it)."""
-        cum = self._cum[dst]
-        tag = cum.deliver(src, payload)
-        if self._lv_progress and not done.get(dst, True):
-            guard = self._guards.get(dst)
-            if guard is not None and tag in guard.tags:
-                count, quorum = guard.progress(cum)
-                self.bus.publish(GUARD_PROGRESS, time, dst, src, count, quorum)
-
     def _wake_inbox(self, pid: int, time: int) -> Inbox:
         """The inbox a waking guarded program is handed: a copy of its
         cumulative history (``GUARD_FIRED`` published for a parked guard)."""
-        cum = self._cum[pid]
-        guard = self._guards.get(pid)
-        if self._lv_fired and guard is not None:
-            self.bus.publish(GUARD_FIRED, time, pid, guard,
-                             guard.matched_senders(cum))
-        return {src: list(msgs) for src, msgs in cum.items()}
+        if self._guard_events and self._guards.get(pid) is not None:
+            self.bus.publish(GUARD_FIRED, time, pid)
+        return {src: list(msgs) for src, msgs in self._cum[pid].items()}
 
     def _note_armed(self, pid: int, time: int, done: Dict[int, bool]) -> None:
         """Tell ``GUARD_ARMED`` subscribers the guard ``pid`` just parked
-        on (callers skip the call while ``_lv_armed`` is off)."""
+        on (callers skip the call while ``_guard_events`` is off)."""
         guard = self._guards.get(pid)
         if guard is not None and not done[pid]:
             self.bus.publish(GUARD_ARMED, time, pid, guard)

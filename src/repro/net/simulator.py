@@ -176,7 +176,7 @@ class SynchronousNetwork(RuntimeBase):
                         self._cum[pid]
                     ):
                         continue  # still asleep this round
-                    # guard telemetry is stamped with the round number
+                    # guard events are stamped with the round number
                     inbox: Optional[Inbox] = self._wake_inbox(pid, round_no)
                 else:
                     inbox = None if not started else inboxes[pid]
@@ -185,7 +185,7 @@ class SynchronousNetwork(RuntimeBase):
                     round_no, outputs, done, deliveries,
                 )
                 stepped += advanced
-                if advanced and self._lv_armed:
+                if advanced and self._guard_events:
                     self._note_armed(pid, round_no, done)
 
             # rushing players peek at this round's traffic addressed to them
@@ -268,7 +268,7 @@ class SynchronousNetwork(RuntimeBase):
                     else:
                         inbox[src] = [payload]
                     if dst in in_guard_mode:
-                        self._deliver(dst, src, payload, round_no, done)
+                        self._cum[dst].deliver(src, payload)
         else:
             raise self._exhausted(
                 waited, done, f"exceeded max_rounds={self.max_rounds}"

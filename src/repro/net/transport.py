@@ -30,11 +30,6 @@ from repro.net.metrics import NetworkMetrics, payload_field_elements
 #: destination sentinel: deliver to every player (n unicasts)
 ALL = 0
 
-#: channel-kind labels attached to deliveries by provenance capture
-UNICAST = "unicast"
-MULTICAST = "multicast"
-BROADCAST = "broadcast"
-
 Payload = Any
 #: one concrete delivery produced by a transport: (dst, payload)
 Delivery = Tuple[int, Payload]
@@ -148,24 +143,3 @@ class Transport:
                 deliveries.append((send.dst, send.payload))
         return deliveries
 
-
-def expansion_channels(n: int, sends: List[Send]) -> List[str]:
-    """The channel kind of each delivery :meth:`Transport.expand` yields.
-
-    A provenance companion to ``expand``: given the same ``sends``, the
-    i-th returned label describes the i-th delivery (``broadcast`` for
-    the ideal channel, ``multicast`` for an ALL fan-out, ``unicast``
-    otherwise).  No validation or metering happens here — causality
-    capture must never change what a run pays.
-    """
-    channels: List[str] = []
-    for send in sends or []:
-        if not isinstance(send, Send):
-            continue
-        if send.broadcast:
-            channels.extend([BROADCAST] * n)
-        elif send.dst == ALL:
-            channels.extend([MULTICAST] * n)
-        else:
-            channels.append(UNICAST)
-    return channels

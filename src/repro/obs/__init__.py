@@ -47,11 +47,11 @@ workload, CI step or example that runs it — in its module docstring
   :class:`~repro.obs.critical_path.CostModel` pricing of a causal
   graph: per-coin exposure latency, slowest-chain phase attribution,
   and straggler :func:`~repro.obs.critical_path.what_if` analysis;
-* :mod:`repro.obs.liveness` — the liveness observatory over the
-  guard wait-state topics: per-wait quorum latency with pivotal-sender
-  attribution (:class:`~repro.obs.liveness.QuorumLatencyRecorder`) and
-  an online :class:`~repro.obs.liveness.StallWatchdog` classifying
-  stalls as crash-induced vs. unexplained withholding;
+* :mod:`repro.obs.liveness` — liveness as views of a flight log:
+  per-wait quorum latency with pivotal-sender attribution
+  (:func:`~repro.obs.liveness.wait_records`) and the guards that
+  waited past a threshold (:func:`~repro.obs.liveness.stalls`),
+  classified as crash-induced vs. unexplained withholding;
 * :mod:`repro.obs.manifest` — :class:`~repro.obs.manifest.RunManifest`,
   the provenance stamp (parameters, backend, runtime, environment) with
   a stable semantic fingerprint, attached to exports;
@@ -81,8 +81,8 @@ _LAZY = {
         "audit": ("ConformanceReport", "PhaseCheck", "RoundsCheck",
                   "audit_coin_gen", "audit_liveness", "audit_recorder",
                   "audit_rounds"),
-        "liveness": ("QuorumLatencyRecorder", "Stall", "StallWatchdog",
-                     "WaitRecord", "default_threshold"),
+        "liveness": ("Stall", "WaitRecord", "default_threshold", "stalls",
+                     "wait_records"),
         "causality": ("CausalGraph", "MessageEdge", "graph_from_log"),
         # critical_path() itself is not re-exported: the package attribute
         # of that name is the submodule

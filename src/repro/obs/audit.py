@@ -34,6 +34,7 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis import complexity, rounds as rounds_model
+from repro.obs.liveness import stalls, wait_records
 from repro.obs.phases import PHASES, messages_by_phase
 from repro.obs.spans import Span, SpanRecorder
 
@@ -307,8 +308,9 @@ def audit_recorder(recorder: SpanRecorder) -> List[ConformanceReport]:
     return reports
 
 
-def audit_liveness(latency, watchdog=None) -> ConformanceReport:
-    """Liveness conformance over a :class:`~repro.obs.liveness.QuorumLatencyRecorder`.
+def audit_liveness(log, threshold: Optional[int] = None) -> ConformanceReport:
+    """Liveness conformance of a :class:`~repro.obs.flight.FlightLog`'s
+    :func:`~repro.obs.liveness.wait_records`.
 
     Fault-free random-order runs must be stall-free and *quorum-exact*:
 
@@ -323,13 +325,13 @@ def audit_liveness(latency, watchdog=None) -> ConformanceReport:
       overshoot (a round delivers many matching payloads at once) —
       audit async recordings only.  Quorum-0 guards fire without
       senders and are excluded;
-    * ``stalls`` — when a :class:`~repro.obs.liveness.StallWatchdog`
-      is passed, zero guards waited past its threshold.
+    * ``stalls`` — when a ``threshold`` is given, zero guards waited
+      past it (:func:`~repro.obs.liveness.stalls`).
 
     Returns a :class:`ConformanceReport` (protocol ``"liveness"``) so
     the CLI renders and gates it exactly like the lemma audits.
     """
-    records = latency.waits()
+    records = wait_records(log)
     fired = [r for r in records if r.fired]
     overshoot = sum(
         1 for r in fired
@@ -342,11 +344,11 @@ def audit_liveness(latency, watchdog=None) -> ConformanceReport:
         PhaseCheck("liveness", "quorum_overshoot_fires", 0, overshoot),
     ]
     params: Dict[str, Any] = {
-        "waits": len(records), "runs": latency.run_count,
+        "waits": len(records), "runs": len(log.runs()),
     }
-    if watchdog is not None:
+    if threshold is not None:
         checks.append(PhaseCheck("liveness", "stalls", 0,
-                                 len(watchdog.stalls)))
-        params["threshold"] = watchdog.threshold
+                                 len(stalls(log, threshold))))
+        params["threshold"] = threshold
     return ConformanceReport(protocol="liveness", params=params,
                              checks=checks)

@@ -16,22 +16,18 @@ bus when one is attached) and publishes:
   round a player fault suppresses (kind ``"crash"`` or ``"silence"``,
   with ``dst=0`` meaning "all destinations").
 
-Liveness topics (published **only when subscribed**, so unmonitored
-runs stay byte-identical — see :mod:`repro.obs.liveness`):
+Guard topics (published **only when subscribed**, so unmonitored runs
+stay byte-identical).  They carry the two guard facts a delivery log
+cannot rebuild; the flight recorder writes them down and
+:mod:`repro.obs.liveness` derives every wait record and stall from the
+log:
 
-* ``"guard_armed"``    — ``(time, pid, guard)`` when a guarded program
+* ``"guard_armed"`` — ``(time, pid, guard)`` when a guarded program
   parks on a :class:`~repro.net.guards.Wait`/``AnyWait`` (``time`` is
   the runtime's logical clock: delivery count for the async runtime,
   round number for lockstep);
-* ``"guard_progress"`` — ``(time, pid, src, count, quorum)`` when a
-  delivery from ``src`` is relevant to ``pid``'s parked guard;
-  ``count``/``quorum`` are distinct matching senders so far vs. needed;
-* ``"guard_fired"``    — ``(time, pid, guard, senders)`` when a parked
-  guard's quorum is met and the program steps; ``senders`` is the
-  sorted tuple of distinct matching senders at fire time;
-* ``"pool"``           — ``(time, depth, backlog)`` per async tick:
-  in-flight pool depth after the tick settles plus a per-channel
-  backlog dict (lockstep has no in-flight pool and never publishes it).
+* ``"guard_fired"`` — ``(time, pid)`` when a parked guard's quorum is
+  met and the program steps.
 
 Long-lived components publish health topics into a shared context bus:
 
@@ -75,11 +71,9 @@ COIN = "coin"
 BATCH = "batch"
 FAILURE = "failure"
 RETRY = "retry"
-#: liveness topics (guard wait-state telemetry; see repro.obs.liveness)
+#: guard topics (a player parked / woke; see repro.obs.liveness)
 GUARD_ARMED = "guard_armed"
-GUARD_PROGRESS = "guard_progress"
 GUARD_FIRED = "guard_fired"
-POOL = "pool"
 
 #: every topic constant the runtime stack and coin pipeline publish.
 #: Publishers and subscribers must name topics via these constants
@@ -87,7 +81,7 @@ POOL = "pool"
 ALL_TOPICS = (
     RUN, ROUND, FAULT,
     COIN, BATCH, FAILURE, RETRY,
-    GUARD_ARMED, GUARD_PROGRESS, GUARD_FIRED, POOL,
+    GUARD_ARMED, GUARD_FIRED,
 )
 
 

@@ -72,13 +72,6 @@ class RunProfile:
     def phase(self, name: str) -> Dict[str, float]:
         return self.phases.setdefault(name, _empty_phase())
 
-    def totals(self) -> Dict[str, float]:
-        out = _empty_phase()
-        for metrics in self.phases.values():
-            for metric in METRICS:
-                out[metric] += metrics.get(metric, 0)
-        return out
-
 
 def profile_from_jsonl(text: str, source: str = "jsonl") -> RunProfile:
     """Reduce a :func:`~repro.obs.export.to_jsonl` span export.

@@ -13,10 +13,10 @@
   for scraping or for diffing in CI.  Every metric family carries
   ``# HELP`` and ``# TYPE`` lines and label values are escaped per the
   text-format rules (regression-tested by a strict parser in
-  ``tests/test_prometheus_format.py``).  Pass ``liveness=`` /
-  ``watchdog=`` (see :mod:`repro.obs.liveness`) to append guard-wait
-  latency histograms (in logical ticks), pivotal-sender counters, pool
-  gauges and stall counters.
+  ``tests/test_prometheus_format.py``).  Pass a flight log as
+  ``liveness=`` (and a stall threshold as ``watchdog=``) to append its
+  guard-wait latency histogram (in logical ticks), pivotal-sender
+  counters and stall counters (see :mod:`repro.obs.liveness`).
 
 Off the coin path (docs/CENSUS.md, class ii); run by CI's `repro toss
 --export chrome` and `repro waits --export prom`.
@@ -28,6 +28,7 @@ import json
 from typing import Dict, List, Optional
 
 from repro.net.metrics import NetworkMetrics
+from repro.obs.liveness import pivotal_counts, stalls, wait_records
 from repro.obs.spans import Span, SpanRecorder
 
 #: Chrome trace lane ids (tid) per span kind; players get PLAYER_TID + pid
@@ -249,18 +250,16 @@ def to_prometheus(
     prefix: str = "repro",
     health=None,
     liveness=None,
-    watchdog=None,
+    watchdog: Optional[int] = None,
 ) -> str:
     """Prometheus text exposition of counters and span histograms.
 
     ``health`` optionally appends a
     :class:`~repro.obs.health.HealthMonitor`'s pipeline gauges and
-    counters; ``liveness`` (a
-    :class:`~repro.obs.liveness.QuorumLatencyRecorder`) appends
-    guard-wait counters, a logical-tick latency histogram,
-    pivotal-sender attribution and pool gauges; ``watchdog`` (a
-    :class:`~repro.obs.liveness.StallWatchdog`) appends classified
-    stall counters.
+    counters; ``liveness`` (a :class:`~repro.obs.flight.FlightLog`)
+    appends its guard-wait counters, logical-tick latency histogram and
+    pivotal-sender attribution; ``watchdog`` (a threshold in logical
+    ticks) appends the log's stall counters at that threshold.
     """
     lines: List[str] = []
     if metrics is not None:
@@ -333,21 +332,22 @@ def to_prometheus(
                     f"{by_kind[kind]}"
                 )
     if liveness is not None:
-        fired = liveness.fired_records()
-        pending = liveness.pending_records()
+        records = wait_records(liveness)
+        waited = [r.wait_time for r in records if r.fired]
+        pending = len(records) - len(waited)
         _family(lines, f"{prefix}_guard_waits_total", "counter",
                 "Armed guards observed, by outcome.")
         lines.append(
-            f'{prefix}_guard_waits_total{{state="fired"}} {len(fired)}'
+            f'{prefix}_guard_waits_total{{state="fired"}} {len(waited)}'
         )
         lines.append(
-            f'{prefix}_guard_waits_total{{state="pending"}} {len(pending)}'
+            f'{prefix}_guard_waits_total{{state="pending"}} {pending}'
         )
         _family(lines, f"{prefix}_guard_wait_ticks", "histogram",
                 "Armed-to-fired guard wait in logical ticks.")
         _histogram(lines, f"{prefix}_guard_wait_ticks", "",
-                   liveness.latencies(), buckets=_LOGICAL_BUCKETS)
-        counts = liveness.pivotal_counts()
+                   waited, buckets=_LOGICAL_BUCKETS)
+        counts = pivotal_counts(records)
         if counts:
             _family(lines, f"{prefix}_guard_pivotal_total", "counter",
                     "Waits completed per pivotal (quorum-completing) sender.")
@@ -356,33 +356,18 @@ def to_prometheus(
                     f'{prefix}_guard_pivotal_total{{player="{player}"}} '
                     f"{counts[player]}"
                 )
-        _family(lines, f"{prefix}_pool_depth_peak", "gauge",
-                "Deepest in-flight message pool observed (async runtime).")
-        lines.append(f"{prefix}_pool_depth_peak {liveness.pool_peak}")
-        if liveness.backlog_peak:
-            _family(lines, f"{prefix}_pool_backlog_peak", "gauge",
-                    "Peak in-flight backlog per transport channel.")
-            for channel in sorted(liveness.backlog_peak):
-                lines.append(
-                    f'{prefix}_pool_backlog_peak'
-                    f'{{channel="{_escape_label(channel)}"}} '
-                    f"{liveness.backlog_peak[channel]}"
-                )
     if watchdog is not None:
+        found = stalls(liveness, watchdog)
         _family(lines, f"{prefix}_guard_stalls_total", "counter",
                 "Guards that waited past the watchdog threshold, by class.")
         for cls in ("crash", "unexplained"):
-            count = sum(
-                1 for s in watchdog.stalls if s.classification == cls
-            )
+            count = sum(1 for s in found if s.classification == cls)
             lines.append(
                 f'{prefix}_guard_stalls_total{{class="{cls}"}} {count}'
             )
         _family(lines, f"{prefix}_watchdog_threshold_ticks", "gauge",
                 "Logical-time threshold the stall watchdog applies.")
-        lines.append(
-            f"{prefix}_watchdog_threshold_ticks {watchdog.threshold}"
-        )
+        lines.append(f"{prefix}_watchdog_threshold_ticks {watchdog}")
     if health is not None:
         lines.extend(health.prometheus_lines(prefix))
     return "\n".join(lines) + "\n"

@@ -6,7 +6,10 @@ topics the runtime stack already publishes, and serializes everything
 that *actually arrived* (post fault-plane, post scheduler) into a
 versioned JSONL log.  Payloads go over the same wire codec real
 deployments would use (:mod:`repro.net.codec`), so a flight log is a
-faithful byte-level record of the run, not a Python-pickle diary.
+faithful byte-level record of the run, not a Python-pickle diary.  It
+also logs the two guard facts deliveries cannot rebuild — a player
+parked on a guard, a parked player woke — which is all
+:mod:`repro.obs.liveness` needs to derive wait records and stalls.
 
 Because recording is subscription-only, a run without a recorder
 attached executes byte-identically to one with — the same
@@ -29,11 +32,17 @@ Log format (one JSON object per line)::
     {"e": "run", "i": 0}
     {"e": "round", "i": 1, "run": 1, "r": 1, "d": [[2, 1, "28022..."], ...]}
     {"e": "fault", "i": 2, "run": 1, "r": 3, "k": "crash", "src": 4, "dst": 0}
+    {"e": "armed", "i": 3, "run": 1, "r": 3, "pid": 2, "w": [[["rbc/echo"], 5]]}
+    {"e": "fired", "i": 9, "run": 1, "r": 8, "pid": 2}
 
 ``i`` is the event index (0-based, in arrival order) — forensics cites
 these as evidence.  Delivery triples are ``[dst, src, payload_hex]``;
 payloads outside the codec vocabulary fall back to ``[dst, src,
-{"repr": ...}]`` and replay as :class:`OpaquePayload`.
+{"repr": ...}]`` and replay as :class:`OpaquePayload`.  An ``armed``
+line's ``w`` holds one ``[[tags...], quorum]`` branch per
+:class:`~repro.net.guards.Wait` of the guard (several for an
+``AnyWait``).  Only guarded programs write guard lines, and replay,
+diff, forensics and the causal graph ignore them.
 """
 
 from __future__ import annotations
@@ -45,7 +54,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.net import codec
 from repro.net.metrics import payload_tag
-from repro.obs.bus import FAULT, ROUND, RUN, EventBus, RunCounter
+from repro.obs.bus import FAULT, GUARD_ARMED, GUARD_FIRED, ROUND, RUN
+from repro.obs.bus import EventBus, RunCounter
 
 #: current flight-log schema version; bumped on any incompatible change
 FLIGHT_VERSION = 1
@@ -120,6 +130,23 @@ def _decode_delivery(item, n: int) -> Tuple[int, int, Any]:
     return dst, src, OpaquePayload(_get(wire, "repr", str))
 
 
+def _decode_waits(value) -> Tuple[Tuple[Tuple[str, ...], int], ...]:
+    """An ``armed`` line's ``w``: a non-empty list of ``[[tag, ...],
+    quorum]`` branches, every tag a string and every quorum a count."""
+    if not isinstance(value, list) or not value:
+        raise ValueError(f"guard {value!r}: expected a non-empty list")
+    for branch in value:
+        if not isinstance(branch, list) or len(branch) != 2:
+            raise ValueError(f"guard branch {branch!r}: expected a pair")
+        tags, quorum = branch
+        if not (isinstance(tags, list) and tags
+                and all(isinstance(tag, str) for tag in tags)):
+            raise ValueError(f"guard tags {tags!r}: expected strings")
+        if type(quorum) is not int or quorum < 0:
+            raise ValueError(f"guard quorum {quorum!r}: expected a count")
+    return tuple((tuple(tags), quorum) for tags, quorum in value)
+
+
 @dataclass(frozen=True)
 class RoundEvent:
     """One settled round: what every player actually received."""
@@ -150,6 +177,18 @@ class FaultEvent:
     dst: int   #: 0 means "all destinations" (player-level fault)
 
 
+@dataclass(frozen=True)
+class GuardEvent:
+    """A guarded player parked on a guard (``armed``) or woke from it."""
+
+    index: int
+    run: int
+    round: int  #: the runtime's logical clock (round number on lockstep)
+    pid: int
+    #: ``((tags, quorum), ...)``, one per Wait of the guard; () when fired
+    waits: Tuple[Tuple[Tuple[str, ...], int], ...] = ()
+
+
 @dataclass
 class FlightLog:
     """A parsed flight log: header plus the ordered event stream."""
@@ -167,6 +206,8 @@ class FlightLog:
     #: header, ignored by diff/replay (same version-1 wire format —
     #: readers without manifest support skip the unknown header key)
     manifest: Optional[Dict[str, Any]] = None
+    #: the ``armed`` / ``fired`` lines, in log order
+    guards: List[GuardEvent] = dataclass_field(default_factory=list)
 
     # -- (de)serialization --------------------------------------------------
     def dumps(self) -> str:
@@ -179,9 +220,7 @@ class FlightLog:
             header["manifest"] = self.manifest
         lines = [json.dumps(header, sort_keys=True)]
         events: List[Tuple[int, dict]] = []
-        run_marks = _run_marker_indices(self.rounds, self.faults,
-                                        self.event_count)
-        for index in run_marks:
+        for index in self._run_marker_indices():
             events.append((index, {"e": "run", "i": index}))
         for event in self.rounds:
             events.append((event.index, {
@@ -196,6 +235,14 @@ class FlightLog:
                 "r": event.round, "k": event.kind,
                 "src": event.src, "dst": event.dst,
             }))
+        for event in self.guards:
+            record = {"e": "armed" if event.waits else "fired",
+                      "i": event.index, "run": event.run,
+                      "r": event.round, "pid": event.pid}
+            if event.waits:
+                record["w"] = [[list(tags), quorum]
+                               for tags, quorum in event.waits]
+            events.append((event.index, record))
         events.sort(key=lambda pair: pair[0])
         lines.extend(json.dumps(record, sort_keys=True)
                      for _, record in events)
@@ -245,6 +292,15 @@ class FlightLog:
                         src=_player(_get(record, "src"), log.n, "fault src"),
                         dst=dst,
                     ))
+                elif kind in ("armed", "fired"):
+                    log.guards.append(GuardEvent(
+                        index=index,
+                        run=_get(record, "run", optional=True) or run or 1,
+                        round=_get(record, "r"),
+                        pid=_player(record.get("pid"), log.n, f"{kind} pid"),
+                        waits=(_decode_waits(record.get("w"))
+                               if kind == "armed" else ()),
+                    ))
                 else:
                     raise ValueError(f"unknown flight event kind {kind!r}")
                 log.event_count = max(log.event_count, index + 1)
@@ -290,17 +346,21 @@ class FlightLog:
             out.setdefault(event.run, []).append(event)
         return out
 
+    def events(self) -> list:
+        """Round, fault and guard events merged back into log order."""
+        return sorted([*self.rounds, *self.faults, *self.guards],
+                      key=lambda event: event.index)
 
-def _run_marker_indices(rounds, faults, event_count) -> List[int]:
-    """Reconstruct where run-boundary markers sat in the event stream.
+    def _run_marker_indices(self) -> List[int]:
+        """Reconstruct where run-boundary markers sat in the event stream.
 
-    Marker indices are exactly the indices not occupied by a round or
-    fault event; recomputing them keeps :class:`RoundEvent` /
-    :class:`FaultEvent` free of marker bookkeeping.
-    """
-    used = {event.index for event in rounds}
-    used.update(event.index for event in faults)
-    return [index for index in range(event_count) if index not in used]
+        Marker indices are exactly the indices no other event occupies;
+        recomputing them keeps the event classes free of marker
+        bookkeeping.
+        """
+        used = {event.index for event in self.events()}
+        return [index for index in range(self.event_count)
+                if index not in used]
 
 
 class FlightRecorder:
@@ -328,6 +388,7 @@ class FlightRecorder:
         self.manifest = manifest
         self._rounds: List[RoundEvent] = []
         self._faults: List[FaultEvent] = []
+        self._guards: List[GuardEvent] = []
         self._index = 0
         self._runs = RunCounter()
 
@@ -336,6 +397,8 @@ class FlightRecorder:
         bus.subscribe(RUN, self.on_run)
         bus.subscribe(ROUND, self.on_round)
         bus.subscribe(FAULT, self.on_fault)
+        bus.subscribe(GUARD_ARMED, self.on_guard)
+        bus.subscribe(GUARD_FIRED, self.on_guard)
         return self
 
     # -- topic handlers -----------------------------------------------------
@@ -361,12 +424,25 @@ class FlightRecorder:
         ))
         self._index += 1
 
+    def on_guard(self, time: int, pid: int, guard=None) -> None:
+        """``pid`` parked on ``guard`` (``GUARD_ARMED``) or woke
+        (``GUARD_FIRED``, no guard).  Placed in the run in progress: an
+        async guard at time r follows r's round event, where the
+        round-number rule would open a new run."""
+        branches = () if guard is None else getattr(guard, "waits", (guard,))
+        self._guards.append(GuardEvent(
+            index=self._index, run=self._runs.run, round=time, pid=pid,
+            waits=tuple((tuple(w.tags), w.quorum) for w in branches),
+        ))
+        self._index += 1
+
     # -- output -------------------------------------------------------------
     def log(self) -> FlightLog:
         return FlightLog(
             n=self.n, t=self.t, field=self.field_spec, seed=self.seed,
             rounds=list(self._rounds), faults=list(self._faults),
             event_count=self._index, manifest=self.manifest,
+            guards=list(self._guards),
         )
 
     def dump(self, path: str) -> None:

@@ -3,9 +3,9 @@
 The paper's protocols tolerate ``t`` corrupt players without naming
 them; operators of a long-lived beacon want names.  This module replays
 a :class:`~repro.obs.flight.FlightLog` through a per-player behaviour
-model and produces an :class:`AccusationReport` — per-player verdicts
-backed by event indices into the log, so every accusation can be
-audited against the recorded bytes.
+model and produces an :class:`AccusationReport` — the implicated
+players, each accusation backed by event indices into the log, so every
+accusation can be audited against the recorded bytes.
 
 Soundness before completeness: every rule below is chosen so an honest
 player following the protocol can *never* trip it, even under
@@ -88,7 +88,8 @@ class Accusation:
 
 @dataclass
 class AccusationReport:
-    """Per-player verdicts with auditable evidence."""
+    """Accusations with auditable evidence; the verdict is
+    :meth:`corrupt_players`."""
 
     n: int
     t: int
@@ -96,14 +97,6 @@ class AccusationReport:
 
     def corrupt_players(self) -> Set[int]:
         return {accusation.player for accusation in self.accusations}
-
-    def verdict(self, player: int) -> str:
-        return "corrupt" if player in self.corrupt_players() else "clean"
-
-    def verdicts(self) -> Dict[int, str]:
-        corrupt = self.corrupt_players()
-        return {pid: "corrupt" if pid in corrupt else "clean"
-                for pid in range(1, self.n + 1)}
 
     def against(self, player: int) -> List[Accusation]:
         return [a for a in self.accusations if a.player == player]

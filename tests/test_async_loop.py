@@ -8,14 +8,19 @@ Three contracts of :class:`repro.net.async_runtime.AsyncRuntime`'s loop
   plane that forces idle ticks) reproduce pinned sha256 digests of their
   flight log and of every event published on any bus topic, plus their
   logical clock and delivery count.  The pins state that delivery
-  order, fault events, guard telemetry and pool gauges do not move, on
-  either field backend.  They were re-recorded once, when the pick
-  mapping became ``random-order/2`` (a stateless 64-bit hash; every
-  async delivery order for a given seed differs from ``random-order/1``,
-  no protocol output does); the every-topic halves once more when the
-  ``sent`` topic was deleted — each is the digest of the earlier
-  transcript with its ``sent`` lines left out, the flight-log halves
-  did not move;
+  order, fault events and guard events do not move, on either field
+  backend.  They were re-recorded when the pick mapping became
+  ``random-order/2`` (a stateless 64-bit hash; every async delivery
+  order for a given seed differs from ``random-order/1``, no protocol
+  output does); the every-topic halves when the ``sent`` topic was
+  deleted (the earlier transcript minus its ``sent`` lines); and both
+  halves when liveness became a view of the flight log: the transcript
+  lost its ``guard_progress`` and ``pool`` lines and a fire carries
+  ``(time, pid)`` only, the log gained ``armed`` / ``fired`` lines,
+  which shift the event indices after them.  A third digest, of the
+  log's deliveries and faults alone, was recorded before that change
+  and did not move: the delivery order and the fault stream are the
+  same, and so are the logical clocks and delivery counts;
 * **constant work** — a dark 60-round guarded all-to-all run computes at
   most two payload tags per delivery (the parent re-tagged the player's
   whole history on every delivery), never scans the in-flight pool
@@ -38,7 +43,7 @@ import pytest
 from repro.fields import GF2k
 from repro.fields.backends import numpy_available
 from repro.net import AsyncRuntime, FaultPlane, RandomOrderScheduler, guarded
-from repro.net import async_runtime, guards, simulator
+from repro.net import async_runtime, codec, guards, simulator
 from repro.net.metrics import payload_tag
 from repro.net.transport import multicast
 from repro.obs.bus import ALL_TOPICS, EventBus
@@ -66,29 +71,43 @@ def _planes():
 
 
 #: scenario -> (flight-log sha256, every-topic sha256, logical_time,
-#: delivery_count), recorded under the ``random-order/2`` pick, eleven
-#: topics
+#: delivery_count), recorded under the ``random-order/2`` pick, nine
+#: topics, guard lines in the log
 PINNED = {
     "clean": (
-        "b0a8f84eb5582a17063438cf653e3b6b8995b0cd93cc6f09c01112a978716bec",
-        "7342cb28ee3b8730bbe9c6d1623c62fa984cc03cd98c6d2eadd1a614448220af",
+        "93a80b187cc9e3db1d5cdbaf431b748139b1a79ce8ae41d3edbbe1ac51d27aa3",
+        "330d6285843bdbd34dfc5c36fb27578572d83326f4ccf082b40838c8aa89fdff",
         45, 45,
     ),
     "crashed_from_start": (
-        "a18708d8326e4682c731558aaa4cf1e28d868bd69edd6c4f893d5472b1ff1d08",
-        "7954ce41a00a47ccaa1f910b1309578e9a882fae04def9941d5711761576e016",
+        "6b7b4ebdfb3d71b8f41d56e4c4072efa061f80ac4e797d0f77c2789ae8b52cc5",
+        "cc97b0af347448c8512ac9916a285cda4f2c6c3a1fdd2f0f5d7bb1cc3fe24f07",
         31, 31,
     ),
     "drop_dup_delay_crash": (
-        "5d4fc0cad04a783f540bcbeb404042e39db1992c39736fbef254db242619a973",
-        "cddf37cfef48451958dae58aaaa5143d74eef1b808eaba9899b4c1c0d16f24da",
+        "c03c7b1c269d66c6b649eb155992cc2eef9f59c72ba15775ecea67e0c9c6328b",
+        "89d0ca7a86c1beebd4dac9d74be06ab4f15f93ca129e9ce97f2c0546d01f4588",
         48, 48,
     ),
     "delay_everything": (
-        "294b40ffa05bd18313f2ce3f740f43523f46449cdab1a223b28afdbc39053035",
-        "ed8fcd720c0f8232272eeca0b6ab23021c45902c867aa73822653771ece9bba2",
+        "d9f55a79afa1348745300a4052d6df5f03443a12d69240c23fd61db6441ecce0",
+        "b23a0558ef556ae407b922607b2edf74f7c46e1969e2ac570b740db98516f839",
         46, 41,
     ),
+}
+
+#: scenario -> sha256 of the flight log's ``[[run, round, dst, src,
+#: payload hex] ...]`` deliveries and ``[[run, round, kind, src, dst]
+#: ...]`` faults, recorded before the log had guard lines
+DELIVERIES = {
+    "clean":
+        "4de8b19e9eddb2edb8ffb1d26a35bdbabcbb55274ea2c8b00d9ed7f8d19e95b3",
+    "crashed_from_start":
+        "ad9923b8f2a440fc898f2991bea222034aea452d8c512b19b1aa86d3878e956f",
+    "drop_dup_delay_crash":
+        "c2ea3be89cef935c36455698c2f6e96aa4eaf71e42839371f7a3cf762586c199",
+    "delay_everything":
+        "61cade998450688c802b0c8bbb1145a7c6b56fc87611a5a4d395c6312d4ce073",
 }
 
 
@@ -101,9 +120,8 @@ def seeded_run(scenario: str, backend: str):
 
     The lit pass subscribes to every topic and follows the coin with a
     Bracha broadcast (multi-phase, ``AnyWait`` guards, its own delay and
-    crash) on the same bus, so the transcript covers GUARD_* and POOL
-    payloads of both guard kinds.  Backlog dicts are compared as dicts
-    (``sort_keys``), guards by their dataclass fields.
+    crash) on the same bus, so the transcript covers GUARD_* payloads of
+    both guard kinds, compared by their dataclass fields.
     """
     field = GF2k(16, backend=backend)
     bus = EventBus()
@@ -136,11 +154,32 @@ def seeded_run(scenario: str, backend: str):
     )
 
 
+def _deliveries_digest(log) -> str:
+    deliveries = [
+        [event.run, event.round, dst, src, codec.encode(payload).hex()]
+        for event in log.rounds for dst, src, payload in event.deliveries
+    ]
+    faults = [[event.run, event.round, event.kind, event.src, event.dst]
+              for event in log.faults]
+    return _sha(json.dumps([deliveries, faults]))
+
+
 class TestSameAnswers:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("scenario", sorted(PINNED))
     def test_seeded_runs_reproduce_the_pinned_digests(self, scenario, backend):
         assert seeded_run(scenario, backend) == PINNED[scenario]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("scenario", sorted(DELIVERIES))
+    def test_the_delivery_order_and_faults_did_not_move(self, scenario,
+                                                        backend):
+        field = GF2k(16, backend=backend)
+        bus = EventBus()
+        flight = FlightRecorder(n=N, t=T, field=field, seed=0).attach(bus)
+        run_async_coin(field, N, T, seed=13, scheduler=RandomOrderScheduler(5),
+                       bus=bus, **_planes()[scenario])
+        assert _deliveries_digest(flight.log()) == DELIVERIES[scenario]
 
     def test_the_delay_plane_forces_idle_ticks(self):
         """The fourth pin covers the immature-pool branch of the loop."""

@@ -15,7 +15,11 @@ fails on d37430e, the commit before the paths were folded.
 (d) There is one path from a recorded run to an answer: one constructor
 of a ``CausalGraph`` and no ``sent`` topic, one module that spells the
 expose tag, and no name exported by ``repro.obs`` that no entry point
-reaches.  Each fails on 12b941c, the commit before that fold.
+reaches.  Each fails on 12b941c, the commit before that fold.  (e) Wait
+records and stalls are views of the flight log: the liveness module
+subscribes to nothing, and the progress topic, the pool gauge and its
+channel labels are gone (fails on abe7edc, where two live subscribers
+recorded them).
 """
 
 import ast
@@ -233,11 +237,21 @@ def test_the_flight_log_is_the_only_source_of_a_causal_graph():
 def test_no_sent_topic_is_published_or_subscribed():
     import repro.obs.bus as bus
 
-    assert len(bus.ALL_TOPICS) == 11 and "sent" not in bus.ALL_TOPICS
+    assert len(bus.ALL_TOPICS) == 9 and "sent" not in bus.ALL_TOPICS
     for module, path in MODULES.items():
         for node in ast.walk(ast.parse(path.read_text())):
             assert getattr(node, "id", getattr(node, "attr", None)) != "SENT", module
             assert not (isinstance(node, ast.Constant) and node.value == "sent"), module
+
+
+def test_the_flight_log_is_the_only_source_of_wait_records():
+    liveness = ast.parse(MODULES["repro.obs.liveness"].read_text())
+    assert not any(calls(liveness, {"subscribe"}))
+    for module, path in MODULES.items():
+        named = identifiers(ast.parse(path.read_text()))
+        assert not named & {"GUARD_PROGRESS", "POOL", "expansion_channels"}, (
+            module
+        )
 
 
 def test_one_module_spells_the_expose_tag():

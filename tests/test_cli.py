@@ -1,6 +1,7 @@
 """The command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -333,6 +334,41 @@ class TestCampaignCLI:
         }))
         assert main(["campaign", "replay", str(stale)]) == 1
         assert "no longer trips" in capsys.readouterr().out
+
+
+class TestExhaustedAsyncRun:
+    """More than t crashed players: the coin never finishes.  That is
+    the run a stall watchdog exists for, and it used to end in an
+    uncaught ``RuntimeExhausted`` with no stall table and no log."""
+
+    def test_toss_writes_the_log_and_reports_the_stuck_guards(
+        self, tmp_path, capsys
+    ):
+        log_path = tmp_path / "stall.flightlog"
+        code = main(["toss", "--n", "7", "--t", "2", "--count", "1",
+                     "--runtime", "async", "--crash", "3,4,5",
+                     "--watchdog", "20", "--flight-log", str(log_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err
+        assert log_path.exists()
+        stuck = {int(pid) for pid in
+                 re.findall(r"player (\d+) awaiting", err.split("stuck:")[1])}
+        assert stuck == {1, 2, 6, 7}
+        from repro.obs import FlightLog, stalls
+
+        unresolved = {stall.pid
+                      for stall in stalls(FlightLog.load(str(log_path)), 20)
+                      if stall.resolved_at is None}
+        assert stuck <= unresolved
+
+    def test_waits_lists_the_stuck_guards(self, capsys):
+        assert main(["waits", "--n", "7", "--t", "2", "--coins", "2",
+                     "--crash", "3,4,5"]) == 1
+        out, err = capsys.readouterr()
+        assert "stuck: player 1 awaiting expose/async-0" in err
+        assert "Traceback" not in err
+        assert "waits armed / fired" in out and " 4 / 0" in out
 
 
 class TestExitCodeConvention:

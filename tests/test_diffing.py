@@ -95,11 +95,12 @@ class TestIdenticalSeedsDiffEmpty:
                 live[phase] = live.get(phase, 0) + span.attrs[metric]
             assert {phase: row[metric]
                     for phase, row in exported.phases.items()} == live
-        assert exported.totals()["muls"] == sum(
+        totals = _totals(exported)
+        assert totals["muls"] == sum(
             span.attrs["muls"] for span in recorder.by_kind("player")
         )
         # wall-clock round-trips too: same spans, same durations
-        assert exported.totals()["wall_s"] == pytest.approx(sum(
+        assert totals["wall_s"] == pytest.approx(sum(
             span.duration for span in recorder.phase_spans()
         ))
         assert exported.manifest.fingerprint() == manifest.fingerprint()
@@ -149,11 +150,20 @@ class TestForcedRegression:
         assert sum(e.share for e in entries) == pytest.approx(1.0)
 
 
+def _totals(profile):
+    """Per-metric sums of the rows ``repro diff`` prints, each phase's
+    ``after`` against an empty profile."""
+    totals = {}
+    for row in diff_profiles(RunProfile(), profile).rows:
+        totals[row.metric] = totals.get(row.metric, 0) + row.after
+    return totals
+
+
 class TestProfileShapes:
     def test_totals_aggregate_all_phases(self):
         recorder, _ = lockstep_profile()
         profile = exported_profile(recorder)
-        totals = profile.totals()
+        totals = _totals(profile)
         for metric in COUNT_METRICS:
             assert totals[metric] == sum(
                 row.get(metric, 0) for row in profile.phases.values()

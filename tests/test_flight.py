@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.fields import GF2k
 from repro.fields.gfp import GFp
 from repro.net import (
@@ -355,6 +356,10 @@ ROUND = '{"e": "round", "i": 1, "run": 1, "r": 1, "d": [[2, 1, "690101"]]}'
 
 FAULT = '{"e": "fault", "i": 1, "r": 1, "k": "crash", "src": 4, "dst": 0}'
 
+ARMED = ('{"e": "armed", "i": 1, "run": 1, "r": 0, "pid": 2, '
+         '"w": [[["rbc/echo"], 5], [["rbc/ready"], 3]]}')
+FIRED = '{"e": "fired", "i": 2, "run": 1, "r": 4, "pid": 2}'
+
 MALFORMED = {
     "header_without_n": '{"flight": 1}',
     "header_is_a_list": '[1, 2, 3]',
@@ -400,6 +405,37 @@ MALFORMED = {
         HEADER + '\n' + FAULT.replace('"dst": 0', '"dst": -1'),
 }
 
+#: guard lines: a parked or woken pid that is not a player 1..n, a guard
+#: that is not a list of [[tag, ...], quorum] branches, a quorum that is
+#: not a count — each with what its error must name
+GUARD_MALFORMED = {
+    "armed_by_player_zero": (ARMED.replace('"pid": 2', '"pid": 0'), "pid"),
+    "armed_by_beyond_n": (ARMED.replace('"pid": 2', '"pid": 8'), "pid"),
+    "armed_by_true": (ARMED.replace('"pid": 2', '"pid": true'), "pid"),
+    "fired_by_player_zero": (FIRED.replace('"pid": 2', '"pid": 0'), "pid"),
+    "fired_by_beyond_n": (FIRED.replace('"pid": 2', '"pid": 8'), "pid"),
+    "fired_by_true": (FIRED.replace('"pid": 2', '"pid": true'), "pid"),
+    "fired_without_pid": (FIRED.replace(', "pid": 2', ''), "pid"),
+    "guard_is_not_a_list": (ARMED.replace(
+        '[[["rbc/echo"], 5], [["rbc/ready"], 3]]', '{"rbc/echo": 5}'),
+        "guard"),
+    "guard_is_empty": (ARMED.replace(
+        '[[["rbc/echo"], 5], [["rbc/ready"], 3]]', '[]'), "guard"),
+    "armed_without_guard": (ARMED.replace(
+        ', "w": [[["rbc/echo"], 5], [["rbc/ready"], 3]]', ''), "guard"),
+    "branch_is_not_a_pair":
+        (ARMED.replace('[["rbc/ready"], 3]', '["x"]'), "guard branch"),
+    "branch_with_empty_tags":
+        (ARMED.replace('[["rbc/ready"], 3]', '[[], 3]'), "guard tags"),
+    "branch_with_a_non_string_tag":
+        (ARMED.replace('["rbc/ready"]', '["rbc/ready", 7]'), "guard tags"),
+    "negative_quorum": (ARMED.replace('], 3]', '], -1]'), "guard quorum"),
+    "boolean_quorum": (ARMED.replace('], 3]', '], true]'), "guard quorum"),
+    "string_quorum": (ARMED.replace('], 3]', '], "3"]'), "guard quorum"),
+}
+MALFORMED.update({case: HEADER + '\n' + line
+                  for case, (line, _what) in GUARD_MALFORMED.items()})
+
 
 class TestMalformedLogs:
     """Every malformed log is a ``ValueError`` from ``FlightLog.loads`` —
@@ -414,6 +450,34 @@ class TestMalformedLogs:
         # dst 0 is "all destinations" (a player-level fault), not a player
         log = FlightLog.loads(HEADER + "\n" + FAULT + "\n")
         assert (log.faults[0].src, log.faults[0].dst) == (4, 0)
+
+    def test_the_guard_lines_parse_and_round_trip(self):
+        text = "\n".join([HEADER, ARMED, FIRED, ROUND.replace('"i": 1',
+                                                            '"i": 3')])
+        log = FlightLog.loads(text + "\n")
+        armed, fired = log.guards
+        assert (armed.pid, armed.round, armed.waits) == (
+            2, 0, ((("rbc/echo",), 5), (("rbc/ready",), 3)),
+        )
+        assert (fired.pid, fired.round, fired.waits) == (2, 4, ())
+        assert FlightLog.loads(log.dumps()) == log
+        # readers of deliveries never see them
+        assert [event.index for event in log.rounds] == [3]
+        assert replay(log).inboxes == replay(
+            FlightLog.loads(HEADER + "\n" + ROUND + "\n")).inboxes
+
+    @pytest.mark.parametrize("case", sorted(GUARD_MALFORMED))
+    def test_a_hostile_guard_line_names_its_fault(self, case, tmp_path,
+                                                  capsys):
+        """Named, not merely refused as an unknown kind of line — and
+        ``repro replay`` exits 2 on it."""
+        what = GUARD_MALFORMED[case][1]
+        with pytest.raises(ValueError, match=f"^line 2: .*{what}"):
+            FlightLog.loads(MALFORMED[case] + "\n")
+        path = tmp_path / "hostile.flightlog"
+        path.write_text(MALFORMED[case] + "\n")
+        assert main(["replay", str(path)]) == 2
+        assert what in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_input_is_a_value_error(self, case):

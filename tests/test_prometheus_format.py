@@ -16,12 +16,7 @@ import re
 from repro.core import BootstrapCoinSource
 from repro.fields import GF2k
 from repro.net import RandomOrderScheduler
-from repro.obs import (
-    QuorumLatencyRecorder,
-    SpanRecorder,
-    StallWatchdog,
-    to_prometheus,
-)
+from repro.obs import FlightRecorder, SpanRecorder, to_prometheus
 from repro.obs.health import HealthMonitor
 from repro.protocols.async_coin import run_async_coin
 from repro.protocols.context import ProtocolContext
@@ -189,18 +184,16 @@ class TestHealthExposition:
 class TestLivenessExposition:
     def test_liveness_and_watchdog_lines(self):
         ctx = ProtocolContext.create(GF2k(8), 7, 2, seed=11)
-        bus = ctx.ensure_bus()
-        latency = QuorumLatencyRecorder().attach(bus)
-        watchdog = StallWatchdog(7, threshold=3).attach(bus)
+        flight = FlightRecorder(n=7, t=2).attach(ctx.ensure_bus())
         run_async_coin(ctx, scheduler=RandomOrderScheduler(2),
                        crashed={5})
         families, samples = assert_strict(
-            to_prometheus(metrics=ctx.metrics, liveness=latency,
-                          watchdog=watchdog)
+            to_prometheus(metrics=ctx.metrics, liveness=flight.log(),
+                          watchdog=3)
         )
         assert families["repro_guard_wait_ticks"] == "histogram"
         assert samples[
             ("repro_guard_stalls_total", (("class", "crash"),))
         ] > 0
         assert samples[("repro_watchdog_threshold_ticks", ())] == 3
-        assert ("repro_pool_depth_peak", ()) in samples
+        assert samples[("repro_guard_waits_total", (("state", "fired"),))] > 0
