@@ -2,9 +2,9 @@
 
 The paper's pitch is raw speed; PR 1 gave the :class:`~repro.fields.base.
 Field` interface *bulk* kernels (``mul_many`` / ``dot`` / ``axpy_many`` /
-``fma_many`` / ``dot_rows`` / ``batch_inv``) so the protocol hot paths work
-on whole vectors, and this package makes the kernel *implementation*
-swappable per field instance:
+``horner_columns`` / ``dot_rows`` / ``batch_inv``) so the protocol hot
+paths work on whole vectors, and this package makes the kernel
+*implementation* swappable per field instance:
 
 * :class:`~repro.fields.backends.pure.PurePythonBackend` — the
   zero-dependency loops (exactly the pre-backend behaviour);
@@ -29,7 +29,7 @@ the numpy kernels compute the same field elements — as exact ``int``s, and
 refusing a non-integer operand with the ``TypeError`` the pure loops raise
 — and configurations a vectorized kernel does not cover (vectors below
 the floor of :meth:`~repro.fields.backends.numpy_backend.NumpyBackend.
-_pure_wins`: 8 elements for a carry-less product of two wide operands,
+_pure_wins`: 16 elements for a carry-less product of two wide operands,
 32 when one fits a byte and for the table and prime styles; k > 32
 carry-less fields, p >= 2^32 primes, Montgomery's inherently sequential
 inversion chain) transparently reuse the pure loops.

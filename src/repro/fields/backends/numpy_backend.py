@@ -14,6 +14,11 @@ Strategies, chosen per field at construction:
   product; ``(p-1)^2 + (p-1) < 2^64`` so nothing overflows, and dot
   products accumulate reduced summands (``n * (p-1)`` also fits).
 
+``horner_columns`` (G polynomials at m points) is the one entry point
+that broadcasts two different shapes against each other: an (m, G)
+accumulator, the points as an (m, 1) column, each coefficient column as
+a (1, G) row.  ``Field.mul_outer`` reaches it as a single Horner step.
+
 Short vectors delegate to the pure loops: converting in and out and
 dispatching ufuncs is a fixed cost a call, the pure loops cost per
 element (see :meth:`NumpyBackend._pure_wins` for the rule and what it
@@ -94,16 +99,18 @@ class NumpyBackend:
         """Is an ``n``-element call on operands ``a``, ``b`` cheaper in
         the pure loops?
 
-        The carry-less pure loop runs once per bit of the *narrower*
-        operand, so the crossover is keyed on it (k=32, this box): both
-        operands wide, the loop costs ~4 us an element and the kernel
-        ~30 us a call — numpy from 8 elements; one operand a byte (every
-        sweep by player indices), ~0.5 us an element against ~16 us —
-        numpy from 32.  The table and prime loops cost the same whatever
-        the operands hold and keep the floor they were measured at, 32.
+        The carry-less pure product (:meth:`GF2k._raw_mul`) is keyed on
+        the *narrower* operand, and so is the crossover (k=32; python
+        3.11, numpy 2.4, a 2-core Xeon VM): both operands wide, the
+        sixteen-multiply product costs ~1.9 us an element and the kernel
+        ~30 us a ``mul_many`` call (~34 us a ``dot``) — numpy from 16
+        elements; one operand a byte (every sweep by player indices), the
+        bit loop costs ~0.6 us an element against ~16 us — numpy from
+        32.  The table and prime loops cost the same whatever the
+        operands hold and keep the floor they were measured at, 32.
         ``a`` and ``b`` are only scanned between the two floors.
         """
-        if n < 8 or self._style is None:
+        if n < 16 or self._style is None:
             return True
         if n >= 32:
             return False
@@ -210,18 +217,30 @@ class NumpyBackend:
     def axpy_many(self, acc, xs, c):
         if self._pure_wins(len(acc), acc, xs):
             return self.field._axpy_many_pure(acc, xs, c)
-        return self._fma(acc, xs, (c,))
-
-    def fma_many(self, acc, xs, cs):
-        if self._pure_wins(len(acc), acc, xs):
-            return self.field._fma_many_pure(acc, xs, cs)
-        return self._fma(acc, xs, cs)
-
-    def _fma(self, acc, xs, cs):
-        a, x, c = self._in_arr(acc), self._in_arr(xs), self._in_arr(cs)
+        a, x, c = self._in_arr(acc), self._in_arr(xs), self._in_arr((c,))
         if self._style == "gfp_u64":
             return ((a * x + c) % self._p).tolist()
         return (self._gf2k_mul_arrays(a, x) ^ c).tolist()
+
+    def horner_columns(self, columns, xs):
+        """Horner on an (m, G) accumulator: each step multiplies it by the
+        points as an (m, 1) column and adds the next coefficient column as
+        a (1, G) row — one conversion of the coefficients and one of the
+        points, where tiling converts three G*m lists a step."""
+        if len(columns) == 1 or self._pure_wins(
+            len(xs) * len(columns[0]), columns[-1], xs
+        ):
+            return self.field._horner_columns_pure(columns, xs)
+        coeffs = self._in_arr(list(chain.from_iterable(columns)))
+        coeffs = coeffs.reshape(len(columns), -1)
+        x = self._in_arr(xs)[:, None]
+        acc = coeffs[-1]
+        for i in range(len(columns) - 2, -1, -1):
+            if self._style == "gfp_u64":
+                acc = (acc * x + coeffs[i]) % self._p
+            else:
+                acc = self._gf2k_mul_arrays(acc, x) ^ coeffs[i]
+        return acc.tolist()
 
     def dot_rows(self, rows, vec):
         if self._pure_wins(len(rows) * len(vec), vec,

@@ -29,8 +29,8 @@ class PurePythonBackend:
     def axpy_many(self, acc, xs, c):
         return self.field._axpy_many_pure(acc, xs, c)
 
-    def fma_many(self, acc, xs, cs):
-        return self.field._fma_many_pure(acc, xs, cs)
+    def horner_columns(self, columns, xs):
+        return self.field._horner_columns_pure(columns, xs)
 
     def dot_rows(self, rows, vec):
         return self.field._dot_rows_pure(rows, vec)

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field as dataclass_field
+from random import Random
+from struct import unpack
 from typing import Any, Iterator, List, Sequence
 
 Element = Any  # representation is field-specific (int or tuple of ints)
@@ -227,32 +229,73 @@ class Field(ABC):
         self.counter.adds += n
         return backend.axpy_many(acc, xs, c)
 
-    def fma_many(
+    def horner_columns(
         self,
-        acc: Sequence[Element],
+        columns: Sequence[Sequence[Element]],
         xs: Sequence[Element],
-        cs: Sequence[Element],
-    ) -> List[Element]:
-        """Fused multiply-add with a per-element addend:
-        ``[a*x + c for a, x, c in zip(acc, xs, cs)]``.
+    ) -> List[List[Element]]:
+        """G polynomials at m points by Horner's rule, grouped per point:
+        ``out[j][g] = sum_i columns[i][g] * xs[j]^i``.
 
-        The multi-polynomial Horner step: evaluating G polynomials at m
-        points sweeps one width-``G*m`` ``fma_many`` per coefficient
-        (each polynomial contributing its own coefficient), the same
-        mul/add totals as G separate :meth:`axpy_many` sweeps.
+        ``columns[i]`` holds the ``x^i`` coefficient of every polynomial,
+        ``columns[-1]`` the leading one; every column has G entries.
+        Metered as ``len(columns) - 1`` multiply-add steps per polynomial
+        and point — what G*m scalar Horner evaluations perform, leading
+        zeros included.  The backends' one broadcasting entry point: the
+        numpy kernel multiplies an (m, G) accumulator by the points as a
+        column, adding each coefficient column as a row, with no list
+        tiled; the pure backend sweeps one width-``G*m`` fused
+        multiply-add per step over points tiled recipient-major
+        (:meth:`_horner_columns_pure`).
         """
-        n = len(acc)
-        if n != len(xs) or n != len(cs):
-            raise ValueError("fma_many requires equal-length vectors")
+        G, m = len(columns[0]) if columns else 0, len(xs)
+        for column in columns:
+            if len(column) != G:
+                raise ValueError("horner_columns requires equal-length columns")
+        if not G or not m:
+            return [[] for _ in xs]
         backend = self._backend
         if backend is None:
-            return [
-                self.add(self.mul(a, x), c)
-                for a, x, c in zip(acc, xs, cs)
-            ]
-        self.counter.muls += n
-        self.counter.adds += n
-        return backend.fma_many(acc, xs, cs)
+            out = []
+            for x in xs:
+                acc = list(columns[-1])
+                for column in columns[-2::-1]:
+                    acc = [self.add(self.mul(a, x), c) for a, c in zip(acc, column)]
+                out.append(acc)
+            return out
+        steps = (len(columns) - 1) * G * m
+        self.counter.muls += steps
+        self.counter.adds += steps
+        return backend.horner_columns(columns, xs)
+
+    def mul_outer(
+        self, avec: Sequence[Element], bvec: Sequence[Element]
+    ) -> List[List[Element]]:
+        """Every product, one row per ``a``: ``[[a*b for b in bvec] for a
+        in avec]``, metered as ``len(avec) * len(bvec)`` multiplications.
+
+        One :meth:`horner_columns` kernel on the degree-1 polynomials
+        ``b * x`` (a zero constant column) at the points ``avec``.
+        """
+        if not avec or not bvec:
+            return [[] for _ in avec]
+        backend = self._backend
+        if backend is None:
+            return [[self.mul(a, b) for b in bvec] for a in avec]
+        self.counter.muls += len(avec) * len(bvec)
+        return backend.horner_columns([[self.zero] * len(bvec), bvec], avec)
+
+    def _horner_columns_pure(self, columns, xs):
+        """:meth:`horner_columns` as width-``G*m`` multiply-add sweeps over
+        the points tiled recipient-major (unmetered)."""
+        G, m = len(columns[0]), len(xs)
+        xs_tiled: List[Element] = []
+        for x in xs:
+            xs_tiled += [x] * G
+        acc = list(columns[-1]) * m
+        for column in columns[-2::-1]:
+            acc = self._fma_many_pure(acc, xs_tiled, list(column) * m)
+        return [acc[j * G:(j + 1) * G] for j in range(m)]
 
     def dot_rows(
         self, rows: Sequence[Sequence[Element]], vec: Sequence[Element]
@@ -377,9 +420,51 @@ class Field(ABC):
 
     def random_many(self, rng, count: int) -> List[Element]:
         """``count`` uniform elements, stream-identical to ``count``
-        successive :meth:`random` calls on ``rng``."""
-        randrange, order, from_int = rng.randrange, self.order, self.from_int
-        return [from_int(randrange(order)) for _ in range(count)]
+        successive :meth:`random` calls on ``rng``: equal values, and
+        ``rng.getstate()`` left where those calls leave it.
+
+        ``randrange(order)`` takes ``order.bit_length()`` bits from the
+        Mersenne Twister — whole 32-bit words least significant first,
+        then the high bits of one more — and draws again while the result
+        is ``>= order``.  On a plain :class:`random.Random` and an order
+        below 2^64 (one or two words a draw) the same words are read in
+        bulk: one ``getrandbits(32 * words * need)`` per rejection round
+        holds ``need`` draws in consecutive slots, least significant
+        first; two masks and a shift drop the low bits of every slot's
+        top word at once, and the slots are read back little-endian.  A
+        round keeps exactly the draws the loop keeps and reads no word
+        past the last of them.  Wider orders and other generators take
+        the ``randrange`` loop.  The int-represented families (``kind``
+        ``"gf2k"`` / ``"gfp"``) hand the drawn ints back as they are; any
+        other field maps them through :meth:`from_int`.
+        """
+        order = self.order
+        bits = order.bit_length()
+        if type(rng) is not Random or bits > 64:
+            randrange, from_int = rng.randrange, self.from_int
+            return [from_int(randrange(order)) for _ in range(count)]
+        words = 1 if bits <= 32 else 2
+        size = 4 * words
+        drop = 8 * size - bits  # the top word's low bits randrange drops
+        full = (1 << 32 * (words - 1)) - 1  # a slot's whole words
+        full_slot = full.to_bytes(size, "little")
+        kept_slot = ((1 << bits) - 1 ^ full).to_bytes(size, "little")
+        drawn: List[int] = []
+        need = count
+        while need:
+            block = rng.getrandbits(8 * size * need)
+            block = (
+                block & int.from_bytes(full_slot * need, "little")
+                | block >> drop & int.from_bytes(kept_slot * need, "little")
+            )
+            slots = unpack(
+                f"<{need}{'IQ'[words - 1]}", block.to_bytes(size * need, "little")
+            )
+            drawn += [v for v in slots if v < order]
+            need = count - len(drawn)
+        if self.kind == "generic":
+            return list(map(self.from_int, drawn))
+        return drawn
 
     def random_nonzero(self, rng) -> Element:
         """A uniformly random *nonzero* field element."""

@@ -12,9 +12,11 @@ O(k^2) multiplication is faster":
 
 * ``tables=True`` (default for k <= 16): log/exp tables over a generator,
   one multiplication = one table add.  Setup is O(2^k).
-* ``tables=False``: naive shift-and-xor carry-less multiplication with
-  modular reduction, O(k^2) bit operations, no setup cost; works for any k.
-  Inversion is extended Euclid on the same representation.
+* ``tables=False``: carry-less multiplication with modular reduction, no
+  setup cost; works for any k.  Two wide operands of k <= 32 take sixteen
+  integer multiplies on nibble-spaced residues, everything else the
+  shift-and-xor loop (see :meth:`GF2k._raw_mul`).  Inversion is extended
+  Euclid on the same representation.
 """
 
 from __future__ import annotations
@@ -31,6 +33,13 @@ from repro.fields.irreducible import (
 )
 
 _TABLE_MAX_K = 16
+
+#: :meth:`GF2k._raw_mul` loops over the narrower operand's bits below this
+_NARROW = 1 << 11
+#: an operand's four nibble-spaced residues (32 bits), and the positions
+#: each residue class of a product occupies (64 bits)
+_R0, _R1, _R2, _R3 = (0x11111111 << r for r in range(4))
+_C0, _C1, _C2, _C3 = (0x1111111111111111 << r for r in range(4))
 
 
 class GF2k(Field):
@@ -74,6 +83,9 @@ class GF2k(Field):
         self.zero = 0
         self.one = 1
         self._mask = self.order - 1
+        #: shifts of the modulus's terms below x^k (x^k = their sum)
+        low = modulus ^ self.order
+        self._taps = tuple(i for i in range(k) if low >> i & 1)
 
         if tables is None:
             tables = k <= _TABLE_MAX_K
@@ -87,20 +99,50 @@ class GF2k(Field):
 
     # -- internal ----------------------------------------------------------
     def _raw_mul(self, a: int, b: int) -> int:
-        """Carry-less multiply with interleaved reduction (no metering)."""
-        if a < b:  # the loop runs once per bit of b: make it the shorter
+        """``a * b`` in the field, without metering.
+
+        One rule, on the narrower operand.  Below 2^11 (a player's point,
+        an index), or in a field wider than 32 bits, a shift-and-xor loop
+        with interleaved reduction runs once per bit of it.  Otherwise
+        the carry-less product is the numpy kernel's
+        (:meth:`~repro.fields.backends.numpy_backend.NumpyBackend._clmul`)
+        on Python ints: masked with ``0x11111111 << r`` an operand below
+        2^32 keeps at most 8 bits a residue, so in the integer product of
+        two residues every count of colliding bit pairs fits its 4-bit
+        hole and its low bit is the carry-less bit — sixteen multiplies,
+        the four of each residue class XORed and masked.  The product is
+        then folded along the modulus's low taps until it is below 2^k.
+        """
+        if a < b:
             a, b = b, a
-        result = 0
-        mod = self.modulus
-        top = self.order
-        while b:
-            if b & 1:
-                result ^= a
-            b >>= 1
-            a <<= 1
-            if a & top:
-                a ^= mod
-        return result
+        if b < _NARROW or self.k > 32:
+            result = 0
+            mod = self.modulus
+            top = self.order
+            while b:
+                if b & 1:
+                    result ^= a
+                b >>= 1
+                a <<= 1
+                if a & top:
+                    a ^= mod
+            return result
+        a0, a1, a2, a3 = a & _R0, a & _R1, a & _R2, a & _R3
+        b0, b1, b2, b3 = b & _R0, b & _R1, b & _R2, b & _R3
+        prod = (
+            (a0 * b0 ^ a1 * b3 ^ a2 * b2 ^ a3 * b1) & _C0
+            | (a0 * b1 ^ a1 * b0 ^ a2 * b3 ^ a3 * b2) & _C1
+            | (a0 * b2 ^ a1 * b1 ^ a2 * b0 ^ a3 * b3) & _C2
+            | (a0 * b3 ^ a1 * b2 ^ a2 * b1 ^ a3 * b0) & _C3
+        )
+        k, mask = self.k, self._mask
+        high = prod >> k
+        while high:
+            prod &= mask
+            for tap in self._taps:
+                prod ^= high << tap
+            high = prod >> k
+        return prod
 
     def _build_tables(self) -> None:
         """Find a multiplicative generator and build exp/log tables."""

@@ -6,6 +6,7 @@ coefficient list and degree -1.  Instances are immutable.
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import List, Sequence
 
 from repro.fields.base import Element, Field
@@ -177,10 +178,12 @@ def evaluate_columns(
 
     ``columns[i][g]`` is the ``x^i`` coefficient of polynomial ``g``; the
     result's ``j``-th list holds all G values at ``xs[j]`` — the dealing
-    shape, where recipient j is sent exactly that slice.  Each Horner
-    step is one width-``G * m`` :meth:`Field.fma_many` over points tiled
-    recipient-major.  Metered like every polynomial evaluated on its own
-    *trimmed* coefficients: no step is spent on a zero leading one.
+    shape, where recipient j is sent exactly that slice.  The sweep is
+    one :meth:`Field.horner_columns` call: under numpy an (m, G)
+    accumulator with the points broadcast down its rows, no list tiled.
+    Metered like every polynomial evaluated on its own *trimmed*
+    coefficients: polynomials whose leading coefficient is zero are swept
+    apart, without it, so no step is spent on a zero leading one.
     """
     xs = list(xs)
     G, m = len(columns[0]) if columns else 0, len(xs)
@@ -199,13 +202,7 @@ def evaluate_columns(
                 for g, value in zip(members, values):
                     row[g] = value
         return out
-    xs_tiled: List[Element] = []
-    for x in xs:
-        xs_tiled += [x] * G
-    acc = list(top) * m
-    for column in columns[-2::-1]:
-        acc = field.fma_many(acc, xs_tiled, list(column) * m)
-    return [acc[j * G:(j + 1) * G] for j in range(m)]
+    return field.horner_columns(columns, xs)
 
 
 def evaluate_polys(
@@ -246,13 +243,33 @@ def horner_batch(field: Field, values: Sequence[Element], r: Element) -> Element
 
 
 def power_basis(field: Field, r: Element, m: int) -> List[Element]:
-    """``[r^1, ..., r^m]`` by doubling, ``powers[k:2k] = powers[:k] * r^k``:
-    the ``m - 1`` multiplications of the one-at-a-time chain in
-    ``ceil(log2 m)`` :meth:`Field.mul_many` calls."""
-    powers = [r] if m else []
-    while len(powers) < m:
-        k = min(len(powers), m - len(powers))
-        powers += field.mul_many(powers[:k], [powers[-1]] * k)
+    """``[r^1, ..., r^m]``, metered as the ``m - 1`` multiplications of
+    the one-at-a-time chain.
+
+    Baby-step/giant-step with block length ``B = ceil(sqrt(m))``: the
+    baby steps ``r^1 .. r^B`` and the giant steps ``r^(2B), r^(3B), ...``
+    are scalar products, and every other power ``r^(iB + j)``,
+    ``1 <= j < B``, is one entry of a single :meth:`Field.mul_outer` of
+    the giants by ``r^1 .. r^(B-1)`` (a last, partial block is one
+    :meth:`Field.mul_many`).  Each power is made by exactly one
+    multiplication — about ``2 sqrt(m)`` scalar products and one
+    broadcast kernel, where doubling took ``ceil(log2 m)`` bulk calls.
+    """
+    if m < 1:
+        return []
+    step = isqrt(m - 1) + 1  # B
+    powers = [r]
+    while len(powers) < step:
+        powers.append(field.mul(powers[-1], r))
+    blocks, tail = divmod(m - step, step)
+    giants = [powers[-1]]  # r^B, r^(2B), ..., r^((blocks + 1) B)
+    for _ in range(blocks):
+        giants.append(field.mul(giants[-1], giants[0]))
+    rows = field.mul_outer(giants[:blocks], powers[:step - 1])
+    for row, giant in zip(rows, giants[1:]):
+        powers += row
+        powers.append(giant)
+    powers += field.mul_many(powers[:tail], [giants[-1]] * tail)
     return powers
 
 

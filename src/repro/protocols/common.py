@@ -62,11 +62,30 @@ def valid_element_tuple(field: Field, value: Any, length: int) -> bool:
     )
 
 
+#: deepest tuple nesting a vote may have.  Honest votes nest at most 4
+#: deep (a Coin-Gen proposal); ``hash`` of a tuple recurses in C with no
+#: guard, so a faulty player's value nested ~10^5 deep would crash the
+#: interpreter.
+MAX_VOTE_DEPTH = 64
+
+
 def is_hashable(value: Any) -> bool:
-    """Can ``value`` be used as a vote/counting key?"""
+    """Can ``value`` be used as a vote/counting key?
+
+    Tuple nesting is measured first, one level at a time with an explicit
+    frontier of the tuples at that depth: past :data:`MAX_VOTE_DEPTH` the
+    value is not a vote and is never hashed.
+    """
+    level = [value] if isinstance(value, tuple) else []
+    for _ in range(MAX_VOTE_DEPTH):
+        if not level:
+            break
+        level = [sub for node in level for sub in node if isinstance(sub, tuple)]
+    if level:
+        return False
     try:
         hash(value)
-    except TypeError:
+    except (TypeError, RecursionError):
         return False
     return True
 

@@ -18,11 +18,18 @@ This module implements ``n`` *parallel* grade-casts (every player is the
 sender of its own instance) in 3 rounds with merged echo messages, which
 is what produces Theorem 2's "n^2 messages each of size ntk" accounting
 for the clique-distribution step.
+
+Counting is by object, not by copy.  The n echo bodies a player receives
+hold the same n proposal objects over and over (the simulator delivers
+references), so each echo entry is tallied under its value's identity
+and equal-but-distinct values are merged once at the end; hashing and
+the :func:`~repro.protocols.common.is_hashable` depth check run once per
+distinct object instead of once per copy.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Optional, Tuple
+from typing import Any, Dict, Generator, Iterable, Optional, Tuple
 
 from repro.net.simulator import multicast
 from repro.obs.phases import register_tag_phase
@@ -50,24 +57,23 @@ def parallel_gradecast(
     are); values from other players are validated for hashability before
     any counting.
     """
+    # id(value) -> (value, is_hashable(value)); holding the value keeps
+    # its id from being reused while this call runs
+    verdicts: Dict[int, Tuple[Any, bool]] = {}
+
     # Round 1: every sender multicasts its own value.
     inbox = yield [multicast((tag + "/v", my_value))]
     first: Dict[int, Any] = {
         src: val
         for src, val in filter_tag(inbox, tag + "/v").items()
-        if is_hashable(val)
+        if _votable(val, verdicts)
     }
 
     # Round 2: echo everything received, merged into one message.
     echo_body = tuple(sorted(first.items()))
     inbox = yield [multicast((tag + "/echo", echo_body))]
-    echoes = filter_tag(inbox, tag + "/echo")
     # counts[sender][value] = number of distinct echoers
-    counts: Dict[int, Dict[Any, int]] = {}
-    for src, body in echoes.items():
-        for sender, value in _parse_echo(body, n):
-            per = counts.setdefault(sender, {})
-            per[value] = per.get(value, 0) + 1
+    counts = _tally(filter_tag(inbox, tag + "/echo").values(), n, verdicts)
 
     # Round 3: re-echo values supported by >= n - t echoers.
     supported = tuple(
@@ -79,12 +85,7 @@ def parallel_gradecast(
         )
     )
     inbox = yield [multicast((tag + "/echo2", supported))]
-    echo2 = filter_tag(inbox, tag + "/echo2")
-    counts2: Dict[int, Dict[Any, int]] = {}
-    for src, body in echo2.items():
-        for sender, value in _parse_echo(body, n):
-            per = counts2.setdefault(sender, {})
-            per[value] = per.get(value, 0) + 1
+    counts2 = _tally(filter_tag(inbox, tag + "/echo2").values(), n, verdicts)
 
     # Grading.
     result: Dict[int, GradedValue] = {}
@@ -101,21 +102,55 @@ def parallel_gradecast(
     return result
 
 
-def _parse_echo(body: Any, n: int):
-    """Validate an echo body: a tuple of (sender_id, hashable_value) pairs,
-    at most one entry per sender."""
-    if not isinstance(body, tuple):
-        return
-    seen = set()
-    for item in body:
-        if (
-            isinstance(item, tuple)
-            and len(item) == 2
-            and isinstance(item[0], int)
-            and not isinstance(item[0], bool)
-            and 1 <= item[0] <= n
-            and item[0] not in seen
-            and is_hashable(item[1])
-        ):
-            seen.add(item[0])
-            yield item[0], item[1]
+def _votable(value: Any, verdicts: Dict[int, Tuple[Any, bool]]) -> bool:
+    """:func:`is_hashable`, asked once per distinct object."""
+    verdict = verdicts.get(id(value))
+    if verdict is None:
+        verdict = verdicts[id(value)] = (value, is_hashable(value))
+    return verdict[1]
+
+
+def _tally(
+    bodies: Iterable[Any], n: int, verdicts: Dict[int, Tuple[Any, bool]]
+) -> Dict[int, Dict[Any, int]]:
+    """``{sender: {value: echoers}}`` over the echo bodies received.
+
+    A body counts if it is a tuple; each of its entries counts if it is a
+    ``(sender_id, hashable_value)`` pair with ``1 <= sender_id <= n`` and
+    is the body's first such entry for that sender.  Entries are tallied
+    by ``(sender, id(value))`` and the identity groups merged into
+    value-keyed counts in first-occurrence order — the counts, and the
+    order values reach a grade in, of tallying every copy by value,
+    because one object is equal to itself.
+    """
+    copies: Dict[Tuple[int, int], int] = {}
+    for body in bodies:
+        if not isinstance(body, tuple):
+            continue
+        seen = set()
+        for item in body:
+            if not (isinstance(item, tuple) and len(item) == 2):
+                continue
+            sender, value = item
+            if (
+                not isinstance(sender, int)
+                or isinstance(sender, bool)
+                or not 1 <= sender <= n
+                or sender in seen
+            ):
+                continue
+            # _votable, inlined: this loop runs n^2 times a round
+            verdict = verdicts.get(id(value))
+            if verdict is None:
+                verdict = verdicts[id(value)] = (value, is_hashable(value))
+            if not verdict[1]:
+                continue
+            seen.add(sender)
+            key = (sender, id(value))
+            copies[key] = copies.get(key, 0) + 1
+    counts: Dict[int, Dict[Any, int]] = {}
+    for (sender, identity), echoers in copies.items():
+        per = counts.setdefault(sender, {})
+        value = verdicts[identity][0]
+        per[value] = per.get(value, 0) + echoers
+    return counts

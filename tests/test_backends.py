@@ -57,7 +57,7 @@ if numpy_available():
 else:  # pragma: no cover - exercised on the no-numpy CI leg
     F16_NP, F32_NP, FP_NP = F16_PY, F32_PY, FP_PY
 
-# widths straddle the numpy backend's floors (8 and 32) on purpose: both
+# widths straddle the numpy backend's floors (16 and 32) on purpose: both
 # the vectorized kernels and the short-vector pure fallback must agree
 PAIRS = [(F16_PY, F16_NP), (F32_PY, F32_NP), (FP_PY, FP_NP)]
 PAIR_IDS = ["gf2k16", "gf2k32", "gfp"]
@@ -113,12 +113,16 @@ def test_axpy_many_parity(py, np_, data, c):
 @given(data=vec_pairs(), raw_c=st.lists(
     st.integers(min_value=0, max_value=2**40), min_size=90, max_size=90))
 @settings(max_examples=40, deadline=None)
-def test_fma_many_parity(py, np_, data, raw_c):
+def test_horner_columns_parity(py, np_, data, raw_c):
     raw_a, raw_b = data
     n = len(raw_a)
     a, x = _vec(py, raw_a, n), _vec(py, raw_b, n)
     cs = _vec(py, raw_c, n)
-    assert py.fma_many(a, x, cs) == np_.fma_many(a, x, cs)
+    for points in (x[:1], x[:7], [j % py.order for j in range(1, 14)]):
+        assert py.horner_columns([cs, a, x], points) == np_.horner_columns(
+            [cs, a, x], points
+        )
+    assert py.mul_outer(x[:9], a) == np_.mul_outer(x[:9], a)
 
 
 @needs_numpy
@@ -185,7 +189,7 @@ SHAPES = ["zero", "ones", "bit", "nibble", "byte", "uniform"]
     k=st.sampled_from([17, 20, 24, 31, 32, 4, 8, 16]),
     high_low=st.booleans(),
     # each floor of the backend's dispatch rule +-1, and a dealing sweep
-    width=st.sampled_from([7, 8, 9, 31, 32, 33, 1848]),
+    width=st.sampled_from([7, 15, 16, 17, 31, 32, 33, 1848]),
     a_shape=st.sampled_from(SHAPES),
     b_shape=st.sampled_from(SHAPES),
     seed=st.integers(min_value=0, max_value=2**16),
@@ -194,7 +198,7 @@ SHAPES = ["zero", "ones", "bit", "nibble", "byte", "uniform"]
          seed=0)
 @example(k=32, high_low=True, width=33, a_shape="ones", b_shape="uniform",
          seed=1)
-@example(k=32, high_low=False, width=8, a_shape="uniform", b_shape="uniform",
+@example(k=32, high_low=False, width=16, a_shape="uniform", b_shape="uniform",
          seed=2)
 @example(k=32, high_low=False, width=1848, a_shape="bit", b_shape="bit",
          seed=3)
@@ -218,10 +222,13 @@ def test_clmul_kernel_equals_raw_mul(k, high_low, width, a_shape, b_shape,
     results = [
         (np_.mul_many(a, b), py.mul_many(a, b)),
         (np_.axpy_many(a, b, cs[0]), py.axpy_many(a, b, cs[0])),
-        (np_.fma_many(a, b, cs), py.fma_many(a, b, cs)),
         ([np_.dot(a, b)], [py.dot(a, b)]),
         # the 2-D x 1-D broadcast: rows shaped like ``a``, vector ``b``
         (np_.dot_rows(rows, b), py.dot_rows(rows, b)),
+        # the (m, G) x (m, 1) broadcast: coefficient columns shaped like
+        # ``a``, points like ``b``; the outer product is one such step
+        *zip(np_.horner_columns([cs, a], b[:7]), py.horner_columns([cs, a], b[:7])),
+        *zip(np_.mul_outer(b[:9], a), py.mul_outer(b[:9], a)),
     ]
     for got, expected in results:
         assert got == expected
@@ -254,7 +261,7 @@ def test_clmul_limb_skipping_parity(k, width, a_bits, b_bits):
     assert np_.mul_many(a, b) == py.mul_many(a, b)
     assert np_.dot(a, b) == py.dot(a, b)
     assert np_.axpy_many(a, b, cs[0]) == py.axpy_many(a, b, cs[0])
-    assert np_.fma_many(a, b, cs) == py.fma_many(a, b, cs)
+    assert np_.horner_columns([cs, a], b[:3]) == py.horner_columns([cs, a], b[:3])
     # the 2-D x 1-D broadcast: rows as wide as ``a``, vector as ``b``
     rows = [vec(a_bits) for _ in range(3)]
     assert np_.dot_rows(rows, b) == py.dot_rows(rows, b)
@@ -287,11 +294,11 @@ def test_a_float_element_is_a_type_error_on_every_backend(field):
         lambda: field.axpy_many(bad, good, good[0]),
         lambda: field.axpy_many(good, bad, good[0]),
         lambda: field.axpy_many(good, good, 5.5),
-        lambda: field.fma_many(bad, good, good),
-        lambda: field.fma_many(good, bad, good),
-        lambda: field.fma_many(good, good, bad),
         lambda: field.dot_rows([good, bad], good),
         lambda: field.dot_rows([good, good], bad),
+        lambda: field.horner_columns([good, bad], good[:3]),
+        lambda: field.horner_columns([good, good], [5.5, 1, 2]),
+        lambda: field.mul_outer(good[:3], bad),
     ]
     for call in calls:
         with pytest.raises(TypeError):
@@ -335,12 +342,15 @@ def test_op_counts_identical_across_backends():
             f.mul_many(a, b)
             f.dot(a, b)
             f.axpy_many(a, b, a[0])
-            f.fma_many(a, b, b)
             f.dot_rows([a, b, a], b)
             f.batch_inv(a)
+            f.horner_columns([a, b, a], b[:5])
+            f.mul_outer(a[:4], b)
         assert py.counter.snapshot() == np_.counter.snapshot()
-        assert py.counter.muls == 64 + 64 + 64 + 64 + 3 * 64 + 3 * 63
-        assert py.counter.adds == 63 + 64 + 64 + 3 * 63
+        assert py.counter.muls == (
+            64 + 64 + 64 + 3 * 64 + 3 * 63 + 2 * 64 * 5 + 4 * 64
+        )
+        assert py.counter.adds == 63 + 64 + 3 * 63 + 2 * 64 * 5
         assert py.counter.invs == 1
         py.counter.reset()
         np_.counter.reset()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.fields import GF2k
-from repro.fields.irreducible import find_irreducible_gf2
+from repro.fields.irreducible import find_irreducible_gf2, is_irreducible_gf2
 
 
 @pytest.fixture(scope="module")
@@ -212,7 +212,51 @@ class _WideProductCounter(GF2k):
         return super()._raw_mul(a, b)
 
 
+def _bit_loop_product(field, a, b):
+    """Shift-and-xor over every bit of ``b``, reducing as ``a`` grows: the
+    scalar product before wide operands took sixteen integer multiplies."""
+    result = 0
+    while b:
+        if b & 1:
+            result ^= a
+        b >>= 1
+        a <<= 1
+        if a & field.order:
+            a ^= field.modulus
+    return result
+
+
+def _high_low_modulus(k):
+    """The first irreducible of degree k whose low part has degree k - 1:
+    a fold pass then sheds one bit, so a full product needs k - 1 passes."""
+    top = (1 << k) | (1 << (k - 1))
+    return next(top | low for low in range(1, 1 << (k - 1), 2)
+                if is_irreducible_gf2(top | low))
+
+
 class TestOperandWidth:
+    @pytest.mark.parametrize("k", [32, 17])
+    @pytest.mark.parametrize("modulus", ["default", "high_low"])
+    def test_wide_product_is_the_bit_loop(self, k, modulus):
+        """All-ones operands (eight bits in every residue, the most any
+        count can reach), every single-bit operand, and both sides of the
+        narrow/wide boundary of the narrower operand, under the default
+        modulus and one that needs k - 1 fold passes."""
+        field = GF2k(k, tables=False, backend="python",
+                     modulus=_high_low_modulus(k) if modulus == "high_low"
+                     else None)
+        rng = random.Random(k)
+        edges = [(1 << 11) - 1, 1 << 11, (1 << 11) + 1, (1 << 12) - 1]
+        operands = (
+            [(1 << k) - 1, (1 << k) - 2, 1 << (k - 1) | 1]
+            + [1 << i for i in range(k)]
+            + edges
+            + [field.random(rng) for _ in range(8)]
+        )
+        for a in operands:
+            for b in operands:
+                assert field._raw_mul(a, b) == _bit_loop_product(field, a, b)
+
     @pytest.mark.parametrize("k", [32, 20, 64])
     def test_raw_mul_commutes(self, k):
         field = GF2k(k, tables=False)

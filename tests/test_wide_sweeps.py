@@ -57,21 +57,28 @@ def metered(field, fn):
     return result, field.counter.snapshot()
 
 
-# -- (a) the doubled power basis -------------------------------------------
+# -- (a) the power basis -----------------------------------------------------
 
 @every_field
 @pytest.mark.parametrize(
-    # 7-9 and 15-17: the doublings that cross the numpy backend's floor of 8
-    "M", [1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 264]
+    # 7-9, 15-17 and 31-33: across the numpy backend's floors (16, 32);
+    # B^2 - 1, B^2, B^2 + 1 for B = 2, 3, 4, 8, 17: the edges of the
+    # baby/giant blocks (no tail, a one-element tail, the block length
+    # moving up); 264, the large-batch stretch
+    "M", [1, 2, 3, 4, 5, 7, 8, 9, 10, 15, 16, 17, 31, 32, 33, 63, 64, 65,
+          264, 288, 289, 290]
 )
 def test_doubled_power_basis_is_the_sequential_chain(field, M):
-    r = field.random(random.Random(M))
-    chain = [r]
-    for _ in range(M - 1):
-        chain.append(field.mul(chain[-1], r))
-    powers, ops = metered(field, lambda: power_basis(field, r, M))
-    assert powers == chain
-    assert ops == OpCounter(muls=M - 1)
+    """The baby-step/giant-step basis (it replaced doubling; the name is
+    kept) is the one-at-a-time chain, metered as its M - 1 products, for
+    a drawn r and for r = 0 and r = 1."""
+    for r in (field.random(random.Random(M)), field.zero, field.one):
+        chain = [r]
+        for _ in range(M - 1):
+            chain.append(field.mul(chain[-1], r))
+        powers, ops = metered(field, lambda: power_basis(field, r, M))
+        assert powers == chain
+        assert ops == OpCounter(muls=M - 1)
 
 
 @every_field
@@ -181,18 +188,45 @@ def test_column_dealing_is_random_vanishing_then_evaluate_polys(
             assert origin_or_point == [[field.zero] * total]
 
 
-@pytest.mark.parametrize(
-    "field",
-    list(FIELDS.values()) + [SpecialField(11, 3)],
-    ids=list(FIELDS) + ["special"],
-)
+DRAW_FIELDS = {
+    **FIELDS,
+    "special": SpecialField(11, 3),
+    **{f"gf2k{k}-draw": GF2k(k, backend="python")
+       for k in (1, 2, 7, 8, 15, 16, 31, 32, 33, 48, 63, 64)},
+    # 2^31 - 1, the largest prime below 2^32, a prime near 2^61
+    **{f"gfp{p}": GFp(p, backend="python")
+       for p in (2**31 - 1, 2**32 - 5, 2**61 - 1)},
+}
+
+
+@pytest.mark.parametrize("field", DRAW_FIELDS.values(), ids=DRAW_FIELDS.keys())
 def test_random_many_is_the_stream_of_repeated_random(field):
-    one_call, repeated = random.Random(3), random.Random(3)
-    drawn = field.random_many(one_call, 50)
-    assert drawn == [field.random(repeated) for _ in range(50)]
-    assert one_call.getstate() == repeated.getstate()
-    assert field.random_many(one_call, 0) == []
-    assert one_call.getstate() == repeated.getstate()
+    """One word a draw (orders to 2^32), two (GF(2^32) itself, GF(2^33),
+    the 2^61 prime), and the ``randrange`` loop past 64 bits (GF(2^64)):
+    the same values, and the generator left in the same state."""
+    for count in (0, 1, 7, 8, 9, 50, 500):
+        one_call, repeated = random.Random(count), random.Random(count)
+        drawn = field.random_many(one_call, count)
+        assert drawn == [field.random(repeated) for _ in range(count)]
+        assert one_call.getstate() == repeated.getstate()
+        assert field.random_many(one_call, 0) == []
+        assert one_call.getstate() == repeated.getstate()
+
+
+def test_random_many_on_another_generator_is_its_randrange_stream():
+    class Counting(random.Random):
+        calls = 0
+
+        def getrandbits(self, k):
+            self.calls += 1
+            return super().getrandbits(k)
+
+    field = GF2k(32, backend="python")
+    counting, plain = Counting(4), random.Random(4)
+    assert field.random_many(counting, 9) == [
+        plain.randrange(field.order) for _ in range(9)
+    ]
+    assert counting.calls >= 9  # one randrange a draw, not one bulk read
 
 
 # -- (d) the column sum ------------------------------------------------------
