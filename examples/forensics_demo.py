@@ -36,7 +36,7 @@ def main() -> int:
 
     ctx = ProtocolContext.create(field, n=n, t=t, seed=seed)
     recorder = FlightRecorder(n=n, t=t, field=field, seed=seed)
-    recorder.attach(ctx.ensure_bus())
+    recorder.attach(ctx)
 
     adversary_rng = random.Random(seed + 100)
     outputs, _ = run_coin_gen(

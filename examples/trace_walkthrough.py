@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Watch one Coin-Gen execution round by round.
 
-Subscribes to the network's event bus (the ``"round"`` topic carries
-every settled delivery) and prints the protocol's timeline — the
+Attaches a flight recorder to the network (its log holds every settled
+delivery, round by round) and prints the protocol's timeline — the
 concrete shape behind Fig. 5's step list — together with per-tag message
 totals and the per-player cost meter that backs the claims table.
 
@@ -15,7 +15,7 @@ from collections import Counter
 from repro.fields import GF2k
 from repro.net.metrics import payload_tag
 from repro.net.simulator import SynchronousNetwork
-from repro.obs.bus import ROUND
+from repro.obs.flight import FlightRecorder
 from repro.protocols.coin_gen import coin_gen_program, make_seed_coins
 
 
@@ -27,10 +27,7 @@ def main() -> None:
     network = SynchronousNetwork(
         n, field=field, allow_broadcast=False, enforce_codec=True,
     )
-    rounds = []  # one Counter({tag: deliveries}) per settled round
-    network.bus.subscribe(ROUND, lambda _number, deliveries: rounds.append(
-        Counter(payload_tag(payload) for _dst, _src, payload in deliveries)
-    ))
+    flight = FlightRecorder(n=n, t=t, field=field).attach(network)
     programs = {
         pid: coin_gen_program(
             field, n, t, pid, M, seeds[pid], random.Random(pid)
@@ -39,6 +36,11 @@ def main() -> None:
     }
     outputs = network.run(programs)
     assert all(o.success for o in outputs.values())
+    # one Counter({tag: deliveries}) per settled round
+    rounds = [
+        Counter(payload_tag(payload) for _dst, _src, payload in event.deliveries)
+        for event in flight.log().rounds
+    ]
 
     print(f"Coin-Gen: n={n}, t={t}, M={M}, field GF(2^32)\n")
     print("round | msgs | tags")

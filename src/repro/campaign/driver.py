@@ -65,7 +65,7 @@ def _attach_flight(scenario: Scenario, ctx: ProtocolContext):
         n=ctx.n, t=ctx.t, field=ctx.field, seed=ctx.seed,
         manifest=scenario.manifest(ctx.field).to_dict(),
     )
-    return recorder.attach(ctx.ensure_bus())
+    return recorder.attach(ctx)
 
 
 def _run_lockstep(scenario: Scenario, artifacts: CellArtifacts) -> None:

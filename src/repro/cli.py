@@ -243,7 +243,7 @@ def _save_export(args: argparse.Namespace, content: str) -> None:
 
 def _attach_flight_recorder(args: argparse.Namespace, ctx: ProtocolContext,
                             always: bool = False):
-    """A FlightRecorder on the context bus when ``--flight-log`` was
+    """A FlightRecorder attached to the context when ``--flight-log`` was
     given — or ``always``, for the commands whose report is read off the
     log (the causal graph is built from it)."""
     if getattr(args, "flight_log", None) is None and not always:
@@ -253,7 +253,7 @@ def _attach_flight_recorder(args: argparse.Namespace, ctx: ProtocolContext,
     recorder = FlightRecorder(n=ctx.n, t=ctx.t, field=ctx.field,
                               seed=ctx.seed,
                               manifest=_run_manifest(args, ctx).to_dict())
-    return recorder.attach(ctx.ensure_bus())
+    return recorder.attach(ctx)
 
 
 def _write_flight_log(args: argparse.Namespace, flight) -> None:
@@ -715,7 +715,7 @@ def _cmd_health(args: argparse.Namespace) -> int:
     source = BootstrapCoinSource(
         context=ctx, batch_size=args.batch, expose_retries=args.retries
     )
-    monitor = HealthMonitor(source=source).attach(ctx.ensure_bus())
+    monitor = HealthMonitor(source=source).attach(ctx)
     for _ in range(args.coins):
         source.toss_element()
     print(json_module.dumps(monitor.snapshot(), indent=2, sort_keys=True))

@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING, Callable, Deque, List, Optional
 
 from repro.fields.base import Element, Field
 from repro.net.adversary import Adversary
-from repro.obs.bus import BATCH, COIN, FAILURE, RETRY
 from repro.core.coin import SharedCoin, UnanimityError
 from repro.core.dprbg import DPRBG, GenerationError, SharedCoinSystem, StretchResult
 from repro.core.seed import TrustedDealer
@@ -60,13 +59,11 @@ class BootstrapCoinSource:
         same shares (exposure is deterministic in the honest case, so
         retries only help against transient adversarial interference).
 
-    When the context carries a shared event bus (see
-    :attr:`~repro.protocols.context.ProtocolContext.bus`), the source
-    publishes its health stream into it — ``"coin"`` per exposed coin,
-    ``"batch"`` per stretch, ``"failure"``/``"retry"`` per exposure
-    mishap — which is what :class:`~repro.obs.health.HealthMonitor`
-    consumes.  Without a bus, nothing is published and runs are
-    byte-identical to earlier releases.
+    When the context carries a health monitor (see
+    :attr:`~repro.protocols.context.ProtocolContext.health`), the source
+    calls it directly — ``on_coin`` per exposed coin, ``on_batch`` per
+    stretch, ``on_failure`` / ``on_retry`` per exposure mishap.  Without
+    one, nothing is reported and runs are byte-identical.
     """
 
     def __init__(
@@ -114,12 +111,6 @@ class BootstrapCoinSource:
         self.batch_history: List[StretchResult] = []
 
     # -- internal ---------------------------------------------------------------
-    def _publish(self, topic: str, *args) -> None:
-        """Publish a health event when the context carries a shared bus."""
-        bus = self.system.context.bus
-        if bus is not None:
-            bus.publish(topic, *args)
-
     def _refill(self) -> None:
         if self.adversary_schedule is not None:
             self.system.set_adversary(self.adversary_schedule(self.epoch))
@@ -128,10 +119,10 @@ class BootstrapCoinSource:
             self.batch_size,
             tag=f"batch{self.epoch}",
         )
-        self._publish(
-            BATCH, self.epoch, len(result.coins), result.iterations,
-            result.seed_consumed,
-        )
+        health = self.system.context.health
+        if health is not None:
+            health.on_batch(self.epoch, len(result.coins), result.iterations,
+                            result.seed_consumed)
         self.pool.extend(result.coins)
         # next seed = freshly reserved coins + any unconsumed old seeds;
         # overflow beyond twice the requirement is recycled into the pool
@@ -155,11 +146,12 @@ class BootstrapCoinSource:
 
         Exposure failures (unanimity breaks, undecodable shares) are
         retried up to ``expose_retries`` times before propagating; each
-        failure and retry is published to the health stream.
+        failure and retry is reported to the context's health monitor.
         """
         self._ensure()
         coin = self.pool.popleft()
         self.coins_consumed += 1
+        health = self.system.context.health
         attempt = 0
         while True:
             try:
@@ -169,13 +161,16 @@ class BootstrapCoinSource:
                     "unanimity" if isinstance(error, UnanimityError)
                     else "decode"
                 )
-                self._publish(FAILURE, kind, coin.coin_id)
+                if health is not None:
+                    health.on_failure(kind, coin.coin_id)
                 if attempt >= self.expose_retries:
                     raise
                 attempt += 1
-                self._publish(RETRY, coin.coin_id, attempt)
+                if health is not None:
+                    health.on_retry(coin.coin_id, attempt)
                 continue
-            self._publish(COIN, coin.coin_id, value)
+            if health is not None:
+                health.on_coin(coin.coin_id, value)
             return value
 
     def toss(self) -> int:

@@ -15,9 +15,10 @@ quantities the paper's lemmas count.
 programs under adversarial message-at-a-time delivery.  The two are the
 only runtimes: each is one ``run()`` loop — its scheduling policy —
 over the set-up, stepping, send-emission, fault-decision and span
-plumbing of :class:`~repro.net.runtime.RuntimeBase`.  Both publish
-every settled delivery on their :class:`~repro.obs.bus.EventBus`
-(``runtime.bus.subscribe(ROUND, handler)``); that stream is the one way
+plumbing of :class:`~repro.net.runtime.RuntimeBase`.  To watch a run,
+attach a :class:`~repro.obs.flight.FlightRecorder` to the runtime (or
+to the context that builds it) and read its log: every settled
+delivery, fault and guard event is in it, and that log is the one way
 to watch a run.
 """
 

@@ -26,13 +26,13 @@ re-enqueues a copy, ``delay(by=k)`` makes it ineligible for the next
 ``k`` logical ticks (an idle tick is inserted when only immature
 messages remain).
 
-Observability rides the same EventBus topics as lockstep, with logical
-time as the round index: each delivery publishes one ``ROUND`` event
-(the settled delivery), so flight logs, replay/diff, the causal graph
-built from a log and critical-path analysis work unchanged on async
-runs — one happens-before edge per delivered message.  Whether the
-topic has a subscriber is sampled once per run, like the guard topics
-below: a dark run builds no event at all.
+Observability is the same direct calls as lockstep, with logical time
+as the round index: each delivery is one
+:meth:`~repro.obs.flight.FlightRecorder.on_round` call (the settled
+delivery), so flight logs, replay/diff, the causal graph built from a
+log and critical-path analysis work unchanged on async runs — one
+happens-before edge per delivered message.  Whether a recorder is
+attached is read once per run: a dark run builds no event at all.
 
 One delivery costs constant work, whatever the run's history and pool
 depth.  The pool is one ordered list and pool order *is* the schedule;
@@ -49,11 +49,10 @@ waited players, and the per-tick crash sweep looks only at scheduled
 crashes not yet in effect.  What remains per step, not per delivery, is
 the copy of the cumulative inbox handed to the program.
 
-A guarded program parking and waking is published on ``GUARD_ARMED`` /
-``GUARD_FIRED`` with logical-time stamps, gated on the topics having
-subscribers; the flight recorder logs both, and
-:mod:`repro.obs.liveness` derives wait records and stalls from the log.
-Nothing else observes the loop from inside it.
+A guarded program parking and waking goes to the same recorder's
+:meth:`~repro.obs.flight.FlightRecorder.on_guard` with logical-time
+stamps; :mod:`repro.obs.liveness` derives wait records and stalls from
+the log.  Nothing else observes the loop from inside it.
 """
 
 from __future__ import annotations
@@ -67,7 +66,6 @@ from repro.net.metrics import NetworkMetrics, payload_tag
 from repro.net.runtime import Program, RuntimeBase
 from repro.net.scheduler import RandomOrderScheduler, Scheduler
 from repro.net.transport import ProtocolViolation
-from repro.obs.bus import ROUND
 from repro.obs.phases import classify_tag
 
 
@@ -77,7 +75,7 @@ class AsyncRuntime(RuntimeBase):
     The default scheduler is a
     :class:`~repro.net.scheduler.RandomOrderScheduler` with seed 0 —
     pass one with your own seed to sweep delivery schedules; the
-    remaining keywords (``faults``, ``recorder``, ``bus``,
+    remaining keywords (``faults``, ``recorder``, ``flight``,
     ``allow_broadcast``, ``enforce_codec``) are
     :class:`~repro.net.runtime.RuntimeBase`'s.
 
@@ -166,9 +164,8 @@ class AsyncRuntime(RuntimeBase):
         # guards); bound total steps so a guard that re-fires without
         # making progress cannot spin forever
         step_budget = 4 * self.max_deliveries + 16 * self.n
-        bus = self.bus
         choose = self.scheduler.choose
-        settling = bus.has_subscribers(ROUND)
+        flight = self.flight
         self.delivery_count = 0
         self.logical_time = 0
 
@@ -176,7 +173,7 @@ class AsyncRuntime(RuntimeBase):
             if pid not in crashing or not faults.is_crashed(pid, max(tick, 1)):
                 return False
             if pid in crash_pending:
-                faults.note_player_fault(max(tick, 1), "crash", pid)
+                self._note_fault(max(tick, 1), "crash", pid, 0)
                 crash_pending.remove(pid)
             return True
 
@@ -222,7 +219,7 @@ class AsyncRuntime(RuntimeBase):
                 sends = step(pid, inbox, tick + 1)
                 if sends:
                     emit(pid, sends, tick)
-                if self._guard_events:
+                if flight is not None:
                     self._note_armed(pid, tick, done)
 
         # priming: step every (non-crashed) program once at logical time
@@ -235,7 +232,7 @@ class AsyncRuntime(RuntimeBase):
             sends = step(pid, None, 1)
             if sends:
                 emit(pid, sends, 0)
-            if self._guard_events:
+            if flight is not None:
                 self._note_armed(pid, 0, done)
         for pid in sorted(programs):
             if not done[pid]:
@@ -284,18 +281,19 @@ class AsyncRuntime(RuntimeBase):
             tick = clock + 1  # 1-based time of the delivery being decided
             if crash_pending:
                 # note crashes taking effect by this tick *before* the
-                # tick's ROUND publish — flight recorders expect faults
-                # for time r ahead of r's round event
+                # tick's round is recorded — a flight log holds faults for
+                # time r ahead of r's round event
                 for pid in list(crash_pending):
                     crashed(pid, tick)
             pick = choose(clock, len(eligible)) % len(eligible)
             # ``eligible`` is the pool itself or a list of indices into it
             entry = pending.pop(pick if eligible is pending else eligible[pick])
             dst, src, payload, _ready, processed = entry
-            rule = (
-                faults.decide(tick, src, dst)
-                if faults is not None and not processed else None
-            )
+            rule = None
+            if faults is not None and not processed:
+                rule = faults.decide(tick, src, dst)
+                if rule is not None:
+                    self._note_fault(tick, rule.kind, src, dst)
             if rule is None:
                 pass
             elif rule.kind == DUPLICATE:
@@ -316,8 +314,8 @@ class AsyncRuntime(RuntimeBase):
             clock += 1
             self.metrics.rounds += 1
             self.delivery_count += 1
-            if settling:
-                bus.publish(ROUND, clock, [(dst, src, payload)])
+            if flight is not None:
+                flight.on_round(clock, [(dst, src, payload)])
             if dst in cum:
                 cum[dst].deliver(src, payload)
                 if not done[dst]:

@@ -20,7 +20,9 @@ type byte  encoding
 ``(``      varint count + that many encoded items (tuple)
 =========  ==============================================
 
-Varints are LEB128 (7 bits per byte, high bit = continuation).
+Varints are LEB128 (7 bits per byte, high bit = continuation).  Tuples
+nest at most :data:`MAX_DEPTH` deep, on both sides of the wire: deeper
+input is a :class:`CodecError`, never a ``RecursionError``.
 
 Off the coin path (docs/CENSUS.md, class ii); run by CI's `--flight-log`
 / `repro replay` steps, `examples/trace_walkthrough.py` and
@@ -34,6 +36,11 @@ from typing import Any, Callable, Tuple
 
 class CodecError(Exception):
     """Malformed wire data or unsupported payload type."""
+
+
+#: deepest tuple nesting the codec writes or reads; protocol payloads
+#: nest a handful of levels
+MAX_DEPTH = 64
 
 
 def _write_varint(value: int, out: bytearray) -> None:
@@ -65,7 +72,7 @@ def _read_varint(data: bytes, offset: int) -> Tuple[int, int]:
             raise CodecError("varint too long")
 
 
-def _encode_into(payload: Any, out: bytearray) -> None:
+def _encode_into(payload: Any, out: bytearray, depth: int = 0) -> None:
     if payload is None:
         out.append(ord("N"))
     elif payload is True:
@@ -84,10 +91,12 @@ def _encode_into(payload: Any, out: bytearray) -> None:
         _write_varint(len(raw), out)
         out.extend(raw)
     elif isinstance(payload, tuple):
+        if depth == MAX_DEPTH:
+            raise CodecError(f"tuples nested deeper than {MAX_DEPTH}")
         out.append(ord("("))
         _write_varint(len(payload), out)
         for item in payload:
-            _encode_into(item, out)
+            _encode_into(item, out, depth + 1)
     else:
         raise CodecError(
             f"unsupported payload type {type(payload).__name__}; the wire "
@@ -102,7 +111,7 @@ def encode(payload: Any) -> bytes:
     return bytes(out)
 
 
-def _decode_from(data: bytes, offset: int) -> Tuple[Any, int]:
+def _decode_from(data: bytes, offset: int, depth: int = 0) -> Tuple[Any, int]:
     if offset >= len(data):
         raise CodecError("truncated payload")
     kind = data[offset]
@@ -130,10 +139,12 @@ def _decode_from(data: bytes, offset: int) -> Tuple[Any, int]:
             raise CodecError("invalid UTF-8") from exc
         return text, offset + length
     if kind == ord("("):
+        if depth == MAX_DEPTH:
+            raise CodecError(f"tuples nested deeper than {MAX_DEPTH}")
         count, offset = _read_varint(data, offset)
         items = []
         for _ in range(count):
-            item, offset = _decode_from(data, offset)
+            item, offset = _decode_from(data, offset, depth + 1)
             items.append(item)
         return tuple(items), offset
     raise CodecError(f"unknown type byte {kind:#x}")

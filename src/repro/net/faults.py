@@ -15,7 +15,10 @@ code paid to transmit, and the plane decides what actually arrives.
 Both runtimes ask :meth:`FaultPlane.decide` once per message; what a
 delay means is the runtime's — :meth:`FaultPlane.apply` holds a round's
 delayed deliveries until due (:meth:`FaultPlane.begin_run` empties them,
-so a plane can serve run after run), the async loop re-pools them.
+so a plane can serve run after run), the async loop re-pools them.  The
+plane reports nothing itself: the runtime asking it notes every rule
+that fired, and every player it suppresses, in
+:meth:`~repro.net.runtime.RuntimeBase._note_fault`.
 
 Soundness scope: the paper's synchronous model lets the adversary
 interfere only with faulty players' traffic.  Injecting faults on edges
@@ -38,7 +41,7 @@ Example
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.net.scheduler import RoutedDelivery
 
@@ -143,7 +146,9 @@ class FaultPlane:
     Rules are applied in registration order; the first matching rule
     decides a delivery's fate (drop / duplicate / delay).  Player crashes
     are tracked separately and also consulted by the runtime's stepping
-    loop and termination check.
+    loop and termination check.  Beyond the delayed traffic of the run
+    in flight, a plane holds nothing but its rules, so one plane can
+    serve any number of runtimes.
     """
 
     def __init__(self) -> None:
@@ -154,20 +159,13 @@ class FaultPlane:
         self.silences: Dict[int, frozenset] = {}
         # delayed deliveries of the run in flight: due round -> deliveries
         self._delayed: Dict[int, List[RoutedDelivery]] = {}
-        #: event bus to publish "fault" events into; set by the runtime
-        self.bus = None
 
     @classmethod
     def from_spec(cls, ops: Sequence[str]) -> "FaultPlane":
         """Build a fresh plane from a chain of op spec strings.
 
         Registration order follows the chain order, so first-match-wins
-        semantics are exactly the chain's left-to-right order.  A plane
-        is bound to the bus of the last runtime built over it, so
-        callers that re-run a scenario under a different bus build a
-        fresh plane from the same spec — this constructor is that
-        guarantee.  (Delayed traffic is per-run state and does not
-        outlive a run: see :meth:`begin_run`.)
+        semantics are exactly the chain's left-to-right order.
         """
         plane = cls()
         for op in ops:
@@ -257,26 +255,10 @@ class FaultPlane:
         """
         return any(self._delayed.values())
 
-    def _publish(self, round_no: int, kind: str, src: int, dst: int) -> None:
-        if self.bus is not None:
-            from repro.obs.bus import FAULT
-
-            self.bus.publish(FAULT, round_no, kind, src, dst)
-
-    def note_player_fault(self, round_no: int, kind: str, pid: int) -> None:
-        """Publish a player-level fault (``"crash"``/``"silence"``).
-
-        Called by the runtime once per round it suppresses a player, with
-        ``dst=0`` meaning "all destinations"; flight recorders and
-        forensics use these events as direct evidence of the injected
-        player fault.
-        """
-        self._publish(round_no, kind, pid, 0)
-
     def begin_run(self) -> None:
         """Forget delayed traffic a previous run left pending.
 
-        Called by the runtime where it publishes ``RUN``: deliveries are
+        Called by the runtime as it opens a run: deliveries are
         keyed by due round and round numbers restart, so on a plane
         shared between runs (a ``ProtocolContext`` hands one to every
         network) anything kept would land in the next run's inboxes.
@@ -286,29 +268,37 @@ class FaultPlane:
     def decide(self, round_no: int, src: int, dst: int) -> Optional[EdgeRule]:
         """The rule deciding one message's fate, or None to deliver it.
 
-        The first matching rule in registration order wins and is
-        published as a ``"fault"`` event, so subscribers see exactly
-        which deliveries the plane touched.  Both runtimes ask this once
-        per message; what a rule then *means* is theirs (:meth:`apply`
-        for rounds, the in-flight pool for the async loop).
+        The first matching rule in registration order wins.  Both
+        runtimes ask this once per message and note the rule returned as
+        a fault; what a rule then *means* is theirs (:meth:`apply` for
+        rounds, the in-flight pool for the async loop).
         """
         for rule in self.rules:
             if rule.matches(round_no, src, dst):
-                self._publish(round_no, rule.kind, src, dst)
                 return rule
         return None
 
     def apply(
-        self, round_no: int, deliveries: List[RoutedDelivery]
+        self,
+        round_no: int,
+        deliveries: List[RoutedDelivery],
+        note: Optional[Callable[[int, str, int, int], None]] = None,
     ) -> List[RoutedDelivery]:
-        """Rewrite one round's deliveries; releases matured delayed traffic."""
+        """Rewrite one round's deliveries; releases matured delayed traffic.
+
+        ``note(round_no, kind, src, dst)`` is told of every rule that
+        fires — the lockstep runtime passes its ``_note_fault``.
+        """
         out: List[RoutedDelivery] = []
         for delivery in deliveries:
             dst, src, _payload = delivery
             rule = self.decide(round_no, src, dst)
             if rule is None:
                 out.append(delivery)
-            elif rule.kind == DUPLICATE:
+                continue
+            if note is not None:
+                note(round_no, rule.kind, src, dst)
+            if rule.kind == DUPLICATE:
                 out.append(delivery)
                 out.append(delivery)
             elif rule.kind == DELAY:

@@ -29,7 +29,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from typing import (
-    Any, Dict, Generator, Iterable, List, Optional, Sequence, Set, Tuple,
+    TYPE_CHECKING, Any, Dict, Generator, Iterable, List, Optional, Sequence,
+    Set, Tuple,
 )
 
 from repro.fields.base import Field, OpCounter
@@ -38,8 +39,10 @@ from repro.net.guards import Guard, Guarded, IndexedInbox
 from repro.net.metrics import NetworkMetrics
 from repro.net.scheduler import Scheduler
 from repro.net.transport import ProtocolViolation, Send, Transport
-from repro.obs.bus import FAULT, GUARD_ARMED, GUARD_FIRED, RUN, EventBus
 from repro.obs.spans import NULL_RECORDER
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.flight import FlightRecorder
 
 Payload = Any
 Inbox = Dict[int, List[Payload]]
@@ -73,13 +76,14 @@ class RuntimeExhausted(ProtocolViolation):
 class RuntimeBase:
     """Everything the lockstep and async runtimes share.
 
-    Owns the layer wiring (transport, scheduler, fault plane, event
-    bus), the program table bookkeeping (guard state, cumulative
-    inboxes), per-player :class:`~repro.fields.base.OpCounter`
+    Owns the layer wiring (transport, scheduler, fault plane, span and
+    flight recorders), the program table bookkeeping (guard state,
+    cumulative inboxes), per-player :class:`~repro.fields.base.OpCounter`
     attribution, and the plumbing every ``run()`` needs around its
     loop: :meth:`_begin_run` / :meth:`_end_run`, :meth:`_advance` (step
     one program), :meth:`_emit` (its sends as deliveries),
-    :meth:`_end_round_span` and :meth:`_exhausted`.  Subclasses provide
+    :meth:`_note_fault`, :meth:`_end_round_span` and :meth:`_exhausted`.
+    Subclasses provide
     ``run()`` — the scheduling policy:
     :class:`~repro.net.simulator.SynchronousNetwork` steps every program
     once per synchronous round;
@@ -104,11 +108,11 @@ class RuntimeBase:
         Optional span recorder (:class:`repro.obs.spans.SpanRecorder`).
         Defaults to the no-op :data:`repro.obs.spans.NULL_RECORDER`, in
         which case all instrumentation is skipped (zero cost).
-    bus:
-        Optional :class:`repro.obs.bus.EventBus`.  One is created per
-        runtime if not given; subscribe to its ``"round"`` topic to
-        watch settled deliveries ``(round_number, [(dst, src, payload)])``.
-        The fault plane publishes ``"fault"`` events into it.
+    flight:
+        Optional :class:`repro.obs.flight.FlightRecorder`, called
+        directly with every run marker, settled round, fault and guard
+        event.  None (the default) is the dark path: one ``is not None``
+        test per event site, and no event is built.
     allow_broadcast:
         Whether the ideal broadcast channel exists — the Section 4
         protocols set it to False, enforcing the paper's
@@ -128,7 +132,7 @@ class RuntimeBase:
         scheduler: Scheduler,
         faults: Optional[FaultPlane] = None,
         recorder=None,
-        bus: Optional[EventBus] = None,
+        flight: Optional["FlightRecorder"] = None,
         allow_broadcast: bool = True,
         enforce_codec: bool = False,
     ):
@@ -147,11 +151,7 @@ class RuntimeBase:
         self.scheduler = scheduler
         self.faults = faults
         self.recorder = recorder if recorder is not None else NULL_RECORDER
-        self.bus = bus if bus is not None else EventBus()
-        if self.recorder.enabled:
-            self.bus.subscribe(FAULT, self.recorder.on_fault)
-        if self.faults is not None:
-            self.faults.bus = self.bus
+        self.flight = flight
         #: player-step spans of the in-flight round (phase backfilled)
         self._step_spans: List[Any] = []
         #: per-player guard state — see repro.net.guards.  ``_guard_mode``
@@ -172,9 +172,10 @@ class RuntimeBase:
 
         ``waited`` are the players whose termination ends the run:
         ``wait_for`` (everyone when None) minus ``crashing``, those with
-        a scheduled fault-plane crash.  Publishes the ``RUN`` marker
-        (recorders sharing a bus delimit runs by it: round numbers
-        restart) and resets per-run state, the fault plane's included.
+        a scheduled fault-plane crash.  Hands an attached flight recorder
+        the run marker (a recorder serving several runs delimits them by
+        it: round numbers restart) and resets per-run state, the fault
+        plane's included.
         """
         for pid in programs:
             if not 1 <= pid <= self.n:
@@ -186,15 +187,12 @@ class RuntimeBase:
         if self.faults is not None:
             crashing = self.faults.crashed_players()
             self.faults.begin_run()
-        self.bus.publish(RUN, self.n)
+        if self.flight is not None:
+            self.flight.on_run()
         self._guards = {}
         self._guard_mode = {}
         self._cum = defaultdict(IndexedInbox)
         self._step_spans = []
-        # guard events are opt-in: sampled once per run, every publish
-        # gated on it, so unmonitored runs stay byte-identical
-        self._guard_events = (self.bus.has_subscribers(GUARD_ARMED)
-                              or self.bus.has_subscribers(GUARD_FIRED))
         return waited - crashing, crashing
 
     @staticmethod
@@ -287,24 +285,36 @@ class RuntimeBase:
         a player silenced this round (noted as a ``"silence"`` fault)."""
         faults = self.faults
         if faults is not None and faults.is_silenced(pid, round_no):
-            faults.note_player_fault(round_no, "silence", pid)
+            self._note_fault(round_no, "silence", pid, 0)
             return ()
         return self._expand(pid, sends)
+
+    def _note_fault(self, round_no: int, kind: str, src: int,
+                    dst: int) -> None:
+        """Report one fault-plane intervention — the one place a fault is
+        reported.  An edge rule that fired is ``(kind, src, dst)``; a
+        suppressed player (``"crash"`` / ``"silence"``) is ``dst=0``,
+        every destination.  Flight logs and forensics read these as
+        direct evidence of the injected fault."""
+        self.recorder.on_fault(round_no, kind, src, dst)
+        if self.flight is not None:
+            self.flight.on_fault(round_no, kind, src, dst)
 
     # -- guarded programs -----------------------------------------------------
     def _wake_inbox(self, pid: int, time: int) -> Inbox:
         """The inbox a waking guarded program is handed: a copy of its
-        cumulative history (``GUARD_FIRED`` published for a parked guard)."""
-        if self._guard_events and self._guards.get(pid) is not None:
-            self.bus.publish(GUARD_FIRED, time, pid)
+        cumulative history (a parked guard's firing goes to the flight
+        recorder)."""
+        if self.flight is not None and self._guards.get(pid) is not None:
+            self.flight.on_guard(time, pid)
         return {src: list(msgs) for src, msgs in self._cum[pid].items()}
 
     def _note_armed(self, pid: int, time: int, done: Dict[int, bool]) -> None:
-        """Tell ``GUARD_ARMED`` subscribers the guard ``pid`` just parked
-        on (callers skip the call while ``_guard_events`` is off)."""
+        """Tell the flight recorder the guard ``pid`` just parked on
+        (callers skip the call when no recorder is attached)."""
         guard = self._guards.get(pid)
         if guard is not None and not done[pid]:
-            self.bus.publish(GUARD_ARMED, time, pid, guard)
+            self.flight.on_guard(time, pid, guard)
 
     # -- spans ---------------------------------------------------------------
     def _end_round_span(self, round_span, **attrs: Any) -> None:

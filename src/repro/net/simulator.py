@@ -40,7 +40,6 @@ from repro.net.transport import (  # noqa: F401  (re-exported wire primitives)
     multicast,
     unicast,
 )
-from repro.obs.bus import ROUND
 from repro.obs.phases import classify_tags
 
 __all__ = [
@@ -72,7 +71,7 @@ class SynchronousNetwork(RuntimeBase):
     traffic addressed to them before emitting their own messages
     (merged into the scheduler's rushing set); the default scheduler is
     :class:`LockstepScheduler`; ``max_rounds`` bounds the run.  The
-    remaining keywords (``faults``, ``recorder``, ``bus``,
+    remaining keywords (``faults``, ``recorder``, ``flight``,
     ``allow_broadcast``, ``enforce_codec``) are :class:`RuntimeBase`'s.
     """
 
@@ -106,7 +105,7 @@ class SynchronousNetwork(RuntimeBase):
         """
         faults = self.faults
         if faults is not None and faults.is_crashed(pid, round_no):
-            faults.note_player_fault(round_no, "crash", pid)
+            self._note_fault(round_no, "crash", pid, 0)
             return 0
         sends = self._advance(pid, program, inbox, outputs, done, round_no)
         if sends:
@@ -148,6 +147,7 @@ class SynchronousNetwork(RuntimeBase):
 
         recorder = self.recorder
         recording = recorder.enabled
+        flight = self.flight
         # phase of the deliveries currently sitting in the inboxes — the
         # work a round does is attributed to the phase it is *consuming*
         inbox_phase: Optional[str] = None
@@ -185,7 +185,7 @@ class SynchronousNetwork(RuntimeBase):
                     round_no, outputs, done, deliveries,
                 )
                 stepped += advanced
-                if advanced and self._guard_events:
+                if advanced and flight is not None:
                     self._note_armed(pid, round_no, done)
 
             # rushing players peek at this round's traffic addressed to them
@@ -214,10 +214,13 @@ class SynchronousNetwork(RuntimeBase):
                     tag_counts[tag] = tag_counts.get(tag, 0) + 1
 
             if self.faults is not None:
-                deliveries = self.faults.apply(round_no, deliveries)
+                deliveries = self.faults.apply(
+                    round_no, deliveries, self._note_fault
+                )
             deliveries = self.scheduler.arrange(round_no, deliveries)
 
-            self.bus.publish(ROUND, self.metrics.rounds, deliveries)
+            if flight is not None:
+                flight.on_round(self.metrics.rounds, deliveries)
 
             if recording:
                 self._end_round_span(

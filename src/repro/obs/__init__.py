@@ -4,13 +4,9 @@ The paper's contribution is a *cost* claim — ``O(n^2 log k)`` additions,
 ``O(n)`` messages, one interpolation per batch (Lemmas 2/4/6,
 Corollary 1).  This package makes those costs observable on live runs.
 
-Three modules are on the coin path — the runtimes import them, so they
+Two modules are on the coin path — the runtimes import them, so they
 load with ``import repro.core`` and are imported here eagerly:
 
-* :mod:`repro.obs.bus` — a small synchronous event bus the runtimes
-  publish round/fault/guard events through; every recorder below is a
-  subscriber, and the :class:`~repro.net.faults.FaultPlane` is a
-  publisher;
 * :mod:`repro.obs.spans` — nested spans (protocol -> phase -> round ->
   per-player step) carrying wall-clock time, an
   :class:`~repro.fields.base.OpCounter` delta, and message/bit tallies
@@ -23,7 +19,11 @@ load with ``import repro.core`` and are imported here eagerly:
 Everything else loads on first use: ``from repro.obs import
 FlightRecorder`` (or any other name in ``__all__``) imports the one
 submodule that defines it, so a dark run never pays for a recorder it
-does not attach.  Each of these names its evidence — the ladder
+does not attach.  Nothing is published or subscribed: a runtime calls
+the :class:`~repro.obs.flight.FlightRecorder` attached to it (or to its
+context), and a coin source calls its context's
+:class:`~repro.obs.health.HealthMonitor`, each behind one ``is not
+None`` test.  Each of these names its evidence — the ladder
 workload, CI step or example that runs it — in its module docstring
 (see ``docs/CENSUS.md``):
 
@@ -64,7 +64,6 @@ workload, CI step or example that runs it — in its module docstring
 
 from importlib import import_module
 
-from repro.obs.bus import EventBus
 from repro.obs.spans import (
     NULL_RECORDER,
     NullRecorder,
@@ -100,7 +99,6 @@ _LAZY = {
 }
 
 __all__ = [
-    "EventBus",
     "Span",
     "SpanRecorder",
     "NullRecorder",

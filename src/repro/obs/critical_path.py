@@ -540,9 +540,9 @@ def ops_from_recorder(recorder) -> Tuple[StepOps, Dict[int, str]]:
 
     Protocol spans in start order map to run numbers 1..K — valid
     because every shipped runner wraps exactly one ``network.run()``
-    call per protocol span, and the runtime publishes one run marker per
-    call.  Returns ``(step_ops, run_labels)`` where ``run_labels`` names
-    each run after its protocol span.
+    call per protocol span, and the runtime opens one run of the flight
+    log per call.  Returns ``(step_ops, run_labels)`` where
+    ``run_labels`` names each run after its protocol span.
     """
     step_ops: StepOps = {}
     labels: Dict[int, str] = {}

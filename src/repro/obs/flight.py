@@ -1,18 +1,18 @@
 """Flight recorder: capture the delivered message stream, replay it later.
 
-A :class:`FlightRecorder` is a plain :class:`~repro.obs.bus.EventBus`
-subscriber — it listens to the ``"run"``, ``"round"``, and ``"fault"``
-topics the runtime stack already publishes, and serializes everything
-that *actually arrived* (post fault-plane, post scheduler) into a
-versioned JSONL log.  Payloads go over the same wire codec real
-deployments would use (:mod:`repro.net.codec`), so a flight log is a
-faithful byte-level record of the run, not a Python-pickle diary.  It
-also logs the two guard facts deliveries cannot rebuild — a player
-parked on a guard, a parked player woke — which is all
-:mod:`repro.obs.liveness` needs to derive wait records and stalls.
+A :class:`FlightRecorder` is called directly by the runtime it is
+attached to — once per run marker, settled round and fault-plane
+intervention — and serializes everything that *actually arrived* (post
+fault-plane, post scheduler) into a versioned JSONL log.  Payloads go
+over the same wire codec real deployments would use
+(:mod:`repro.net.codec`), so a flight log is a faithful byte-level
+record of the run, not a Python-pickle diary.  It also logs the two
+guard facts deliveries cannot rebuild — a player parked on a guard, a
+parked player woke — which is all :mod:`repro.obs.liveness` needs to
+derive wait records and stalls.
 
-Because recording is subscription-only, a run without a recorder
-attached executes byte-identically to one with — the same
+Recording only reads what the runtime hands it, so a run without a
+recorder attached executes byte-identically to one with — the same
 ``NULL_RECORDER`` discipline the span layer follows.
 
 What a log buys you:
@@ -54,8 +54,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.net import codec
 from repro.net.metrics import payload_tag
-from repro.obs.bus import FAULT, GUARD_ARMED, GUARD_FIRED, ROUND, RUN
-from repro.obs.bus import EventBus, RunCounter
 
 #: current flight-log schema version; bumped on any incompatible change
 FLIGHT_VERSION = 1
@@ -366,17 +364,16 @@ class FlightLog:
 class FlightRecorder:
     """Record a protocol session's delivered-message stream into a log.
 
-    Attach to the shared context bus *before* running::
+    Attach to a context (every network it builds then records here) or
+    to one runtime, *before* running::
 
         ctx = ProtocolContext.create(field, n=7, t=1, seed=3)
-        recorder = FlightRecorder(n=7, t=1, field=field, seed=3)
-        recorder.attach(ctx.ensure_bus())
+        recorder = FlightRecorder(n=7, t=1, field=field, seed=3).attach(ctx)
         run_coin_gen(ctx, M=8)
         recorder.log().dump("run.flightlog")
 
-    The recorder delimits protocol runs by the runtime's ``"run"``
-    events; as a fallback (streams recorded without markers) a round
-    number that does not advance also starts a new run.
+    Every ``run()`` opens with :meth:`on_run`, and that marker alone
+    delimits protocol runs: each event belongs to the run last opened.
     """
 
     def __init__(self, n: int, t: int, field=None, seed: Optional[int] = None,
@@ -390,48 +387,41 @@ class FlightRecorder:
         self._faults: List[FaultEvent] = []
         self._guards: List[GuardEvent] = []
         self._index = 0
-        self._runs = RunCounter()
+        #: 1-based number of the run in progress (0 before the first)
+        self._run = 0
 
-    # -- bus wiring ---------------------------------------------------------
-    def attach(self, bus: EventBus) -> "FlightRecorder":
-        bus.subscribe(RUN, self.on_run)
-        bus.subscribe(ROUND, self.on_round)
-        bus.subscribe(FAULT, self.on_fault)
-        bus.subscribe(GUARD_ARMED, self.on_guard)
-        bus.subscribe(GUARD_FIRED, self.on_guard)
+    def attach(self, holder) -> "FlightRecorder":
+        """Record every run of ``holder`` — a
+        :class:`~repro.protocols.context.ProtocolContext` or a runtime."""
+        holder.flight = self
         return self
 
-    # -- topic handlers -----------------------------------------------------
-    def on_run(self, n: int) -> None:
-        self._runs.mark()
+    # -- runtime calls ------------------------------------------------------
+    def on_run(self) -> None:
+        self._run += 1
         self._index += 1  # the marker occupies one event index
 
     def on_round(self, round_no: int, deliveries) -> None:
-        self._runs.observe(round_no, settles=True)
         self._rounds.append(RoundEvent(
-            index=self._index, run=self._runs.run, round=round_no,
+            index=self._index, run=self._run, round=round_no,
             deliveries=tuple((dst, src, payload)
                              for dst, src, payload in deliveries),
         ))
         self._index += 1
 
     def on_fault(self, round_no: int, kind: str, src: int, dst: int) -> None:
-        # faults for round r are published before r's round event settles
-        self._runs.observe(round_no)
         self._faults.append(FaultEvent(
-            index=self._index, run=self._runs.run, round=round_no,
+            index=self._index, run=self._run, round=round_no,
             kind=kind, src=src, dst=dst,
         ))
         self._index += 1
 
     def on_guard(self, time: int, pid: int, guard=None) -> None:
-        """``pid`` parked on ``guard`` (``GUARD_ARMED``) or woke
-        (``GUARD_FIRED``, no guard).  Placed in the run in progress: an
-        async guard at time r follows r's round event, where the
-        round-number rule would open a new run."""
+        """``pid`` parked on ``guard`` (an ``armed`` line) or woke from
+        it (a ``fired`` line, no guard)."""
         branches = () if guard is None else getattr(guard, "waits", (guard,))
         self._guards.append(GuardEvent(
-            index=self._index, run=self._runs.run, round=time, pid=pid,
+            index=self._index, run=self._run, round=time, pid=pid,
             waits=tuple((tuple(w.tags), w.quorum) for w in branches),
         ))
         self._index += 1

@@ -4,9 +4,10 @@ The paper's Fig. 1 generator is meant to run forever — batches feed
 seeds feed batches.  An operator of such a beacon needs to see, while
 it runs: is the seed stock draining?  are exposures failing?  are the
 emitted bits still unbiased?  :class:`HealthMonitor` answers those from
-the health topics a :class:`~repro.core.bootstrap.BootstrapCoinSource`
-publishes into its context bus (``"coin"``, ``"batch"``, ``"failure"``,
-``"retry"`` — see :mod:`repro.obs.bus`):
+the calls a :class:`~repro.core.bootstrap.BootstrapCoinSource` makes on
+the monitor attached to its context (:meth:`~HealthMonitor.on_coin`,
+:meth:`~HealthMonitor.on_batch`, :meth:`~HealthMonitor.on_failure`,
+:meth:`~HealthMonitor.on_retry`):
 
 * **counters** — coins emitted, batches stretched, leader-election
   iterations, seed coins consumed, exposure failures by kind
@@ -17,9 +18,9 @@ publishes into its context bus (``"coin"``, ``"batch"``, ``"failure"``,
   battery (monobit, serial correlation, longest run, chi-square) over a
   sliding window of the most recently emitted coin bits.
 
-Like every observability component here, the monitor is a plain bus
-subscriber: a source running without one attached is byte-identical to
-a monitored run.  :meth:`HealthMonitor.prometheus_lines` feeds the
+Like every observability component here, the monitor only reads what
+it is handed: a source running without one attached is byte-identical
+to a monitored run.  :meth:`HealthMonitor.prometheus_lines` feeds the
 existing Prometheus exposition (:func:`repro.obs.export.to_prometheus`),
 and ``repro health`` turns :meth:`check` into a CI-friendly exit code.
 """
@@ -30,11 +31,10 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.analysis import stats
-from repro.obs.bus import BATCH, COIN, FAILURE, RETRY, EventBus
 
 
 class HealthMonitor:
-    """Accumulate pipeline health from the bus; judge it on demand.
+    """Pipeline health as the source reports it, judged on demand.
 
     Parameters
     ----------
@@ -62,15 +62,13 @@ class HealthMonitor:
         self.retries = 0
         self._bits: Deque[int] = deque(maxlen=max(8, window))
 
-    # -- bus wiring ---------------------------------------------------------
-    def attach(self, bus: EventBus) -> "HealthMonitor":
-        bus.subscribe(COIN, self.on_coin)
-        bus.subscribe(BATCH, self.on_batch)
-        bus.subscribe(FAILURE, self.on_failure)
-        bus.subscribe(RETRY, self.on_retry)
+    def attach(self, context) -> "HealthMonitor":
+        """Hear from every coin source on ``context`` (a
+        :class:`~repro.protocols.context.ProtocolContext`)."""
+        context.health = self
         return self
 
-    # -- topic handlers -----------------------------------------------------
+    # -- source calls -------------------------------------------------------
     def on_coin(self, coin_id: str, element) -> None:
         self.coins_emitted += 1
         if self.field is not None:

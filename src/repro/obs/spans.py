@@ -199,9 +199,9 @@ class SpanRecorder(NullRecorder):
         """``with recorder.span("coin_gen", "protocol", n=7): ...``"""
         return self.begin(name, kind, **attrs)
 
-    # -- event-bus hooks -----------------------------------------------------
+    # -- runtime calls -------------------------------------------------------
     def on_fault(self, round_number: int, kind: str, src: int, dst: int) -> None:
-        """Subscriber for the runtime bus's ``"fault"`` topic."""
+        """One fault-plane intervention, from the runtime's ``_note_fault``."""
         self.faults.append(
             {"round": round_number, "kind": kind, "src": src, "dst": dst}
         )

@@ -110,7 +110,7 @@ def run_async_coin(
         # of silently omitting their programs: delivery order, metrics
         # and outputs are unchanged (a player crashed at time 1 never
         # runs and is never waited for), but the crash is now *visible*
-        # — a "crash" FAULT event lands in flight logs and lets the
+        # — a "crash" fault line lands in flight logs and lets the
         # liveness watchdog classify the stalls it causes
         faults = faults if faults is not None else FaultPlane()
         for pid in crashed:

@@ -15,7 +15,10 @@ object:
   context's lifetime (individual runs get fresh per-run metrics that
   are merged in);
 * **scheduler / faults** — the delivery policy and fault plane every
-  network built from this context uses.
+  network built from this context uses;
+* **recorder / flight / health** — the optional observers: a span
+  recorder and a flight recorder handed to every network, and a health
+  monitor the long-lived coin pipeline reports to.
 
 Everything between a runner's arguments and ``run(programs)`` lives
 here, once: :func:`run_players` is the player harness (honest programs,
@@ -38,7 +41,7 @@ from __future__ import annotations
 import random
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from repro.fields.base import Field
 from repro.net.faults import FaultPlane
@@ -46,8 +49,11 @@ from repro.net.metrics import NetworkMetrics
 from repro.net.runtime import Program, RuntimeBase
 from repro.net.scheduler import Scheduler
 from repro.net.simulator import SynchronousNetwork
-from repro.obs.bus import EventBus
 from repro.obs.spans import NULL_RECORDER, NullRecorder
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.flight import FlightRecorder
+    from repro.obs.health import HealthMonitor
 
 
 def run_players(
@@ -104,13 +110,12 @@ class ProtocolContext:
     #: span recorder threaded into every network this context builds;
     #: the default NULL_RECORDER makes all instrumentation a no-op
     recorder: NullRecorder = NULL_RECORDER
-    #: optional shared event bus.  When set, every network built from this
-    #: context publishes into it (instead of a private per-run bus), and
-    #: the long-lived coin pipeline publishes its health topics there —
-    #: this is how flight recorders and health monitors observe a whole
-    #: session.  None (the default) keeps runs byte-identical to a
-    #: bus-less context.
-    bus: Optional[EventBus] = None
+    #: flight recorder handed to every network this context builds, so
+    #: one log covers a whole session (set by ``FlightRecorder.attach``)
+    flight: Optional["FlightRecorder"] = None
+    #: health monitor a ``BootstrapCoinSource`` on this context reports
+    #: its coins, batches, failures and retries to (``HealthMonitor.attach``)
+    health: Optional["HealthMonitor"] = None
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -176,7 +181,7 @@ class ProtocolContext:
             scheduler=self.scheduler,
             faults=self.faults,
             recorder=self.recorder,
-            bus=self.bus,
+            flight=self.flight,
             enforce_codec=self.enforce_codec,
             **kwargs,
         )
@@ -191,7 +196,7 @@ class ProtocolContext:
         """An event-driven runtime for one run, wired to this context.
 
         The async sibling of :meth:`network`: same layer wiring (fault
-        plane, recorder, bus, codec enforcement), but deliveries land
+        plane, recorders, codec enforcement), but deliveries land
         one at a time in the order an
         :class:`~repro.net.scheduler.RandomOrderScheduler` picks.  When
         neither ``scheduler=`` nor the context's own scheduler is set,
@@ -211,7 +216,7 @@ class ProtocolContext:
             scheduler=scheduler,
             faults=faults if faults is not None else self.faults,
             recorder=self.recorder,
-            bus=self.bus,
+            flight=self.flight,
             enforce_codec=self.enforce_codec,
             **kwargs,
         )
@@ -241,11 +246,14 @@ class ProtocolContext:
         self.absorb(network.metrics)
         return outputs, network.metrics
 
-    def ensure_bus(self) -> EventBus:
-        """The context's shared bus, creating (and attaching) one if unset."""
-        if self.bus is None:
-            self.bus = EventBus()
-        return self.bus
+    def ensure_bus(self) -> "ProtocolContext":
+        """This context: what ``bench/workloads.py`` attaches recorders to.
+
+        An alias kept only for that caller; ROADMAP item 10(b) moves
+        ``bench/`` onto ``attach(context)``, as everything else is, and
+        deletes it.
+        """
+        return self
 
     def absorb(self, run_metrics: NetworkMetrics) -> None:
         """Accumulate one run's tallies into the context's totals."""
@@ -259,7 +267,7 @@ def as_context(field_or_ctx, n: Optional[int] = None, t: Optional[int] = None,
 
     ``(field, n, t, seed=...)`` builds a fresh context; a ready
     :class:`ProtocolContext` as first argument is returned as is, and
-    its scheduler, fault plane, recorder and bus are what the run uses.
+    its scheduler, fault plane and recorders are what the run uses.
     """
     if isinstance(field_or_ctx, ProtocolContext):
         return field_or_ctx

@@ -1,4 +1,4 @@
-"""ROUND-stream and SpanRecorder tallies under adversary programs.
+"""Flight-log round and SpanRecorder tallies under adversary programs.
 
 Expectations here are hand-computed from the protocol's round shape at
 n=7, t=1, M=1: an all-to-all round carries n^2 = 49 deliveries (every
@@ -16,7 +16,7 @@ import pytest
 
 from repro.fields import GF2k
 from repro.net.adversary import crash_program, equivocator_program
-from repro.obs.bus import EventBus
+from repro.obs.flight import FlightRecorder
 from repro.obs.spans import SpanRecorder
 from repro.protocols.coin_gen import run_coin_gen
 from repro.protocols.context import ProtocolContext
@@ -39,14 +39,13 @@ def senders(tally):
 
 def traced_coin_gen(faulty_programs=None, seed=SEED):
     """(per-round {(src, tag): deliveries} tallies, recorder, outputs)."""
-    bus = EventBus()
-    tracer = round_tallies(bus)
+    flight = FlightRecorder(n=N, t=T)
     recorder = SpanRecorder()
     ctx = ProtocolContext.create(GF2k(16), n=N, t=T, seed=seed,
-                                 bus=bus, recorder=recorder)
+                                 flight=flight, recorder=recorder)
     outputs, _ = run_coin_gen(ctx, M=1, tag="cg",
                               faulty_programs=faulty_programs)
-    return tracer, recorder, outputs
+    return round_tallies(flight.log()), recorder, outputs
 
 
 @pytest.fixture(scope="module")

@@ -6,21 +6,23 @@ Three contracts of :class:`repro.net.async_runtime.AsyncRuntime`'s loop
 * **same answers** — four seeded runs (clean; crashed from the start; a
   drop + duplicate + delay + mid-run-crash plane; a delay-everything
   plane that forces idle ticks) reproduce pinned sha256 digests of their
-  flight log and of every event published on any bus topic, plus their
-  logical clock and delivery count.  The pins state that delivery
-  order, fault events and guard events do not move, on either field
-  backend.  They were re-recorded when the pick mapping became
+  flight log, plus their logical clock and delivery count, and a lit
+  pass — the same coin followed by a Bracha broadcast with ``AnyWait``
+  guards, a delay and a crash, both into one recorder — reproduces a
+  second flight-log digest.  The pins state that delivery order, fault
+  events and guard events do not move, on either field backend.  The
+  coin's were re-recorded when the pick mapping became
   ``random-order/2`` (a stateless 64-bit hash; every async delivery
   order for a given seed differs from ``random-order/1``, no protocol
-  output does); the every-topic halves when the ``sent`` topic was
-  deleted (the earlier transcript minus its ``sent`` lines); and both
-  halves when liveness became a view of the flight log: the transcript
-  lost its ``guard_progress`` and ``pool`` lines and a fire carries
-  ``(time, pid)`` only, the log gained ``armed`` / ``fired`` lines,
-  which shift the event indices after them.  A third digest, of the
-  log's deliveries and faults alone, was recorded before that change
-  and did not move: the delivery order and the fault stream are the
-  same, and so are the logical clocks and delivery counts;
+  output does) and when liveness became a view of the flight log (the
+  log gained ``armed`` / ``fired`` lines, which shift the event indices
+  after them).  The lit pass's was recorded on ee3aec8 by attaching the
+  recorder to the lit pass's event bus, where the slot held a digest of
+  every event on every bus topic; the runtimes now call the recorder
+  directly and the digest did not move.  A third digest, of the log's
+  deliveries and faults alone, was recorded before guard lines and did
+  not move: the delivery order and the fault stream are the same, and
+  so are the logical clocks and delivery counts;
 * **constant work** — a dark 60-round guarded all-to-all run computes at
   most two payload tags per delivery (the parent re-tagged the player's
   whole history on every delivery), never scans the in-flight pool
@@ -32,7 +34,6 @@ Three contracts of :class:`repro.net.async_runtime.AsyncRuntime`'s loop
 """
 
 import collections
-import dataclasses
 import hashlib
 import json
 import random
@@ -46,7 +47,6 @@ from repro.net import AsyncRuntime, FaultPlane, RandomOrderScheduler, guarded
 from repro.net import async_runtime, codec, guards, simulator
 from repro.net.metrics import payload_tag
 from repro.net.transport import multicast
-from repro.obs.bus import ALL_TOPICS, EventBus
 from repro.obs.flight import FlightRecorder
 from repro.protocols.async_coin import run_async_coin
 from repro.protocols.broadcast import run_reliable_broadcast
@@ -70,28 +70,28 @@ def _planes():
     }
 
 
-#: scenario -> (flight-log sha256, every-topic sha256, logical_time,
-#: delivery_count), recorded under the ``random-order/2`` pick, nine
-#: topics, guard lines in the log
+#: scenario -> (coin flight-log sha256, lit-pass flight-log sha256,
+#: logical_time, delivery_count), recorded under the ``random-order/2``
+#: pick, guard lines in the log
 PINNED = {
     "clean": (
         "93a80b187cc9e3db1d5cdbaf431b748139b1a79ce8ae41d3edbbe1ac51d27aa3",
-        "330d6285843bdbd34dfc5c36fb27578572d83326f4ccf082b40838c8aa89fdff",
+        "eff24f62afe50ef43b273d5624d0d91691d34f556097113efa0991519644b783",
         45, 45,
     ),
     "crashed_from_start": (
         "6b7b4ebdfb3d71b8f41d56e4c4072efa061f80ac4e797d0f77c2789ae8b52cc5",
-        "cc97b0af347448c8512ac9916a285cda4f2c6c3a1fdd2f0f5d7bb1cc3fe24f07",
+        "095e0680c21400b0cf25b082c5b780e7283d0baede0c303a36b7a02987a5b447",
         31, 31,
     ),
     "drop_dup_delay_crash": (
         "c03c7b1c269d66c6b649eb155992cc2eef9f59c72ba15775ecea67e0c9c6328b",
-        "89d0ca7a86c1beebd4dac9d74be06ab4f15f93ca129e9ce97f2c0546d01f4588",
+        "c77c2cfd32cb5f1320116a238685ad01a62a68e27fda5a43f06f50dd5de53920",
         48, 48,
     ),
     "delay_everything": (
         "d9f55a79afa1348745300a4052d6df5f03443a12d69240c23fd61db6441ecce0",
-        "b23a0558ef556ae407b922607b2edf74f7c46e1969e2ac570b740db98516f839",
+        "917e14e14a7d63c5080e025e3da4d91ba2275bef8b2cee5f427acc94c3b101dc",
         46, 41,
     ),
 }
@@ -116,40 +116,32 @@ def _sha(text: str) -> str:
 
 
 def seeded_run(scenario: str, backend: str):
-    """One scenario, dark but for a flight recorder, then fully lit.
+    """One scenario, recorded alone, then as the lit pass.
 
-    The lit pass subscribes to every topic and follows the coin with a
-    Bracha broadcast (multi-phase, ``AnyWait`` guards, its own delay and
-    crash) on the same bus, so the transcript covers GUARD_* payloads of
-    both guard kinds, compared by their dataclass fields.
+    The lit pass follows the coin with a Bracha broadcast (multi-phase,
+    ``AnyWait`` guards, its own delay and crash) into the same recorder,
+    so its log covers guard lines of both guard kinds.
     """
     field = GF2k(16, backend=backend)
-    bus = EventBus()
-    flight = FlightRecorder(n=N, t=T, field=field, seed=0).attach(bus)
+    flight = FlightRecorder(n=N, t=T, field=field, seed=0)
     _, _, coin_runtime = run_async_coin(
-        field, N, T, seed=13, scheduler=RandomOrderScheduler(5), bus=bus,
-        **_planes()[scenario],
+        field, N, T, seed=13, scheduler=RandomOrderScheduler(5),
+        flight=flight, **_planes()[scenario],
     )
 
-    bus = EventBus()
-    transcript = []
-    for topic in ALL_TOPICS:
-        bus.subscribe(topic, lambda *args, _topic=topic: transcript.append(
-            json.dumps([_topic, args], sort_keys=True,
-                       default=dataclasses.asdict)
-        ))
+    lit = FlightRecorder(n=N, t=T, field=field, seed=0)
     run_async_coin(
-        field, N, T, seed=13, scheduler=RandomOrderScheduler(5), bus=bus,
+        field, N, T, seed=13, scheduler=RandomOrderScheduler(5), flight=lit,
         **_planes()[scenario],
     )
     broadcast_runtime = AsyncRuntime(
-        N, field=field, scheduler=RandomOrderScheduler(9), bus=bus,
+        N, field=field, scheduler=RandomOrderScheduler(9), flight=lit,
         faults=FaultPlane().delay(src=2, by=2).crash(6, 9),
     )
     run_reliable_broadcast(N, T, 1, ("v", 7), runtime=broadcast_runtime,
                            crashed=(4,))
     return (
-        _sha(flight.log().dumps()), _sha("\n".join(transcript)),
+        _sha(flight.log().dumps()), _sha(lit.log().dumps()),
         coin_runtime.logical_time, coin_runtime.delivery_count,
     )
 
@@ -175,10 +167,9 @@ class TestSameAnswers:
     def test_the_delivery_order_and_faults_did_not_move(self, scenario,
                                                         backend):
         field = GF2k(16, backend=backend)
-        bus = EventBus()
-        flight = FlightRecorder(n=N, t=T, field=field, seed=0).attach(bus)
+        flight = FlightRecorder(n=N, t=T, field=field, seed=0)
         run_async_coin(field, N, T, seed=13, scheduler=RandomOrderScheduler(5),
-                       bus=bus, **_planes()[scenario])
+                       flight=flight, **_planes()[scenario])
         assert _deliveries_digest(flight.log()) == DELIVERIES[scenario]
 
     def test_the_delay_plane_forces_idle_ticks(self):

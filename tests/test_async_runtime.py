@@ -38,7 +38,7 @@ from repro.net import (
 from repro.net.guards import IndexedInbox
 from repro.net.simulator import SynchronousNetwork
 from repro.net.transport import ProtocolViolation, multicast, unicast
-from repro.obs.bus import ROUND, EventBus
+from repro.obs import flight as flight_module
 from repro.obs.causality import graph_from_log
 from repro.obs.flight import FlightRecorder, diff, replay
 from repro.protocols.async_coin import async_coin_program, run_async_coin
@@ -228,10 +228,9 @@ class TestAsyncRuntime:
 
     def test_same_seed_same_run_different_seed_same_outputs(self):
         def run(seed):
-            bus = EventBus()
-            flight = FlightRecorder(n=3, t=0, field=FIELD, seed=0).attach(bus)
+            flight = FlightRecorder(n=3, t=0, field=FIELD, seed=0)
             runtime = AsyncRuntime(
-                3, scheduler=RandomOrderScheduler(seed), bus=bus
+                3, scheduler=RandomOrderScheduler(seed), flight=flight
             )
 
             def all_to_all(me):
@@ -457,12 +456,11 @@ class TestAsyncCoinUnanimity:
 
 class TestAsyncObservability:
     def _run_with_recorders(self, seed, faults=None):
-        bus = EventBus()
-        flight = FlightRecorder(n=7, t=2, field=FIELD, seed=0).attach(bus)
+        flight = FlightRecorder(n=7, t=2, field=FIELD, seed=0)
         outputs, secret, runtime = run_async_coin(
             FIELD, 7, 2, seed=13,
             scheduler=RandomOrderScheduler(seed),
-            faults=faults, bus=bus,
+            faults=faults, flight=flight,
         )
         return outputs, secret, runtime, flight
 
@@ -510,10 +508,22 @@ class TestAsyncObservability:
         assert values == {pid: secret for pid in range(1, 8)}
 
     def test_async_run_without_subscribers_is_silent(self):
-        """No ROUND event is built when nobody listens."""
-        runtime = AsyncRuntime(2, scheduler=RandomOrderScheduler(0))
-        assert not runtime.bus.has_subscribers(ROUND)
-        with mock.patch.object(runtime.bus, "publish") as publish:
+        """A dark run — guards parking and firing, a fault rule firing —
+        calls no recorder method and builds no delivery event."""
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a dark run reached the flight recorder")
+
+        runtime = AsyncRuntime(2, scheduler=RandomOrderScheduler(0),
+                               faults=FaultPlane().duplicate(src=1))
+        assert runtime.flight is None
+        noted = mock.Mock(wraps=runtime._note_fault)
+        runtime._note_fault = noted
+        with mock.patch.multiple(FlightRecorder, on_run=refuse,
+                                 on_round=refuse, on_fault=refuse,
+                                 on_guard=refuse), \
+                mock.patch.object(flight_module, "RoundEvent", refuse):
             outputs = runtime.run(echo_pair_programs())
         assert outputs == {1: [2], 2: [1]}
-        assert {call.args[0] for call in publish.call_args_list} == {"run"}
+        assert [call.args[1:] for call in noted.call_args_list] == [
+            ("duplicate", 1, 2)
+        ]

@@ -40,7 +40,7 @@ def causal_coin_gen(field, n=7, t=1, seed=3, scheduler=None, faults=None,
     ctx = ProtocolContext.create(field, n=n, t=t, seed=seed,
                                  scheduler=scheduler, faults=faults, **extra)
     flight = FlightRecorder(n=n, t=t, field=field, seed=seed)
-    flight.attach(ctx.ensure_bus())
+    flight.attach(ctx)
     outputs, _ = run_coin_gen(ctx, M=M, tag="cg", **kwargs)
     if expose:
         expose_coin(ctx, outputs=outputs, h=0)
@@ -138,7 +138,7 @@ class TestLiveCapture:
         field = GF2k(16)
         ctx = ProtocolContext.create(field, n=7, t=1, seed=3)
         flight = FlightRecorder(n=7, t=1, field=field, seed=3)
-        flight.attach(ctx.ensure_bus())
+        flight.attach(ctx)
         run_coin_gen(ctx, M=1, tag="one")
         run_coin_gen(ctx, M=1, tag="two")
         graph = graph_from_log(flight.log())
@@ -312,12 +312,13 @@ class TestChromeFlowOverlay:
 
 class TestZeroCostDiscipline:
     def test_run_without_causal_recorder_is_byte_identical(self):
-        """The flight recorder a graph is read off only subscribes; an
-        unmonitored run must be bit-for-bit unchanged."""
+        """The flight recorder a graph is read off only reads what the
+        runtime hands it; an unmonitored run must be bit-for-bit
+        unchanged."""
         def run(with_recorder):
             ctx = ProtocolContext.create(GF2k(16), n=7, t=1, seed=11)
             if with_recorder:
-                FlightRecorder(n=7, t=1).attach(ctx.ensure_bus())
+                FlightRecorder(n=7, t=1).attach(ctx)
             outputs, metrics = run_coin_gen(ctx, M=2, tag="cg")
             shaped = {
                 pid: (o.success, o.clique, o.iterations, o.seed_coins_used,

@@ -13,13 +13,16 @@ constructed only by ``repro.net`` and ``protocols/context.py``; one
 player harness; one per-message fault decision.  Each of those checks
 fails on d37430e, the commit before the paths were folded.
 (d) There is one path from a recorded run to an answer: one constructor
-of a ``CausalGraph`` and no ``sent`` topic, one module that spells the
-expose tag, and no name exported by ``repro.obs`` that no entry point
-reaches.  Each fails on 12b941c, the commit before that fold.  (e) Wait
-records and stalls are views of the flight log: the liveness module
-subscribes to nothing, and the progress topic, the pool gauge and its
-channel labels are gone (fails on abe7edc, where two live subscribers
-recorded them).
+of a ``CausalGraph``, one module that spells the expose tag, and no name
+exported by ``repro.obs`` that no entry point reaches.  Each fails on
+12b941c, the commit before that fold.  (e) Wait records and stalls are
+views of the flight log: the liveness module subscribes to nothing, and
+the progress topic, the pool gauge and its channel labels are gone
+(fails on abe7edc, where two live subscribers recorded them).  (f)
+Nothing publishes: runtimes, the fault plane and the coin source call
+their recorders directly, and no event bus is left under ``src/`` or
+``examples/`` (fails on ee3aec8, where ``repro.obs.bus`` carried nine
+topics).
 """
 
 import ast
@@ -78,7 +81,7 @@ def test_dark_import_loads_only_the_coin_path(statement):
     assert [m for m in loaded if classes.get(m) != "i"] == []
     assert len(loaded) <= 45
     assert {m for m in loaded if m.startswith("repro.obs.")} <= {
-        "repro.obs.bus", "repro.obs.spans", "repro.obs.phases",
+        "repro.obs.spans", "repro.obs.phases",
     }
     for package in ("analysis", "apps", "baselines", "campaign", "cli"):
         prefix = f"repro.{package}"
@@ -234,14 +237,14 @@ def test_the_flight_log_is_the_only_source_of_a_causal_graph():
     assert constructors == ["graph_from_log"]
 
 
-def test_no_sent_topic_is_published_or_subscribed():
-    import repro.obs.bus as bus
-
-    assert len(bus.ALL_TOPICS) == 9 and "sent" not in bus.ALL_TOPICS
-    for module, path in MODULES.items():
-        for node in ast.walk(ast.parse(path.read_text())):
-            assert getattr(node, "id", getattr(node, "attr", None)) != "SENT", module
-            assert not (isinstance(node, ast.Constant) and node.value == "sent"), module
+def test_nothing_publishes():
+    bus = re.compile(
+        r"EventBus|\.publish\(|\.subscribe\(|has_subscribers|repro\.obs\.bus"
+    )
+    paths = [*SRC.rglob("*.py"), *(ROOT / "examples").glob("*.py")]
+    assert [str(path.relative_to(ROOT)) for path in paths
+            if bus.search(path.read_text())] == []
+    assert "repro.obs.bus" not in MODULES
 
 
 def test_the_flight_log_is_the_only_source_of_wait_records():

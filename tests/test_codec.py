@@ -86,6 +86,47 @@ class TestErrors:
             codec.decode(b"s\x02\xff\xfe")
 
 
+def _flip(raw: bytes, at: int, byte: int) -> bytes:
+    at %= len(raw) + 1
+    return raw[:at] + bytes([byte]) + raw[at + 1:]
+
+
+#: bytes off the wire: noise, valid encodings with one byte changed, and
+#: tuples nested on either side of the depth bound
+hostile = (
+    st.binary(max_size=64)
+    | st.builds(_flip, payloads.map(codec.encode), st.integers(0, 255),
+                st.integers(0, 255))
+    | st.integers(0, 3 * codec.MAX_DEPTH).map(lambda d: b"(\x01" * d + b"N")
+)
+
+
+class TestHostileBytes:
+    @given(data=hostile)
+    def test_decode_is_a_codec_error_or_a_payload_that_round_trips(self, data):
+        try:
+            payload = codec.decode(data)
+        except codec.CodecError:
+            return
+        assert codec.decode(codec.encode(payload)) == payload
+
+    def test_a_nesting_bomb_is_a_codec_error(self):
+        """Raised ``RecursionError`` from inside the decoder before the
+        depth bound."""
+        with pytest.raises(codec.CodecError, match="nested deeper"):
+            codec.decode(b"(\x01" * 100_000 + b"N")
+
+    def test_the_bound_is_the_same_on_both_sides(self):
+        payload = None
+        for _ in range(codec.MAX_DEPTH):
+            payload = (payload,)
+        assert codec.decode(codec.encode(payload)) == payload
+        with pytest.raises(codec.CodecError, match="nested deeper"):
+            codec.encode((payload,))
+        with pytest.raises(codec.CodecError, match="nested deeper"):
+            codec.decode(b"(\x01" + codec.encode(payload))
+
+
 class TestProtocolIntegration:
     def test_every_coin_gen_message_is_encodable(self):
         """All payloads crossing the simulated network during a real

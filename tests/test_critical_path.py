@@ -46,7 +46,7 @@ def instrumented_run(n=7, t=1, M=2, seed=3):
     recorder = SpanRecorder()
     ctx = ProtocolContext.create(GF2k(16), n=n, t=t, seed=seed,
                                  recorder=recorder)
-    flight = FlightRecorder(n=n, t=t).attach(ctx.ensure_bus())
+    flight = FlightRecorder(n=n, t=t).attach(ctx)
     outputs, _ = run_coin_gen(ctx, M=M, tag="cg")
     assert all(o.success for o in outputs.values())
     expose_coin(ctx, outputs=outputs, h=0)

@@ -31,7 +31,6 @@ from repro.fields.base import OpCounter
 from repro.fields.gfp import GFp
 from repro.net import AsyncRuntime, RandomOrderScheduler
 from repro.net.simulator import SynchronousNetwork
-from repro.obs.bus import EventBus
 from repro.obs.flight import FlightRecorder
 from repro.poly.barycentric import interpolation_mode, shared_cache
 from repro.poly.berlekamp_welch import (
@@ -372,17 +371,16 @@ def test_live_points_are_the_logs_points(runtime, liars, decoder_inputs):
     field = GF2k(16)
     rng = random.Random(len(liars) + 11)
     secret, shares = make_dealer_coin(field, n, t, "c", rng)
-    bus = EventBus()
-    flight = FlightRecorder(n=n, t=t, field=field).attach(bus)
+    flight = FlightRecorder(n=n, t=t, field=field)
     faulty = {pid: _liar(field, n, rng) for pid in liars}
     if runtime == "lockstep":
-        network = SynchronousNetwork(n, field=field, bus=bus,
+        network = SynchronousNetwork(n, field=field, flight=flight,
                                      allow_broadcast=False)
         program = lambda pid: coin_expose.coin_expose(  # noqa: E731
             field, pid, shares[pid]
         )
     else:
-        network = AsyncRuntime(n, field=field, bus=bus,
+        network = AsyncRuntime(n, field=field, flight=flight,
                                scheduler=RandomOrderScheduler(5))
         program = lambda pid: async_coin.async_coin_program(  # noqa: E731
             field, n, pid, shares[pid]

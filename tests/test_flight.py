@@ -20,10 +20,10 @@ from repro.net import (
     AsyncRuntime,
     PermutedDeliveryScheduler,
     RandomOrderScheduler,
+    codec,
 )
 from repro.net.faults import FaultPlane
 from repro.net.simulator import Send, SynchronousNetwork
-from repro.obs.bus import EventBus
 from repro.obs.flight import (
     Divergence,
     FlightLog,
@@ -36,6 +36,7 @@ from repro.obs.flight import (
     replay,
 )
 from repro.protocols.async_coin import async_coin_program
+from repro.protocols.broadcast import run_reliable_broadcast
 from repro.protocols.coin_expose import (
     coin_expose,
     expose_tag,
@@ -50,8 +51,7 @@ def record_coin_gen(field, n=7, t=1, seed=3, scheduler=None, faults=None,
     """One recorded Coin-Gen run; returns (log, outputs, ctx)."""
     ctx = ProtocolContext.create(field, n=n, t=t, seed=seed,
                                  scheduler=scheduler, faults=faults)
-    recorder = FlightRecorder(n=n, t=t, field=field, seed=seed)
-    recorder.attach(ctx.ensure_bus())
+    recorder = FlightRecorder(n=n, t=t, field=field, seed=seed).attach(ctx)
     outputs, _ = run_coin_gen(ctx, M=M, tag="cg", **kwargs)
     return recorder.log(), outputs, ctx
 
@@ -117,12 +117,11 @@ class TestLosslessRoundTrip:
         assert FlightLog.load(str(path)).dumps() == log.dumps()
 
     def test_multi_run_log_keeps_run_boundaries(self):
-        # several protocol runs over one shared context bus: round
+        # several protocol runs recorded through one context: round
         # numbers restart per run, the run markers keep them apart
         field = GF2k(16)
         ctx = ProtocolContext.create(field, n=7, t=1, seed=3)
-        recorder = FlightRecorder(n=7, t=1, field=field, seed=3)
-        recorder.attach(ctx.ensure_bus())
+        recorder = FlightRecorder(n=7, t=1, field=field, seed=3).attach(ctx)
         run_coin_gen(ctx, M=1, tag="one")
         run_coin_gen(ctx, M=1, tag="two")
         log = recorder.log()
@@ -131,6 +130,22 @@ class TestLosslessRoundTrip:
         assert reloaded.runs() == [1, 2]
         keys = [(e.run, e.round) for e in reloaded.rounds]
         assert len(set(keys)) == len(keys), "run/round keys must be unique"
+
+    def test_an_async_silence_stays_in_its_run(self):
+        """One ``run()`` is one run of the log.  The async loop notes a
+        silence at the tick that just settled, after that tick's round
+        event; the parent read the round number that did not advance as
+        a new run and split this run into three."""
+        flight = FlightRecorder(n=7, t=2)
+        runtime = AsyncRuntime(
+            7, field=GF2k(16), scheduler=RandomOrderScheduler(9),
+            faults=FaultPlane().silence(4, range(2, 5000)), flight=flight,
+        )
+        run_reliable_broadcast(7, 2, 1, ("v", 7), runtime=runtime)
+        log = flight.log()
+        assert log.faults and {f.kind for f in log.faults} == {"silence"}
+        for view in (log, FlightLog.loads(log.dumps())):
+            assert {e.run for e in view.events()} == {1}
 
 
 # payloads drawn from the full wire vocabulary the codec supports
@@ -225,10 +240,9 @@ class TestReplayEqualsLive:
         field = GF2k(16)
         rng = random.Random(seed)
         secret, shares = make_dealer_coin(field, self.N, self.T, "c", rng)
-        bus = EventBus()
-        flight = FlightRecorder(n=self.N, t=self.T, field=field).attach(bus)
+        flight = FlightRecorder(n=self.N, t=self.T, field=field)
         faulty = {pid: _liar(field, self.N, "c", rng) for pid in liars}
-        return field, secret, shares, bus, flight, faulty
+        return field, secret, shares, flight, faulty
 
     def _assert_replay_is_live(self, flight, outputs, secret, liars):
         (replayed,) = replay(flight.log()).decoded_values().values()
@@ -241,14 +255,12 @@ class TestReplayEqualsLive:
                                   max_size=2))
     @settings(max_examples=25, deadline=None)
     def test_lockstep_liars_delayed_by_up_to_two_rounds(self, seed, delays):
-        field, secret, shares, bus, flight, faulty = self._exposure(
-            seed, delays
-        )
+        field, secret, shares, flight, faulty = self._exposure(seed, delays)
         plane = FaultPlane()
         for liar, by in delays.items():
             if by:
                 plane.delay(src=liar, by=by)
-        network = SynchronousNetwork(self.N, field=field, bus=bus,
+        network = SynchronousNetwork(self.N, field=field, flight=flight,
                                      faults=plane, allow_broadcast=False)
         outputs = run_players(
             network, self.N,
@@ -261,10 +273,8 @@ class TestReplayEqualsLive:
     @settings(max_examples=25, deadline=None)
     def test_async_liars_under_random_schedules(self, seed, sched_seed,
                                                 liars):
-        field, secret, shares, bus, flight, faulty = self._exposure(
-            seed, liars
-        )
-        runtime = AsyncRuntime(self.N, field=field, bus=bus,
+        field, secret, shares, flight, faulty = self._exposure(seed, liars)
+        runtime = AsyncRuntime(self.N, field=field, flight=flight,
                                scheduler=RandomOrderScheduler(sched_seed))
         outputs = run_players(
             runtime, self.N,
@@ -276,9 +286,9 @@ class TestReplayEqualsLive:
     def test_a_share_delayed_to_one_receiver_does_not_split_the_replay(self):
         """The parent decoded the late share alone, in the drain round,
         and overwrote player 2's good value with None."""
-        field, secret, shares, bus, flight, faulty = self._exposure(5, {7})
+        field, secret, shares, flight, faulty = self._exposure(5, {7})
         network = SynchronousNetwork(
-            self.N, field=field, bus=bus, allow_broadcast=False,
+            self.N, field=field, flight=flight, allow_broadcast=False,
             faults=FaultPlane().delay(src=7, dst=2, by=1),
         )
         run_players(network, self.N,
@@ -376,6 +386,10 @@ MALFORMED = {
     "unknown_event_kind": HEADER + '\n{"e": "teleport", "i": 1}',
     "undecodable_payload": HEADER + '\n' + ROUND.replace("690101", "ff"),
     "bad_hex_payload": HEADER + '\n' + ROUND.replace("690101", "zz"),
+    # tuples nested 100,000 deep: a RecursionError inside the decoder
+    # before the codec bounded the depth
+    "nesting_bomb_payload": HEADER + '\n' + ROUND.replace(
+        "690101", (b"(\x01" * 100_000 + b"N").hex()),
     "delivery_is_not_a_triple":
         HEADER + '\n' + ROUND.replace('[2, 1, "690101"]', '[2, 1]'),
     "delivery_is_a_number":
@@ -479,6 +493,23 @@ class TestMalformedLogs:
         assert main(["replay", str(path)]) == 2
         assert what in capsys.readouterr().err
 
+    def test_a_nesting_bomb_is_a_usage_error(self, tmp_path, capsys):
+        """``repro replay`` on a valid async log with one payload swapped
+        for the bomb exits 2 with a message, not a traceback."""
+        flight = FlightRecorder(n=7, t=2, field=GF2k(16))
+        _, shares = make_dealer_coin(GF2k(16), 7, 2, "c", random.Random(1))
+        AsyncRuntime(7, field=GF2k(16), flight=flight).run({
+            pid: async_coin_program(GF2k(16), 7, pid, shares[pid])
+            for pid in range(1, 8)
+        })
+        text = flight.log().dumps()
+        wire = flight.log().rounds[0].deliveries[0][2]
+        bomb = (b"(\x01" * 100_000 + b"N").hex()
+        path = tmp_path / "bomb.flightlog"
+        path.write_text(text.replace(codec.encode(wire).hex(), bomb, 1))
+        assert main(["replay", str(path)]) == 2
+        assert "nested deeper" in capsys.readouterr().err
+
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_input_is_a_value_error(self, case):
         with pytest.raises(ValueError):
@@ -529,9 +560,7 @@ class TestZeroCostDiscipline:
         def run(with_recorder):
             ctx = ProtocolContext.create(GF2k(16), n=7, t=1, seed=11)
             if with_recorder:
-                FlightRecorder(n=7, t=1, field=ctx.field, seed=11).attach(
-                    ctx.ensure_bus()
-                )
+                FlightRecorder(n=7, t=1, field=ctx.field, seed=11).attach(ctx)
             outputs, metrics = run_coin_gen(ctx, M=2, tag="cg")
             shaped = {
                 pid: (o.success, o.clique, o.iterations, o.seed_coins_used,

@@ -31,7 +31,7 @@ def forensics_run(field, n, t, seed, faulty_programs=None, faults=None):
     """Record one Coin-Gen under the scenario; return the analyzed report."""
     ctx = ProtocolContext.create(field, n=n, t=t, seed=seed, faults=faults)
     recorder = FlightRecorder(n=n, t=t, field=field, seed=seed)
-    recorder.attach(ctx.ensure_bus())
+    recorder.attach(ctx)
     run_coin_gen(ctx, M=1, tag="cg", faulty_programs=faulty_programs)
     return analyze_log(recorder.log())
 
@@ -143,7 +143,7 @@ class TestSoundness:
 
         network = SynchronousNetwork(n, allow_broadcast=False)
         recorder = FlightRecorder(n=n, t=1)
-        recorder.attach(network.bus)
+        recorder.attach(network)
         network.run({pid: program(pid) for pid in range(1, n + 1)})
         report = analyze_log(recorder.log())
         assert report.accusations == []
@@ -162,7 +162,7 @@ class TestSoundness:
 
         network = SynchronousNetwork(n, allow_broadcast=False)
         recorder = FlightRecorder(n=n, t=1)
-        recorder.attach(network.bus)
+        recorder.attach(network)
         programs = {pid: honest(pid) for pid in range(1, n)}
         programs[n] = weirdo(n)
         network.run(programs)
@@ -185,7 +185,7 @@ class TestSoundness:
 
         network = SynchronousNetwork(n, allow_broadcast=False)
         recorder = FlightRecorder(n=n, t=1)
-        recorder.attach(network.bus)
+        recorder.attach(network)
         network.run({pid: dealer(pid) for pid in range(1, n + 1)})
         report = analyze_log(recorder.log())
         assert report.accusations == []
@@ -195,7 +195,7 @@ class TestReportShape:
     def test_evidence_indices_point_into_the_log(self):
         ctx = ProtocolContext.create(GF2k(16), n=7, t=1, seed=3)
         recorder = FlightRecorder(n=7, t=1, field=ctx.field, seed=3)
-        recorder.attach(ctx.ensure_bus())
+        recorder.attach(ctx)
         rng = random.Random(7)
         run_coin_gen(
             ctx, M=1, tag="cg",
@@ -220,7 +220,7 @@ class TestReportShape:
         # forensics over loads(dumps(log)) gives the identical verdict
         ctx = ProtocolContext.create(GF2k(16), n=7, t=1, seed=5)
         recorder = FlightRecorder(n=7, t=1, field=ctx.field, seed=5)
-        recorder.attach(ctx.ensure_bus())
+        recorder.attach(ctx)
         run_coin_gen(ctx, M=1, tag="cg",
                      faulty_programs={3: silent_program()})
         log = recorder.log()

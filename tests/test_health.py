@@ -20,9 +20,7 @@ def monitored_source(seed=0, coins=6, expose_retries=0, window=4096):
     ctx = ProtocolContext.create(GF2k(16), n=7, t=1, seed=seed)
     source = BootstrapCoinSource(context=ctx, batch_size=8,
                                  expose_retries=expose_retries)
-    monitor = HealthMonitor(source=source, window=window).attach(
-        ctx.ensure_bus()
-    )
+    monitor = HealthMonitor(source=source, window=window).attach(ctx)
     elements = [source.toss_element() for _ in range(coins)]
     return source, monitor, elements
 
@@ -71,7 +69,7 @@ class TestFailureStream:
         ctx = ProtocolContext.create(GF2k(16), n=7, t=1, seed=1)
         source = BootstrapCoinSource(context=ctx, batch_size=8,
                                      expose_retries=2)
-        monitor = HealthMonitor(source=source).attach(ctx.ensure_bus())
+        monitor = HealthMonitor(source=source).attach(ctx)
         real_expose = source.system.expose
         failures = iter([UnanimityError("split"), GenerationError("bad")])
 
@@ -92,7 +90,7 @@ class TestFailureStream:
         ctx = ProtocolContext.create(GF2k(16), n=7, t=1, seed=1)
         source = BootstrapCoinSource(context=ctx, batch_size=8,
                                      expose_retries=0)
-        monitor = HealthMonitor(source=source).attach(ctx.ensure_bus())
+        monitor = HealthMonitor(source=source).attach(ctx)
         monkeypatch.setattr(
             source.system, "expose",
             lambda coin: (_ for _ in ()).throw(UnanimityError("split")),
@@ -151,12 +149,12 @@ class TestPrometheusExposition:
 
 class TestZeroCostDiscipline:
     def test_unmonitored_source_byte_identical(self):
-        """A source without a bus emits exactly the same coins."""
+        """A source without a monitor emits exactly the same coins."""
         def run(with_monitor):
             ctx = ProtocolContext.create(GF2k(16), n=7, t=1, seed=9)
             source = BootstrapCoinSource(context=ctx, batch_size=8)
             if with_monitor:
-                HealthMonitor(source=source).attach(ctx.ensure_bus())
+                HealthMonitor(source=source).attach(ctx)
             return [source.toss_element() for _ in range(5)]
 
         assert run(False) == run(True)

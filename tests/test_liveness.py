@@ -3,9 +3,9 @@
 Covers the guard facts a log records and everything derived from them:
 
 * :class:`~repro.net.guards.Wait` progress/matched/missing helpers;
-* the GUARD_ARMED / GUARD_FIRED topics on both runtimes, and the
-  byte-identity of the delivery stream whether or not they are
-  recorded;
+* the ``armed`` / ``fired`` guard lines both runtimes hand the flight
+  recorder, and the byte-identity of the delivery stream whether or not
+  they are recorded;
 * :func:`~repro.obs.liveness.wait_records` — armed→fired latency,
   pivotal-sender attribution, the Prometheus families built on them;
 * :func:`~repro.obs.liveness.stalls` — crash-induced vs unexplained
@@ -13,7 +13,7 @@ Covers the guard facts a log records and everything derived from them:
   adversary, and the declarative rule (a wait stalls iff its run's
   clock reached ``armed_at + threshold + 1`` before it fired);
 * live == offline: both views equal, field for field, what the live
-  bus subscribers they replaced recorded on every async scenario below
+  recorders they replaced recorded on every async scenario below
   (digests recorded with those subscribers, before they were deleted),
   from the in-memory log and after a serialization round trip;
 * the fault-free liveness conformance audit (zero stalls, quorum-exact
@@ -41,7 +41,6 @@ from repro.obs import (
     to_prometheus,
     wait_records,
 )
-from repro.obs.bus import GUARD_ARMED, GUARD_FIRED, EventBus
 from repro.obs.causality import graph_from_log
 from repro.obs.critical_path import critical_path, ops_from_recorder
 from repro.obs.flight import FlightLog, FlightRecorder, diff
@@ -55,9 +54,8 @@ FIELD = GF2k(8)
 
 
 def _recorded(n=7):
-    """A bus with a flight recorder on it; ``(bus, recorder)``."""
-    bus = EventBus()
-    return bus, FlightRecorder(n=n, t=2).attach(bus)
+    """A fresh flight recorder for an ``n``-player run."""
+    return FlightRecorder(n=n, t=2)
 
 
 def _log(*events, n=3):
@@ -97,50 +95,39 @@ class TestWaitHelpers:
         assert both.missing_senders(self.INBOX, 4) == (1, 4)
 
 
-# -- topic publication -------------------------------------------------------
-
-def _topic_log(bus, topics):
-    events = []
-    for topic in topics:
-        bus.subscribe(
-            topic, (lambda t: lambda *a: events.append((t,) + a))(topic)
-        )
-    return events
-
+# -- guard lines -------------------------------------------------------------
 
 class TestLivenessTopics:
     def test_async_armed_fired_sequence(self):
-        bus = EventBus()
-        events = _topic_log(bus, (GUARD_ARMED, GUARD_FIRED))
-        run_async_coin(FIELD, 7, 2, seed=13, bus=bus,
+        flight = _recorded()
+        run_async_coin(FIELD, 7, 2, seed=13, flight=flight,
                        scheduler=RandomOrderScheduler(3))
-        armed = [e for e in events if e[0] == GUARD_ARMED]
-        fired = [e for e in events if e[0] == GUARD_FIRED]
-        assert {e[2] for e in armed} == set(range(1, 8))
-        assert all(e[1] == 0 for e in armed[:7])  # priming arms at t=0
+        events = flight.log().guards
+        armed = [e for e in events if e.waits]
+        fired = [e for e in events if not e.waits]
+        assert {e.pid for e in armed} == set(range(1, 8))
+        assert all(e.round == 0 for e in armed[:7])  # priming arms at t=0
         by_pid = {}
-        for topic, time, pid, *_ in events:
-            by_pid.setdefault(pid, []).append((topic, time))
+        for event in events:
+            by_pid.setdefault(event.pid, []).append(event)
         for pid, seq in by_pid.items():
             # armed precedes fired, logical times never go backwards
-            assert seq[0][0] == GUARD_ARMED
-            times = [time for _, time in seq]
+            assert seq[0].waits
+            times = [event.round for event in seq]
             assert times == sorted(times)
-        # a fire carries only what a log cannot rebuild: when, and who
-        assert all(len(event) == 3 for event in fired)
+        assert fired
 
     def test_lockstep_publishes_armed_and_fired(self):
-        bus = EventBus()
-        events = _topic_log(bus, (GUARD_ARMED, GUARD_FIRED))
+        flight = _recorded()
         secret, shares = make_dealer_coin(FIELD, 7, 2, "c", random.Random(5))
-        net = SynchronousNetwork(7, field=FIELD, bus=bus)
+        net = SynchronousNetwork(7, field=FIELD, flight=flight)
         outputs = net.run({
             pid: async_coin_program(FIELD, 7, pid, shares[pid])
             for pid in range(1, 8)
         })
         assert set(outputs.values()) == {secret}
-        assert any(e[0] == GUARD_ARMED for e in events)
-        assert any(e[0] == GUARD_FIRED for e in events)
+        assert any(e.waits for e in flight.log().guards)
+        assert any(not e.waits for e in flight.log().guards)
 
 
 # -- byte-identity of unmonitored runs ---------------------------------------
@@ -151,19 +138,17 @@ class TestByteIdentity:
     same."""
 
     def _recording(self, guards):
-        bus = EventBus()
-        flight = FlightRecorder(n=7, t=2, field=FIELD, seed=0).attach(bus)
+        flight = FlightRecorder(n=7, t=2, field=FIELD, seed=0)
         if not guards:
-            bus.unsubscribe(GUARD_ARMED, flight.on_guard)
-            bus.unsubscribe(GUARD_FIRED, flight.on_guard)
-        return bus, flight
+            flight.on_guard = lambda *_args: None
+        return flight
 
     def test_async_monitored_run_is_byte_identical(self):
         runs = []
         for guards in (False, True):
-            bus, flight = self._recording(guards)
+            flight = self._recording(guards)
             outputs, secret, runtime = run_async_coin(
-                FIELD, 7, 2, seed=13, bus=bus,
+                FIELD, 7, 2, seed=13, flight=flight,
                 scheduler=RandomOrderScheduler(5),
             )
             runs.append((outputs, runtime.delivery_count,
@@ -176,10 +161,10 @@ class TestByteIdentity:
     def test_lockstep_monitored_run_is_byte_identical(self):
         runs = []
         for guards in (False, True):
-            bus, flight = self._recording(guards)
+            flight = self._recording(guards)
             secret, shares = make_dealer_coin(FIELD, 7, 2, "c",
                                               random.Random(5))
-            net = SynchronousNetwork(7, field=FIELD, bus=bus)
+            net = SynchronousNetwork(7, field=FIELD, flight=flight)
             outputs = net.run({
                 pid: async_coin_program(FIELD, 7, pid, shares[pid])
                 for pid in range(1, 8)
@@ -197,8 +182,8 @@ class TestQuorumLatencyRecorder:
     """:func:`wait_records` — what ``QuorumLatencyRecorder`` recorded live."""
 
     def _observed_log(self, sched_seed=3, crashed=()):
-        bus, flight = _recorded()
-        run_async_coin(FIELD, 7, 2, seed=13, bus=bus,
+        flight = _recorded()
+        run_async_coin(FIELD, 7, 2, seed=13, flight=flight,
                        scheduler=RandomOrderScheduler(sched_seed),
                        crashed=crashed)
         return flight.log()
@@ -237,8 +222,8 @@ class TestLivenessAudit:
     @pytest.mark.parametrize("sched_seed", range(6))
     def test_fault_free_runs_are_clean(self, sched_seed):
         """Zero stalls, zero unfired guards, quorum-exact firing."""
-        bus, flight = _recorded()
-        run_async_coin(FIELD, 7, 2, seed=13, bus=bus,
+        flight = _recorded()
+        run_async_coin(FIELD, 7, 2, seed=13, flight=flight,
                        scheduler=RandomOrderScheduler(sched_seed))
         log = flight.log()
         report = audit_liveness(log, default_threshold(7))
@@ -250,10 +235,10 @@ class TestLivenessAudit:
     def test_every_player_arms_one_guard_per_coin(self):
         """A session of fault-free coins: coins x n waits, none stalled."""
         coins, n = 4, 7
-        bus, flight = _recorded(n)
+        flight = _recorded(n)
         for index in range(coins):
             outputs, secret, _ = run_async_coin(
-                FIELD, n, 2, seed=index, bus=bus,
+                FIELD, n, 2, seed=index, flight=flight,
                 scheduler=RandomOrderScheduler(100 + index))
             assert set(outputs.values()) == {secret}
         records = wait_records(flight.log())
@@ -281,9 +266,9 @@ class TestStallWatchdog:
         """20-seed sweep: every stall is crash-induced, naming the crash."""
         rng = random.Random(seed * 31 + 7)
         victim = rng.choice(range(1, 8))
-        bus, flight = _recorded()
+        flight = _recorded()
         outputs, secret, _ = run_async_coin(
-            FIELD, 7, 2, seed=99, bus=bus,
+            FIELD, 7, 2, seed=99, flight=flight,
             scheduler=RandomOrderScheduler(seed), crashed={victim},
         )
         assert set(outputs.values()) == {secret}
@@ -336,8 +321,8 @@ class TestStallWatchdog:
                   else async_coin_program(FIELD, 7, pid, shares[pid]))
             for pid in range(1, 8)
         }
-        bus, flight = _recorded()
-        runtime = AsyncRuntime(7, field=FIELD, bus=bus,
+        flight = _recorded()
+        runtime = AsyncRuntime(7, field=FIELD, flight=flight,
                                scheduler=RandomOrderScheduler(2))
         outputs = runtime.run(
             programs, wait_for=[p for p in programs if p != withholder]
@@ -355,17 +340,17 @@ class TestStallWatchdog:
 
 # -- live == offline ---------------------------------------------------------
 
-def _crash_sweep(bus, seed):
+def _crash_sweep(flight, seed):
     victim = random.Random(seed * 31 + 7).choice(range(1, 8))
-    run_async_coin(FIELD, 7, 2, seed=99, bus=bus,
+    run_async_coin(FIELD, 7, 2, seed=99, flight=flight,
                    scheduler=RandomOrderScheduler(seed), crashed={victim})
 
 
 def _ci_session(coins, crashed):
     """``repro waits --n 7 --t 2 --coins C [--crash P]`` at GF(2^32)."""
-    def run(attach):
+    def run(flight):
         ctx = ProtocolContext.create(GF2k(32), 7, 2, seed=0)
-        attach(ctx.ensure_bus())
+        flight.attach(ctx)
         for index in range(coins):
             run_async_coin(ctx, coin_id=f"async-{index}",
                            scheduler=RandomOrderScheduler(seed=index),
@@ -373,7 +358,7 @@ def _ci_session(coins, crashed):
     return run
 
 
-def _withholder(bus):
+def _withholder(flight):
     secret, shares = make_dealer_coin(FIELD, 7, 2, "w", random.Random(3))
 
     def silent_program():
@@ -383,21 +368,21 @@ def _withholder(bus):
     programs = {pid: (silent_program() if pid == 4 else
                       async_coin_program(FIELD, 7, pid, shares[pid]))
                 for pid in range(1, 8)}
-    AsyncRuntime(7, field=FIELD, bus=bus,
+    AsyncRuntime(7, field=FIELD, flight=flight,
                  scheduler=RandomOrderScheduler(2)).run(
         programs, wait_for=[p for p in programs if p != 4])
 
 
-def _bracha(bus):
+def _bracha(flight):
     """Bracha RB — ``AnyWait`` guards — under a delay and a crash."""
     runtime = AsyncRuntime(
-        7, field=GF2k(16), scheduler=RandomOrderScheduler(9), bus=bus,
+        7, field=GF2k(16), scheduler=RandomOrderScheduler(9), flight=flight,
         faults=FaultPlane().delay(src=2, by=2).crash(6, 9),
     )
     run_reliable_broadcast(7, 2, 1, ("v", 7), runtime=runtime, crashed=(4,))
 
 
-def _plane(bus, name):
+def _plane(flight, name):
     """One fault plane of tests/test_async_loop.py."""
     planes = {
         "clean": {},
@@ -409,15 +394,7 @@ def _plane(bus, name):
         "delay_everything": {"faults": FaultPlane().delay(by=4)},
     }
     run_async_coin(GF2k(16), 7, 2, seed=13, scheduler=RandomOrderScheduler(5),
-                   bus=bus, **planes[name])
-
-
-def _on_own_bus(run):
-    def attached(attach):
-        bus = EventBus()
-        attach(bus)
-        run(bus)
-    return attached
+                   flight=flight, **planes[name])
 
 
 #: family -> (runs, thresholds, wait-records sha256, stalls sha256).  The
@@ -426,8 +403,8 @@ def _on_own_bus(run):
 #: ``StallWatchdog`` these views replaced.
 LIVE = {
     "crash_sweep": (
-        [_on_own_bus(lambda bus, s=s: _crash_sweep(bus, s))
-         for s in range(20)], (3,),
+        [lambda flight, s=s: _crash_sweep(flight, s) for s in range(20)],
+        (3,),
         "f0b4edab59df0816616996717f970b1d716245dd2ca48fbb99da7471b1b4392c",
         "955f647722397484e02c94f4a6dbeceaed211ca7455c61c708aecb9caec2aaf1",
     ),
@@ -442,33 +419,32 @@ LIVE = {
         "33ea8a78f520f45513d314e76cf1b97ee8354c1d6317ec35e7c54cad0c9694f7",
     ),
     "withholder": (
-        [_on_own_bus(_withholder)], (3,),
+        [_withholder], (3,),
         "5e3c97a152c03e80c9af1476fca5843c16444d712467daf2ac591dcb7bf9e3b3",
         "36d14bf9e9bdadb8b1b561096712e21ed5ddf77bbec0805313a16f9cf8db7a7a",
     ),
     "bracha": (
-        [_on_own_bus(_bracha)], (2, 5, 20),
+        [_bracha], (2, 5, 20),
         "3eea3ca363e54577f54c1fdb2810211e18d9279165a8a0c8ecc116d60572b006",
         "d26588549f692a758e47ab9a54785fc25d830623de2f8cb5cf2e0fc7ae126a13",
     ),
     "plane_clean": (
-        [_on_own_bus(lambda bus: _plane(bus, "clean"))], (3, 10),
+        [lambda flight: _plane(flight, "clean")], (3, 10),
         "6967cff8f46b27e4fc8ca2dc0e494d1b6af38ad6a3615cd847e5c9656d6168ea",
         "d0de3734fa9037b79ab678c024606c3041b32b060362b2564b7e7600ede6c8ae",
     ),
     "plane_crashed_from_start": (
-        [_on_own_bus(lambda bus: _plane(bus, "crashed_from_start"))], (3, 10),
+        [lambda flight: _plane(flight, "crashed_from_start")], (3, 10),
         "ae888f4f27867d65cb41544ab43378a9eb9ffcd3874f07098cb6a1b309399e53",
         "7dc6f502bf831707530e67832709ffb4101bb4a9295254a896ed880b5f578632",
     ),
     "plane_delay_everything": (
-        [_on_own_bus(lambda bus: _plane(bus, "delay_everything"))], (3, 10),
+        [lambda flight: _plane(flight, "delay_everything")], (3, 10),
         "63ec60aa6de43f75e1d5e25f7739296168de24a6843c16945533ab67fb6c63d5",
         "1763c1159cff2d1c365369a8be0a896eada56d571b68b0037ddd5d192f6fb6ed",
     ),
     "plane_drop_dup_delay_crash": (
-        [_on_own_bus(lambda bus: _plane(bus, "drop_dup_delay_crash"))],
-        (3, 10),
+        [lambda flight: _plane(flight, "drop_dup_delay_crash")], (3, 10),
         "3ff447f27e13cafe83a16f5a8eb1d3fc83210970814853615d5fb5356c018130",
         "e7dde9ee457e47d645db18ae8fbaaaa692146cde652b8db87075928af43ad509",
     ),
@@ -482,9 +458,9 @@ def _sha(obj) -> str:
 def _logs(runs):
     logs = []
     for run in runs:
-        recorders = []
-        run(lambda bus: recorders.append(FlightRecorder(n=7, t=2).attach(bus)))
-        logs.append(recorders[0].log())
+        flight = _recorded()
+        run(flight)
+        logs.append(flight.log())
     return logs
 
 
@@ -506,9 +482,9 @@ class TestLiveEqualsOffline:
         assert _digests(reloaded, thresholds) == (records_sha, stalls_sha)
 
     def _lockstep_log(self):
-        bus, flight = _recorded()
+        flight = _recorded()
         secret, shares = make_dealer_coin(FIELD, 7, 2, "c", random.Random(5))
-        SynchronousNetwork(7, field=FIELD, bus=bus).run({
+        SynchronousNetwork(7, field=FIELD, flight=flight).run({
             pid: async_coin_program(FIELD, 7, pid, shares[pid])
             for pid in range(1, 8)
         })
@@ -536,9 +512,8 @@ class TestLiveEqualsOffline:
 class TestAsyncSpanPricing:
     def _recorded_run(self, sched_seed):
         recorder = SpanRecorder()
-        bus = EventBus()
-        flight = FlightRecorder(n=7, t=2).attach(bus)
-        run_async_coin(FIELD, 7, 2, seed=13, bus=bus, recorder=recorder,
+        flight = _recorded()
+        run_async_coin(FIELD, 7, 2, seed=13, flight=flight, recorder=recorder,
                        scheduler=RandomOrderScheduler(sched_seed))
         return recorder, graph_from_log(flight.log())
 

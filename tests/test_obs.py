@@ -1,4 +1,4 @@
-"""The observability stack: bus, spans, phases, exporters, auditor.
+"""The observability stack: spans, phases, exporters, auditor.
 
 Includes the PR's acceptance checks: an instrumented ``toss`` session
 produces a valid Chrome trace whose spans cover >= 95% of wall time, the
@@ -16,7 +16,6 @@ from repro.fields import GF2k
 from repro.net.faults import FaultPlane
 from repro.obs import (
     NULL_RECORDER,
-    EventBus,
     SpanRecorder,
     audit_recorder,
     classify_tag,
@@ -31,112 +30,6 @@ from repro.protocols.context import ProtocolContext
 
 F = GF2k(32)
 N, T = 7, 1
-
-
-class TestEventBus:
-    def test_publish_reaches_subscribers(self):
-        bus = EventBus()
-        seen = []
-        bus.subscribe("round", lambda *a: seen.append(a))
-        bus.publish("round", 1, "payload")
-        assert seen == [(1, "payload")]
-
-    def test_unsubscribe(self):
-        bus = EventBus()
-        seen = []
-        handler = lambda *a: seen.append(a)  # noqa: E731
-        bus.subscribe("fault", handler)
-        bus.unsubscribe("fault", handler)
-        bus.publish("fault", 1)
-        assert seen == []
-
-    def test_topics_isolated(self):
-        bus = EventBus()
-        seen = []
-        bus.subscribe("a", seen.append)
-        bus.publish("b", "nope")
-        assert seen == []
-        assert bus.has_subscribers("a")
-        assert not bus.has_subscribers("b")
-
-    def test_subscribe_idempotent(self):
-        # re-wiring the same handler (as happens when several networks
-        # share one context bus) must not double-deliver events
-        bus = EventBus()
-        seen = []
-        handler = seen.append
-        bus.subscribe("round", handler)
-        bus.subscribe("round", handler)
-        bus.publish("round", 1)
-        assert seen == [1]
-        assert bus.is_subscribed("round", handler)
-
-    def test_bound_method_subscription_idempotent(self):
-        # bound methods compare equal per-instance; the dedup must hold
-        # for them too (tracer.observe is re-subscribed per network)
-        class Collector:
-            def __init__(self):
-                self.seen = []
-
-            def on_event(self, value):
-                self.seen.append(value)
-
-        collector = Collector()
-        bus = EventBus()
-        bus.subscribe("round", collector.on_event)
-        bus.subscribe("round", collector.on_event)
-        bus.publish("round", 7)
-        assert collector.seen == [7]
-
-    def test_handler_may_unsubscribe_itself_mid_publish(self):
-        # publish iterates a snapshot: mutating the subscriber list from
-        # inside a handler must neither skip peers nor raise
-        bus = EventBus()
-        seen = []
-
-        def one_shot(value):
-            seen.append(("one_shot", value))
-            bus.unsubscribe("round", one_shot)
-
-        bus.subscribe("round", one_shot)
-        bus.subscribe("round", lambda v: seen.append(("steady", v)))
-        bus.publish("round", 1)
-        bus.publish("round", 2)
-        assert seen == [("one_shot", 1), ("steady", 1), ("steady", 2)]
-
-    def test_handler_may_subscribe_newcomer_mid_publish(self):
-        # a newly subscribed handler first sees the *next* event
-        bus = EventBus()
-        seen = []
-
-        def recruiter(value):
-            seen.append(("recruiter", value))
-            bus.subscribe("round", lambda v: seen.append(("recruit", v)))
-
-        bus.subscribe("round", recruiter)
-        bus.publish("round", 1)
-        assert seen == [("recruiter", 1)]
-        bus.publish("round", 2)
-        assert ("recruit", 2) in seen
-
-    def test_handler_exceptions_propagate(self):
-        # documented policy: observability fails loudly rather than
-        # silently corrupting a run; later handlers do not run
-        bus = EventBus()
-        seen = []
-
-        def broken(_value):
-            raise RuntimeError("observer bug")
-
-        bus.subscribe("round", broken)
-        bus.subscribe("round", seen.append)
-        with pytest.raises(RuntimeError, match="observer bug"):
-            bus.publish("round", 1)
-        assert seen == []
-        # the bus itself is still usable after the failed publish
-        bus.unsubscribe("round", broken)
-        bus.publish("round", 2)
-        assert seen == [2]
 
 
 class TestPhaseRegistry:

@@ -171,7 +171,7 @@ class TestHealthExposition:
     def test_health_monitor_lines(self):
         ctx = ProtocolContext.create(GF2k(32), 7, 1, seed=5)
         source = BootstrapCoinSource(context=ctx, batch_size=8)
-        monitor = HealthMonitor(source=source).attach(ctx.ensure_bus())
+        monitor = HealthMonitor(source=source).attach(ctx)
         source.tosses(8)
         families, samples = assert_strict(
             to_prometheus(metrics=ctx.metrics, health=monitor)
@@ -184,7 +184,7 @@ class TestHealthExposition:
 class TestLivenessExposition:
     def test_liveness_and_watchdog_lines(self):
         ctx = ProtocolContext.create(GF2k(8), 7, 2, seed=11)
-        flight = FlightRecorder(n=7, t=2).attach(ctx.ensure_bus())
+        flight = FlightRecorder(n=7, t=2).attach(ctx)
         run_async_coin(ctx, scheduler=RandomOrderScheduler(2),
                        crashed={5})
         families, samples = assert_strict(

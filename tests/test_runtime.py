@@ -24,6 +24,7 @@ from repro.net import (
     unicast,
 )
 from repro.net.metrics import NetworkMetrics, payload_tag
+from repro.obs.flight import FlightRecorder
 from repro.protocols.context import ProtocolContext, as_context
 from repro.fields import GF2k
 from tests.test_trace import round_tallies
@@ -206,14 +207,10 @@ class TestRuntimeFaults:
 
         def delivered(label, rounds):
             net = SynchronousNetwork(n, faults=plane, allow_broadcast=False)
-            seen = []
-            net.bus.subscribe(
-                "round", lambda _r, deliveries: seen.extend(
-                    payload[0] for _dst, _src, payload in deliveries
-                ),
-            )
+            flight = FlightRecorder(n=n, t=0).attach(net)
             net.run({pid: chatter(label, rounds) for pid in range(1, n + 1)})
-            return set(seen)
+            return {payload[0] for event in flight.log().rounds
+                    for _dst, _src, payload in event.deliveries}
 
         assert delivered("A", 2) == {"A"}
         assert delivered("B", 6) == {"B"}
@@ -254,7 +251,7 @@ class TestRuntimeFaults:
 
 
 # ---------------------------------------------------------------------------
-# ROUND-stream tallies through the runtime bus + payload tagging
+# round tallies read off an attached flight recorder + payload tagging
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -266,8 +263,9 @@ class TestTracer:
     def test_tracer_attaches_via_runtime(self):
         n = 3
         net = SynchronousNetwork(n)
-        tracer = round_tallies(net.bus)
+        flight = FlightRecorder(n=n, t=0).attach(net)
         net.run({pid: echo_program(n, pid, rounds=2) for pid in range(1, n + 1)})
+        tracer = round_tallies(flight.log())
         assert len(tracer) == net.metrics.rounds
         # every sending round is recorded (the final round is the empty
         # StopIteration step)
@@ -280,10 +278,11 @@ class TestTracer:
         permuted = SynchronousNetwork(
             n, scheduler=PermutedDeliveryScheduler(seed=3)
         )
-        t_lock, t_perm = round_tallies(lockstep.bus), round_tallies(permuted.bus)
+        f_lock = FlightRecorder(n=n, t=0).attach(lockstep)
+        f_perm = FlightRecorder(n=n, t=0).attach(permuted)
         lockstep.run({pid: echo_program(n, pid) for pid in range(1, n + 1)})
         permuted.run({pid: echo_program(n, pid) for pid in range(1, n + 1)})
-        assert t_lock == t_perm
+        assert round_tallies(f_lock.log()) == round_tallies(f_perm.log())
 
     def test_payload_tag_tuple(self):
         assert payload_tag(("vss/share", 1, 2)) == "vss/share"

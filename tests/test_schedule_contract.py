@@ -13,7 +13,6 @@ from repro.campaign.space import Scenario
 from repro.cli import main
 from repro.fields import GF2k
 from repro.net import RandomOrderScheduler
-from repro.obs.bus import EventBus
 from repro.obs.flight import FlightLog, FlightRecorder, diff
 from repro.obs.manifest import RunManifest
 from repro.protocols.async_coin import run_async_coin
@@ -76,12 +75,11 @@ class TestDiff:
     FIELD = GF2k(16)
 
     def recorded(self, sched_seed, scheduler):
-        bus = EventBus()
         flight = FlightRecorder(
             n=7, t=2, field=self.FIELD, seed=0,
             manifest={"scheduler": scheduler, "runtime": "async"},
-        ).attach(bus)
-        run_async_coin(self.FIELD, 7, 2, seed=3, bus=bus,
+        )
+        run_async_coin(self.FIELD, 7, 2, seed=3, flight=flight,
                        scheduler=RandomOrderScheduler(sched_seed))
         return flight.log()
 

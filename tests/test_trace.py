@@ -1,4 +1,5 @@
-"""The ROUND stream as a protocol trace, and wire-codec enforcement."""
+"""The flight log's rounds as a protocol trace, and wire-codec
+enforcement."""
 
 import random
 from collections import Counter
@@ -8,21 +9,21 @@ import pytest
 from repro.fields import GF2k
 from repro.net.metrics import payload_tag
 from repro.net.simulator import SynchronousNetwork, multicast
-from repro.obs.bus import ROUND
+from repro.obs.flight import FlightRecorder
 from repro.protocols.coin_gen import coin_gen_program, make_seed_coins
 
 F = GF2k(32)
 N, T = 7, 1
 
 
-def round_tallies(bus):
-    """Subscribe to ``bus``'s ROUND topic; returns the list it fills with
-    one ``Counter({(src, tag): deliveries})`` per settled round."""
-    rounds = []
-    bus.subscribe(ROUND, lambda _number, deliveries: rounds.append(Counter(
-        (src, payload_tag(payload)) for _dst, src, payload in deliveries
-    )))
-    return rounds
+def round_tallies(log):
+    """One ``Counter({(src, tag): deliveries})`` per settled round of a
+    flight log."""
+    return [
+        Counter((src, payload_tag(payload))
+                for _dst, src, payload in event.deliveries)
+        for event in log.rounds
+    ]
 
 
 def by_tag(rounds):
@@ -39,13 +40,13 @@ def run_coin_gen_traced(enforce_codec=False):
     net = SynchronousNetwork(
         N, field=F, allow_broadcast=False, enforce_codec=enforce_codec,
     )
-    tracer = round_tallies(net.bus)
+    flight = FlightRecorder(n=N, t=T).attach(net)
     programs = {
         pid: coin_gen_program(F, N, T, pid, 2, seeds[pid], random.Random(pid))
         for pid in range(1, N + 1)
     }
     outputs = net.run(programs)
-    return outputs, tracer, net
+    return outputs, round_tallies(flight.log()), net
 
 
 class TestTracer:
@@ -78,7 +79,8 @@ class TestTracer:
 
 
 class TestTracerUnderFaults:
-    """The ROUND stream must reflect what the FaultPlane actually delivered."""
+    """The logged rounds must reflect what the FaultPlane actually
+    delivered."""
 
     @staticmethod
     def _ping(pid, n):
@@ -92,9 +94,9 @@ class TestTracerUnderFaults:
         net = SynchronousNetwork(
             n, field=F, allow_broadcast=False, faults=plane
         )
-        tracer = round_tallies(net.bus)
+        flight = FlightRecorder(n=n, t=0).attach(net)
         net.run({pid: self._ping(pid, n) for pid in range(1, n + 1)})
-        return tracer, net
+        return round_tallies(flight.log()), net
 
     def test_dropped_messages_absent_from_trace(self):
         from repro.net.faults import FaultPlane
