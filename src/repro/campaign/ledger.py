@@ -19,6 +19,8 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.campaign.space import Scenario
+
 LEDGER_SCHEMA = 1
 
 
@@ -57,9 +59,11 @@ class CampaignLedger:
 def read_ledger(path: str) -> Tuple[List[Dict], List[Dict]]:
     """``(headers, rows)`` across every campaign block in the file.
 
-    Raises ``ValueError`` on unparseable lines or unknown schema
-    versions — a truncated or hand-edited ledger should fail loudly,
-    not report partial coverage.
+    Raises ``ValueError`` on unparseable lines, records that are not
+    JSON objects, unknown schema versions and rows whose ``cell``,
+    ``status`` or ``scenario`` is missing or does not parse — a
+    truncated or hand-edited ledger should fail loudly, not report
+    partial coverage or crash a reader.
     """
     headers: List[Dict] = []
     rows: List[Dict] = []
@@ -74,6 +78,11 @@ def read_ledger(path: str) -> Tuple[List[Dict], List[Dict]]:
                 raise ValueError(
                     f"{path}:{lineno}: not JSON ({exc})"
                 ) from None
+            if not isinstance(record, dict):
+                raise ValueError(
+                    f"{path}:{lineno}: not a JSON object "
+                    f"({type(record).__name__})"
+                )
             schema = record.get("ledger_schema")
             if schema != LEDGER_SCHEMA:
                 raise ValueError(
@@ -81,10 +90,31 @@ def read_ledger(path: str) -> Tuple[List[Dict], List[Dict]]:
                     f"{schema!r} (expected {LEDGER_SCHEMA})"
                 )
             if "cell" in record:
+                _check_row(record, f"{path}:{lineno}")
                 rows.append(record)
             else:
                 headers.append(record)
     return headers, rows
+
+
+def _check_row(row: Dict, where: str) -> None:
+    """Raise ``ValueError`` unless ``row`` carries what the readers use:
+    a string ``cell`` and ``status`` and a ``scenario`` that parses."""
+    for key in ("cell", "status", "scenario"):
+        if key not in row:
+            raise ValueError(f"{where}: row has no {key!r}")
+    for key in ("cell", "status"):
+        if not isinstance(row[key], str):
+            raise ValueError(f"{where}: row's {key!r} is not a string")
+    scenario = row["scenario"]
+    try:
+        if not isinstance(scenario, dict):
+            raise TypeError(f"not an object ({type(scenario).__name__})")
+        Scenario.from_dict(scenario)
+    except (TypeError, KeyError, ValueError) as exc:
+        raise ValueError(
+            f"{where}: row's scenario does not parse ({exc})"
+        ) from None
 
 
 def violated_rows(rows: List[Dict]) -> List[Dict]:

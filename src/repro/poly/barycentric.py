@@ -30,12 +30,18 @@ Metering contract (see docs/API.md "Performance architecture"): cache
 one-time cost is visible in the OpCounter; cache *hits* perform — and
 therefore meter — no inversions.  The ``interpolations`` counter is bumped
 once per logical interpolation by the wrappers, exactly like the classic
-functions, so the Lemma 2/4/6 checks are unaffected.
+functions, so the Lemma 2/4/6 checks are unaffected.  A *view* hit meters
+exactly what a warm decode of that view costs its receiver — the
+decode's ops less any table construction it paid — though the simulator
+computes it once per distinct view.
 
 Three modes support the benchmark ablations (``interpolation_mode``):
 
 * ``"shared"`` (default) — one long-lived cache per field; repeated point
-  sets hit.
+  sets hit, and so do repeated *decoded views*: every receiver of a clean
+  multicast round holds the same shares, and the Berlekamp-Welch decode
+  of a view already decoded is replayed, not recomputed (see
+  :meth:`InterpolationCache.recall`).
 * ``"fresh"`` — a new cache per call: batch inversion still applies, but
   nothing is reused across calls (isolates the batch-inversion speedup).
 * ``"off"`` — fall through to the classic O(n^2)-inversions code paths
@@ -48,7 +54,7 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.fields.base import Element, Field
+from repro.fields.base import Element, Field, OpCounter
 from repro.poly.lagrange import (
     _require_distinct,
     interpolate,
@@ -89,13 +95,16 @@ class _NodeSet:
     Both tables are lazy: a set that only ever serves ``coefficients()``
     (every Berlekamp-Welch head) never builds ``weights``, one that only
     serves ``eval_at()`` never builds the divided-difference inverses.
+    The divided-difference builder — the one table a decode builds —
+    adds what it metered to ``built``, the owning cache's tally.
     """
 
-    __slots__ = ("field", "xs", "index", "_weights", "_coeffs_at",
+    __slots__ = ("field", "xs", "index", "built", "_weights", "_coeffs_at",
                  "_inv_diffs")
 
-    def __init__(self, field: Field, xs_key: frozenset):
+    def __init__(self, field: Field, xs_key: frozenset, built: OpCounter):
         self.field = field
+        self.built = built
         # canonical order so every holder of the same set agrees
         self.xs: Tuple[Element, ...] = tuple(
             sorted(xs_key, key=field.to_int)
@@ -137,6 +146,7 @@ class _NodeSet:
             f = self.field
             xs = self.xs
             m = len(xs)
+            before = f.counter.snapshot()
             flat = iter(f.batch_inv([
                 f.sub(xs[i], xs[i - j])
                 for j in range(1, m) for i in range(j, m)
@@ -144,6 +154,10 @@ class _NodeSet:
             self._inv_diffs = [
                 [next(flat) for _ in range(j, m)] for j in range(1, m)
             ]
+            spent, built = f.counter.delta(before), self.built
+            built.adds += spent.adds
+            built.muls += spent.muls
+            built.invs += spent.invs
         return self._inv_diffs
 
     def coefficients_at(self, x0: Element) -> List[Element]:
@@ -218,19 +232,29 @@ class _NodeSet:
 
 
 class InterpolationCache:
-    """Per-field cache of interpolation data, keyed by point set.
+    """Per-field cache of interpolation data, keyed by point set, and of
+    decoded views, keyed by what a receiver decoded.
 
-    ``max_sets`` bounds memory: least-recently-used point sets are evicted
-    (protocol runs touch a handful of sets — {1..n} and its stable
-    subsets — so eviction is a safety valve, not a steady-state event).
+    ``max_sets`` bounds memory: least-recently-used entries of either
+    table are evicted once it holds more (protocol runs touch a handful
+    of sets — {1..n} and its stable subsets — and a handful of views a
+    round, so eviction is a safety valve, not a steady-state event).
     """
 
     def __init__(self, field: Field, max_sets: int = 256):
         self.field = field
         self.max_sets = max_sets
         self._sets: "OrderedDict[frozenset, _NodeSet]" = OrderedDict()
+        #: view -> (coeffs, wrong, warm cost, node sets the decode used)
+        self._views: "OrderedDict[tuple, tuple]" = OrderedDict()
+        #: ops the node sets' divided-difference builders metered
+        self.built = OpCounter()
         self.hits = 0
         self.misses = 0
+        #: decodes answered from the view table
+        self.views = 0
+        #: the node sets a decode being remembered has looked up
+        self._touched: Optional[List[Tuple[frozenset, _NodeSet]]] = None
 
     def node_set(self, xs: Sequence[Element]) -> _NodeSet:
         """The (possibly freshly built) precomputation for ``xs``."""
@@ -239,13 +263,71 @@ class InterpolationCache:
         if node is not None:
             self.hits += 1
             self._sets.move_to_end(key)
-            return node
-        self.misses += 1
-        node = _NodeSet(self.field, key)
-        self._sets[key] = node
-        while len(self._sets) > self.max_sets:
-            self._sets.popitem(last=False)
+        else:
+            self.misses += 1
+            node = _NodeSet(self.field, key, self.built)
+            self._sets[key] = node
+            while len(self._sets) > self.max_sets:
+                self._sets.popitem(last=False)
+        if self._touched is not None:
+            self._touched.append((key, node))
         return node
+
+    def recall(self, view: tuple):
+        """A fresh copy of the remembered ``(coeffs, wrong)`` decode of
+        ``view``, or None when there is none to replay.
+
+        A replay does what a warm decode of the view would to everything
+        outside the arithmetic: it adds the decode's warm cost to the
+        field's counter, counts a node-set hit per node set the decode
+        looked up and refreshes them in LRU order.  If one of them has
+        been evicted since, a real decode would rebuild it and pay the
+        construction, so there is nothing to replay.
+        """
+        entry = self._views.get(view)
+        if entry is None:
+            return None
+        coeffs, wrong, cost, nodes = entry
+        sets = self._sets
+        for key, node in nodes:
+            if sets.get(key) is not node:
+                del self._views[view]
+                return None
+            sets.move_to_end(key)
+        self._views.move_to_end(view)
+        counter = self.field.counter
+        counter.adds += cost[0]
+        counter.muls += cost[1]
+        counter.invs += cost[2]
+        counter.interpolations += cost[3]
+        self.hits += len(nodes)
+        self.views += 1
+        return list(coeffs), list(wrong)
+
+    def remember(self, view: tuple, decode, *args):
+        """``decode(*args)``'s answer, remembered for :meth:`recall` under
+        ``view`` with its cost less the table construction it paid — one
+        decode, never a second one to learn the warm cost.  A raise
+        propagates and leaves nothing behind."""
+        counter, built = self.field.counter, self.built
+        adds = counter.adds - built.adds
+        muls = counter.muls - built.muls
+        invs = counter.invs - built.invs
+        interpolations = counter.interpolations
+        self._touched = touched = []
+        try:
+            coeffs, wrong = decode(*args)
+        finally:
+            self._touched = None
+        self._views[view] = (tuple(coeffs), tuple(wrong), (
+            counter.adds - built.adds - adds,
+            counter.muls - built.muls - muls,
+            counter.invs - built.invs - invs,
+            counter.interpolations - interpolations,
+        ), touched)
+        while len(self._views) > self.max_sets:
+            self._views.popitem(last=False)
+        return coeffs, wrong
 
     def eval_at(self, points: Sequence[Point], x0: Element) -> Element:
         node = self.node_set([x for x, _ in points])
@@ -263,6 +345,8 @@ class InterpolationCache:
             "hits": self.hits,
             "misses": self.misses,
             "sets": len(self._sets),
+            "views": self.views,
+            "decoded": len(self._views),
         }
 
 

@@ -85,7 +85,38 @@ def decode_lists(
     candidate (its products are metered as ``muls``, plus one ``invs``
     the first time a head's node set is seen) per dirty head; the
     key-equation solve is the last resort.
+
+    Under the default ``"shared"`` interpolation mode a successful decode
+    is remembered under its view ``(xs, ys, degree, max_errors)`` in the
+    field's shared cache: every honest receiver of a clean multicast
+    round holds the same shares, and each later receiver of that view
+    gets fresh copies of the answer, metered at what a warm decode of
+    the view costs (:meth:`~repro.poly.barycentric.InterpolationCache.recall`)
+    — so per-player op counts are those of n independent decodes while
+    the arithmetic runs once per distinct view.  Failures are never
+    remembered: they raise on every call.  ``"fresh"`` and ``"off"``
+    decode every call.
     """
+    if barycentric.cache_mode() != "shared":
+        return _decode(field, xs, ys, degree, max_errors)
+    cache = barycentric.shared_cache(field)
+    view = (tuple(xs), tuple(ys), degree, max_errors)
+    decoded = cache.recall(view)
+    if decoded is None:
+        decoded = cache.remember(
+            view, _decode, field, xs, ys, degree, max_errors
+        )
+    return decoded
+
+
+def _decode(
+    field: Field,
+    xs: List[Element],
+    ys: List[Element],
+    degree: int,
+    max_errors: int = None,
+) -> Tuple[List[Element], List[int]]:
+    """:func:`decode_lists` without the view table: the three stages."""
     n = len(xs)
     _require_distinct(xs)
     if n < degree + 1:

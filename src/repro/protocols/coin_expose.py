@@ -186,7 +186,11 @@ def decode_shares(
     shares, checked against the rest.  Because the bootstrap source
     exposes many coins against the *same* qualified set, every exposure
     after the first reuses the cached inverse differences — the
-    per-coin cost drops to t(t+1) products plus the match check.
+    per-coin cost drops to t(t+1) products plus the match check.  And
+    because every honest receiver of a clean round holds the same
+    shares, only the first receiver of a view runs the decoder; the
+    others replay its answer, metered at that warm cost
+    (:func:`~repro.poly.berlekamp_welch.decode_lists`).
     """
     n_valid = len(xs)
     threshold = max(2 * t + 1, n_valid - t) if t > 0 else n_valid

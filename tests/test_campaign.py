@@ -278,6 +278,33 @@ class TestLedger:
         with pytest.raises(ValueError, match="unsupported ledger schema"):
             read_ledger(str(path))
 
+    def test_a_record_that_is_no_object_fails_loudly(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        path.write_text("[1, 2]\n")
+        with pytest.raises(ValueError, match=r"ledger.jsonl:1: not a JSON "
+                                             r"object \(list\)"):
+            read_ledger(str(path))
+
+    @pytest.mark.parametrize("row,problem", [
+        ({"cell": "abc"}, "row has no 'status'"),
+        ({"cell": "abc", "status": CLEAN}, "row has no 'scenario'"),
+        ({"cell": 7, "status": CLEAN, "scenario": {}}, "'cell' is not"),
+        ({"cell": "abc", "status": None, "scenario": {}}, "'status' is not"),
+        ({"cell": "abc", "status": CLEAN, "scenario": 5},
+         "scenario does not parse"),
+        ({"cell": "abc", "status": CLEAN, "scenario": {"corrupt": 3}},
+         "scenario does not parse"),
+    ])
+    def test_a_row_missing_what_readers_use_fails_loudly(
+        self, tmp_path, row, problem
+    ):
+        path = tmp_path / "ledger.jsonl"
+        header = {"ledger_schema": 1, "campaign_seed": 1, "cells": 1}
+        path.write_text(json.dumps(header) + "\n"
+                        + json.dumps({"ledger_schema": 1, **row}) + "\n")
+        with pytest.raises(ValueError, match=f"ledger.jsonl:2: .*{problem}"):
+            read_ledger(str(path))
+
 
 # -- triage ------------------------------------------------------------------
 

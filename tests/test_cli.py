@@ -400,6 +400,19 @@ class TestExitCodeConvention:
         assert main(["campaign", "replay", str(artifact)]) == 2
         assert "embedded flight log" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ['[1, 2]',
+                                      '{"ledger_schema": 1, "cell": "abc"}'])
+    @pytest.mark.parametrize("command", ["report", "shrink"])
+    def test_a_hostile_ledger_exits_two(self, tmp_path, capsys, line,
+                                        command):
+        ledger = tmp_path / "hostile.jsonl"
+        ledger.write_text(line + "\n")
+        argv = ["campaign", command, "--ledger", str(ledger)]
+        if command == "shrink":
+            argv += ["--artifacts", str(tmp_path / "artifacts")]
+        assert main(argv) == 2
+        assert "hostile.jsonl:1:" in capsys.readouterr().err
+
     def test_bad_what_if_exits_two(self):
         assert main(["critpath", "--n", "7", "--t", "1", "--M", "2",
                      "--what-if", "bogus"]) == 2
