@@ -148,16 +148,12 @@ def coin_gen_interpolations_per_player(n: int) -> int:
     return n + 1
 
 
-def coin_gen_bits(n: int, t: int, k: int, M: int) -> float:
+def coin_gen_bits(n: int, t: int, k: int, M: int) -> int:
     """Theorem 2 (communication): n messages of size Mnk, n^2 of size kn,
     n^2 of size ntk (clique distribution), n^2 of size k (BA), totalling
-    ``M n^2 k + O(n^4 k)`` bits."""
-    return (
-        n * (M * n * k)      # dealings
-        + n * n * (k * n)    # combination vectors
-        + n * n * (n * t * k)  # grade-cast of cliques + polynomials
-        + n * n * k          # leader election + BA traffic (per iteration)
-    )
+    ``M n^2 k + O(n^4 k)`` bits — exactly, for a fault-free run, the sum
+    of :func:`coin_gen_phase_bits`."""
+    return sum(coin_gen_phase_bits(n, t, k, M).values())
 
 
 def coin_gen_amortized_bits_per_bit(n: int, k: int, M: int) -> float:
@@ -236,6 +232,38 @@ def coin_gen_phase_interpolations(n: int, iterations: int = 1) -> dict:
         "clique": n,
         "gradecast": 0,
         "ba": 0,
+    }
+
+
+def coin_gen_phase_bits(n: int, t: int, k: int, M: int) -> dict:
+    """Exact bits per Fig. 5 phase, fault-free run, k bits an element.
+
+    Per-edge expansion of Theorem 2's terms, with a fault-free run's
+    clique of all n players and its single leader election:
+
+    * ``deal`` — every dealer unicasts each player its M+1 shares (the
+      M coins plus the blinding dealing): n^2 (M+1) k;
+    * ``expose`` — the shared challenge and the leader coin, one share
+      per multicast: 2 n^2 k;
+    * ``clique`` — every player multicasts its n-entry combination
+      vector: n^3 k;
+    * ``gradecast`` — round 1 multicasts each proposal, the clique's n
+      ids and n (id, t+1 coefficients) pairs: n^2 * n(t+3) k.  Honest
+      proposals agree, so every echo and re-echo entry is a reference,
+      one sender id: 2 n^3 k.  In all n^3 (t+5) k — O(n^3) ids plus the
+      n^2 proposals Theorem 2 counts.  When an adversary makes honest
+      proposals differ, echoes of the differing values carry them whole,
+      up to n^2 messages of n proposals per echo round: the worst case
+      is O(n^4 t k), as with value echoes;
+    * ``ba`` — phase king, t+1 phases of an all-to-all vote and a king
+      multicast: (t+1)(n^2 + n) k.
+    """
+    return {
+        "deal": n * n * (M + 1) * k,
+        "expose": 2 * n * n * k,
+        "clique": n ** 3 * k,
+        "gradecast": n ** 3 * (t + 5) * k,
+        "ba": (t + 1) * (n * n + n) * k,
     }
 
 

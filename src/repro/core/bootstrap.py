@@ -178,9 +178,12 @@ class BootstrapCoinSource:
 
         Each k-ary coin yields k bits ("each coin generates in fact k
         random coins in {0,1}", Section 3.1); bits are buffered so
-        consecutive tosses consume one element per k calls.
+        consecutive tosses consume one element per k calls.  On a field
+        whose order is not a power of two a coin may yield no bits
+        (:meth:`~repro.fields.base.Field.coin_bits`), and the next coin
+        is tossed.
         """
-        if not self._bit_buffer:
+        while not self._bit_buffer:
             element = self.toss_element()
             self._bit_buffer.extend(self.system.field.coin_bits(element))
         return self._bit_buffer.popleft()

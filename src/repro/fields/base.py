@@ -472,18 +472,31 @@ class Field(ABC):
 
     # -- coin extraction --------------------------------------------------
     def coin_bit(self, a: Element) -> int:
-        """The paper's ``F(0) mod 2`` bit extraction (Fig. 6, step 3)."""
+        """The paper's ``F(0) mod 2`` bit extraction (Fig. 6, step 3).
+
+        Exactly fair on GF(2^k).  On an odd order p it is 1 for
+        ``(p - 1) / 2`` of the p elements (8/17 on GF(17)); use
+        :meth:`coin_bits` where every bit must be exactly uniform."""
         return self.to_int(a) & 1
 
     def coin_bits(self, a: Element) -> List[int]:
-        """All ``bit_length`` bits of an element, least-significant first.
+        """The uniform bits of a uniform element, least-significant first.
 
         Section 3.1: "as all our coins will be generated in the field
         GF(2^k) we can assume that each coin generates in fact k random
-        coins in {0,1}".
+        coins in {0,1}".  On GF(2^k) that is all k bits.  On a field
+        whose order is not a power of two the top bits are biased (the
+        top bit of a GF(17) element is 1 with probability 1/17), so a
+        value below ``2^L``, ``L = floor(log2(order))``, yields its low
+        ``L`` bits and a larger value yields none: every emitted bit is
+        exactly uniform, and a coin yields bits with probability
+        ``2^L / order``.
         """
         value = self.to_int(a)
-        return [(value >> i) & 1 for i in range(self.bit_length)]
+        width = self.order.bit_length() - 1
+        if value >> width:  # only when the order is not a power of two
+            return []
+        return [(value >> i) & 1 for i in range(width)]
 
     # -- iteration helpers (small fields / tests) -------------------------
     def elements(self) -> Iterator[Element]:

@@ -126,5 +126,7 @@ def run_async_coin(
 
 
 def async_coin_bit(value: Element, field: Field) -> int:
-    """A fair bit from an exposed k-ary coin value (``F(0) mod 2``)."""
+    """The ``F(0) mod 2`` bit of an exposed coin value: exactly fair on
+    GF(2^k), 1 with probability ``(p - 1) / (2p)`` on an odd order p
+    (see :meth:`Field.coin_bit`)."""
     return field.to_int(value) & 1

@@ -218,7 +218,15 @@ def decode_exposed(
 
 
 def coin_to_index(field: Field, value: Element, n: int) -> int:
-    """Fig. 5 step 9: ``l = coin mod n``, mapping 0 to n (ids are 1-based)."""
+    """Fig. 5 step 9: ``l = coin mod n``, mapping 0 to n (ids are 1-based).
+
+    The paper's map, kept as it is: on a field of order ``p`` that ``n``
+    does not divide it is skewed.  With ``r = p mod n``, an id ``l``
+    whose residue ``l mod n`` is below ``r`` is elected with probability
+    ``ceil(p / n) / p`` and every other id with ``floor(p / n) / p``.  On
+    GF(2^4) with n = 7 that is 3/16 for ids 7 and 1 and 2/16 for the
+    rest; on GF(2^32) the skew is below 10^-9.
+    """
     l = field.to_int(value) % n
     return n if l == 0 else l
 

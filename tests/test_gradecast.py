@@ -9,6 +9,8 @@ import textwrap
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.net.faults import FaultPlane
+from repro.net.metrics import payload_field_elements
 from repro.net.simulator import Send, SynchronousNetwork, multicast
 from repro.protocols.common import filter_tag, is_hashable
 from repro.protocols.gradecast import parallel_gradecast
@@ -323,6 +325,181 @@ def test_grade_one_goes_to_the_first_value_seen(order):
     want = _drive(reference_gradecast(N, T, 1, "mine"), inboxes)
     assert got == want
     assert got[1][1] == ((x if order == "x_first" else y), 1)
+
+
+# -- echoes by reference --------------------------------------------------------
+#
+# ``reference_gradecast`` above echoes every value it holds in full: it is
+# grade-cast as it was before honest echoes began naming a value equal to
+# the echoer's own proposal by sender id, and serves as the oracle.
+
+#: proposals drawn from a small pool, so that honest values coincide
+PROPOSALS = [("prop", (1, 2), ((1, (5, 6)),)), ("prop", (1, 3), ((3, (7,)),)),
+             ("v", 1), ("v", 2)]
+
+
+def run_programs(n, t, honest_program, values, faulty, faults=None):
+    """Run grade-cast with ``honest_program`` at every non-faulty pid;
+    ``faulty[pid]`` is a program factory, or None for a silent player.
+    Returns the honest outputs and the network's metrics."""
+    net = SynchronousNetwork(n, allow_broadcast=False, faults=faults)
+    programs = {
+        pid: faulty[pid]() if pid in faulty else
+        honest_program(n, t, pid, values[pid])
+        for pid in range(1, n + 1)
+        if not (pid in faulty and faulty[pid] is None)
+    }
+    honest = [pid for pid in range(1, n + 1) if pid not in faulty]
+    out = net.run(programs, wait_for=honest)
+    return {pid: out[pid] for pid in honest}, net.metrics
+
+
+def liar(n, rounds):
+    """A faulty program sending ``rounds[r][dst]`` to each dst in round r,
+    whatever it hears."""
+    def program():
+        for tag, per_dst in zip(("gc/v", "gc/echo", "gc/echo2"), rounds):
+            yield [Send(dst, (tag, per_dst[dst])) for dst in range(1, n + 1)]
+    return program
+
+
+def entry_shapes(n):
+    """Every echo-entry shape a faulty echoer can send: references,
+    explicit values, ``()``, 3-tuples, ``(True,)`` and out-of-range or
+    non-int senders."""
+    sender = st.sampled_from(list(range(1, n + 1)) + [0, n + 1, -1, True])
+    value = st.sampled_from(PROPOSALS + [["un", "hashable"]])
+    return st.one_of(
+        st.tuples(sender),
+        st.tuples(sender, value),
+        st.just(()),
+        st.tuples(sender, value, value),
+        st.just((True,)),
+        st.just("junk"),
+    )
+
+
+@st.composite
+def gradecast_runs(draw, shapes=((4, 1), (7, 2), (13, 2)), liars=True):
+    """(n, t, honest values, faulty programs): pooled proposals, and up to
+    t faulty players, silent or lying per destination in every round."""
+    n, t = draw(st.sampled_from(shapes))
+    values = {pid: draw(st.sampled_from(PROPOSALS)) for pid in range(1, n + 1)}
+    bad = draw(st.lists(st.integers(1, n), max_size=t, unique=True))
+    faulty = {}
+    for pid in bad:
+        if not liars or draw(st.booleans()):
+            faulty[pid] = None
+            continue
+        first = {dst: draw(st.sampled_from(PROPOSALS)) for dst in range(1, n + 1)}
+        echoes = [
+            {dst: tuple(draw(st.lists(entry_shapes(n), max_size=n + 2)))
+             for dst in range(1, n + 1)}
+            for _ in range(2)
+        ]
+        faulty[pid] = liar(n, [first] + echoes)
+    return n, t, values, faulty
+
+
+@given(gradecast_runs())
+@settings(max_examples=60, deadline=None)
+def test_honest_outputs_equal_the_value_echo_oracle(run):
+    """Whatever t faulty players send, every honest player's output is the
+    one value-echo grade-cast gives it."""
+    n, t, values, faulty = run
+    got, _ = run_programs(n, t, parallel_gradecast, values, faulty)
+    want, _ = run_programs(n, t, reference_gradecast, values, faulty)
+    assert got == want
+
+
+@given(gradecast_runs(shapes=((7, 2),)))
+@settings(max_examples=60, deadline=None)
+def test_faulty_echo_shapes_cannot_break_either_property(run):
+    """Honest senders are graded (value, 2) by every honest player, and a
+    grade 2 anywhere means every honest player holds that value at grade
+    >= 1."""
+    n, t, values, faulty = run
+    results, _ = run_programs(n, t, parallel_gradecast, values, faulty)
+    for sender in range(1, n + 1):
+        views = [graded[sender] for graded in results.values()]
+        if sender not in faulty:
+            assert views == [(values[sender], 2)] * len(views)
+        sure = {value for value, grade in views if grade == 2}
+        if sure:
+            (value,) = sure
+            assert all(v == value and g >= 1 for v, g in views)
+
+
+def test_a_repeated_reference_counts_once():
+    """Echoers 6 and 7 name sender 2 three times each: two echoes, short
+    of n - t, exactly as three explicit copies count in the oracle."""
+    x = ("x", 2)
+    first = {src: [("gc/v", "mine" if src == 1 else x)] for src in range(1, N + 1)}
+    named = {src: [("gc/echo", ((2,),) * 3)] for src in (6, 7)}
+    spelled = {src: [("gc/echo", ((2, x),) * 3)] for src in (6, 7)}
+    got = _drive(parallel_gradecast(N, T, 1, "mine"), [first, named, {}])
+    want = _drive(reference_gradecast(N, T, 1, "mine"), [first, spelled, {}])
+    assert got[1] == want[1]  # the outputs
+    assert got[0][2] == want[0][2] == [multicast(("gc/echo2", ()))]
+
+
+def test_a_reference_whose_round_one_message_was_dropped_is_ignored():
+    """Player 2's proposal never reaches player 1, so 2's references do
+    not resolve there: with 6 and 7 silent, player 1 counts four echoes
+    per sender, below n - t = 5, and re-echoes nothing, which leaves
+    four re-echoes everywhere.  Value echoes would have counted 2's
+    fifth.  Counting 2 and its faulty link, three players are faulty
+    here, one more than t."""
+    values = {pid: ("v", 0) for pid in range(1, N + 1)}
+    silent = {6: None, 7: None}
+    sent = []
+
+    def watched(n, t, me, my_value):
+        program = parallel_gradecast(n, t, me, my_value)
+        if me != 1:
+            return program
+
+        def spy():
+            inbox = None
+            try:
+                while True:
+                    sends = program.send(inbox)
+                    sent.append(sends)
+                    inbox = yield sends
+            except StopIteration as stop:
+                return stop.value
+        return spy()
+
+    plane = FaultPlane().drop(src=2, dst=1, rounds=[1])
+    results, _ = run_programs(N, T, watched, values, silent, faults=plane)
+    echo2 = sent[2][0].payload
+    assert echo2 == ("gc/echo2", ())
+    for sender in (1, 3, 4, 5):  # 2's proposal has four echoes anyway
+        assert all(graded[sender] == (("v", 0), 1)
+                   for graded in results.values())
+
+    want, _ = run_programs(N, T, reference_gradecast, values, silent,
+                           faults=FaultPlane().drop(src=2, dst=1, rounds=[1]))
+    assert want[1][1] == (("v", 0), 2)
+
+
+def test_equal_proposals_echo_n_ids_a_message():
+    """All proposals equal at n = 7: the round-1 multicasts carry the
+    proposal, and every echo and re-echo carries exactly n elements,
+    one sender id per instance."""
+    value = ("prop", 11, 12, 13)  # three field elements
+    values = {pid: value for pid in range(1, N + 1)}
+    results, metrics = run_programs(N, T, parallel_gradecast, values, {})
+    assert all(graded[s] == (value, 2)
+               for graded in results.values() for s in range(1, N + 1))
+    assert metrics.unicast_messages == 3 * N * N
+    assert metrics.bits == N * N * 3 + 2 * N * N * N
+    inboxes = [{src: [("gc/v", value)] for src in range(1, N + 1)}]
+    program = parallel_gradecast(N, T, 1, value)
+    next(program)
+    (echo,) = program.send(inboxes[0])
+    assert echo.payload == ("gc/echo", tuple((s,) for s in range(1, N + 1)))
+    assert payload_field_elements(echo.payload) == N
 
 
 # -- a value nested too deep to hash ------------------------------------------

@@ -34,8 +34,9 @@ class TestFieldMisc:
     def test_gfp_coin_bits(self):
         f = GFp(101)
         bits = f.coin_bits(5)
-        assert bits[:3] == [1, 0, 1]
-        assert len(bits) == f.bit_length
+        assert bits == [1, 0, 1, 0, 0, 0]  # floor(log2(101)) = 6 bits
+        assert f.coin_bits(63) == [1] * 6
+        assert f.coin_bits(64) == []  # 64..100 would bias every bit
 
     def test_generator_attribute_for_table_fields(self):
         f = GF2k(8)

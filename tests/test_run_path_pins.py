@@ -126,7 +126,10 @@ SCHEDULERS = {
 
 #: scenario -> (lockstep flight-log sha256, permuted flight-log sha256,
 #: honest-outputs sha256 — the same under both schedulers), recorded on
-#: the parent commit
+#: the parent commit.  The flight logs of every scenario that grade-casts
+#: (the three Coin-Gens, refresh, bootstrap) were re-recorded when honest
+#: echoes began naming a value equal to the echoer's own proposal by
+#: sender id: the echo payloads changed, the outputs digests did not.
 PINNED = {
     "batch_vss": (
         "f518ba1cdd736392e40171e395a39e35dba2ca4dba213f674ecdbb589812a76f",
@@ -139,23 +142,23 @@ PINNED = {
         "dca5e0eb53298d7891a39036788bdaa828f2e7b6abbdfc42955d2a5a6ff72a66",
     ),
     "bootstrap_mobile": (
-        "657e5ca5642ce51ef193d4921d733e1f97808c98ce3caecf38b21c78181a1a38",
-        "3bbe31a4c2f06b4f50c357f0c3c4482f2a273263624fcedf861016501d14bae8",
+        "36860a09fd5827b47ee073a5eb2d401c2f874f3b92a1530826f607394877fd9f",
+        "f0a9d9b38affc39c91d16a0d0bc73ef9261041886b2d3d2b543d053d6e0ece71",
         "8dceef344b5201a5ebd96cf10281cc3102475b4d21d254dddedb395b1ad18cd7",
     ),
     "coin_gen_clean": (
-        "6ec37e808e08e60a824a8d09fcefb1aacee9a96a17b44181199a192beb2d047b",
-        "adb31dd69744850ac4efab925708004914443d48b6195148443bfee6f90642b1",
+        "4a0a8a66d3d3a81d211f5f4012b1aa2d982f047a1fcca5cb87bb754541de68ae",
+        "819b73325c0f57885cb2cb7080745e79ecdf2cef51361d2d002ceaf80346e0d4",
         "ea66de893aad033cca9e1e734758054875d15e13f036ea7bdeba9b2d96513332",
     ),
     "coin_gen_crashed_from_start": (
-        "23c75d9d060bdb609417a5cfc69ecc64e74a71cfac007ad40c84154ed5ca1732",
-        "6b56b66e9a061e93c33265801f0db7837d41b47fd8dac75dae3292a22d954ff6",
+        "0bc7ce91a4fc3f37faf37c15e129871a544f0120899f7adde5ee90ea355ff5bd",
+        "84394d7a0cea0298426acdb85c837f9e9fb64d548eeabb46f25e0802ede70db4",
         "f7ef4978de2d730e21f044151e1cf102bff58d84c72bb01fc61bfac2ae2cf7d8",
     ),
     "coin_gen_equivocator": (
-        "b4b1c5e6789ee5c74ad55452f4fd06abdcaaeeb4d99823e9ed0693cccc2c0542",
-        "c668fb150def87ca8438b56628ffdaba322ad7b4f00cbd2e368a7d4e6f3bbfc0",
+        "be38320498197dfdbcf242191b9ca5d5f08340cede882a83422ddf41a5f92591",
+        "51360a6814376ac2fe887dc75759dec6ae2eb0bfd0bea9250c6dd1d408f490ed",
         "5150d588f58fa9b0b6bb118bbf2afb2c214ab4ffd28cb7bdcfbb2e8e0518ef75",
     ),
     "phase_king": (
@@ -164,8 +167,8 @@ PINNED = {
         "846db9b14f3e4543729589e42d0aee5fb2dad7cdb433f92986049020931726e6",
     ),
     "refresh": (
-        "34e5753099b2437d6f0b9657fa69fcf9bdc7279a84efd96674fc9c51673e61f6",
-        "9206a537badf86652b620d7fbc78d3f60d16f599b825955f050787bc7612b1be",
+        "f09018da1734248915e61065e234e3956d4d376aee339a25ad9e486c23042c87",
+        "5b5fbc2b2a94f3fbb747f68411f15807df66a314e1d08d681c0be746902d2c24",
         "2218e81212eccb61224454faf3643a7d8f5a487d897da81af306fb75fbf0273a",
     ),
 }

@@ -11,16 +11,17 @@ beacon shapes of the coin ladder.  The count depends on the backend: a
 bulk call numpy takes is one call, the pure loops it replaces are many.
 
 Calls per dark stretch on python 3.11 (3.12 inlines comprehensions and
-counts fewer), before -> after grade-cast counted distinct objects and
-the dealing draw, dealing sweep, challenge power basis and wide GF(2^32)
-products became bulk calls:
+counts fewer): grade-cast echoing every value in full -> honest echoes
+naming a value equal to the echoer's own proposal by sender id, built
+by list comprehensions (one frame each) instead of generator
+expressions (one resumption per entry):
 
 ==================  =============  ==================  ==================
 shape               n, t, batch    numpy               python
 ==================  =============  ==================  ==================
-beacon_small_batch  7, 1, 4        10,510 -> 8,729     12,344 -> 10,689
-beacon_large_batch  7, 1, 256      23,803 -> 11,422    51,796 -> 39,611
-beacon_wide         13, 2, 64      56,619 -> 39,012    105,889 -> 88,984
+beacon_small_batch  7, 1, 4        8,422 -> 8,401      10,394 -> 10,373
+beacon_large_batch  7, 1, 256      11,115 -> 11,094    39,316 -> 39,295
+beacon_wide         13, 2, 64      37,635 -> 37,518    87,655 -> 87,538
 ==================  =============  ==================  ==================
 
 The budget is 10 % above the figure after each arrow.  A change that needs
@@ -37,12 +38,12 @@ from repro.fields.backends import available_backends
 
 #: (shape, backend) -> calls in one dark stretch, measured when set
 CALLS = {
-    ("beacon_small_batch", "numpy"): 8_729,
-    ("beacon_large_batch", "numpy"): 11_422,
-    ("beacon_wide", "numpy"): 39_012,
-    ("beacon_small_batch", "python"): 10_689,
-    ("beacon_large_batch", "python"): 39_611,
-    ("beacon_wide", "python"): 88_984,
+    ("beacon_small_batch", "numpy"): 8_401,
+    ("beacon_large_batch", "numpy"): 11_094,
+    ("beacon_wide", "numpy"): 37_518,
+    ("beacon_small_batch", "python"): 10_373,
+    ("beacon_large_batch", "python"): 39_295,
+    ("beacon_wide", "python"): 87_538,
 }
 SHAPES = {
     "beacon_small_batch": (7, 1, 4),
