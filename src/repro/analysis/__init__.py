@@ -8,6 +8,7 @@ coin path; import the submodule you need).
 * :mod:`repro.analysis.rounds` — predicted round counts per protocol.
 * :mod:`repro.analysis.stats` — statistical tests on coin output (bias,
   uniformity, serial correlation, runs).
-* :mod:`repro.analysis.verifier` — ``python -m repro verify``: the exact
-  rows of the claims table on one live parameter point.
+
+``benchmarks/claims.py`` is the one checker of these formulas against
+live runs.
 """

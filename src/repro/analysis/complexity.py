@@ -6,8 +6,7 @@ rounds, messages, bits).  Benchmarks compare measured metrics against
 these functions; EXPERIMENTS.md records the outcomes.
 
 The paper counts one multiplication in the special field as ``k log k``
-additions (Section 2); helpers below expose both that conversion and the
-naive ``k^2`` one.
+additions (Section 2); :func:`mul_cost_fast` is that conversion.
 
 Off the coin path (docs/CENSUS.md, class ii); run by claims rows E1-E8
 and E12 (`benchmarks/claims.py`), and the conformance auditor behind
@@ -28,11 +27,6 @@ def log2k(k: int) -> float:
 def mul_cost_fast(k: int) -> float:
     """Additions per multiplication in the special field: O(k log k)."""
     return k * log2k(k)
-
-
-def mul_cost_naive(k: int) -> float:
-    """Additions per multiplication with naive GF(2^k) arithmetic: O(k^2)."""
-    return float(k * k)
 
 
 @dataclass(frozen=True)
@@ -120,11 +114,6 @@ def bit_gen(n: int, t: int, k: int, M: int) -> CostClaim:
 def bit_gen_amortized_per_bit(n: int, k: int) -> float:
     """Corollary 2: n log k + O(log k) additions per generated bit."""
     return (n + 1) * log2k(k)
-
-
-def bit_gen_soundness_bound(M: int, p: int) -> float:
-    """Lemma 5: a bad dealing is accepted with probability <= M/p."""
-    return M / p
 
 
 # ---------------------------------------------------------------------------
@@ -279,38 +268,3 @@ def expose_messages(senders_total: int, n: int) -> int:
 def expose_interpolations(coins: int) -> int:
     """One decode per exposed coin per player (Theorem 1)."""
     return coins
-
-
-# ---------------------------------------------------------------------------
-# Section 1.4 — competitors
-# ---------------------------------------------------------------------------
-
-def feldman_micali_coin_ops(n: int) -> float:
-    """[14]: O(n^4 log^2 n) computation steps per player per coin."""
-    return n ** 4 * (math.log2(max(n, 2)) ** 2)
-
-
-def feldman_micali_coin_messages(n: int) -> float:
-    """[14]: O(n^5) messages per coin."""
-    return float(n ** 5)
-
-
-def ccd_vss_computation(n: int, k: int) -> float:
-    """[9]: n^2 k log^2 n computation (cut-and-choose VSS)."""
-    return n * n * k * (math.log2(max(n, 2)) ** 2)
-
-
-def ccd_vss_bits(n: int, k: int) -> float:
-    """[9]: O(n k log n) bits of communication."""
-    return n * k * math.log2(max(n, 2))
-
-
-def feldman_vss_computation(n: int, p_bits: int) -> float:
-    """[12]: O(n^2 log^3 p) computation (t exponentiations of log-p-bit
-    numbers by dealer and players)."""
-    return float(n * n * p_bits ** 3)
-
-
-def feldman_vss_messages(n: int) -> float:
-    """[12]: O(n) communication."""
-    return float(n)

@@ -45,16 +45,6 @@ def phase_king_rounds(t: int) -> int:
     return 2 * (t + 1)
 
 
-def eig_rounds(t: int) -> int:
-    """t+1 relay rounds."""
-    return t + 1
-
-
-def broadcast_rounds(t: int) -> int:
-    """Grade-cast then BA."""
-    return gradecast_rounds() + phase_king_rounds(t)
-
-
 def coin_gen_rounds(t: int, iterations: int = 1) -> int:
     """Fig. 5: dealing, challenge expose, nu exchange, grade-cast, then
     per iteration one leader expose plus one BA."""

@@ -1065,16 +1065,6 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    from repro.analysis.verifier import report, verify_all
-
-    field = GF2k(args.k, backend=getattr(args, "backend", "auto"))
-    checks = verify_all(field, n=args.n, t=args.t, M=args.M,
-                        seed=args.seed)
-    print(report(checks))
-    return 0 if all(check.passed for check in checks) else 1
-
-
 # ---------------------------------------------------------------------------
 # campaign: scenario-space sweeps under the composed violation oracle
 # ---------------------------------------------------------------------------
@@ -1300,13 +1290,6 @@ def build_parser() -> argparse.ArgumentParser:
     beacon.add_argument("--ticks", type=int, default=10)
     beacon.add_argument("--batch", type=int, default=16)
     beacon.set_defaults(func=_cmd_beacon)
-
-    verify = sub.add_parser(
-        "verify", help="measure live runs against the paper's formulas"
-    )
-    _add_system_arguments(verify)
-    verify.add_argument("--M", type=int, default=16, help="batch size")
-    verify.set_defaults(func=_cmd_verify)
 
     trace = sub.add_parser(
         "trace",

@@ -12,9 +12,8 @@
 * :class:`~repro.core.seed.TrustedDealer` — the one-time initial seed
   (Rabin [17]'s trusted party, used exactly once).
 
-Off the coin path, imported from their own modules:
-:mod:`repro.core.sequence` (random access to sealed coins, Section 1.4)
-and :mod:`repro.core.secret_store` (Batch-VSS as a deposit service).
+Off the coin path, imported from its own module:
+:mod:`repro.core.sequence` (random access to sealed coins, Section 1.4).
 """
 
 from repro.core.coin import SharedCoin, UnanimityError

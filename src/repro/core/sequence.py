@@ -25,10 +25,18 @@ class CoinSequence:
     ``sequence[i]`` exposes (once) and returns the i-th k-ary coin;
     :meth:`bit` addresses the underlying bit stream — coin ``i // k``,
     bit ``i % k`` — so the sequence behaves as ``len(coins) * k``
-    random-access shared bits.
+    random-access shared bits.  Those bits are exactly uniform only when
+    the field's order is ``2^k``; random access needs a fixed bit count
+    per coin, so any other order is refused.
     """
 
     def __init__(self, system: SharedCoinSystem, coins: Sequence[SharedCoin]):
+        order = system.field.order
+        if order & (order - 1):
+            raise ValueError(
+                f"random access needs k uniform bits per coin; a field of "
+                f"order {order} is not a power of two"
+            )
         self.system = system
         self.coins = list(coins)
         self._cache: Dict[int, Element] = {}

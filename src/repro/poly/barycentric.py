@@ -35,7 +35,7 @@ exactly what a warm decode of that view costs its receiver — the
 decode's ops less any table construction it paid — though the simulator
 computes it once per distinct view.
 
-Three modes support the benchmark ablations (``interpolation_mode``):
+Two modes support the benchmark ablations (``interpolation_mode``):
 
 * ``"shared"`` (default) — one long-lived cache per field; repeated point
   sets hit, and so do repeated *decoded views*: every receiver of a clean
@@ -44,8 +44,9 @@ Three modes support the benchmark ablations (``interpolation_mode``):
   :meth:`InterpolationCache.recall`).
 * ``"fresh"`` — a new cache per call: batch inversion still applies, but
   nothing is reused across calls (isolates the batch-inversion speedup).
-* ``"off"`` — fall through to the classic O(n^2)-inversions code paths
-  (the pre-optimization baseline, for before/after measurements).
+
+The classic code in :mod:`repro.poly.lagrange` stays the reference the
+tests compare these entry points against.
 """
 
 from __future__ import annotations
@@ -55,19 +56,15 @@ from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.fields.base import Element, Field, OpCounter
-from repro.poly.lagrange import (
-    _require_distinct,
-    interpolate,
-    interpolate_at,
-)
+from repro.poly.lagrange import _require_distinct
 from repro.poly.polynomial import Polynomial
 
 Point = Tuple[Element, Element]
 
-#: "shared" | "fresh" | "off" — see module docstring.
+#: "shared" | "fresh" — see module docstring.
 _MODE = "shared"
 
-_MODES = ("shared", "fresh", "off")
+_MODES = ("shared", "fresh")
 
 
 def cache_mode() -> str:
@@ -382,8 +379,6 @@ def interpolate_cached(field: Field, points: Sequence[Point]) -> Polynomial:
     """
     points = list(points)
     _require_distinct([x for x, _ in points])
-    if _MODE == "off":
-        return interpolate(field, points)
     field.counter.interpolations += 1
     return cache_for(field).polynomial(points)
 
@@ -394,7 +389,5 @@ def interpolate_at_cached(
     """Cache-backed equivalent of :func:`repro.poly.lagrange.interpolate_at`."""
     points = list(points)
     _require_distinct([x for x, _ in points])
-    if _MODE == "off":
-        return interpolate_at(field, points, x0)
     field.counter.interpolations += 1
     return cache_for(field).eval_at(points, x0)

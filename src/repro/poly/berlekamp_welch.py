@@ -94,8 +94,8 @@ def decode_lists(
     the view costs (:meth:`~repro.poly.barycentric.InterpolationCache.recall`)
     — so per-player op counts are those of n independent decodes while
     the arithmetic runs once per distinct view.  Failures are never
-    remembered: they raise on every call.  ``"fresh"`` and ``"off"``
-    decode every call.
+    remembered: they raise on every call.  ``"fresh"`` decodes every
+    call.
     """
     if barycentric.cache_mode() != "shared":
         return _decode(field, xs, ys, degree, max_errors)
@@ -134,8 +134,6 @@ def _decode(
     # candidates would agree on >= n - 2*max_errors >= degree + 1 common
     # points), so when this succeeds it returns exactly what the
     # key-equation solve would — without the O(n^3) linear system.
-    if barycentric.cache_mode() == "off":
-        return _key_equation(field, xs, ys, degree, max_errors)
     coeffs, wrong = _head_test(field, xs, ys, 0, degree + 1)
     if len(wrong) <= max_errors:
         return coeffs, wrong

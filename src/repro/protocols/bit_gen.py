@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Dict, Generator, Optional, Tuple
 
 from repro.fields.base import Element, Field
-from repro.poly import barycentric
 from repro.poly.berlekamp_welch import (
     DecodingError,
     berlekamp_welch,
@@ -101,8 +100,6 @@ def decode_batched_many(field: Field, point_sets, t: int, n: int):
     next disjoint heads first, the key-equation decode only when every
     head tried holds a wrong point or the dealing really is corrupted.
     """
-    if barycentric.cache_mode() == "off":
-        return [decode_batched(field, pts, t, n) for pts in point_sets]
     results: list = [None] * len(point_sets)
     head = t + 1
     by_xs: Dict[tuple, list] = {}  # abscissas -> [(index, ys, candidate)]

@@ -26,6 +26,7 @@ from repro.poly import (
     interpolation_mode,
     shared_cache,
 )
+from repro.poly.berlekamp_welch import full_decode, max_correctable_errors
 from repro.sharing.shamir import ShamirScheme
 
 F256 = GF2k(8)
@@ -33,7 +34,7 @@ F101 = GFp(101)
 
 #: a prime below 2^32, so the numpy uint64 kernels serve the same field
 Q = 1073153
-MODES = ("off", "fresh", "shared")
+MODES = ("fresh", "shared")
 BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 
 
@@ -190,19 +191,19 @@ class TestNewtonForm:
 
 
 class TestModes:
-    def test_fresh_and_off_agree_with_shared(self):
+    def test_fresh_agrees_with_shared(self):
         p, pts = poly_points(F256, [1, 2, 3, 4])
         expected = interpolate_at_cached(F256, pts, 0)
-        for mode in ("fresh", "off"):
-            with interpolation_mode(mode):
-                assert interpolate_at_cached(F256, pts, 0) == expected
-                assert interpolate_cached(F256, pts) == p
+        assert expected == interpolate_at(F256, pts, 0)
+        with interpolation_mode("fresh"):
+            assert interpolate_at_cached(F256, pts, 0) == expected
+            assert interpolate_cached(F256, pts) == p
 
     def test_mode_restored_after_exception(self):
         from repro.poly import barycentric
 
         with pytest.raises(RuntimeError):
-            with interpolation_mode("off"):
+            with interpolation_mode("fresh"):
                 raise RuntimeError("boom")
         assert barycentric.cache_mode() == "shared"
 
@@ -216,14 +217,25 @@ class TestModes:
             with interpolation_mode("ntt"):
                 pass
 
+    def test_retired_off_mode_rejected(self):
+        """The classic code is called directly, not through a mode."""
+        with pytest.raises(ValueError):
+            with interpolation_mode("off"):
+                pass
+
     def test_interpolation_counter_bumped_once_in_every_mode(self):
         _, pts = poly_points(F256, [1, 2, 3])
-        for mode in ("shared", "fresh", "off"):
+        for mode in MODES:
             with interpolation_mode(mode):
                 before = F256.counter.snapshot()
                 interpolate_cached(F256, pts)
                 interpolate_at_cached(F256, pts, 0)
                 assert F256.counter.delta(before).interpolations == 2
+        # exactly as the classic entry points count
+        before = F256.counter.snapshot()
+        interpolate(F256, pts)
+        interpolate_at(F256, pts, 0)
+        assert F256.counter.delta(before).interpolations == 2
 
 
 def _bw_case(field, degree, n, bad_positions, seed):
@@ -254,19 +266,24 @@ class TestModeBackendMatrix:
     @pytest.mark.parametrize("bad", [(), (60, 65, 69), (0, 3, 64)],
                              ids=["clean", "tail-errors", "head-errors"])
     def test_berlekamp_welch_identical_across_mode_matrix(self, bad):
-        """BW decoding (incl. error correction) is mode- and backend-invariant.
+        """BW decoding (incl. error correction) is mode- and backend-invariant,
+        and equal to the key-equation decoder's answer.
 
-        Head errors force the fall back to the full key-equation decoder
-        under every mode.
+        Head errors force the fall back past the first head under every
+        mode.
         """
         degree, n = 31, 70
         reference = None
         for backend in BACKENDS:
             field = GFp(Q, backend=backend)
             truth, points = _bw_case(field, degree, n, bad, seed=31)
+            classic = full_decode(
+                field, points, degree, max_correctable_errors(n, degree)
+            )
             for mode in MODES:
                 with interpolation_mode(mode):
                     decoded, good = berlekamp_welch(field, points, degree)
+                assert (decoded, good) == classic
                 assert decoded == Polynomial(field, list(truth.coeffs))
                 outcome = (tuple(decoded.coeffs), tuple(good))
                 if reference is None:
@@ -502,7 +519,6 @@ class TestDecoderFallback:
         for i in rng.sample(range(10), rng.randrange(0, 3)):
             pts[i] = (pts[i][0], field.add(pts[i][1], rng.randrange(1, 255)))
         cached = berlekamp_welch(field, pts, 2)
-        with interpolation_mode("off"):
-            classic = berlekamp_welch(field, pts, 2)
+        classic = full_decode(field, pts, 2, max_correctable_errors(10, 2))
         assert cached[0] == classic[0]
         assert cached[1] == classic[1]

@@ -83,7 +83,7 @@ def test_dark_import_loads_only_the_coin_path(statement):
     assert {m for m in loaded if m.startswith("repro.obs.")} <= {
         "repro.obs.spans", "repro.obs.phases",
     }
-    for package in ("analysis", "apps", "baselines", "campaign", "cli"):
+    for package in ("analysis", "baselines", "campaign", "cli"):
         prefix = f"repro.{package}"
         assert not [m for m in loaded if m == prefix or m.startswith(prefix + ".")]
 

@@ -63,15 +63,6 @@ class TestBeacon:
         assert all("tick" in line and "0x" in line for line in lines)
 
 
-class TestVerify:
-    def test_all_claims_pass(self, capsys):
-        assert main(["verify", "--n", "7", "--t", "1", "--M", "4",
-                     "--seed", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "claims verified" in out
-        assert "FAIL" not in out
-
-
 CRITPATH = ["critpath", "--n", "7", "--t", "1", "--M", "2", "--seed", "3"]
 
 

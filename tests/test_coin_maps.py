@@ -8,7 +8,8 @@ the paper's ``F(0) mod 2`` bit of :meth:`Field.coin_bit` and
 :func:`~repro.protocols.async_coin.async_coin_bit`.  Enumerating each
 small field the repo builds gives each map's exact output distribution
 under a uniform coin — no sampling, no tolerance.  ``CoinSequence.bit``
-(random access, a fixed bit count per coin) is the one map not covered.
+(random access, a fixed bit count per coin) reads all ``k`` bits of a
+coin, so it accepts exactly the fields of order ``2^k``.
 """
 
 from collections import Counter
@@ -16,6 +17,8 @@ from collections import Counter
 import pytest
 
 from repro.core import BootstrapCoinSource
+from repro.core.dprbg import SharedCoinSystem
+from repro.core.sequence import CoinSequence
 from repro.fields import GF2k
 from repro.fields.extension import SpecialField
 from repro.fields.gfp import GFp
@@ -77,6 +80,17 @@ def test_the_low_bit_has_exactly_its_documented_skew(field):
     assert ones == order // 2
     assert ones == sum(async_coin_bit(a, field) for a in field.elements())
     assert (2 * ones == order) == (order % 2 == 0)
+
+
+def test_coin_sequence_accepts_exactly_the_power_of_two_orders(field):
+    """Every bit ``CoinSequence.bit`` reads is uniform on GF(2^k); on any
+    other order the top bit of a coin is biased, so it is refused."""
+    system = SharedCoinSystem(field, 1, 0)
+    if isinstance(field, GF2k):
+        assert CoinSequence(system, []).bit_length == 0
+    else:
+        with pytest.raises(ValueError, match=f"order {field.order} "):
+            CoinSequence(system, [])
 
 
 def test_the_gf16_leader_skew_named_in_the_docstring():

@@ -39,39 +39,12 @@ class TestFormulas:
     def test_soundness_bounds(self):
         assert cx.vss_soundness_bound(16) == 1 / 16
         assert cx.batch_vss_soundness_bound(5, 16) == 5 / 16
-        assert cx.bit_gen_soundness_bound(4, 16) == 0.25
         assert cx.coin_unanimity_error(10, 7, 32) == 70 * 2.0**-32
 
     def test_lemma8_expected_iterations(self):
         assert cx.coin_gen_expected_iterations(7, 1) == pytest.approx(7 / 6)
         assert cx.coin_gen_expected_iterations(13, 2) == pytest.approx(13 / 11)
 
-    def test_competitor_formulas_monotone(self):
-        assert cx.feldman_micali_coin_ops(13) > cx.feldman_micali_coin_ops(7)
-        assert cx.feldman_micali_coin_messages(7) == 7**5
-        assert cx.ccd_vss_bits(7, 64) > cx.ccd_vss_bits(7, 32)
-        assert cx.feldman_vss_computation(7, 1024) > cx.feldman_vss_computation(7, 512)
-        assert cx.feldman_vss_messages(9) == 9.0
-
     def test_mul_cost_models(self):
-        assert cx.mul_cost_naive(32) == 1024
         assert cx.mul_cost_fast(32) == 160
-        # the paper's remark: naive wins for small k (constants aside,
-        # the asymptotic crossover in these models is at k = 2^... tiny)
-        assert cx.mul_cost_fast(1024) < cx.mul_cost_naive(1024)
 
-
-class TestPaperComparisons:
-    def test_dprbg_beats_feldman_micali(self):
-        """Section 1.4: our amortized O(n^2 log k) ops per coin vs [14]'s
-        O(n^4 log^2 n) — for every realistic n, k."""
-        for n in (7, 13, 25):
-            ours = cx.coin_gen_amortized_ops_per_bit(n, 32) * 32  # per k-ary coin
-            theirs = cx.feldman_micali_coin_ops(n)
-            assert ours < theirs
-
-    def test_batch_vss_beats_ccd(self):
-        """Corollary 1 vs [9]: amortized additions per secret."""
-        for n in (7, 13):
-            for k in (32, 64):
-                assert cx.batch_vss_amortized_additions(k) < cx.ccd_vss_computation(n, k)

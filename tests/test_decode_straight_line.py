@@ -8,7 +8,7 @@ player's inbox to ``F(0)`` (``share_points`` -> ``decode_exposed`` ->
   the head, the tail or both, non-elements on the wire), the value, the
   kept positions and the refused / raised outcomes are those of the
   key-equation decoder ``full_decode`` over the same well-formed shares,
-  in every ``interpolation_mode``;
+  under both interpolation modes;
 * **op counts** — a clean decode of N points of degree t meters exactly
   ``t(t+1) + t(N-t-1)`` multiplications, as many additions, one
   interpolation and no inversion on a cache hit; a dirty head costs one
@@ -67,7 +67,7 @@ FIELDS = {
     "gf2_32": GF2k(32),
     "gfp": GFp(2**31 - 1),
 }
-MODES = ("shared", "fresh", "off")
+MODES = ("shared", "fresh")
 TAG = expose_tag("c")
 
 

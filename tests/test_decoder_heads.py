@@ -17,7 +17,6 @@ import pytest
 
 from repro.fields import GF2k
 from repro.net.transport import multicast
-from repro.poly.barycentric import interpolation_mode
 from repro.poly.polynomial import Polynomial
 from repro.protocols.bit_gen import decode_batched_many
 from repro.protocols.coin_expose import coin_expose, make_dealer_coin
@@ -119,10 +118,9 @@ class TestDecoderHeads:
         poly, points = corrupted_points(self.FIELD, 2, 9, wrong=(1, 4))
         decoded, good = bw.berlekamp_welch(self.FIELD, points, 2)
         assert full_decodes.call_count == 0
-        with interpolation_mode("off"):  # straight to the key equation
-            reference, reference_good = bw.berlekamp_welch(
-                self.FIELD, points, 2
-            )
+        reference, reference_good = bw.full_decode(
+            self.FIELD, points, 2, bw.max_correctable_errors(9, 2)
+        )
         assert decoded == reference == poly
         assert good == reference_good == [0, 2, 3, 5, 6, 7, 8]
 

@@ -1,6 +1,5 @@
 """End-to-end pipelines across modules (the paper's Fig. 1 in motion)."""
 
-import random
 
 import pytest
 
@@ -8,7 +7,6 @@ from repro.fields import GF2k
 from repro.fields.extension import build_special_field
 from repro.fields.gfp import GFp
 from repro.analysis import stats
-from repro.apps import CommonCoinBA
 from repro.core import BootstrapCoinSource
 from repro.net.adversary import Adversary, MobileAdversary
 
@@ -80,26 +78,6 @@ class TestOtherFields:
                 failures += 1
         assert successes + failures == 12
         assert successes > 0
-
-
-class TestApplicationLoop:
-    def test_ba_service_over_many_executions(self):
-        """The paper's motivating loop: a BA service fed by one bootstrap
-        source, across mobile corruption epochs."""
-        mobile = MobileAdversary(7, 1, behaviour="silent", seed=106)
-        source = BootstrapCoinSource(
-            GF2k(32), 7, 1, batch_size=8, seed=107,
-            adversary_schedule=lambda e: mobile.next_epoch(),
-        )
-        ba = CommonCoinBA(source)
-        rng = random.Random(108)
-        for execution in range(6):
-            inputs = {pid: rng.randrange(2) for pid in range(1, 8)}
-            outcome = ba.agree(inputs)
-            assert outcome.agreed
-            decided = set(outcome.decisions.values()).pop()
-            if len(set(inputs[pid] for pid in outcome.decisions)) == 1:
-                assert decided == inputs[next(iter(outcome.decisions))]
 
 
 class TestDeterminism:

@@ -14,9 +14,7 @@ from repro.fields import GF2k
 from repro.protocols.ba import run_phase_king
 from repro.protocols.batch_vss import run_batch_vss
 from repro.protocols.bit_gen import run_bit_gen
-from repro.protocols.broadcast import run_broadcast
 from repro.protocols.coin_gen import run_coin_gen
-from repro.protocols.eig import run_eig
 from repro.protocols.recovery import run_recovery
 from repro.protocols.refresh import run_refresh
 from repro.protocols.vss import run_vss
@@ -48,15 +46,6 @@ class TestRoundFormulas:
     def test_phase_king(self, n, t):
         _, metrics = run_phase_king(n, t, {pid: 1 for pid in range(1, n + 1)})
         assert_rounds(metrics, rm.phase_king_rounds(t))
-
-    @pytest.mark.parametrize("n,t", [(4, 1), (7, 2)])
-    def test_eig(self, n, t):
-        _, metrics = run_eig(n, t, {pid: 1 for pid in range(1, n + 1)})
-        assert_rounds(metrics, rm.eig_rounds(t))
-
-    def test_broadcast(self):
-        _, metrics = run_broadcast(9, 2, sender=1, value="v", field=F)
-        assert_rounds(metrics, rm.broadcast_rounds(2))
 
     def test_coin_gen_single_iteration(self):
         outputs, metrics = run_coin_gen(F, 7, 1, M=2, seed=4)
