@@ -1,6 +1,5 @@
 """End-to-end pipelines across modules (the paper's Fig. 1 in motion)."""
 
-
 import pytest
 
 from repro.fields import GF2k
