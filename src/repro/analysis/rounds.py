@@ -6,7 +6,8 @@ protocol occupies.  These formulas are checked against live traces in
 code data-independent (see docs/MODEL.md "Determinism and termination").
 
 Off the coin path (docs/CENSUS.md, class ii); run by claims row E7, CI's
-`repro trace --audit` and `repro critpath --assert-depth`.
+`repro trace --audit`, and the causal-graph depth tests in
+``tests/test_causality.py``.
 """
 
 from __future__ import annotations

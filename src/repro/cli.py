@@ -11,23 +11,14 @@ Commands
 ``beacon``    run a randomness beacon for a number of ticks;
 ``trace``     run one instrumented Coin-Gen, print the per-phase breakdown
               and the lemma-conformance audit;
-``metrics``   run one instrumented Coin-Gen and print the Prometheus text
-              exposition;
 ``replay``    re-drive a recorded flight log's decode paths offline, or
               diff two logs (``--diff``) for the first divergence, or
-              rebuild the happens-before DAG (``--causal``);
+              rebuild the happens-before DAG and print each run's depth
+              (``--causal``);
 ``forensics`` analyze a flight log for Byzantine behaviour and print the
               per-player accusation report;
 ``health``    run a living coin source under the health monitor and gate
               the exit code on operational thresholds;
-``critpath``  run one instrumented Coin-Gen, build its happens-before
-              DAG, and print per-run critical paths, per-phase latency
-              attribution, and per-coin exposure latencies under a cost
-              model; ``--what-if player=I,scale=S`` re-prices the graph
-              with a straggler, ``--export`` writes the JSON analysis,
-              ``--chrome`` writes a Perfetto trace with causal flow
-              arrows, ``--assert-depth`` gates the exit code on the DAG
-              depth matching the ``analysis.rounds`` prediction;
 ``waits``     run async coin exposures and read their liveness off the
               flight log: per-guard quorum-latency table (armed/fired
               logical times, pivotal sender), the stalls with their
@@ -48,33 +39,33 @@ Every gate-bearing subcommand follows one convention:
 
 * ``0`` — clean: the command ran and every requested gate passed;
 * ``1`` — gate tripped: the run worked but a check failed (audit
-  deviation, unanimity break, stall, regression, campaign violation,
+  deviation, unanimity break, stall, campaign violation,
   coverage below ``--min-coverage``, artifact no longer reproducing);
 * ``2`` — usage or incompatible input: bad flag syntax, an unreadable /
-  unrecognized input file, or options that cannot be combined.
-  (argparse's own errors exit 2 as well.)
+  unrecognized input file, options that cannot be combined, or system
+  parameters the protocol refuses (n < 6t+1 on the coin pipeline,
+  n < 3t+1 for ``vss`` and under ``--runtime async``, 2^k <= n, ``--M``
+  or ``--batch`` below 1).  (argparse's own errors exit 2 as well.)
 
-``toss``, ``trace``, and ``critpath`` accept ``--runtime lockstep|async``:
+``toss`` and ``trace`` accept ``--runtime lockstep|async``:
 under ``async`` each coin is exposed on an event-driven
 :class:`~repro.net.async_runtime.AsyncRuntime` where an adversarial
 (seed-deterministic) scheduler delivers one message at a time — sweep
 ``--sched-seed`` to explore delivery orders, ``--crash PLAYERS`` to
 crash players from the start.  ``trace --runtime async --audit`` gates
 on unanimity plus the structure of the recorded happens-before graph
-(one edge per delivered message, depth within the run's deliveries);
-``critpath --runtime async`` prices that DAG (logical time = delivery
-count).  Every causal graph the CLI shows is built from a flight log,
-recorded in memory when no ``--flight-log`` asks for the file.
+(one edge per delivered message, depth within the run's deliveries).
+Every causal graph the CLI shows is built from a flight log, recorded
+in memory when no ``--flight-log`` asks for the file.
 
-``toss``, ``trace``, and ``metrics`` accept ``--export chrome|jsonl|prom``
+``toss``, ``trace`` and ``health`` accept ``--export chrome|prom``
 (+ ``--export-out PATH``) to write the recorded spans as a Chrome
-trace-event JSON (open with Perfetto), newline-delimited JSON, or a
-Prometheus exposition (``waits``: ``prom`` only); the default export
-path derives from the subcommand name (``toss.json``, ``trace.jsonl``,
-``metrics.prom``, ...), so concurrent exports from different commands
-never collide.  ``toss``, ``trace`` and ``critpath`` also accept
-``--flight-log PATH`` to record the delivered message stream for later
-``replay``/``forensics``.
+trace-event JSON (open with Perfetto) or a Prometheus exposition
+(``waits``: ``prom`` only); the default export path derives from the
+subcommand name (``toss.json``, ``trace.prom``, ...), so concurrent
+exports from different commands never collide.  ``toss`` and ``trace``
+also accept ``--flight-log PATH`` to record the delivered message
+stream for later ``replay``/``forensics``.
 
 Off the coin path (docs/CENSUS.md, class ii); run by every CI smoke step
 (`.github/workflows/ci.yml`).
@@ -90,7 +81,7 @@ from repro.analysis import complexity as cx
 from repro.core import BootstrapCoinSource
 from repro.fields import GF2k
 from repro.net import PermutedDeliveryScheduler, RandomOrderScheduler
-from repro.obs import SpanRecorder, to_chrome_trace, to_jsonl, to_prometheus
+from repro.obs import SpanRecorder, to_chrome_trace, to_prometheus
 from repro.protocols.context import ProtocolContext
 from repro.protocols.vss import run_vss
 
@@ -149,14 +140,13 @@ def _add_system_arguments(parser: argparse.ArgumentParser, default_n: int = 7,
 
 
 def _add_export_arguments(parser: argparse.ArgumentParser,
-                          formats=("chrome", "jsonl", "prom")) -> None:
+                          formats=("chrome", "prom")) -> None:
     parser.add_argument("--export", choices=formats, default=None,
                         help="write the recording: chrome = trace-event JSON "
-                             "(Perfetto), jsonl = JSONL, prom = Prometheus "
-                             "text")
+                             "(Perfetto), prom = Prometheus text")
     parser.add_argument("--export-out", default=None, metavar="PATH",
                         help="export file (defaults to <command>.<ext>: "
-                             "json / jsonl / prom)")
+                             "json / prom)")
 
 
 def _add_flight_argument(parser: argparse.ArgumentParser) -> None:
@@ -168,7 +158,7 @@ def _add_flight_argument(parser: argparse.ArgumentParser) -> None:
 #: file extension per export format; the default export path is
 #: ``<subcommand>.<ext>`` so e.g. ``toss`` and ``trace`` never clobber
 #: each other's exports when run from the same directory
-_EXPORT_EXTENSIONS = {"chrome": "json", "jsonl": "jsonl", "prom": "prom"}
+_EXPORT_EXTENSIONS = {"chrome": "json", "prom": "prom"}
 
 
 def _run_manifest(args: argparse.Namespace, ctx: ProtocolContext,
@@ -199,7 +189,20 @@ def _make_context(args: argparse.Namespace,
     Attaches a live :class:`SpanRecorder` when the command was invoked
     with ``--export`` (observability stays zero-cost otherwise), or
     when the command's own report is read off the spans (``record``).
+    System parameters the protocol refuses are usage errors: the coin
+    pipeline needs n >= 6t+1, plain VSS and an async exposure n >= 3t+1,
+    Shamir sharing a field with more than n elements, and a batch at
+    least one coin.
     """
+    factor = 3 if args.command == "vss" or args.runtime == "async" else 6
+    if args.n < factor * args.t + 1:
+        raise _usage_error(f"repro {args.command} requires n >= {factor}t+1 "
+                           f"(n={args.n}, t={args.t})")
+    if args.k < args.n.bit_length():  # 2^k <= n
+        raise _usage_error(f"GF(2^{args.k}) is too small for n={args.n} "
+                           f"players (needs 2^k > n)")
+    if getattr(args, "M", 1) < 1:
+        raise _usage_error(f"--M must be at least 1 (got {args.M})")
     scheduler = None
     if args.scheduler == "permuted":
         scheduler = PermutedDeliveryScheduler(seed=args.sched_seed)
@@ -208,10 +211,24 @@ def _make_context(args: argparse.Namespace,
     record = record or getattr(args, "export", None) is not None
     kwargs = {"recorder": SpanRecorder()} if record else {}
     field = GF2k(args.k, backend=getattr(args, "backend", "auto"))
-    return ProtocolContext.create(
-        field, args.n, args.t, seed=args.seed, scheduler=scheduler,
-        **kwargs,
-    )
+    try:
+        return ProtocolContext.create(
+            field, args.n, args.t, seed=args.seed, scheduler=scheduler,
+            **kwargs,
+        )
+    except ValueError as exc:  # t < 0, which the bound lets through
+        raise _usage_error(f"repro {args.command}: {exc}")
+
+
+def _coin_source(args: argparse.Namespace, ctx: ProtocolContext,
+                 **kwargs) -> BootstrapCoinSource:
+    """A coin source batching ``--batch`` coins over ``ctx``; a batch
+    size it refuses is a usage error."""
+    try:
+        return BootstrapCoinSource(context=ctx, batch_size=args.batch,
+                                   **kwargs)
+    except ValueError as exc:
+        raise _usage_error(f"bad --batch value {args.batch} ({exc})")
 
 
 def _write_export(args: argparse.Namespace, ctx: ProtocolContext,
@@ -223,8 +240,6 @@ def _write_export(args: argparse.Namespace, ctx: ProtocolContext,
     manifest = _run_manifest(args, ctx)
     if args.export == "chrome":
         content = to_chrome_trace(recorder, manifest=manifest)
-    elif args.export == "jsonl":
-        content = to_jsonl(recorder, manifest=manifest)
     else:
         content = to_prometheus(metrics=ctx.metrics, recorder=recorder,
                                 health=health)
@@ -286,15 +301,6 @@ def _player_ids(text: Optional[str], flag: str, n: Optional[int] = None) -> set:
 def _crashed_players(args: argparse.Namespace) -> set:
     """The ``--crash`` flag parsed into a set of player ids."""
     return _player_ids(getattr(args, "crash", None), "--crash", args.n)
-
-
-def _number(kind, value: str, flag: str):
-    """``kind(value)`` for one ``key=value`` flag component, or exit 2."""
-    try:
-        return kind(value)
-    except ValueError:
-        raise _usage_error(f"bad {flag} value {value!r} "
-                           f"(expected {kind.__name__})")
 
 
 def _run_async_coins(args: argparse.Namespace, ctx, count: int):
@@ -424,7 +430,7 @@ def _cmd_toss(args: argparse.Namespace) -> int:
     if args.runtime == "async":
         return _cmd_toss_async(args, ctx, flight)
     root = ctx.recorder.begin("toss", "root")
-    source = BootstrapCoinSource(context=ctx, batch_size=args.batch)
+    source = _coin_source(args, ctx)
     coins = (
         [source.toss_element() for _ in range(args.count)] if args.elements
         else source.tosses(args.count)
@@ -489,35 +495,12 @@ def _cmd_vss(args: argparse.Namespace) -> int:
 
 
 def _cmd_beacon(args: argparse.Namespace) -> int:
-    source = BootstrapCoinSource(
-        context=_make_context(args), batch_size=args.batch, low_watermark=2
-    )
+    source = _coin_source(args, _make_context(args), low_watermark=2)
     width = (args.k + 3) // 4
     for tick in range(1, args.ticks + 1):
         value = source.system.field.to_int(source.toss_element())
         print(f"tick {tick:4d}  0x{value:0{width}x}")
     return 0
-
-
-def _run_instrumented_coin_gen(args: argparse.Namespace,
-                               flight_always: bool = False):
-    """One Coin-Gen + batch exposure under a live recorder.
-
-    Returns ``(ctx, flight)``; ``flight`` is None unless
-    ``--flight-log`` was given or the caller reads the log itself
-    (``flight_always``).
-    """
-    from repro.protocols.coin_gen import run_coin_gen, expose_coin
-
-    # trace/metrics are pointless without a recorder: attach one even
-    # when no --export was requested (the terminal report needs it)
-    ctx = _make_context(args, record=True)
-    flight = _attach_flight_recorder(args, ctx, always=flight_always)
-    outputs, _ = run_coin_gen(ctx, M=args.M, seed=args.seed)
-    if all(o.success for o in outputs.values()):
-        expose_coin(ctx, outputs=outputs, h=0)
-    _write_flight_log(args, flight)
-    return ctx, flight
 
 
 def _cmd_trace_async(args: argparse.Namespace) -> int:
@@ -581,11 +564,19 @@ def _finish_trace(args: argparse.Namespace, ctx, ok: bool) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    """One Coin-Gen + batch exposure under a live recorder, reported."""
     from repro.obs.audit import audit_recorder, audit_rounds
+    from repro.protocols.coin_gen import expose_coin, run_coin_gen
 
     if args.runtime == "async":
         return _cmd_trace_async(args)
-    ctx, _ = _run_instrumented_coin_gen(args)
+    # the report is read off the spans: record them even without --export
+    ctx = _make_context(args, record=True)
+    flight = _attach_flight_recorder(args, ctx)
+    outputs, _ = run_coin_gen(ctx, M=args.M, seed=args.seed)
+    if all(o.success for o in outputs.values()):
+        expose_coin(ctx, outputs=outputs, h=0)
+    _write_flight_log(args, flight)
     recorder = ctx.recorder
 
     print(f"Coin-Gen trace: n={ctx.n}, t={ctx.t}, k={args.k}, M={args.M}")
@@ -627,13 +618,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return _finish_trace(args, ctx, all_ok)
 
 
-def _cmd_metrics(args: argparse.Namespace) -> int:
-    ctx, _ = _run_instrumented_coin_gen(args)
-    print(to_prometheus(metrics=ctx.metrics, recorder=ctx.recorder), end="")
-    _write_export(args, ctx)
-    return 0
-
-
 def _cmd_replay(args: argparse.Namespace) -> int:
     from repro.obs.flight import diff, replay
 
@@ -649,7 +633,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
     if args.causal:
         from repro.obs.causality import graph_from_log
-        from repro.obs.critical_path import critical_path
 
         graph = graph_from_log(log)
         print(f"causal graph: n={graph.n}, runs={len(graph.runs())}, "
@@ -657,8 +640,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         for run, depth in sorted(graph.depths().items()):
             print(f"  run {run}: depth {depth} "
                   f"(message-carrying round chain)")
-        print()
-        print(critical_path(graph).table())
         return 0
 
     result = replay(log)
@@ -712,9 +693,7 @@ def _cmd_health(args: argparse.Namespace) -> int:
     from repro.obs.health import HealthMonitor
 
     ctx = _make_context(args)
-    source = BootstrapCoinSource(
-        context=ctx, batch_size=args.batch, expose_retries=args.retries
-    )
+    source = _coin_source(args, ctx, expose_retries=args.retries)
     monitor = HealthMonitor(source=source).attach(ctx)
     for _ in range(args.coins):
         source.toss_element()
@@ -729,224 +708,6 @@ def _cmd_health(args: argparse.Namespace) -> int:
     for reason in reasons:
         print(f"UNHEALTHY: {reason}", file=sys.stderr)
     return 0 if healthy else 1
-
-
-def _parse_what_if(text: str):
-    """``"player=3,scale=10"`` -> ``(3, 10.0)`` (scale defaults to 10)."""
-    player, scale = None, 10.0
-    for part in text.split(","):
-        key, _, value = part.partition("=")
-        key = key.strip()
-        if key == "player":
-            player = _number(int, value, "--what-if player")
-        elif key == "scale":
-            scale = _number(float, value, "--what-if scale")
-        else:
-            raise _usage_error(f"bad --what-if component {part!r} "
-                               f"(expected player=I,scale=S)")
-    if player is None:
-        raise _usage_error("--what-if needs player=I")
-    return player, scale
-
-
-def _parse_op_costs(text: Optional[str]) -> dict:
-    """``"add=1e-9,mul=2e-9,inv=5e-8,interp=1e-6"`` -> CostModel kwargs."""
-    if not text:
-        return {}
-    names = {"add": "add", "mul": "mul", "inv": "inv",
-             "interp": "interpolation", "interpolation": "interpolation"}
-    out = {}
-    for part in text.split(","):
-        key, _, value = part.partition("=")
-        field_name = names.get(key.strip())
-        if field_name is None:
-            raise _usage_error(f"bad --op-cost component {part!r} "
-                               f"(expected add=A,mul=M,inv=I,interp=P)")
-        out[field_name] = _number(float, value, f"--op-cost {key.strip()}")
-    return out
-
-
-def _priced_critical_path(args: argparse.Namespace, ctx, graph):
-    """The critical path of ``graph`` under the cost flags.
-
-    Returns ``(model, step_ops, run_labels, result)``; per-step op
-    deltas come from the context's recorded player spans.
-    """
-    from repro.obs.critical_path import (
-        CostModel, critical_path, ops_from_recorder,
-    )
-
-    step_ops, run_labels = ops_from_recorder(ctx.recorder)
-    model = CostModel(
-        base_latency=args.base_latency,
-        per_element_latency=args.per_element_latency,
-        **_parse_op_costs(args.op_cost),
-    )
-    return model, step_ops, run_labels, critical_path(graph, model, step_ops)
-
-
-def _print_what_if(args: argparse.Namespace, graph, model, step_ops):
-    """The ``--what-if`` counterfactual, printed; None without the flag."""
-    from repro.obs.critical_path import what_if
-
-    if args.what_if is None:
-        return None
-    player, scale = _parse_what_if(args.what_if)
-    counterfactual = what_if(graph, model, player=player, scale=scale,
-                             step_ops=step_ops)
-    print()
-    print(counterfactual.table())
-    return counterfactual
-
-
-def _export_critpath(args: argparse.Namespace, ctx, graph, model, result,
-                     counterfactual, payload: dict) -> None:
-    """``--export`` (``payload`` plus path and what-if) and ``--chrome``."""
-    import json as json_module
-
-    if args.export is not None:
-        payload["depths"] = {
-            str(run): depth for run, depth in graph.depths().items()
-        }
-        payload["critical_path"] = result.to_dict()
-        if counterfactual is not None:
-            payload["what_if"] = counterfactual.to_dict()
-        with open(args.export, "w") as handle:
-            json_module.dump(payload, handle, indent=2, sort_keys=True)
-        print(f"wrote critical-path JSON to {args.export}", file=sys.stderr)
-
-    if args.chrome is not None:
-        content = to_chrome_trace(ctx.recorder, graph=graph,
-                                  flows=args.flows, model=model)
-        with open(args.chrome, "w") as handle:
-            handle.write(content)
-        print(f"wrote Chrome trace (with {args.flows} flow arrows) to "
-              f"{args.chrome}", file=sys.stderr)
-
-
-def _cmd_critpath_async(args: argparse.Namespace) -> int:
-    """``critpath --runtime async``: latency attribution on async DAGs.
-
-    Logical time replaces the round index, so the same longest-path
-    machinery prices adversarial delivery schedules; depth conformance
-    against the synchronous round model is (correctly) not asserted.
-    """
-    from repro.obs.causality import graph_from_log
-
-    ctx = _make_context(args, record=True)
-    flight = _attach_flight_recorder(args, ctx, always=True)
-    values, runtimes, breaks, stuck = _run_async_coins(args, ctx, args.M)
-    if stuck is not None:
-        _write_flight_log(args, flight)
-        return 1
-    for index, distinct in breaks:
-        print(f"UNANIMITY BREAK: coin {index} exposed {distinct}",
-              file=sys.stderr)
-    graph = graph_from_log(flight.log())
-    # async round spans carry per-step op deltas exactly like lockstep
-    # ones (the step settling delivery c is node (c+1, pid)), so the
-    # same recorder->DAG pricing applies under adversarial schedules
-    model, step_ops, run_labels, result = _priced_critical_path(
-        args, ctx, graph
-    )
-
-    print(f"async critical path: n={ctx.n}, t={ctx.t}, k={args.k}, "
-          f"coins={args.M}, sched-seed={args.sched_seed} "
-          f"(base latency {args.base_latency:g}s/link)")
-    for index, runtime in enumerate(runtimes):
-        label = run_labels.get(index + 1, "async_coin")
-        print(f"  run {index + 1}: {label} — "
-              f"{runtime.delivery_count} deliveries, "
-              f"logical time {runtime.logical_time}, "
-              f"causal depth {graph.depth(index + 1)}")
-    print(f"  span coverage: {ctx.recorder.coverage():.1%} "
-          f"({len(step_ops)} op-priced steps)")
-    print()
-    print(result.table())
-
-    counterfactual = _print_what_if(args, graph, model, step_ops)
-    _export_critpath(args, ctx, graph, model, result, counterfactual, {
-        "params": {"n": ctx.n, "t": ctx.t, "k": args.k, "M": args.M,
-                   "seed": args.seed, "sched_seed": args.sched_seed,
-                   "runtime": "async"},
-        "deliveries": [r.delivery_count for r in runtimes],
-        "logical_times": [r.logical_time for r in runtimes],
-    })
-    _write_flight_log(args, flight)
-    return 1 if breaks else 0
-
-
-def _cmd_critpath(args: argparse.Namespace) -> int:
-    from repro.analysis.rounds import predicted_rounds
-    from repro.obs.causality import graph_from_log
-    from repro.obs.critical_path import op_profile, op_profile_table
-
-    if args.runtime == "async":
-        return _cmd_critpath_async(args)
-    ctx, flight = _run_instrumented_coin_gen(args, flight_always=True)
-    graph = graph_from_log(flight.log())
-    model, step_ops, run_labels, result = _priced_critical_path(
-        args, ctx, graph
-    )
-
-    print(f"critical path: n={ctx.n}, t={ctx.t}, k={args.k}, M={args.M} "
-          f"(base latency {args.base_latency:g}s/link)")
-    for run, label in sorted(run_labels.items()):
-        print(f"  run {run}: {label}")
-    print()
-    print(result.table())
-
-    profile_rows = None
-    if args.op_profile:
-        profile_rows = op_profile(graph, model, step_ops)
-        print()
-        print("op profile (critical-path contribution, heaviest first):")
-        print(op_profile_table(profile_rows))
-
-    counterfactual = _print_what_if(args, graph, model, step_ops)
-
-    # fault-free structural gate: DAG depth == analysis.rounds prediction
-    depth_checks = []
-    spans = sorted(ctx.recorder.by_kind("protocol"), key=lambda s: s.t0)
-    for run, protocol in enumerate(spans, start=1):
-        expected = predicted_rounds(
-            protocol.name,
-            t=protocol.attrs.get("t", 0),
-            iterations=protocol.attrs.get("iterations", 1),
-        )
-        if expected is None:
-            continue
-        depth_checks.append({
-            "run": run, "protocol": protocol.name,
-            "expected": expected, "measured": graph.depth(run),
-            "ok": graph.depth(run) == expected,
-        })
-    if depth_checks:
-        print()
-        print("depth conformance (vs analysis.rounds predictions):")
-        for check in depth_checks:
-            print(f"  run {check['run']} {check['protocol']:<10} "
-                  f"expected {check['expected']:>3} "
-                  f"measured {check['measured']:>3}  "
-                  f"{'ok' if check['ok'] else 'DEVIATION'}")
-
-    payload = {
-        "params": {"n": ctx.n, "t": ctx.t, "k": args.k, "M": args.M,
-                   "seed": args.seed},
-        "run_labels": {str(run): label
-                       for run, label in run_labels.items()},
-        "depth_checks": depth_checks,
-    }
-    if profile_rows is not None:
-        payload["op_profile"] = [row.to_dict() for row in profile_rows]
-    _export_critpath(args, ctx, graph, model, result, counterfactual,
-                     payload)
-
-    if args.assert_depth and not all(c["ok"] for c in depth_checks):
-        print("DEPTH MISMATCH: happens-before depth deviates from the "
-              "round model", file=sys.stderr)
-        return 1
-    return 0
 
 
 def _cmd_waits(args: argparse.Namespace) -> int:
@@ -1028,39 +789,6 @@ def _cmd_waits(args: argparse.Namespace) -> int:
         return 1
     if args.audit and not report.ok:
         print("LIVENESS DEVIATION: see audit table above", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _load_diff_profile(path: str):
-    """The :class:`~repro.obs.diffing.RunProfile` of a span JSONL export."""
-    from repro.obs.diffing import profile_from_jsonl
-
-    try:
-        with open(path) as handle:
-            return profile_from_jsonl(handle.read(), source=path)
-    except (OSError, ValueError) as exc:
-        raise _usage_error(f"{path}: not a span JSONL export ({exc})")
-
-
-def _cmd_diff(args: argparse.Namespace) -> int:
-    """``repro diff A B``: per-phase × per-op deltas + priced attribution."""
-    from repro.obs.critical_path import CostModel
-    from repro.obs.diffing import DEFAULT_PRICING, diff_profiles
-
-    diff = diff_profiles(_load_diff_profile(args.a),
-                         _load_diff_profile(args.b))
-    costs = _parse_op_costs(args.op_cost)
-    model = CostModel(**costs) if costs else DEFAULT_PRICING
-    report = diff.report(model=model, label_a=args.a, label_b=args.b) + "\n"
-    print(report, end="")
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(report)
-        print(f"wrote attribution report to {args.out}", file=sys.stderr)
-    if args.expect_empty and not diff.is_empty():
-        print("DIFF NOT EMPTY: deterministic deltas found (see above)",
-              file=sys.stderr)
         return 1
     return 0
 
@@ -1303,15 +1031,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flight_argument(trace)
     trace.set_defaults(func=_cmd_trace)
 
-    metrics = sub.add_parser(
-        "metrics",
-        help="run one instrumented Coin-Gen and print Prometheus metrics",
-    )
-    _add_system_arguments(metrics)
-    metrics.add_argument("--M", type=int, default=8, help="coins per batch")
-    _add_export_arguments(metrics)
-    metrics.set_defaults(func=_cmd_metrics)
-
     replay = sub.add_parser(
         "replay",
         help="re-drive a flight log's decode paths, or diff two logs",
@@ -1322,45 +1041,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "(exit 1 when the logs differ)")
     replay.add_argument("--causal", action="store_true",
                         help="rebuild the happens-before DAG from the log "
-                             "and print per-run depths + critical paths")
+                             "and print per-run depths")
     replay.set_defaults(func=_cmd_replay)
-
-    critpath = sub.add_parser(
-        "critpath",
-        help="critical-path latency attribution for one instrumented "
-             "Coin-Gen (happens-before DAG + cost model)",
-    )
-    _add_system_arguments(critpath)
-    critpath.add_argument("--M", type=int, default=8, help="coins per batch")
-    critpath.add_argument("--what-if", default=None,
-                          metavar="player=I,scale=S",
-                          help="re-price the same graph with player I's "
-                               "links S x slower and report which coins' "
-                               "exposure latency moves")
-    critpath.add_argument("--export", default=None, metavar="PATH",
-                          help="write the critical-path analysis as JSON")
-    critpath.add_argument("--chrome", default=None, metavar="PATH",
-                          help="write a Chrome/Perfetto trace with causal "
-                               "flow arrows")
-    critpath.add_argument("--flows", choices=("critical", "all", "none"),
-                          default="critical",
-                          help="which message edges --chrome draws as "
-                               "arrows")
-    critpath.add_argument("--base-latency", type=float, default=1.0,
-                          help="seconds per message link (cost model)")
-    critpath.add_argument("--per-element-latency", type=float, default=0.0,
-                          help="extra seconds per field element carried")
-    critpath.add_argument("--op-profile", action="store_true",
-                          help="rank (phase, op) pairs by critical-path "
-                               "contribution — the vectorization targets")
-    critpath.add_argument("--op-cost", default=None,
-                          metavar="add=A,mul=M,inv=I,interp=P",
-                          help="per-op compute seconds (default: free)")
-    critpath.add_argument("--assert-depth", action="store_true",
-                          help="exit non-zero unless every run's DAG depth "
-                               "matches the analysis.rounds prediction")
-    _add_flight_argument(critpath)
-    critpath.set_defaults(func=_cmd_critpath)
 
     waits = sub.add_parser(
         "waits",
@@ -1380,24 +1062,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "every guard fired at exactly its quorum)")
     _add_export_arguments(waits, formats=("prom",))
     waits.set_defaults(func=_cmd_waits, runtime="async")
-
-    diff_cmd = sub.add_parser(
-        "diff",
-        help="cross-run diff: per-phase x per-op deltas and CostModel-"
-             "priced regression attribution between two recordings",
-    )
-    diff_cmd.add_argument("a", help="span JSONL export (the 'before' run)")
-    diff_cmd.add_argument("b", help="span JSONL export (the 'after' run)")
-    diff_cmd.add_argument("--out", default=None, metavar="PATH",
-                          help="also write the attribution report to PATH")
-    diff_cmd.add_argument("--op-cost", default=None,
-                          metavar="add=A,mul=M,inv=I,interp=P",
-                          help="per-op pricing for the attribution "
-                               "(default: microbenchmark-derived weights)")
-    diff_cmd.add_argument("--expect-empty", action="store_true",
-                          help="exit non-zero if any deterministic metric "
-                               "differs (identical-seed conformance gate)")
-    diff_cmd.set_defaults(func=_cmd_diff)
 
     forensics = sub.add_parser(
         "forensics",

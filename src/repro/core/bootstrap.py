@@ -39,7 +39,8 @@ class BootstrapCoinSource:
     field, n, t:
         System parameters (``n >= 6t+1``).
     batch_size:
-        Coins generated per D-PRBG stretch, beyond the reserved next seed.
+        Coins generated per D-PRBG stretch, beyond the reserved next seed;
+        at least 1 (``ValueError`` otherwise).
     low_watermark:
         Regenerate when the pool drops below this many sealed coins
         (the paper's "constant threshold"); default 1 (fully lazy).
@@ -80,6 +81,8 @@ class BootstrapCoinSource:
         context: Optional["ProtocolContext"] = None,
         expose_retries: int = 0,
     ):
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {batch_size}")
         self.system = SharedCoinSystem(field, n, t, seed=seed, context=context)
         field, n, t = self.system.field, self.system.n, self.system.t
         seed = self.system.context.seed

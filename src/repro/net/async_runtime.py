@@ -29,9 +29,9 @@ messages remain).
 Observability is the same direct calls as lockstep, with logical time
 as the round index: each delivery is one
 :meth:`~repro.obs.flight.FlightRecorder.on_round` call (the settled
-delivery), so flight logs, replay/diff, the causal graph built from a
-log and critical-path analysis work unchanged on async runs — one
-happens-before edge per delivered message.  Whether a recorder is
+delivery), so flight logs, replay/diff and the causal graph built from
+a log work unchanged on async runs — one happens-before edge per
+delivered message.  Whether a recorder is
 attached is read once per run: a dark run builds no event at all.
 
 One delivery costs constant work, whatever the run's history and pool
@@ -214,8 +214,8 @@ class AsyncRuntime(RuntimeBase):
                         "keeps re-firing without the run finishing)",
                     )
                 # the step consuming the delivery settled at time `tick`
-                # is critical-path node (tick + 1, pid) — record its op
-                # delta there so async spans price like lockstep rounds
+                # is causal-graph node (tick + 1, pid) — record its op
+                # delta there so async spans line up like lockstep rounds
                 sends = step(pid, inbox, tick + 1)
                 if sends:
                     emit(pid, sends, tick)
@@ -224,7 +224,7 @@ class AsyncRuntime(RuntimeBase):
 
         # priming: step every (non-crashed) program once at logical time
         # 0 to collect its initial sends and park its first guard.  The
-        # ops land on critical-path node (1, pid) — the node first sends
+        # ops land on causal-graph node (1, pid) — the node first sends
         # originate from — hence round_no=1.
         for pid in sorted(programs):
             if crashed(pid, 1):
@@ -241,8 +241,8 @@ class AsyncRuntime(RuntimeBase):
             # one "round" span per logical tick, each opened as the
             # previous one ends (the final, unused one is discarded
             # after the loop); the steps a delivery wakes are recorded
-            # inside it so ops_from_recorder prices async runs exactly
-            # like lockstep
+            # inside it, so an async run's spans nest exactly like
+            # lockstep ones
             round_span = self._next_round_span(
                 prime_span, clock + 1,
                 phase=(

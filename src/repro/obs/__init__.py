@@ -27,7 +27,7 @@ None`` test.  Each of these names its evidence — the ladder
 workload, CI step or example that runs it — in its module docstring
 (see ``docs/CENSUS.md``):
 
-* :mod:`repro.obs.export` — JSONL, Chrome trace-event (Perfetto), and
+* :mod:`repro.obs.export` — Chrome trace-event (Perfetto) and
   Prometheus text exporters;
 * :mod:`repro.obs.audit` — the lemma-conformance auditor comparing live
   span tallies against :mod:`repro.analysis.complexity` predictions;
@@ -43,10 +43,6 @@ workload, CI step or example that runs it — in its module docstring
   happens-before DAG (:class:`~repro.obs.causality.CausalGraph`), a
   pure function of a flight log
   (:func:`~repro.obs.causality.graph_from_log`);
-* :mod:`repro.obs.critical_path` — pluggable
-  :class:`~repro.obs.critical_path.CostModel` pricing of a causal
-  graph: per-coin exposure latency, slowest-chain phase attribution,
-  and straggler :func:`~repro.obs.critical_path.what_if` analysis;
 * :mod:`repro.obs.liveness` — liveness as views of a flight log:
   per-wait quorum latency with pivotal-sender attribution
   (:func:`~repro.obs.liveness.wait_records`) and the guards that
@@ -54,12 +50,7 @@ workload, CI step or example that runs it — in its module docstring
   classified as crash-induced vs. unexplained withholding;
 * :mod:`repro.obs.manifest` — :class:`~repro.obs.manifest.RunManifest`,
   the provenance stamp (parameters, backend, runtime, environment) with
-  a stable semantic fingerprint, attached to exports;
-* :mod:`repro.obs.diffing` — cross-run analysis: reduce a JSONL span
-  export to a per-phase metric table
-  (:class:`~repro.obs.diffing.RunProfile`), diff two of them, and price
-  the op deltas into a makespan attribution ("clique-phase
-  interpolations account for 78% of the slowdown").
+  a stable semantic fingerprint, attached to exports and flight logs.
 """
 
 from importlib import import_module
@@ -76,24 +67,18 @@ from repro.obs.phases import classify_tag, classify_tags, register_tag_phase
 _LAZY = {
     name: module
     for module, names in {
-        "export": ("to_chrome_trace", "to_jsonl", "to_prometheus"),
+        "export": ("to_chrome_trace", "to_prometheus"),
         "audit": ("ConformanceReport", "PhaseCheck", "RoundsCheck",
                   "audit_coin_gen", "audit_liveness", "audit_recorder",
                   "audit_rounds"),
         "liveness": ("Stall", "WaitRecord", "default_threshold", "stalls",
                      "wait_records"),
         "causality": ("CausalGraph", "MessageEdge", "graph_from_log"),
-        # critical_path() itself is not re-exported: the package attribute
-        # of that name is the submodule
-        "critical_path": ("CostModel", "CriticalPathResult", "WhatIf",
-                          "ops_from_recorder", "what_if"),
         "flight": ("Divergence", "FlightLog", "FlightRecorder", "diff",
                    "replay"),
         "forensics": ("AccusationReport", "analyze_log"),
         "health": ("HealthMonitor",),
         "manifest": ("RunManifest",),
-        "diffing": ("Attribution", "DiffRow", "ProfileDiff", "RunProfile",
-                    "diff_profiles", "profile_from_jsonl"),
     }.items()
     for name in names
 }

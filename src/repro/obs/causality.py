@@ -14,8 +14,8 @@ that order as a DAG over *step nodes* ``(run, round, player)``:
 
 :func:`graph_from_log` is the one constructor: the DAG is a pure
 function of a recorded :class:`~repro.obs.flight.FlightLog`, so a run
-observed live (``repro critpath``, ``repro trace --runtime async`` keep
-an in-memory :class:`~repro.obs.flight.FlightRecorder`) and a log read
+observed live (``repro trace --runtime async`` keeps an in-memory
+:class:`~repro.obs.flight.FlightRecorder`) and a log read
 back later (``repro replay --causal``) get the same graph by
 construction.  A flight log records what *settled*: a message the fault
 plane delayed is attributed to the round it settled in — the log's
@@ -28,8 +28,8 @@ is the number of message-carrying rounds, which fault-free equals the
 :func:`repro.analysis.rounds.predicted_rounds` formula for the protocol
 (the trailing drain round is empty and adds no depth).
 
-Off the coin path (docs/CENSUS.md, class ii); run by CI's `repro
-critpath` and `repro replay --causal`.
+Off the coin path (docs/CENSUS.md, class ii); run by CI's `repro trace
+--runtime async --audit` and `repro replay --causal`.
 """
 
 from __future__ import annotations

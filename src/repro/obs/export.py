@@ -1,18 +1,14 @@
-"""Span exporters: JSONL, Chrome trace-event JSON, Prometheus text.
+"""Span exporters: Chrome trace-event JSON and Prometheus text.
 
-* :func:`to_jsonl` — one span object per line; the lossless archival
-  format (every attribute is kept).
 * :func:`to_chrome_trace` — the Trace Event Format understood by
   Perfetto / ``chrome://tracing``.  Lanes: protocol runs, synthesized
   phases, rounds, and one lane per player, so the Fig. 5 pipeline reads
-  as a flame chart.  Pass a :class:`~repro.obs.causality.CausalGraph`
-  to overlay causal ``flow`` arrows (sender step -> receiver step) for
-  the critical path (default) or every message edge.
+  as a flame chart.
 * :func:`to_prometheus` — a text exposition of counters (rounds,
   messages, bits, per-player ops) and span-duration histograms, suitable
-  for scraping or for diffing in CI.  Every metric family carries
-  ``# HELP`` and ``# TYPE`` lines and label values are escaped per the
-  text-format rules (regression-tested by a strict parser in
+  for scraping.  Every metric family carries ``# HELP`` and ``# TYPE``
+  lines and label values are escaped per the text-format rules
+  (regression-tested by a strict parser in
   ``tests/test_prometheus_format.py``).  Pass a flight log as
   ``liveness=`` (and a stall threshold as ``watchdog=``) to append its
   guard-wait latency histogram (in logical ticks), pivotal-sender
@@ -36,24 +32,6 @@ PROTOCOL_TID = 0
 PHASE_TID = 1
 ROUND_TID = 2
 PLAYER_TID = 10
-
-
-def to_jsonl(recorder: SpanRecorder, manifest=None) -> str:
-    """All spans (incl. synthesized phases) as newline-delimited JSON.
-
-    ``manifest`` (a :class:`~repro.obs.manifest.RunManifest`) prepends a
-    ``{"kind": "manifest", ...}`` provenance line, which the diffing
-    loader (:func:`~repro.obs.diffing.profile_from_jsonl`) reads back.
-    """
-    lines = []
-    if manifest is not None:
-        lines.append(json.dumps({"kind": "manifest",
-                                 **manifest.to_dict()}))
-    lines.extend(json.dumps(span.to_dict(), default=str)
-                 for span in recorder.all_spans())
-    for fault in recorder.faults:
-        lines.append(json.dumps({"kind": "fault", **fault}))
-    return "\n".join(lines) + "\n"
 
 
 def _trace_event(span: Span, origin: float) -> Dict:
@@ -84,84 +62,9 @@ def _trace_event(span: Span, origin: float) -> Dict:
     }
 
 
-def _step_span_index(recorder: SpanRecorder) -> Dict:
-    """``(run, local_round, player) -> player span``, protocol spans in
-    start order numbered as runs 1..K (one ``network.run`` per span)."""
-    index: Dict = {}
-    protocols = sorted(recorder.by_kind("protocol"), key=lambda s: s.t0)
-    for run_no, protocol in enumerate(protocols, start=1):
-        for round_span in recorder.children(protocol):
-            if round_span.kind != "round":
-                continue
-            for step in recorder.children(round_span):
-                if step.kind != "player":
-                    continue
-                key = (run_no, step.attrs.get("round"),
-                       step.attrs.get("player"))
-                index.setdefault(key, step)
-    return index
-
-
-def _flow_edges(graph, flows: str, model) -> List:
-    """The message edges to draw as arrows for the requested mode."""
-    if flows == "all":
-        return list(graph.edges)
-    if flows != "critical":
-        return []
-    from repro.obs.critical_path import critical_path
-
-    result = critical_path(graph, model)
-    return [step.via for run in result.runs for step in run.path
-            if step.via is not None]
-
-
-def _flow_events(recorder: SpanRecorder, graph, flows: str, model,
-                 origin: float) -> List[Dict]:
-    """Paired ``s``/``f`` flow events anchored inside player-step spans.
-
-    Graph rounds follow the cumulative metrics numbering while recorder
-    round spans restart per run, so each run's edges are shifted by its
-    first message round (see :mod:`repro.obs.critical_path`).
-    """
-    steps = _step_span_index(recorder)
-    offsets = {
-        run: min(e.send_round for e in graph.edges_in_run(run)) - 1
-        for run in graph.runs()
-    }
-    events: List[Dict] = []
-    flow_id = 0
-    for edge in _flow_edges(graph, flows, model):
-        offset = offsets.get(edge.run, 0)
-        send = steps.get((edge.run, edge.send_round - offset, edge.src))
-        recv = steps.get((edge.run, edge.recv_round - offset, edge.dst))
-        if send is None or recv is None:
-            continue
-        flow_id += 1
-        common = {"name": edge.tag, "cat": "flow", "id": flow_id, "pid": 1}
-        events.append({
-            **common, "ph": "s",
-            "ts": (send.t1 - origin) * 1e6,
-            "tid": PLAYER_TID + edge.src,
-            "args": {"phase": edge.phase, "elements": edge.elements},
-        })
-        events.append({
-            **common, "ph": "f", "bp": "e",
-            "ts": (recv.t0 - origin) * 1e6,
-            "tid": PLAYER_TID + edge.dst,
-        })
-    return events
-
-
-def to_chrome_trace(recorder: SpanRecorder, graph=None,
-                    flows: str = "critical", model=None,
-                    manifest=None) -> str:
+def to_chrome_trace(recorder: SpanRecorder, manifest=None) -> str:
     """Trace Event Format JSON (open with Perfetto or chrome://tracing).
 
-    ``graph`` (a :class:`~repro.obs.causality.CausalGraph`) overlays
-    causal arrows between player-step slices: ``flows="critical"`` draws
-    only the edges on each run's critical path under ``model`` (default
-    :class:`~repro.obs.critical_path.CostModel`), ``flows="all"`` draws
-    every message edge, ``flows="none"`` suppresses arrows.
     ``manifest`` lands in the trace's top-level ``metadata`` object
     (Perfetto shows it in the trace-info view).
     """
@@ -186,8 +89,6 @@ def to_chrome_trace(recorder: SpanRecorder, graph=None,
                        "tid": PLAYER_TID + pid,
                        "args": {"name": f"player {pid}"}})
     events.extend(_trace_event(span, origin) for span in spans)
-    if graph is not None:
-        events.extend(_flow_events(recorder, graph, flows, model, origin))
     for fault in recorder.faults:
         events.append({
             "name": f"fault:{fault['kind']}",

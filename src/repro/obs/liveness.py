@@ -12,8 +12,7 @@ parked player woke), and everything here is a pure function of it:
   delta and the **pivotal** sender (the distinct matching sender whose
   delivery completed the quorum).  Pivotal counts are quorum-level
   straggler attribution: a player that is repeatedly last-in-quorum is
-  the one slowing everyone down (the player to hand ``repro critpath
-  --what-if``).
+  the one slowing everyone down.
 * :func:`stalls` — every guard that waited past a logical-time
   threshold, naming the senders still missing from its quorum and
   classifying it as **crash**-induced (a missing sender is known

@@ -1,11 +1,11 @@
 """Run manifests: provenance stamps for exports and logs.
 
-Every recording this repo emits — span exports (JSONL / Chrome),
-flight logs — describes *one execution of one configuration*, yet
-until now none of them recorded which configuration that was.  A
-:class:`RunManifest` is that record: the protocol parameters (field, n, t, M, seeds), the execution knobs
-(backend, scheduler, runtime, interpolation mode), and the environment
-(python / numpy versions, git sha, package version) in one flat,
+Every recording this repo emits — Chrome trace exports, flight logs,
+campaign ledgers — describes *one execution of one configuration*.  A
+:class:`RunManifest` records which configuration that was: the protocol
+parameters (field, n, t, M, seeds), the execution knobs (backend,
+scheduler, runtime, interpolation mode), and the environment (python /
+numpy versions, git sha, package version) in one flat,
 JSON-serializable object.
 
 Two kinds of fields, one contract
@@ -21,10 +21,10 @@ so it is
 * **stable** under dict key ordering and environment drift, and
 * **different** whenever any semantic field changes.
 
-That makes the fingerprint the join key for cross-run analysis
-(:mod:`repro.obs.diffing`): two recordings are comparable when their
-fingerprints match, and a diff between different fingerprints is
-labelled as a *configuration* change, not a regression.
+That makes the fingerprint the join key across runs: two recordings
+are comparable when their fingerprints match.  The campaign stamps it
+on every repro artifact, and a flight log carries the manifest in its
+header.
 
 Capture is cheap and dependency-free: the git sha comes from one
 ``git rev-parse`` (cached per process, ``None`` outside a checkout),
@@ -41,7 +41,7 @@ import hashlib
 import json
 import subprocess
 import sys
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 #: fields that define *what* was run; the fingerprint hashes exactly these
@@ -158,7 +158,7 @@ class RunManifest:
             captured["scheduler"] = RandomOrderScheduler.contract
         return cls(**captured)
 
-    # -- (de)serialization -----------------------------------------------
+    # -- serialization ---------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         """All non-``None`` fields as a plain dict (stable key order)."""
         out: Dict[str, Any] = {}
@@ -167,12 +167,6 @@ class RunManifest:
             if value is not None:
                 out[name] = value
         return out
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "RunManifest":
-        """Rebuild from a dict, ignoring unknown keys (forward compat)."""
-        known = {f.name for f in dataclass_fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in known})
 
     # -- identity ---------------------------------------------------------
     def semantic_dict(self) -> Dict[str, Any]:
@@ -189,33 +183,3 @@ class RunManifest:
         canonical = json.dumps(self.semantic_dict(), sort_keys=True,
                                separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
-
-    def summary(self) -> str:
-        """One human line: semantic knobs, then environment, then id."""
-        parts = []
-        for name in SEMANTIC_FIELDS:
-            value = getattr(self, name)
-            if value is not None:
-                parts.append(f"{name}={value}")
-        env = []
-        for name in ENVIRONMENT_FIELDS:
-            value = getattr(self, name)
-            if value is not None:
-                env.append(f"{name}={value}")
-        line = " ".join(parts) or "(unparameterized)"
-        if env:
-            line += "  [" + " ".join(env) + "]"
-        return f"{line}  #{self.fingerprint()}"
-
-    def differences(self, other: "RunManifest") -> Dict[str, tuple]:
-        """``{field: (mine, theirs)}`` over differing *semantic* fields.
-
-        The diffing layer uses this to label a nonzero diff as a
-        configuration change rather than a performance regression.
-        """
-        out: Dict[str, tuple] = {}
-        for name in SEMANTIC_FIELDS:
-            mine, theirs = getattr(self, name), getattr(other, name)
-            if mine != theirs:
-                out[name] = (mine, theirs)
-        return out

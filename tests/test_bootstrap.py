@@ -45,6 +45,14 @@ class TestBasicOperation:
         assert source.sealed_coins_available >= 5
 
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_a_batch_below_one_is_refused_at_construction(self, batch_size):
+        """A batch of 0 ran a whole Coin-Gen per seed's worth of reserve
+        coins; -1 dropped a coin from the next seed, so a later stretch
+        ran short of seeds."""
+        with pytest.raises(ValueError, match="batch_size"):
+            BootstrapCoinSource(F, N, T, batch_size=batch_size)
+
 class TestSelfSufficiency:
     def test_dealer_used_exactly_once(self):
         """Section 1.2: the trusted dealer is consulted only for the

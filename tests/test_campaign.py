@@ -179,7 +179,7 @@ class TestRunCell:
         outcome = run_cell(Scenario(), keep_log=True)
         log = FlightLog.loads(outcome.log_text)
         assert (log.n, log.t) == (7, 1)
-        assert (RunManifest.from_dict(log.manifest).fingerprint()
+        assert (RunManifest(**log.manifest).fingerprint()
                 == outcome.fingerprint)
 
     def test_tolerated_adversary_is_clean(self):

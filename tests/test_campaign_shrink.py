@@ -118,7 +118,7 @@ class TestArtifacts:
 
         result = padded_result
         data = artifact_dict(result)
-        assert (RunManifest.from_dict(data["manifest"]).fingerprint()
+        assert (RunManifest(**data["manifest"]).fingerprint()
                 == data["fingerprint"])
 
     def test_stale_artifact_reports_not_reproduced(self, padded_result):

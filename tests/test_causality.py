@@ -7,9 +7,9 @@ measured by other means — ``NetworkMetrics`` delivery and round counts,
 the ``predicted_rounds`` depth formula, the log's own fault events —
 across schedulers, fields, and adversaries.  On top of that: run
 delimiting, drop/delay/duplicate semantics (a delayed message is
-attributed to the round it settled in), the Chrome flow-arrow overlay,
-and the zero-cost discipline (recording the log a graph is built from
-never perturbs the run it observes).
+attributed to the round it settled in), well-formed Chrome trace lanes
+under a permuted schedule, and the zero-cost discipline (recording the
+log a graph is built from never perturbs the run it observes).
 """
 
 import json
@@ -25,7 +25,6 @@ from repro.net import PermutedDeliveryScheduler
 from repro.net.faults import FaultPlane
 from repro.obs import SpanRecorder, to_chrome_trace
 from repro.obs.causality import CausalGraph, MessageEdge, graph_from_log
-from repro.obs.critical_path import critical_path
 from repro.obs.flight import FlightRecorder
 from repro.protocols.coin_gen import expose_coin, run_coin_gen
 from repro.protocols.context import ProtocolContext
@@ -119,6 +118,13 @@ class TestLiveCapture:
         # ... which is every round the run took but the empty drain round
         assert graph.depth(1) == ctx.metrics.rounds - 1
         assert len(graph.edges) == sent_deliveries(ctx)
+
+    def test_coin_gen_depth_matches_round_model_at_t_2(self):
+        graph, _, outputs, ctx = causal_coin_gen(GF2k(16), n=13, t=2)
+        iterations = next(iter(outputs.values())).iterations
+        assert graph.depth(1) == predicted_rounds("coin_gen", t=2,
+                                                  iterations=iterations)
+        assert graph.depth(1) == ctx.metrics.rounds - 1
 
     def test_expose_run_has_depth_one(self):
         graph, _, _, ctx = causal_coin_gen(GF2k(16), expose=True)
@@ -255,21 +261,16 @@ def _pairwise_nested_or_disjoint(intervals):
     return True
 
 
-class TestChromeFlowOverlay:
-    """Satellite: flow arrows + well-formed lanes under permutation."""
-
-    def _trace(self, flows):
+class TestChromeLanes:
+    def test_player_lanes_are_well_formed(self):
+        """Under a permuted schedule every Chrome trace lane still holds
+        nested or disjoint slices."""
         recorder = SpanRecorder()
-        graph, _, _, _ = causal_coin_gen(
+        causal_coin_gen(
             GF2k(16), scheduler=PermutedDeliveryScheduler(seed=9),
             span_recorder=recorder, M=2,
         )
-        return graph, json.loads(
-            to_chrome_trace(recorder, graph=graph, flows=flows)
-        )
-
-    def test_player_lanes_are_well_formed(self):
-        _, trace = self._trace("all")
+        trace = json.loads(to_chrome_trace(recorder))
         lanes = {}
         for event in trace["traceEvents"]:
             if event.get("ph") == "X":
@@ -281,33 +282,6 @@ class TestChromeFlowOverlay:
             assert _pairwise_nested_or_disjoint(intervals), (
                 f"lane {tid} has partially overlapping spans"
             )
-
-    def test_flow_events_pair_up_and_point_forward(self):
-        _, trace = self._trace("all")
-        flows = [e for e in trace["traceEvents"] if e.get("cat") == "flow"]
-        assert flows
-        by_id = {}
-        for event in flows:
-            by_id.setdefault(event["id"], {})[event["ph"]] = event
-        for pair in by_id.values():
-            assert set(pair) == {"s", "f"}
-            assert pair["f"]["bp"] == "e"
-            assert pair["s"]["ts"] <= pair["f"]["ts"]
-
-    def test_critical_mode_draws_only_the_bounding_chain(self):
-        graph, trace = self._trace("critical")
-        flows = [e for e in trace["traceEvents"]
-                 if e.get("cat") == "flow" and e["ph"] == "s"]
-        result = critical_path(graph)
-        expected = sum(
-            1 for run in result.runs for step in run.path
-            if step.via is not None
-        )
-        assert len(flows) == expected
-
-    def test_none_mode_draws_no_arrows(self):
-        _, trace = self._trace("none")
-        assert not any(e.get("cat") == "flow" for e in trace["traceEvents"])
 
 
 class TestZeroCostDiscipline:

@@ -15,10 +15,13 @@ fails on d37430e, the commit before the paths were folded.
 (d) There is one path from a recorded run to an answer: one constructor
 of a ``CausalGraph``, one module that spells the expose tag, and no name
 exported by ``repro.obs`` that no entry point reaches.  Each fails on
-12b941c, the commit before that fold.  (e) Wait records and stalls are
-views of the flight log: the liveness module subscribes to nothing, and
-the progress topic, the pool gauge and its channel labels are gone
-(fails on abe7edc, where two live subscribers recorded them).  (f)
+12b941c, the commit before that fold; the deleted offline analysers'
+names (``critical_path``, ``what_if``, ``profile_from_jsonl``,
+``diff_profiles``, ``to_jsonl``) are still reached on 0ffe648.  (e)
+Wait records and stalls are views of the flight log: the liveness
+module subscribes to nothing, and the progress topic, the pool gauge
+and its channel labels are gone (fails on abe7edc, where two live
+subscribers recorded them).  (f)
 Nothing publishes: runtimes, the fault plane and the coin source call
 their recorders directly, and no event bus is left under ``src/`` or
 ``examples/`` (fails on ee3aec8, where ``repro.obs.bus`` carried nine
@@ -326,6 +329,9 @@ def test_every_obs_export_is_reached_from_an_entry_point():
         reached |= new
         frontier.extend(new & mentions.keys())
     assert [name for name in repro.obs.__all__ if name not in reached] == []
-    # the check can see a dead export: these were, on the parent
+    # the check can see a dead export: these were reached before their
+    # deletion (12b941c, and 0ffe648 for the offline analysers)
     assert not reached & {"profile_from_recorder", "diff_recordings",
-                          "as_profile", "pivotal_what_if"}
+                          "as_profile", "pivotal_what_if", "critical_path",
+                          "what_if", "profile_from_jsonl", "diff_profiles",
+                          "to_jsonl"}

@@ -63,41 +63,6 @@ class TestBeacon:
         assert all("tick" in line and "0x" in line for line in lines)
 
 
-CRITPATH = ["critpath", "--n", "7", "--t", "1", "--M", "2", "--seed", "3"]
-
-
-class TestCritpath:
-    def test_table_and_depth_gate(self, capsys):
-        assert main(CRITPATH + ["--assert-depth"]) == 0
-        out = capsys.readouterr().out
-        assert "slowest chain" in out
-        assert "depth conformance" in out
-        assert "DEVIATION" not in out
-
-    def test_what_if_and_export(self, tmp_path, capsys):
-        out_path = tmp_path / "critpath.json"
-        assert main(CRITPATH + ["--what-if", "player=3,scale=10",
-                                "--export", str(out_path),
-                                "--assert-depth"]) == 0
-        payload = json.loads(out_path.read_text())
-        assert all(check["ok"] for check in payload["depth_checks"])
-        assert payload["what_if"]["makespan_delta"] > 0
-        assert payload["critical_path"]["runs"]
-        out = capsys.readouterr().out
-        assert "what-if" in out
-
-    def test_chrome_flow_export(self, tmp_path):
-        path = tmp_path / "critpath_trace.json"
-        assert main(CRITPATH + ["--chrome", str(path),
-                                "--flows", "all"]) == 0
-        trace = json.loads(path.read_text())
-        assert any(e.get("cat") == "flow" for e in trace["traceEvents"])
-
-    def test_bad_what_if_rejected(self, capsys):
-        assert main(CRITPATH + ["--what-if", "bogus"]) == 2
-        assert "what-if" in capsys.readouterr().err
-
-
 class TestReplayCausal:
     def test_causal_summary_from_flight_log(self, tmp_path, capsys):
         log_path = tmp_path / "run.flightlog"
@@ -176,67 +141,6 @@ class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
-
-
-def _span_export(tmp_path, name, muls=60):
-    lines = [
-        {"kind": "manifest", "protocol": "coin_gen", "field": "gf2k:32",
-         "n": 7},
-        {"kind": "phase", "phase": "clique", "rounds": 3, "messages": 10,
-         "bits": 80, "duration_s": 0.01},
-        {"kind": "player", "phase": "clique", "adds": 4, "muls": muls,
-         "invs": 1, "interpolations": 2},
-    ]
-    path = tmp_path / name
-    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
-    return str(path)
-
-
-class TestDiff:
-    def test_identical_payloads_diff_empty(self, tmp_path, capsys):
-        a = _span_export(tmp_path, "a.jsonl")
-        b = _span_export(tmp_path, "b.jsonl")
-        assert main(["diff", a, b, "--expect-empty"]) == 0
-        assert "behaviourally identical" in capsys.readouterr().out
-
-    def test_regression_produces_attribution(self, tmp_path, capsys):
-        a = _span_export(tmp_path, "a.jsonl", muls=60)
-        b = _span_export(tmp_path, "b.jsonl", muls=660)
-        assert main(["diff", a, b]) == 0
-        out = capsys.readouterr().out
-        assert "muls" in out and "priced attribution" in out
-        assert "clique" in out
-
-    def test_expect_empty_gates_on_regression(self, tmp_path, capsys):
-        a = _span_export(tmp_path, "a.jsonl", muls=60)
-        b = _span_export(tmp_path, "b.jsonl", muls=660)
-        assert main(["diff", a, b, "--expect-empty"]) == 1
-        assert "DIFF NOT EMPTY" in capsys.readouterr().err
-
-    def test_out_writes_report(self, tmp_path, capsys):
-        a = _span_export(tmp_path, "a.jsonl", muls=60)
-        b = _span_export(tmp_path, "b.jsonl", muls=660)
-        report = tmp_path / "report.txt"
-        assert main(["diff", a, b, "--out", str(report)]) == 0
-        assert "priced attribution" in report.read_text()
-
-    def test_non_jsonl_input_exits_2(self, tmp_path, capsys):
-        a = _span_export(tmp_path, "a.jsonl")
-        chrome = tmp_path / "trace.json"
-        chrome.write_text(json.dumps({"traceEvents": []}, indent=2))
-        assert main(["diff", a, str(chrome)]) == 2
-        assert main(["diff", a, str(tmp_path / "absent.jsonl")]) == 2
-        assert "not a span JSONL export" in capsys.readouterr().err
-
-    def test_jsonl_export_diffs_against_itself(self, tmp_path, capsys):
-        export = tmp_path / "spans.jsonl"
-        assert main(["trace", "--n", "7", "--t", "1", "--M", "2",
-                     "--seed", "3", "--export", "jsonl",
-                     "--export-out", str(export)]) == 0
-        capsys.readouterr()
-        assert main(["diff", str(export), str(export),
-                     "--expect-empty"]) == 0
-        assert "behaviourally identical" in capsys.readouterr().out
 
 
 CAMPAIGN_SMALL = ["campaign", "run", "--clean-only",
@@ -404,22 +308,13 @@ class TestExitCodeConvention:
         assert main(argv) == 2
         assert "hostile.jsonl:1:" in capsys.readouterr().err
 
-    def test_bad_what_if_exits_two(self):
-        assert main(["critpath", "--n", "7", "--t", "1", "--M", "2",
-                     "--what-if", "bogus"]) == 2
-
     @pytest.mark.parametrize("argv, flag", [
         (["toss", "--runtime", "async", "--count", "1", "--crash", "3,x"],
          "--crash"),
         (["toss", "--runtime", "async", "--count", "1", "--n", "7",
           "--crash", "9"], "--crash"),
-        (["critpath", "--n", "7", "--t", "1", "--M", "2",
-          "--what-if", "player=x"], "--what-if"),
-        (["critpath", "--n", "7", "--t", "1", "--M", "2",
-          "--op-cost", "add=zz"], "--op-cost"),
         (["forensics", "LOG", "--expect", "a"], "--expect"),
-    ], ids=["crash-not-a-number", "crash-not-a-player", "what-if-player",
-            "op-cost", "forensics-expect"])
+    ], ids=["crash-not-a-number", "crash-not-a-player", "forensics-expect"])
     def test_malformed_flag_values_exit_two(self, argv, flag, tmp_path,
                                             capsys):
         # a ValueError traceback would exit 1, the "gate tripped" code
@@ -431,6 +326,33 @@ class TestExitCodeConvention:
         capsys.readouterr()
         assert main(argv) == 2
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["toss", "--n", "7", "--t", "2", "--count", "4"], "n >= 6t+1"),
+        (["beacon", "--n", "7", "--t", "2", "--ticks", "1"], "n >= 6t+1"),
+        (["health", "--n", "7", "--t", "2", "--coins", "1"], "n >= 6t+1"),
+        (["trace", "--n", "7", "--t", "2", "--M", "1"], "n >= 6t+1"),
+        (["trace", "--n", "7", "--t", "1", "--M", "0"], "--M"),
+        (["waits", "--n", "4", "--t", "2", "--coins", "1"], "n >= 3t+1"),
+        (["toss", "--n", "6", "--t", "2", "--count", "2", "--runtime",
+          "async"], "n >= 3t+1"),
+        (["vss", "--n", "4", "--t", "2"], "n >= 3t+1"),
+        (["trace", "--k", "2", "--M", "1"], "2^k > n"),
+        (["toss", "--batch", "-1", "--count", "640"], "--batch"),
+        (["toss", "--batch", "0", "--count", "20"], "--batch"),
+    ], ids=["toss-n-below-6t+1", "beacon-n-below-6t+1",
+            "health-n-below-6t+1", "trace-n-below-6t+1", "trace-M-zero",
+            "waits-async-n-below-3t+1", "toss-async-n-below-3t+1",
+            "vss-n-below-3t+1", "trace-field-too-small",
+            "toss-negative-batch", "toss-zero-batch"])
+    def test_refused_parameters_exit_two(self, argv, message, capsys):
+        """A ValueError or IndexError traceback exits 1, the gate-tripped
+        code, and so does waits' stuck run at n < 3t+1; an async toss or
+        a VSS at n < 3t+1 ran outside the model, and a batch below 1
+        shrank the seed store until a later stretch ran out of seeds."""
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err and len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("forged", [0, -3, 99999999999, 50])
     def test_a_forged_sender_id_exits_two(self, forged, tmp_path, capsys):

@@ -18,8 +18,8 @@ Covers the guard facts a log records and everything derived from them:
   from the in-memory log and after a serialization round trip;
 * the fault-free liveness conformance audit (zero stalls, quorum-exact
   firing);
-* op-priced async span attribution — coverage ≥ 95 % and
-  ``critical_path`` pricing async DAGs from recorder op deltas.
+* async span attribution — round spans cover ≥ 95 % of the protocol
+  span.
 """
 
 import dataclasses
@@ -41,8 +41,6 @@ from repro.obs import (
     to_prometheus,
     wait_records,
 )
-from repro.obs.causality import graph_from_log
-from repro.obs.critical_path import critical_path, ops_from_recorder
 from repro.obs.flight import FlightLog, FlightRecorder, diff
 from repro.obs.liveness import pivotal_counts
 from repro.protocols.async_coin import async_coin_program, run_async_coin
@@ -507,36 +505,18 @@ class TestLiveEqualsOffline:
         ]
 
 
-# -- op-priced async span attribution ----------------------------------------
+# -- async span attribution --------------------------------------------------
 
 class TestAsyncSpanPricing:
     def _recorded_run(self, sched_seed):
         recorder = SpanRecorder()
-        flight = _recorded()
-        run_async_coin(FIELD, 7, 2, seed=13, flight=flight, recorder=recorder,
+        run_async_coin(FIELD, 7, 2, seed=13, recorder=recorder,
                        scheduler=RandomOrderScheduler(sched_seed))
-        return recorder, graph_from_log(flight.log())
+        return recorder
 
     def test_coverage_is_at_least_95_percent(self):
         """Round spans attribute (nearly) the whole async protocol span."""
         best = max(
-            self._recorded_run(seed)[0].coverage() for seed in range(3)
+            self._recorded_run(seed).coverage() for seed in range(3)
         )
         assert best >= 0.95, f"span coverage {best:.3f} < 0.95"
-
-    def test_ops_from_recorder_prices_the_async_dag(self):
-        recorder, graph = self._recorded_run(1)
-        step_ops, run_labels = ops_from_recorder(recorder)
-        assert run_labels == {1: "async_coin"}
-        assert step_ops, "async round spans must carry per-step op deltas"
-        # the n - t = 5 decoding players each record an interpolation
-        interps = sum(ops.get("interpolations", 0) for ops in step_ops.values())
-        assert interps >= 5
-        # step rounds align with the causal DAG's logical times
-        step_rounds = {round_no for _, round_no, _ in step_ops}
-        assert max(step_rounds) <= max(
-            edge.recv_round for edge in graph.edges
-        )
-        priced = critical_path(graph, step_ops=step_ops)
-        structural = critical_path(graph)
-        assert priced.makespan >= structural.makespan

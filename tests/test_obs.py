@@ -20,7 +20,6 @@ from repro.obs import (
     audit_recorder,
     classify_tag,
     to_chrome_trace,
-    to_jsonl,
     to_prometheus,
 )
 from repro.obs.audit import audit_coin_gen
@@ -243,14 +242,6 @@ class TestExporters:
         ctx = ProtocolContext.create(F, N, T, seed=3, recorder=rec)
         _, metrics = run_coin_gen(ctx, M=2)
         return rec, ctx, metrics
-
-    def test_jsonl_round_trips(self):
-        rec, _, _ = self._recorder()
-        lines = to_jsonl(rec).strip().splitlines()
-        parsed = [json.loads(line) for line in lines]
-        assert len(parsed) == len(rec.all_spans())
-        kinds = {p["kind"] for p in parsed}
-        assert {"protocol", "phase", "round", "player"} <= kinds
 
     def test_prometheus_exposition(self):
         rec, ctx, metrics = self._recorder()
